@@ -20,13 +20,12 @@ def main() -> int:
     parser.add_argument("--start", type=float, default=1e-2)
     parser.add_argument("--stop", type=float, default=1e-6)
     parser.add_argument("--count", type=int, default=5)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     code = cli.main([
         "rate", args.config, "--out", args.out,
         "--start", str(args.start), "--stop", str(args.stop),
-        "--count", str(args.count), "--threads", str(args.threads),
+        "--count", str(args.count),
     ])
     if code == 0:
         print((Path(args.out) / "rate.csv").read_text())

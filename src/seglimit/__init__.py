@@ -1,10 +1,10 @@
 """Finite-difference toolkit for singularly perturbed elliptic systems
 whose components segregate in the vanishing-diffusion-penalty limit.
 
-The package solves m coupled screened Dirichlet problems at fixed epsilon
-by a monotone fixed-point iteration, constructs the segregated limit
-explicitly from harmonic difference fields, and provides convergence-rate
-and free-boundary diagnostics.
+The package solves the m coupled equations at fixed epsilon by monotone
+Newton on one reduced scalar equation, constructs the segregated limit
+explicitly from the same harmonic difference fields, and provides
+convergence-rate and free-boundary diagnostics.
 """
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ several zero sets; edges interior to a shared zero band are excluded.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -328,7 +327,6 @@ def rate_study(
     tol_fp: float = DEFAULT_TOL_FP,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     tol_linear: float = DEFAULT_TOL,
-    threads: int = 1,
 ) -> RateTable:
     """Distance-to-limit table over a decreasing epsilon ladder with a
     log-log slope fit for the pivot component.
@@ -360,11 +358,7 @@ def rate_study(
         )
         return RateRow(eps, lmp1, sup)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, eps_list))
-    else:
-        rows = [run(e) for e in eps_list]
+    rows = [run(e) for e in eps_list]
 
     pts = [(r.epsilon, r.lmp1[pivot - 1]) for r in rows if not r.failed and r.lmp1[pivot - 1] > 0]
     slope = intercept = resid = None

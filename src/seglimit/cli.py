@@ -10,7 +10,7 @@ pairs.  ``#`` starts a comment.  Sections and keys:
                n = nodes per axis
     [system]   m, epsilon, alpha = [..], A = [..]
     [boundary.i]  piece = "<selector>: <expr>"   (repeatable)
-    [solver]   tol_linear, tol_fp, max_sweeps
+    [solver]   tol_linear, tol_fp, max_sweeps (caps the Newton steps)
 
 Subcommands: validate, solve, limit, compare, rate, interfaces.  All output
 is data-only CSV plus a run manifest; identical config and flags produce
@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, epsilon_solver, limit_solver
+from . import __version__, analysis, epsilon_solver, limit_solver
 from .elliptic_core import DEFAULT_TOL, ScalarField
 from .errors import ConfigError, SolverError
 from .geometry import DomainSpec, Grid, build_grid, format_grid
@@ -44,8 +44,6 @@ from .problem_data import (
     Piece,
     ProblemData,
 )
-
-VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -345,11 +343,14 @@ def write_jump_report(path: Path, reports) -> None:
 
 
 class RunWriter:
-    """Collects emitted files and writes the run manifest."""
+    """Collects emitted files and writes the run manifest.
+
+    Created at the start of a subcommand, so that ``wall_time_s`` covers
+    the whole run; the output directory is made on the first write.
+    """
 
     def __init__(self, out_dir: Path, subcommand: str, cfg: SystemConfig, flags: dict):
         self.out = out_dir
-        self.out.mkdir(parents=True, exist_ok=True)
         self.subcommand = subcommand
         self.cfg = cfg
         self.flags = flags
@@ -358,12 +359,13 @@ class RunWriter:
         self.t0 = time.perf_counter()
 
     def path(self, name: str) -> Path:
+        self.out.mkdir(parents=True, exist_ok=True)
         self.files.append(name)
         return self.out / name
 
     def finish(self, **extra) -> Path:
         manifest = {
-            "tool": f"seglimit {VERSION}",
+            "tool": f"seglimit {__version__}",
             "subcommand": self.subcommand,
             "config": self.cfg.source,
             "config_hash": self.cfg.config_hash,
@@ -375,6 +377,7 @@ class RunWriter:
             "wall_time_s": time.perf_counter() - self.t0,
         }
         manifest.update(extra)
+        self.out.mkdir(parents=True, exist_ok=True)
         p = self.out / "manifest.json"
         p.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return p
@@ -382,12 +385,6 @@ class RunWriter:
 
 # ---------------------------------------------------------------------------
 # subcommands
-
-
-def _limit_label(cfg: SystemConfig) -> str:
-    # the explicit construction is proven only for equal weights; anything
-    # else is a candidate, not the limit
-    return "limit" if cfg.data.weights.all_equal() else "candidate"
 
 
 def _stats_summary(stats) -> dict:
@@ -399,9 +396,9 @@ def _stats_summary(stats) -> dict:
 
 
 def cmd_validate(cfg: SystemConfig, out: Path, flags: dict) -> int:
+    w = RunWriter(out, "validate", cfg, flags)
     g = cfg.build_grid()
     report = cfg.data.validate(g)
-    w = RunWriter(out, "validate", cfg, flags)
     with w.path("report.txt").open("w") as fh:
         fh.write(f"m = {cfg.data.m}\n")
         fh.write(f"segregation violations: {len(report['segregation'])}\n")
@@ -417,12 +414,12 @@ def cmd_validate(cfg: SystemConfig, out: Path, flags: dict) -> int:
 
 
 def cmd_solve(cfg: SystemConfig, out: Path, flags: dict) -> int:
+    w = RunWriter(out, "solve", cfg, flags)
     g = cfg.build_grid()
     r = epsilon_solver.solve_epsilon(
         g, cfg.data, flags.get("epsilon") or cfg.epsilon,
         cfg.tol_fp, cfg.max_sweeps, cfg.tol_linear,
     )
-    w = RunWriter(out, "solve", cfg, flags)
     w.stages["solve"] = {
         "epsilon": r.epsilon, "sweeps": r.sweeps, "gap": r.gap,
         "linear": _stats_summary(r.linear_stats),
@@ -439,42 +436,41 @@ def _build_limit(cfg: SystemConfig, g: Grid, flags: dict):
 
 
 def cmd_limit(cfg: SystemConfig, out: Path, flags: dict) -> int:
+    w = RunWriter(out, "limit", cfg, flags)
     g = cfg.build_grid()
     L = _build_limit(cfg, g, flags)
-    label = _limit_label(cfg)
-    w = RunWriter(out, "limit", cfg, flags)
     w.stages["limit"] = {"pivot": L.pivot, "linear": _stats_summary(L.linear_stats)}
-    write_fields_csv(w.path(f"{label}_fields.csv"), g, L.fields)
+    write_fields_csv(w.path("limit_fields.csv"), g, L.fields)
     delta = flags.get("delta") or analysis.default_zero_threshold(
         g, max(cfg.data.max_boundary_value(g), 1e-300), cfg.tol_linear
     )
     iset = analysis.extract_supports_and_interfaces(L.fields, delta)
     write_interfaces_csv(w.path("interfaces.csv"), iset)
     w.path("grid.txt").write_text(format_grid(g))
-    w.finish(label=label, delta=delta)
+    w.finish(label="limit", delta=delta)
     return EXIT_OK
 
 
 def cmd_compare(cfg: SystemConfig, out: Path, flags: dict) -> int:
+    w = RunWriter(out, "compare", cfg, flags)
     g = cfg.build_grid()
     L = _build_limit(cfg, g, flags)
     r = epsilon_solver.solve_epsilon(
         g, cfg.data, flags.get("epsilon") or cfg.epsilon,
         cfg.tol_fp, cfg.max_sweeps, cfg.tol_linear,
     )
-    w = RunWriter(out, "compare", cfg, flags)
-    label = _limit_label(cfg)
     w.stages["solve"] = {"epsilon": r.epsilon, "sweeps": r.sweeps, "gap": r.gap}
     w.stages["limit"] = {"pivot": L.pivot}
     write_fields_csv(w.path("solve_fields.csv"), g, r.fields)
-    write_fields_csv(w.path(f"{label}_fields.csv"), g, L.fields)
+    write_fields_csv(w.path("limit_fields.csv"), g, L.fields)
     write_distance_csv(w.path("distance.csv"), analysis.solve_vs_limit_distances(r, L))
     w.path("grid.txt").write_text(format_grid(g))
-    w.finish(label=label)
+    w.finish(label="limit")
     return EXIT_OK
 
 
 def cmd_rate(cfg: SystemConfig, out: Path, flags: dict) -> int:
+    w = RunWriter(out, "rate", cfg, flags)
     g = cfg.build_grid()
     L = _build_limit(cfg, g, flags)
     start = flags.get("start") or 1e-2
@@ -484,9 +480,7 @@ def cmd_rate(cfg: SystemConfig, out: Path, flags: dict) -> int:
     table = analysis.rate_study(
         g, cfg.data, eps_list, L,
         tol_fp=cfg.tol_fp, max_sweeps=cfg.max_sweeps, tol_linear=cfg.tol_linear,
-        threads=flags.get("threads") or 1,
     )
-    w = RunWriter(out, "rate", cfg, flags)
     w.stages["rate"] = {"slope": table.slope, "fit_residual": table.fit_residual,
                         "dropped_largest": table.dropped_largest}
     write_rate_csv(w.path("rate.csv"), table)
@@ -495,6 +489,7 @@ def cmd_rate(cfg: SystemConfig, out: Path, flags: dict) -> int:
 
 
 def cmd_interfaces(cfg: SystemConfig, out: Path, flags: dict) -> int:
+    w = RunWriter(out, "interfaces", cfg, flags)
     g = cfg.build_grid()
     L = _build_limit(cfg, g, flags)
     delta = flags.get("delta") or analysis.default_zero_threshold(
@@ -502,13 +497,12 @@ def cmd_interfaces(cfg: SystemConfig, out: Path, flags: dict) -> int:
     )
     iset = analysis.extract_supports_and_interfaces(L.fields, delta)
     reports = analysis.jump_condition_check(L, iset)
-    w = RunWriter(out, "interfaces", cfg, flags)
     write_interfaces_csv(w.path("interfaces.csv"), iset)
     measures = tuple(analysis.laplacian_measure(f, g) for f in L.fields)
     write_fields_csv(w.path("laplacian_measure.csv"), g, measures)
     write_jump_report(w.path("jump_report.csv"), reports)
     w.path("grid.txt").write_text(format_grid(g))
-    w.finish(label=_limit_label(cfg), delta=delta)
+    w.finish(label="limit", delta=delta)
     return EXIT_OK
 
 
@@ -541,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--start", type=float, default=1e-2)
             p.add_argument("--stop", type=float, default=1e-6)
             p.add_argument("--count", type=int, default=5)
-            p.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -560,7 +553,6 @@ def main(argv=None) -> int:
             "start": getattr(args, "start", None),
             "stop": getattr(args, "stop", None),
             "count": getattr(args, "count", None),
-            "threads": getattr(args, "threads", None),
         }
         return _COMMANDS[args.subcommand](cfg, Path(args.out), flags)
     except ConfigError as exc:

@@ -248,32 +248,45 @@ def solve_harmonic(g: Grid, boundary_values, tol: float = DEFAULT_TOL):
     return _assemble_solution(g, op, x, bflat), stats
 
 
-def solve_screened(g: Grid, c, boundary_values, tol: float = DEFAULT_TOL):
-    """Solve the screened equation  Lap(u) = c(x) u  with Dirichlet data.
+def solve_screened(g: Grid, c, boundary_values, tol: float = DEFAULT_TOL, source=None):
+    """Solve the screened equation  Lap(u) = c(x) u - f(x)  with Dirichlet data.
 
-    Requires c >= 0 at interior nodes and nonnegative boundary values;
-    then 0 <= u <= max boundary value (M-matrix maximum principle).
-    Rounding-level violations of those exact bounds are clamped.
+    ``source`` is the interior term f (default 0).  Requires c >= 0 and
+    f >= 0 at interior nodes and nonnegative boundary values; then u >= 0
+    (M-matrix maximum principle), and without a source also
+    u <= max boundary value.  Rounding-level violations of those exact
+    bounds are clamped.
     """
     op = grid_operator(g)
-    cvals = c.values if isinstance(c, ScalarField) else np.asarray(c, dtype=float)
-    if cvals.shape != g.mask.shape:
-        raise ValueError("screening coefficient must be a full-grid array")
-    c_int = cvals.ravel()[op.interior_flat]
-    if np.any(c_int < 0):
-        raise ValueError("screening coefficient must be nonnegative at interior nodes")
+    c_int = _interior_values(g, op, c, "screening coefficient")
+    f_int = None if source is None else _interior_values(g, op, source, "source")
     bflat = _boundary_flat(g, boundary_values)
     bvals = bflat[g.boundary().ravel()]
     if bvals.size and bvals.min() < 0:
         raise ValueError("screened solve requires nonnegative boundary values")
     M = float(bvals.max(initial=0.0))
-    if M == 0.0:
+    if M == 0.0 and (f_int is None or not f_int.any()):
         return constant_field(g, 0.0), LinearSolveStats(0, 0.0, True)
     A = op.matrix(c_int)
     b = op.rhs(bflat)
+    if f_int is not None:
+        b = b + f_int
     x, stats = _solve_linear(A, b, tol, g.n_nodes)
-    eps = CLAMP_REL * M
+    if f_int is None:
+        eps = CLAMP_REL * M
+        x[(x > M) & (x < M + eps)] = M
+    else:
+        eps = CLAMP_REL * max(M, float(x.max(initial=0.0)))
     x[(x < 0) & (x > -eps)] = 0.0
-    x[(x > M) & (x < M + eps)] = M
     field = _assemble_solution(g, op, x, bflat)
     return field, stats
+
+
+def _interior_values(g: Grid, op: _GridOperator, arr, what: str) -> np.ndarray:
+    vals = arr.values if isinstance(arr, ScalarField) else np.asarray(arr, dtype=float)
+    if vals.shape != g.mask.shape:
+        raise ValueError(f"{what} must be a full-grid array")
+    out = vals.ravel()[op.interior_flat]
+    if np.any(out < 0):
+        raise ValueError(f"{what} must be nonnegative at interior nodes")
+    return out

@@ -14,9 +14,15 @@ class ConfigError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """A linear solve or fixed-point iteration failed to converge."""
+    """A linear solve or nonlinear iteration failed to converge.
 
-    def __init__(self, message: str, stats=None, gap: float | None = None):
+    ``gap`` is the last convergence measure and ``history`` all of them,
+    one per Newton step or sweep.
+    """
+
+    def __init__(self, message: str, stats=None, gap: float | None = None,
+                 history: list[float] | None = None):
         super().__init__(message)
         self.stats = stats
         self.gap = gap
+        self.history = history or []

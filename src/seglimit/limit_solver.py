@@ -1,12 +1,15 @@
 """Explicit construction of the vanishing-epsilon limit.
 
-All pairwise differences against a pivot component are harmonic with
-boundary data phi_p - phi_j, independent of epsilon.  The limit is then
-assembled pointwise: the pivot is the positive part of the largest
-difference field and every other component is recovered by subtraction.
-By construction the fields are nonnegative, their product vanishes at
-every node, and the pivot is a pointwise maximum of harmonic fields and 0,
-hence discretely subharmonic.  The construction is pivot-independent.
+Every equation carries the same reaction term scaled by its weight A_i,
+so for constant weights all scaled differences u_p/A_p - u_j/A_j against
+a pivot component p are harmonic with boundary data phi_p/A_p - phi_j/A_j,
+at any epsilon and for any exponents.  The limit is then assembled
+pointwise: the scaled pivot v = u_p/A_p is the positive part of the
+largest difference field and every component is recovered as
+u_j = A_j (v - w_j).  By construction the fields are nonnegative, their
+product vanishes at every node, and the pivot is a pointwise maximum of
+harmonic fields and 0, hence discretely subharmonic.  The construction is
+pivot-independent.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .problem_data import ProblemData, boundary_value_array
 @dataclass
 class LimitResult:
     fields: tuple[ScalarField, ...]
-    differences: tuple[ScalarField, ...]  # w_j = u_pivot - u_j for j != pivot, component order
+    differences: tuple[ScalarField, ...]  # w_j = u_p/A_p - u_j/A_j for j != p, component order
     difference_components: tuple[int, ...]  # 1-based component index of each difference
     pivot: int  # 1-based
     linear_stats: list[LinearSolveStats]
@@ -36,13 +39,17 @@ class LimitResult:
 def harmonic_differences(
     g: Grid, data: ProblemData, pivot: int = 1, tol_linear: float = DEFAULT_TOL
 ):
-    """Harmonic fields with boundary data phi_pivot - phi_j for j != pivot.
+    """Harmonic fields with boundary data phi_p/A_p - phi_j/A_j for j != p.
 
-    Returns (fields, component_indices, stats); indices are 1-based.
+    Returns (fields, component_indices, stats); indices are 1-based.  The
+    difference identity needs constant weights.
     """
     if not 1 <= pivot <= data.m:
         raise ValueError(f"pivot {pivot} out of range 1..{data.m}")
-    phi = data.boundary_arrays(g)
+    if not data.weights.is_constant:
+        raise ValueError("the difference identity needs constant coupling weights")
+    A = data.weights.values
+    phi = [arr / a for arr, a in zip(data.boundary_arrays(g), A)]
     fields = []
     comps = []
     stats = []
@@ -58,31 +65,33 @@ def harmonic_differences(
 
 def construct_limit(
     w_fields: list[ScalarField], components: tuple[int, ...], pivot: int,
-    stats: list[LinearSolveStats] | None = None,
+    weights: np.ndarray, stats: list[LinearSolveStats] | None = None,
 ) -> LimitResult:
-    """Assemble the limit from difference fields sharing one grid.
+    """Assemble the limit from scaled difference fields sharing one grid.
 
-    Ties in the max need no tie-breaking; nodes where several differences
-    coincide are exactly the multi-interface points.
+    ``weights`` are the constant A_i.  Ties in the max need no
+    tie-breaking; nodes where several differences coincide are exactly the
+    multi-interface points.
     """
     g = w_fields[0].grid
     m = len(w_fields) + 1
     stacked = np.stack([w.values for w in w_fields] + [np.zeros(g.mask.shape)])
-    u_pivot = stacked.max(axis=0)
+    v = stacked.max(axis=0)
     outside = ~g.in_domain()
-    u_pivot[outside] = 0.0
+    v[outside] = 0.0
 
     fields: list[ScalarField | None] = [None] * m
     diffs: list[ScalarField] = []
     for w, comp in zip(w_fields, components):
-        vals = u_pivot - w.values
+        a = weights[comp - 1]
+        vals = a * (v - w.values)
         vals[outside] = 0.0
         fields[comp - 1] = ScalarField(g, vals)
-        # store the difference as actually representable, so that
-        # u_pivot - u_j == w_j holds bitwise; it matches the harmonic
-        # field w up to one rounding
-        diffs.append(ScalarField(g, u_pivot - vals))
-    fields[pivot - 1] = ScalarField(g, u_pivot)
+        # store the difference as actually representable, so that with
+        # unit weights u_pivot - u_j == w_j holds bitwise; it matches the
+        # harmonic field w up to a few roundings
+        diffs.append(ScalarField(g, v - vals / a))
+    fields[pivot - 1] = ScalarField(g, weights[pivot - 1] * v)
     return LimitResult(tuple(fields), tuple(diffs), components, pivot, stats or [])
 
 
@@ -90,7 +99,7 @@ def solve_limit(
     g: Grid, data: ProblemData, pivot: int = 1, tol_linear: float = DEFAULT_TOL
 ) -> LimitResult:
     w, comps, stats = harmonic_differences(g, data, pivot, tol_linear)
-    return construct_limit(w, comps, pivot, stats)
+    return construct_limit(w, comps, pivot, data.weights.values, stats)
 
 
 def pivot_equivalence_check(

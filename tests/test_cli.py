@@ -168,7 +168,9 @@ def test_solver_failure_exit_3(tmp_path, capsys):
     p = make_cfg(tmp_path, solver="max_sweeps = 3")
     rc = main(["solve", str(p), "--out", str(tmp_path / "o"), "--epsilon", "1e-6"])
     assert rc == EXIT_SOLVER
-    assert "solver failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "Newton not converged after 3 steps" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_no_config_exit_2(capsys):
@@ -193,19 +195,27 @@ def test_limit_subcommand_and_determinism(tmp_path):
     assert m0 == m1
 
 
-def test_candidate_label_for_unequal_weights(tmp_path):
+def test_compare_unequal_weights_converges_to_limit(tmp_path):
+    # constant weights rescale onto the equal-weight problem for u_i / A_i,
+    # so the emitted limit is A_j (max(0, max_k w_k) - w_j) and the eps
+    # solutions approach it
     p = tmp_path / "uneq.cfg"
     p.write_text(
-        "[domain]\nkind = interval\nbounds = 0 1\nn = 51\n"
-        "[system]\nm = 3\nA = [1, 1, 2]\n"
+        "[domain]\nkind = interval\nbounds = 0 1\nn = 201\n"
+        "[system]\nm = 3\nA = [1, 1, 1.5]\n"
         '[boundary.1]\npiece = "end=left: 1"\n'
         '[boundary.2]\npiece = "end=right: 1"\n'
-        '[boundary.3]\npiece = "all: 0"\n'
+        '[boundary.3]\npiece = "all: 0.5"\n'
     )
-    out = tmp_path / "out"
-    assert main(["limit", str(p), "--out", str(out)]) == EXIT_OK
-    assert manifest_of(out)["label"] == "candidate"
-    assert (out / "candidate_fields.csv").exists()
+    sups = []
+    for eps in ("1e-4", "1e-6", "1e-8"):
+        out = tmp_path / eps
+        assert main(["compare", str(p), "--out", str(out), "--epsilon", eps]) == EXIT_OK
+        assert manifest_of(out)["label"] == "limit"
+        rows = (out / "distance.csv").read_text().splitlines()[1:]
+        sups.append(max(float(r.split(",")[2]) for r in rows))
+    assert sups[0] > sups[1] > sups[2]
+    assert sups[2] < 0.005
 
 
 def test_compare_subcommand(tmp_path):

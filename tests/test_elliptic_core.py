@@ -129,6 +129,17 @@ def test_screened_rejects_negative_boundary(unit_square_21):
         solve_screened(g, np.zeros(g.mask.shape), boundary_array(g, lambda p: -1.0))
 
 
+def test_screened_source_term():
+    # -u'' = 2 with zero data: u = x (1 - x), exact for the 3-point stencil;
+    # zero boundary data alone must not short-circuit to u = 0
+    g = build_grid(DomainSpec.interval(0.0, 1.0), 33)
+    x = g.axis_coords(0)
+    u, _ = solve_screened(g, np.zeros(33), np.zeros(33), source=np.full(33, 2.0))
+    assert np.allclose(u.values, x * (1.0 - x), atol=1e-13)
+    with pytest.raises(ValueError, match="source must be nonnegative"):
+        solve_screened(g, np.zeros(33), np.zeros(33), source=np.full(33, -1.0))
+
+
 def test_screened_monotone_in_coefficient(unit_square_21):
     g = unit_square_21
     b = boundary_array(g, lambda p: 1.0 + p.coord[0])

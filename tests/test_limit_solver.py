@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seglimit import (
+    CouplingWeights,
     DomainSpec,
+    ProblemData,
     apply_laplacian,
     build_grid,
     solve_harmonic,
@@ -94,6 +96,9 @@ def test_boundary_trace_reproduced(configs):
 def test_pivot_equivalence(g401, configs):
     for p, q in ((1, 2), (1, 3), (2, 3)):
         assert pivot_equivalence_check(g401, M3, p, q) <= 1e-10
+    weighted = make_data([["end=left: 1"], ["end=right: 1"], ["all: 0.5"]], A=[1.0, 1.3, 0.8])
+    for p, q in ((1, 2), (1, 3), (2, 3)):
+        assert pivot_equivalence_check(g401, weighted, p, q) <= 1e-10
     cfg = configs["square_m4"]
     g = build_grid(cfg.domain, 41)
     assert pivot_equivalence_check(g, cfg.data, 1, 3) <= 1e-10
@@ -106,6 +111,24 @@ def test_pivot_out_of_range(g401):
         solve_limit(g401, M3, pivot=4)
     with pytest.raises(ValueError):
         solve_limit(g401, M3, pivot=0)
+
+
+def test_weighted_limit_rescales(g401):
+    # u_i / A_i solves the equal-weight problem with data phi_i / A_i
+    A = [1.0, 1.3, 0.8]
+    r = solve_limit(g401, make_data([["end=left: 1"], ["end=right: 1"], ["all: 0.5"]], A=A))
+    ref = solve_limit(g401, make_data(
+        [[f"end=left: {1 / A[0]!r}"], [f"end=right: {1 / A[1]!r}"], [f"all: {0.5 / A[2]!r}"]]
+    ))
+    for a, f, fr in zip(A, r.fields, ref.fields):
+        assert np.abs(f.values - a * fr.values).max() <= 1e-12
+
+
+def test_tabulated_weights_rejected(g401):
+    data = make_data([["end=left: 1"], ["end=right: 1"]])
+    tab = ProblemData(data.boundary, CouplingWeights(np.ones((2, 401))), data.exponents)
+    with pytest.raises(ValueError, match="constant"):
+        solve_limit(g401, tab)
 
 
 def test_zero_data_limit(g401):
