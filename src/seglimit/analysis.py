@@ -81,37 +81,43 @@ class InterfaceSet:
     degenerate: bool = False
 
 
-def _node_index(g: Grid, flat: int) -> tuple[int, ...]:
+def _node_indices(g: Grid, flat: np.ndarray) -> np.ndarray:
+    """Lattice indices (ix[, iy]) of flat node numbers, one row per node."""
     if g.ndim == 1:
-        return (int(flat),)
+        return flat[:, None]
     nx = g.dims[0]
-    return (int(flat % nx), int(flat // nx))
+    return np.column_stack([flat % nx, flat // nx])
 
 
-def _node_coord(g: Grid, idx: tuple[int, ...]) -> tuple[float, ...]:
-    return tuple(g.origin[ax] + g.spacing[ax] * idx[ax] for ax in range(g.ndim))
+def _gradient(vals: np.ndarray, g: Grid) -> np.ndarray:
+    """Gradient at every node, one row per flat node number: central
+    differences inside, one-sided at the lattice rim."""
+    # array axes run (y, x) in 2D, the reverse of the grid axes
+    parts = np.gradient(vals, *g.spacing[::-1])
+    if g.ndim == 1:
+        parts = [parts]
+    return np.column_stack([d.ravel() for d in parts[::-1]])
 
 
-def _gradient(vals: np.ndarray, g: Grid, idx: tuple[int, ...]) -> np.ndarray:
-    """Central-difference gradient at a node, one-sided at the lattice rim."""
-    out = np.zeros(g.ndim)
-    for ax in range(g.ndim):
-        n = g.dims[ax]
-        i = idx[ax]
-        lo = tuple(idx[a] - (1 if a == ax else 0) for a in range(g.ndim))
-        hi = tuple(idx[a] + (1 if a == ax else 0) for a in range(g.ndim))
-
-        def val(j):
-            return vals[j[0]] if g.ndim == 1 else vals[j[1], j[0]]
-
-        h = g.spacing[ax]
-        if 0 < i < n - 1:
-            out[ax] = (val(hi) - val(lo)) / (2 * h)
-        elif i == 0:
-            out[ax] = (val(hi) - val(idx)) / h
-        else:
-            out[ax] = (val(idx) - val(lo)) / h
-    return out
+def _interface_edges(
+    g: Grid, pf: np.ndarray, qf: np.ndarray, grad: np.ndarray, axis: int
+) -> list[InterfaceEdge]:
+    """Edges p-q with their midpoints and unit normals, the normal being the
+    mean gradient of the two endpoints, or the edge direction where that
+    gradient is flat."""
+    ia, ib = _node_indices(g, pf), _node_indices(g, qf)
+    origin, spacing = np.array(g.origin), np.array(g.spacing)
+    mid = 0.5 * ((origin + spacing * ia) + (origin + spacing * ib))
+    grad = 0.5 * (grad[pf] + grad[qf])
+    # vecdot is the dot product np.linalg.norm takes, so the norms agree bitwise
+    nrm = np.sqrt(np.vecdot(grad, grad))
+    flat = ~(nrm > 1e-30)
+    normal = grad / np.where(flat, 1.0, nrm)[:, None]
+    normal[flat] = np.eye(g.ndim)[axis]
+    return [
+        InterfaceEdge(tuple(a), tuple(b), tuple(c), tuple(n))
+        for a, b, c, n in zip(ia.tolist(), ib.tolist(), mid.tolist(), normal.tolist())
+    ]
 
 
 def extract_supports_and_interfaces(
@@ -138,7 +144,6 @@ def extract_supports_and_interfaces(
 
     flat_int = interior.ravel()
     zflat = zero.reshape(m, -1)
-    nx = g.dims[0]
     shape = g.mask.shape
     idx = np.arange(g.mask.size).reshape(shape)
 
@@ -166,23 +171,10 @@ def extract_supports_and_interfaces(
                 hit = changed & ((zp[i] & zq[j]) | (zp[j] & zq[i]))
                 if not hit.any():
                     continue
-                d = fields[i].values - fields[j].values
-                lst = pairs[(i + 1, j + 1)]
-                for pf, qf in zip(p_arr[hit], q_arr[hit]):
-                    ia = _node_index(g, pf)
-                    ib = _node_index(g, qf)
-                    ca = _node_coord(g, ia)
-                    cb = _node_coord(g, ib)
-                    mid = tuple(0.5 * (a + b) for a, b in zip(ca, cb))
-                    grad = 0.5 * (_gradient(d, g, ia) + _gradient(d, g, ib))
-                    nrm = float(np.linalg.norm(grad))
-                    if nrm > 1e-30:
-                        normal = tuple(float(v / nrm) for v in grad)
-                    else:  # flat difference: fall back to the edge direction
-                        e = np.zeros(g.ndim)
-                        e[axis] = 1.0
-                        normal = tuple(e)
-                    lst.append(InterfaceEdge(ia, ib, mid, normal))
+                grad = _gradient(fields[i].values - fields[j].values, g)
+                pairs[(i + 1, j + 1)].extend(
+                    _interface_edges(g, p_arr[hit], q_arr[hit], grad, axis)
+                )
     return InterfaceSet(g, delta, zero, pairs, degenerate)
 
 

@@ -50,6 +50,8 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INTERNAL = 4
 
+CSV_BLOCK_ROWS = 4096
+
 _KNOWN_KEYS = {
     "domain": {"kind", "bounds", "center", "radius", "n"},
     "system": {"m", "epsilon", "alpha", "A"},
@@ -64,6 +66,7 @@ _KNOWN_KEYS = {
 class SystemConfig:
     domain: DomainSpec
     n: int
+    grid: Grid  # the grid the config was validated on; every subcommand runs on it
     data: ProblemData
     epsilon: float
     tol_linear: float
@@ -71,9 +74,6 @@ class SystemConfig:
     max_sweeps: int
     config_hash: str
     source: str = ""
-
-    def build_grid(self) -> Grid:
-        return build_grid(self.domain, self.n)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, str]]:
@@ -235,13 +235,8 @@ def parse_config(path) -> SystemConfig:
     if problems:
         raise ConfigError(*problems)
 
-    cfg = SystemConfig(
-        domain, n, data, epsilon, tol_linear, tol_fp, max_sweeps,
-        _config_hash(entries), str(path),
-    )
-
     # assumption checks on the actual grid, with node locations
-    g = cfg.build_grid()
+    g = build_grid(domain, n)
     report = data.validate(g)
     for pt, prod in report["segregation"][:20]:
         problems.append(
@@ -262,7 +257,10 @@ def parse_config(path) -> SystemConfig:
         problems.extend(exc.problems)
     if problems:
         raise ConfigError(*problems)
-    return cfg
+    return SystemConfig(
+        domain, n, g, data, epsilon, tol_linear, tol_fp, max_sweeps,
+        _config_hash(entries), str(path),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +272,20 @@ def _fmt(x: float) -> str:
 
 
 def write_fields_csv(path: Path, g: Grid, fields: tuple[ScalarField, ...]) -> None:
+    """One row per grid node, row-major (x fastest in 2D), every value as
+    ``%.17g`` (the same text as ``_fmt``).  Rows are formatted in blocks of
+    ``CSV_BLOCK_ROWS``, which bounds the memory the text takes."""
     m = len(fields)
     cols = ["x"] + (["y"] if g.ndim == 2 else []) + [f"u{i+1}" for i in range(m)]
-    coords = g.node_coords()
+    table = np.column_stack(
+        [c.ravel() for c in g.node_coords()] + [f.values.ravel() for f in fields]
+    )
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with path.open("w") as fh:
         fh.write(",".join(cols) + "\n")
-        if g.ndim == 1:
-            x = coords[0]
-            for k in range(g.dims[0]):
-                row = [x[k]] + [f.values[k] for f in fields]
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-        else:
-            X, Y = coords
-            for iy in range(g.dims[1]):
-                for ix in range(g.dims[0]):
-                    row = [X[iy, ix], Y[iy, ix]] + [f.values[iy, ix] for f in fields]
-                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_interfaces_csv(path: Path, iset: analysis.InterfaceSet) -> None:
@@ -397,7 +393,7 @@ def _stats_summary(stats) -> dict:
 
 def cmd_validate(cfg: SystemConfig, out: Path, flags: dict) -> int:
     w = RunWriter(out, "validate", cfg, flags)
-    g = cfg.build_grid()
+    g = cfg.grid
     report = cfg.data.validate(g)
     with w.path("report.txt").open("w") as fh:
         fh.write(f"m = {cfg.data.m}\n")
@@ -415,7 +411,7 @@ def cmd_validate(cfg: SystemConfig, out: Path, flags: dict) -> int:
 
 def cmd_solve(cfg: SystemConfig, out: Path, flags: dict) -> int:
     w = RunWriter(out, "solve", cfg, flags)
-    g = cfg.build_grid()
+    g = cfg.grid
     r = epsilon_solver.solve_epsilon(
         g, cfg.data, flags.get("epsilon") or cfg.epsilon,
         cfg.tol_fp, cfg.max_sweeps, cfg.tol_linear,
@@ -437,7 +433,7 @@ def _build_limit(cfg: SystemConfig, g: Grid, flags: dict):
 
 def cmd_limit(cfg: SystemConfig, out: Path, flags: dict) -> int:
     w = RunWriter(out, "limit", cfg, flags)
-    g = cfg.build_grid()
+    g = cfg.grid
     L = _build_limit(cfg, g, flags)
     w.stages["limit"] = {"pivot": L.pivot, "linear": _stats_summary(L.linear_stats)}
     write_fields_csv(w.path("limit_fields.csv"), g, L.fields)
@@ -453,7 +449,7 @@ def cmd_limit(cfg: SystemConfig, out: Path, flags: dict) -> int:
 
 def cmd_compare(cfg: SystemConfig, out: Path, flags: dict) -> int:
     w = RunWriter(out, "compare", cfg, flags)
-    g = cfg.build_grid()
+    g = cfg.grid
     L = _build_limit(cfg, g, flags)
     r = epsilon_solver.solve_epsilon(
         g, cfg.data, flags.get("epsilon") or cfg.epsilon,
@@ -471,7 +467,7 @@ def cmd_compare(cfg: SystemConfig, out: Path, flags: dict) -> int:
 
 def cmd_rate(cfg: SystemConfig, out: Path, flags: dict) -> int:
     w = RunWriter(out, "rate", cfg, flags)
-    g = cfg.build_grid()
+    g = cfg.grid
     L = _build_limit(cfg, g, flags)
     start = flags.get("start") or 1e-2
     stop = flags.get("stop") or 1e-6
@@ -490,7 +486,7 @@ def cmd_rate(cfg: SystemConfig, out: Path, flags: dict) -> int:
 
 def cmd_interfaces(cfg: SystemConfig, out: Path, flags: dict) -> int:
     w = RunWriter(out, "interfaces", cfg, flags)
-    g = cfg.build_grid()
+    g = cfg.grid
     L = _build_limit(cfg, g, flags)
     delta = flags.get("delta") or analysis.default_zero_threshold(
         g, max(cfg.data.max_boundary_value(g), 1e-300), cfg.tol_linear

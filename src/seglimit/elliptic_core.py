@@ -4,10 +4,12 @@ Dirichlet solves on classified grids.
 The stencil is the standard second-order centered one (5-point in 2D,
 3-point in 1D).  Dirichlet values are eliminated: unknowns live at interior
 nodes only, so the system matrix is a symmetric M-matrix and the discrete
-maximum principle holds.  Systems with up to ``DIRECT_SOLVE_LIMIT``
-unknowns are factorized directly; larger ones use Jacobi-preconditioned CG
-(the screened systems are strongly diagonally dominant exactly in the
-stiff regime, where CG converges fastest).
+maximum principle holds.  Every system is solved by one sparse LU
+factorization (SuperLU) followed by triangular solves, and every solution
+passes a backward-error residual check.  A harmonic solve takes a batch of
+boundary data on one grid and factorizes the grid Laplacian once for the
+whole batch; the factor is freed when the call returns.  Systems with more
+than ``DIRECT_SOLVE_LIMIT`` unknowns are refused with a ``SolverError``.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class _GridOperator:
     structure, and the boundary-to-RHS coupling."""
 
     def __init__(self, g: Grid):
-        self.grid = g
+        # holds no reference to g: the cache below is keyed weakly by it
         mask = g.mask
         flat_mask = mask.ravel()
         self.interior_flat = np.nonzero(flat_mask == NodeClass.INTERIOR)[0]
@@ -178,43 +180,40 @@ def apply_laplacian(u: ScalarField) -> ScalarField:
     return ScalarField(g, out)
 
 
-def _iteration_cap(n_total_nodes: int) -> int:
-    return max(100, int(50 * n_total_nodes**0.5))
+def _solve_linear(A: sp.spmatrix, rhs: list[np.ndarray], tol: float):
+    """Solve A x = b for every b in ``rhs`` with one LU factorization.
 
-
-def _solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float, n_total_nodes: int):
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b), LinearSolveStats(0, 0.0, True)
-    n = b.size
-    if n <= DIRECT_SOLVE_LIMIT:
-        lu = spla.splu(A.tocsc())
+    Returns ``(solutions, stats)`` in input order.  Zero right-hand sides
+    get the zero solution; when all are zero nothing is factorized.
+    """
+    n = A.shape[0]
+    if n > DIRECT_SOLVE_LIMIT:
+        raise SolverError(
+            f"{n} unknowns exceed the direct-solve limit of {DIRECT_SOLVE_LIMIT}"
+        )
+    xs = [np.zeros_like(b) for b in rhs]
+    stats = [LinearSolveStats(0, 0.0, True) for _ in rhs]
+    bnorms = [float(np.linalg.norm(b)) for b in rhs]
+    live = [k for k, bnorm in enumerate(bnorms) if bnorm != 0.0]
+    if not live:
+        return xs, stats
+    lu = spla.splu(A.tocsc())
+    a_norm = float(spla.norm(A, np.inf))
+    for k in live:
+        b = rhs[k]
+        # one triangular solve per column: a multi-column solve runs blocked
+        # BLAS kernels whose rounding depends on the block width, so it
+        # would not reproduce a single solve bit for bit
         x = lu.solve(b)
         # backward-error style relative residual: stable for the stiff
         # screened systems where ||A|| >> ||b|| / ||x||
-        scale = max(bnorm, float(spla.norm(A, np.inf)) * float(np.abs(x).max(initial=0.0)))
+        scale = max(bnorms[k], a_norm * float(np.abs(x).max(initial=0.0)))
         res = float(np.linalg.norm(b - A @ x)) / scale
-        stats = LinearSolveStats(1, res, res <= tol)
+        stats[k] = LinearSolveStats(1, res, res <= tol)
         if res > tol:
-            raise SolverError(f"direct solve residual {res:.3e} exceeds tol {tol:g}", stats=stats)
-        return x, stats
-    diag = A.diagonal()
-    M = spla.LinearOperator(A.shape, matvec=lambda v: v / diag)
-    count = {"it": 0}
-
-    def cb(_):
-        count["it"] += 1
-
-    x, info = spla.cg(A, b, rtol=tol, atol=0.0, maxiter=_iteration_cap(n_total_nodes), M=M, callback=cb)
-    res = float(np.linalg.norm(b - A @ x)) / bnorm
-    stats = LinearSolveStats(count["it"], res, info == 0)
-    if info != 0:
-        raise SolverError(
-            f"CG failed to reach rtol={tol:g} within {_iteration_cap(n_total_nodes)} iterations "
-            f"(residual {res:.3e})",
-            stats=stats,
-        )
-    return x, stats
+            raise SolverError(f"direct solve residual {res:.3e} exceeds tol {tol:g}", stats=stats[k])
+        xs[k] = x
+    return xs, stats
 
 
 def _boundary_flat(g: Grid, boundary_values) -> np.ndarray:
@@ -235,17 +234,18 @@ def _assemble_solution(g: Grid, op: _GridOperator, x: np.ndarray, bflat: np.ndar
 
 
 def solve_harmonic(g: Grid, boundary_values, tol: float = DEFAULT_TOL):
-    """Discrete harmonic extension of the given boundary values.
+    """Discrete harmonic extensions of a batch of boundary data on one grid.
 
-    Returns ``(field, stats)``.  Boundary values are matched exactly; the
-    discrete maximum principle bounds the result by the boundary extremes.
+    ``boundary_values`` is a sequence of full-grid arrays or ScalarFields.
+    Returns ``(fields, stats)``, two lists in input order; one factorization
+    of the grid Laplacian serves the whole batch.  Boundary values are
+    matched exactly; the discrete maximum principle bounds each result by
+    its boundary extremes.
     """
     op = grid_operator(g)
-    bflat = _boundary_flat(g, boundary_values)
-    A = op.matrix(None)
-    b = op.rhs(bflat)
-    x, stats = _solve_linear(A, b, tol, g.n_nodes)
-    return _assemble_solution(g, op, x, bflat), stats
+    bflats = [_boundary_flat(g, b) for b in boundary_values]
+    xs, stats = _solve_linear(op.matrix(None), [op.rhs(b) for b in bflats], tol)
+    return [_assemble_solution(g, op, x, b) for x, b in zip(xs, bflats)], stats
 
 
 def solve_screened(g: Grid, c, boundary_values, tol: float = DEFAULT_TOL, source=None):
@@ -271,7 +271,7 @@ def solve_screened(g: Grid, c, boundary_values, tol: float = DEFAULT_TOL, source
     b = op.rhs(bflat)
     if f_int is not None:
         b = b + f_int
-    x, stats = _solve_linear(A, b, tol, g.n_nodes)
+    (x,), (stats,) = _solve_linear(A, [b], tol)
     if f_int is None:
         eps = CLAMP_REL * M
         x[(x > M) & (x < M + eps)] = M

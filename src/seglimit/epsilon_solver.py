@@ -51,7 +51,7 @@ from .elliptic_core import (
 )
 from .errors import SolverError
 from .geometry import Grid
-from .limit_solver import harmonic_differences
+from .limit_solver import difference_data
 from .problem_data import ProblemData
 
 DEFAULT_TOL_FP = 1e-8
@@ -88,12 +88,7 @@ def _sup_gap(a: tuple[ScalarField, ...], b: tuple[ScalarField, ...]) -> float:
 
 def initialize(g: Grid, data: ProblemData, tol_linear: float = DEFAULT_TOL) -> IterationState:
     """U^0: the harmonic extensions of the boundary data."""
-    fields = []
-    stats = []
-    for arr in data.boundary_arrays(g):
-        f, s = solve_harmonic(g, arr, tol_linear)
-        fields.append(f)
-        stats.append(s)
+    fields, stats = solve_harmonic(g, data.boundary_arrays(g), tol_linear)
     return IterationState(0, tuple(fields), None, float("inf"), stats)
 
 
@@ -202,17 +197,16 @@ def _solve_newton(g, data, epsilon, tol_fp, max_steps, tol_linear, initial) -> S
     M = max(float(arr[bnd].max(initial=0.0)) for arr in phi)
     tol_abs = tol_fp * M
 
-    w_fields, comps, stats = harmonic_differences(g, data, p, tol_linear)
+    # the m - 1 difference fields and the harmonic start share one batch
+    scaled, diffs, comps = difference_data(phi, A, p)
+    v_boundary = scaled[p - 1]
+    harmonic, stats = solve_harmonic(
+        g, diffs + ([v_boundary] if initial is None else []), tol_linear
+    )
     w = [np.zeros(g.mask.shape)] * data.m
-    for wf, comp in zip(w_fields, comps):
+    for wf, comp in zip(harmonic, comps):
         w[comp - 1] = wf.values
-    v_boundary = phi[p - 1] / A[p - 1]
-    if initial is None:
-        start, st = solve_harmonic(g, v_boundary, tol_linear)
-        stats.append(st)
-        v = start.values
-    else:
-        v = initial[p - 1].values / A[p - 1]
+    v = harmonic[-1].values if initial is None else initial[p - 1].values / A[p - 1]
 
     a_max = float(A.max())
     history: list[float] = []

@@ -26,7 +26,8 @@ class NodeClass(IntEnum):
     EXTERIOR = 2
 
 
-_EXPORT_CHAR = {NodeClass.INTERIOR: "I", NodeClass.BOUNDARY: "B", NodeClass.EXTERIOR: "E"}
+# export character of each node class, indexed by its code
+_EXPORT_CHAR = np.frombuffer(b"IBE", dtype=np.uint8)
 
 # fixed corner ownership for rectangles; see boundary_points
 RECT_SIDES = ("bottom", "right", "top", "left")
@@ -230,8 +231,7 @@ def format_grid(g: Grid) -> str:
     dims = ",".join(str(d) for d in g.dims)
     h = ",".join(repr(float(s)) for s in g.spacing)
     origin = ",".join(repr(float(o)) for o in g.origin)
-    lines = [f"# dims={dims} h={h} origin={origin}"]
     rows = g.mask.reshape(1, -1) if g.ndim == 1 else g.mask
-    for row in rows:
-        lines.append("".join(_EXPORT_CHAR[NodeClass(c)] for c in row))
-    return "\n".join(lines) + "\n"
+    text = np.full((rows.shape[0], rows.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    text[:, :-1] = _EXPORT_CHAR[rows]
+    return f"# dims={dims} h={h} origin={origin}\n" + text.tobytes().decode("ascii")

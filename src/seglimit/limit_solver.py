@@ -36,31 +36,34 @@ class LimitResult:
         return len(self.fields)
 
 
+def difference_data(phi: list[np.ndarray], weights, pivot: int):
+    """Scaled boundary data and the difference data against the pivot.
+
+    Returns ``(scaled, diffs, components)``: ``scaled[j] = phi_j/A_j`` for
+    every component, ``diffs`` the data phi_p/A_p - phi_j/A_j for each
+    j != p, and ``components`` their 1-based indices.
+    """
+    scaled = [arr / a for arr, a in zip(phi, weights)]
+    comps = tuple(j + 1 for j in range(len(phi)) if j + 1 != pivot)
+    return scaled, [scaled[pivot - 1] - scaled[j - 1] for j in comps], comps
+
+
 def harmonic_differences(
     g: Grid, data: ProblemData, pivot: int = 1, tol_linear: float = DEFAULT_TOL
 ):
     """Harmonic fields with boundary data phi_p/A_p - phi_j/A_j for j != p.
 
-    Returns (fields, component_indices, stats); indices are 1-based.  The
-    difference identity needs constant weights.
+    Returns (fields, component_indices, stats); indices are 1-based.  All
+    m - 1 fields come from one batched solve.  The difference identity
+    needs constant weights.
     """
     if not 1 <= pivot <= data.m:
         raise ValueError(f"pivot {pivot} out of range 1..{data.m}")
     if not data.weights.is_constant:
         raise ValueError("the difference identity needs constant coupling weights")
-    A = data.weights.values
-    phi = [arr / a for arr, a in zip(data.boundary_arrays(g), A)]
-    fields = []
-    comps = []
-    stats = []
-    for j in range(data.m):
-        if j + 1 == pivot:
-            continue
-        w, s = solve_harmonic(g, phi[pivot - 1] - phi[j], tol_linear)
-        fields.append(w)
-        comps.append(j + 1)
-        stats.append(s)
-    return fields, tuple(comps), stats
+    _, diffs, comps = difference_data(data.boundary_arrays(g), data.weights.values, pivot)
+    fields, stats = solve_harmonic(g, diffs, tol_linear)
+    return fields, comps, stats
 
 
 def construct_limit(

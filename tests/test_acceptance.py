@@ -110,7 +110,7 @@ def test_criterion_04_maximum_principle_bounds(configs):
     worst_env = 0.0
     iterates_ok = True
     for name, cfg in configs.items():
-        g = cfg.build_grid()
+        g = cfg.grid
         M = max_boundary(cfg, g)
         phi = cfg.data.boundary_arrays(g)
         s_even = initialize(g, cfg.data)
@@ -130,10 +130,12 @@ def test_criterion_04_maximum_principle_bounds(configs):
         m = cfg.data.m
         # the solver output is the midpoint of the bracketing even/odd pair
         mid = [0.5 * (a.values + b.values) for a, b in zip(s_even.fields, s_odd.fields)]
-        for i in range(m):
-            hi, _ = solve_harmonic(g, phi[i], cfg.tol_linear)
-            others = sum(phi[j] for j in range(m) if j != i)
-            lo, _ = solve_harmonic(g, phi[i] - others, cfg.tol_linear)
+        his, _ = solve_harmonic(g, phi, cfg.tol_linear)
+        los, _ = solve_harmonic(
+            g, [phi[i] - sum(phi[j] for j in range(m) if j != i) for i in range(m)],
+            cfg.tol_linear,
+        )
+        for i, (hi, lo) in enumerate(zip(his, los)):
             u = mid[i]
             hat = u - sum(mid[j] for j in range(m) if j != i)
             worst_env = max(
@@ -184,7 +186,7 @@ def test_criterion_06_solver_vs_limit(configs):
 def test_criterion_07_segregation(configs):
     products_ok = True
     for name, cfg in configs.items():
-        g = cfg.build_grid()
+        g = cfg.grid
         L = solve_limit(g, cfg.data, tol_linear=cfg.tol_linear)
         max_prod, _ = segregation_residual(L.fields, cfg.data.weights, cfg.data.exponents)
         products_ok &= max_prod == 0.0
@@ -208,7 +210,7 @@ def test_criterion_07_segregation(configs):
 def test_criterion_08_pivot_invariance(configs):
     worst = 0.0
     for name, cfg in configs.items():
-        g = cfg.build_grid()
+        g = cfg.grid
         M = max_boundary(cfg, g)
         m = cfg.data.m
         for p in range(1, m + 1):

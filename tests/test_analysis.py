@@ -93,6 +93,68 @@ def test_interface_extraction_m3_pairs(g401, limit_m3):
             assert np.isclose(np.linalg.norm(e.normal), 1.0)
 
 
+def _reference_gradient(vals, g, idx):
+    """Per-node gradient: central differences, one-sided at the lattice rim."""
+    out = np.zeros(g.ndim)
+    for ax in range(g.ndim):
+        lo = tuple(idx[a] - (1 if a == ax else 0) for a in range(g.ndim))
+        hi = tuple(idx[a] + (1 if a == ax else 0) for a in range(g.ndim))
+
+        def val(j):
+            return vals[j[0]] if g.ndim == 1 else vals[j[1], j[0]]
+
+        h = g.spacing[ax]
+        if 0 < idx[ax] < g.dims[ax] - 1:
+            out[ax] = (val(hi) - val(lo)) / (2 * h)
+        elif idx[ax] == 0:
+            out[ax] = (val(hi) - val(idx)) / h
+        else:
+            out[ax] = (val(idx) - val(lo)) / h
+    return out
+
+
+def _reference_edge_geometry(g, d, a, b):
+    """Midpoint and unit normal of one edge, computed node by node."""
+    ca = [g.origin[ax] + g.spacing[ax] * a[ax] for ax in range(g.ndim)]
+    cb = [g.origin[ax] + g.spacing[ax] * b[ax] for ax in range(g.ndim)]
+    mid = tuple(0.5 * (x + y) for x, y in zip(ca, cb))
+    grad = 0.5 * (_reference_gradient(d, g, a) + _reference_gradient(d, g, b))
+    nrm = float(np.linalg.norm(grad))
+    if nrm > 1e-30:
+        return mid, tuple(float(v / nrm) for v in grad)
+    axis = 0 if a[0] != b[0] else 1
+    return mid, tuple(float(v) for v in np.eye(g.ndim)[axis])
+
+
+def _assert_edges_match_reference(I, fields):
+    for (i, j), edges in I.pairs.items():
+        d = fields[i - 1].values - fields[j - 1].values
+        for e in edges:
+            assert (e.midpoint, e.normal) == _reference_edge_geometry(I.grid, d, e.a, e.b)
+
+
+def test_interface_geometry_matches_per_edge_reference(configs, g401, limit_m3):
+    # the vectorized midpoints and normals must equal the per-edge
+    # arithmetic bit for bit (interfaces.csv is compared byte for byte)
+    _assert_edges_match_reference(
+        extract_supports_and_interfaces(limit_m3.fields, default_zero_threshold(g401, 1.0)),
+        limit_m3.fields,
+    )
+    for name in ("disk_m3", "square_m4_overlap"):
+        g = build_grid(configs[name].domain, 81)
+        L = solve_limit(g, configs[name].data)
+        I = extract_supports_and_interfaces(L.fields, default_zero_threshold(g, 1.0))
+        assert sum(len(e) for e in I.pairs.values()) > 50
+        _assert_edges_match_reference(I, L.fields)
+    # u1 - u2 is flat, so the (1, 2) normal falls back to the edge direction
+    g = build_grid(DomainSpec.interval(0.0, 1.0), 5)
+    fields = (ScalarField(g, np.full(5, 0.1)), ScalarField(g, np.full(5, 0.2)),
+              ScalarField(g, np.array([1.0, 0.0, 1.0, 1.0, 1.0])))
+    I = extract_supports_and_interfaces(fields, 0.5)
+    assert [e.normal for e in I.pairs[(1, 2)]] == [(1.0,)]
+    _assert_edges_match_reference(I, fields)
+
+
 def test_interface_degenerate_flag(g401):
     r = solve_limit(g401, ZERO2)
     I = extract_supports_and_interfaces(r.fields, default_zero_threshold(g401, 1.0))

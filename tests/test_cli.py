@@ -3,14 +3,18 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from seglimit import DomainSpec, ScalarField, build_grid, elliptic_core
 from seglimit.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SOLVER,
     main,
     parse_config,
+    write_fields_csv,
 )
 from seglimit.errors import ConfigError
 from conftest import config_path
@@ -171,6 +175,51 @@ def test_solver_failure_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "solver failure" in err and "Newton not converged after 3 steps" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_direct_solve_limit_exit_3(tmp_path, monkeypatch, capsys):
+    # n = 51 has 49 unknowns; above the limit the solve is refused, not iterated
+    def no_splu(*args, **kwargs):
+        raise AssertionError("splu called above the direct-solve limit")
+
+    monkeypatch.setattr(elliptic_core, "DIRECT_SOLVE_LIMIT", 20)
+    monkeypatch.setattr(spla, "splu", no_splu)
+    rc = main(["limit", str(make_cfg(tmp_path)), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_SOLVER
+    assert "49 unknowns exceed the direct-solve limit of 20" in capsys.readouterr().err
+
+
+def fields_csv_oracle(g, fields) -> str:
+    """The row-by-row, value-by-value text the block writer must reproduce."""
+    cols = ["x"] + (["y"] if g.ndim == 2 else []) + [f"u{i+1}" for i in range(len(fields))]
+    lines = [",".join(cols)]
+    coords = g.node_coords()
+    for k in np.ndindex(g.mask.shape):
+        row = [c[k] for c in coords] + [f.values[k] for f in fields]
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("domain,n", [
+    (DomainSpec.interval(0.0, 1.0), 101),
+    # 70 * 71 = 4970 rows: one full block of 4096 and a partial one
+    (DomainSpec.rectangle(-1.0, 2.0, 0.0, 1.0), (70, 71)),
+])
+def test_fields_csv_matches_per_value_format(tmp_path, domain, n):
+    g = build_grid(domain, n)
+    rng = np.random.default_rng(7)
+    shape = g.mask.shape
+    fields = []
+    for _ in range(3):
+        vals = rng.standard_normal(shape) * 10.0 ** rng.uniform(-20, 20, shape)
+        fields.append(vals)
+    specials = [-0.0, 5e-324, 1e300, -1e-300, 0.0, 1.0 / 3.0]
+    fields[0].ravel()[:len(specials)] = specials
+    fields[2].ravel()[-len(specials):] = specials
+    fields = tuple(ScalarField(g, v) for v in fields)
+    path = tmp_path / "f.csv"
+    write_fields_csv(path, g, fields)
+    assert path.read_text() == fields_csv_oracle(g, fields)
 
 
 def test_no_config_exit_2(capsys):

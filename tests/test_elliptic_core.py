@@ -1,9 +1,11 @@
 """Discrete Laplacian and the harmonic / screened Dirichlet kernels."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,8 @@ from seglimit import (
     solve_harmonic,
     solve_screened,
 )
+from seglimit import elliptic_core
+from seglimit.elliptic_core import LinearSolveStats, grid_operator
 from seglimit.errors import SolverError
 
 
@@ -52,7 +56,7 @@ def test_laplacian_harmonic_quadratic_exact(unit_square_21):
 
 def test_harmonic_constant_boundary(unit_square_21):
     g = unit_square_21
-    f, stats = solve_harmonic(g, boundary_array(g, lambda p: 2.5))
+    (f,), (stats,) = solve_harmonic(g, [boundary_array(g, lambda p: 2.5)])
     assert np.allclose(f.values[g.in_domain()], 2.5, atol=1e-10)
     assert stats.converged
 
@@ -61,7 +65,7 @@ def test_harmonic_1d_linear_exact():
     g = build_grid(DomainSpec.interval(0.0, 1.0), 33)
     b = np.zeros(33)
     b[0], b[-1] = 1.0, -1.0
-    f, _ = solve_harmonic(g, b)
+    (f,), _ = solve_harmonic(g, [b])
     assert np.allclose(f.values, 1.0 - 2.0 * g.axis_coords(0), atol=1e-12)
 
 
@@ -70,7 +74,7 @@ def test_harmonic_disk_cosine_oracle(unit_disk_101):
     # the staircase boundary carries O(h) error, measured 0.0099 at n=101
     # and 0.0131 at n=51
     g = unit_disk_101
-    f, _ = solve_harmonic(g, boundary_array(g, lambda p: math.cos(p.param)))
+    (f,), _ = solve_harmonic(g, [boundary_array(g, lambda p: math.cos(p.param))])
     X, _ = g.node_coords()
     err = np.abs(f.values - X)[g.interior()].max()
     assert err <= 0.015
@@ -78,7 +82,7 @@ def test_harmonic_disk_cosine_oracle(unit_disk_101):
 
 def test_harmonic_interior_residual(unit_disk_101):
     g = unit_disk_101
-    f, _ = solve_harmonic(g, boundary_array(g, lambda p: math.cos(p.param)))
+    (f,), _ = solve_harmonic(g, [boundary_array(g, lambda p: math.cos(p.param))])
     lap = apply_laplacian(f)
     # residual scaled by h^2 (matrix rows carry 1/h^2)
     assert np.abs(lap.values[g.interior()]).max() * g.spacing[0] ** 2 <= 1e-8
@@ -87,7 +91,7 @@ def test_harmonic_interior_residual(unit_disk_101):
 def test_screened_reduces_to_harmonic(unit_square_21):
     g = unit_square_21
     b = boundary_array(g, lambda p: abs(p.coord[0]))
-    fh, _ = solve_harmonic(g, b)
+    (fh,), _ = solve_harmonic(g, [b])
     fs, _ = solve_screened(g, np.zeros(g.mask.shape), b)
     assert np.allclose(fh.values, fs.values, atol=1e-12)
 
@@ -177,9 +181,7 @@ def test_harmonic_linearity_and_comparison(data):
     g2 = np.zeros(21)
     g1[0], g1[-1] = lo
     g2[0], g2[-1] = hi
-    f1, _ = solve_harmonic(g, g1)
-    f2, _ = solve_harmonic(g, g2)
-    fc, _ = solve_harmonic(g, a * g1 + b * g2)
+    (f1, f2, fc), _ = solve_harmonic(g, [g1, g2, a * g1 + b * g2])
     assert np.allclose(fc.values, a * f1.values + b * f2.values, atol=1e-9)
     # comparison: g1 <= g2 pointwise
     assert np.all(f1.values <= f2.values + 1e-10)
@@ -196,3 +198,59 @@ def test_nonconvergence_raises():
 def test_field_shape_checked(unit_square_21):
     with pytest.raises(ValueError):
         ScalarField(unit_square_21, np.zeros(7))
+
+
+def test_harmonic_batch_equals_single_solves(configs):
+    # sharing one factorization must not change a bit of any column (a
+    # multi-column triangular solve did, from the fourth column of a block
+    # on this grid); an all-zero column is solved without the factor
+    g = configs["square_m4"].grid
+    phi = configs["square_m4"].data.boundary_arrays(g)
+    data = phi + [phi[0] - p for p in phi[1:]] + [np.zeros(g.mask.shape)]
+    batch, batch_stats = solve_harmonic(g, data)
+    assert len(batch) == len(batch_stats) == len(data)
+    for arr, f, st in zip(data, batch, batch_stats):
+        (single,), (single_st,) = solve_harmonic(g, [arr])
+        assert np.array_equal(f.values, single.values)
+        assert st == single_st
+    assert np.all(batch[-1].values == 0.0)
+    assert batch_stats[-1] == LinearSolveStats(0, 0.0, True)
+
+
+def test_harmonic_batch_factorizes_once(monkeypatch, unit_square_21):
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(A, *args, **kwargs):
+        calls.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    g = unit_square_21
+    data = [boundary_array(g, lambda p, k=k: k + p.coord[0] ** 2) for k in range(4)]
+    fields, stats = solve_harmonic(g, data)
+    assert len(calls) == 1
+    assert len(fields) == len(stats) == 4
+    assert all(s.iterations == 1 and s.converged for s in stats)
+    solve_harmonic(g, [np.zeros(g.mask.shape)] * 2)
+    assert len(calls) == 1
+
+
+def test_harmonic_batch_residual_check(unit_square_21):
+    g = unit_square_21
+    data = [np.zeros(g.mask.shape), boundary_array(g, lambda p: 1.0 + p.coord[0] ** 2)]
+    with pytest.raises(SolverError, match="direct solve residual .* exceeds tol 1e-30") as exc:
+        solve_harmonic(g, data, tol=1e-30)
+    st = exc.value.stats
+    assert st.iterations == 1 and not st.converged and st.residual > 1e-30
+
+
+def test_operator_cache_drops_dead_grids():
+    gc.collect()
+    cached = len(elliptic_core._operator_cache)
+    g = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 11)
+    grid_operator(g)
+    assert len(elliptic_core._operator_cache) == cached + 1
+    del g
+    gc.collect()
+    assert len(elliptic_core._operator_cache) == cached

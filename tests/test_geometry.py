@@ -141,6 +141,12 @@ def test_format_grid_export():
     assert lines1[0] == "# dims=5 h=0.25 origin=0.0"
     assert lines1[1] == "BIIIB"
 
+    # every node class, row by row, against a per-node lookup
+    g2 = build_grid(DomainSpec.disk(0.0, 0.0, 1.0), 41)
+    char = {NodeClass.INTERIOR: "I", NodeClass.BOUNDARY: "B", NodeClass.EXTERIOR: "E"}
+    body = format_grid(g2).split("\n", 1)[1]
+    assert body == "".join("".join(char[NodeClass(c)] for c in row) + "\n" for row in g2.mask)
+
 
 @settings(max_examples=40, deadline=None)
 @given(
