@@ -209,10 +209,7 @@ def test_fields_csv_matches_per_value_format(tmp_path, domain, n):
     g = build_grid(domain, n)
     rng = np.random.default_rng(7)
     shape = g.mask.shape
-    fields = []
-    for _ in range(3):
-        vals = rng.standard_normal(shape) * 10.0 ** rng.uniform(-20, 20, shape)
-        fields.append(vals)
+    fields = [rng.standard_normal(shape) * 10.0 ** rng.uniform(-20, 20, shape) for _ in range(3)]
     specials = [-0.0, 5e-324, 1e300, -1e-300, 0.0, 1.0 / 3.0]
     fields[0].ravel()[:len(specials)] = specials
     fields[2].ravel()[-len(specials):] = specials
