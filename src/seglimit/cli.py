@@ -68,6 +68,7 @@ class SystemConfig:
     n: int
     grid: Grid  # the grid the config was validated on; every subcommand runs on it
     data: ProblemData
+    report: dict  # ProblemData.validate on grid
     epsilon: float
     tol_linear: float
     tol_fp: float
@@ -235,7 +236,8 @@ def parse_config(path) -> SystemConfig:
     if problems:
         raise ConfigError(*problems)
 
-    # assumption checks on the actual grid, with node locations
+    # assumption checks on the actual grid, with node locations; evaluating
+    # the boundary data rejects negative values outright
     g = build_grid(domain, n)
     report = data.validate(g)
     for pt, prod in report["segregation"][:20]:
@@ -250,15 +252,10 @@ def parse_config(path) -> SystemConfig:
         problems.append(
             f"coupling assumption violated for A_{v['component']} ({v['kind']}){where}"
         )
-    # reject negative boundary values outright (evaluation already raises)
-    try:
-        data.boundary_arrays(g)
-    except ConfigError as exc:
-        problems.extend(exc.problems)
     if problems:
         raise ConfigError(*problems)
     return SystemConfig(
-        domain, n, g, data, epsilon, tol_linear, tol_fp, max_sweeps,
+        domain, n, g, data, report, epsilon, tol_linear, tol_fp, max_sweeps,
         _config_hash(entries), str(path),
     )
 
@@ -394,7 +391,7 @@ def _stats_summary(stats) -> dict:
 def cmd_validate(cfg: SystemConfig, out: Path, flags: dict) -> int:
     w = RunWriter(out, "validate", cfg, flags)
     g = cfg.grid
-    report = cfg.data.validate(g)
+    report = cfg.report
     with w.path("report.txt").open("w") as fh:
         fh.write(f"m = {cfg.data.m}\n")
         fh.write(f"segregation violations: {len(report['segregation'])}\n")

@@ -10,6 +10,13 @@ passes a backward-error residual check.  A harmonic solve takes a batch of
 boundary data on one grid and factorizes the grid Laplacian once for the
 whole batch; the factor is freed when the call returns.  Systems with more
 than ``DIRECT_SOLVE_LIMIT`` unknowns are refused with a ``SolverError``.
+
+Harmonic and screened systems on one grid (``-Lap + diag(c)``, ``c >= 0``)
+are symmetric positive definite M-matrices with a common sparsity pattern.
+So each grid computes one fill-reducing ordering, on its first
+factorization, and keeps the Laplacian permuted by it as a CSC template;
+every factorization copies the template, writes its diagonal, and runs
+SuperLU in symmetric mode with diagonal pivots and no ordering of its own.
 """
 
 from __future__ import annotations
@@ -61,71 +68,128 @@ def constant_field(g: Grid, value: float = 0.0) -> ScalarField:
 
 
 class _GridOperator:
-    """Cached assembly data for one grid: interior numbering, Laplacian
-    structure, and the boundary-to-RHS coupling."""
+    """Cached assembly data for one grid: interior numbering, the negative
+    Laplacian on the interior unknowns, the boundary-to-RHS coupling, and,
+    each built on first use, the factor pattern and the edge form of the
+    stencil."""
 
     def __init__(self, g: Grid):
         # holds no reference to g: the cache below is keyed weakly by it
-        mask = g.mask
-        flat_mask = mask.ravel()
+        flat_mask = g.mask.ravel()
         self.interior_flat = np.nonzero(flat_mask == NodeClass.INTERIOR)[0]
-        self.n_unknowns = self.interior_flat.size
+        n = self.n_unknowns = self.interior_flat.size
         unk = np.full(flat_mask.size, -1, dtype=np.int64)
-        unk[self.interior_flat] = np.arange(self.n_unknowns)
+        unk[self.interior_flat] = np.arange(n)
 
-        if g.ndim == 1:
-            (nx,) = g.dims
-            shape = (nx,)
-            shifts = [((-1,), 1.0 / g.spacing[0] ** 2), ((1,), 1.0 / g.spacing[0] ** 2)]
-        else:
-            nx, ny = g.dims
-            shape = (ny, nx)
-            cx = 1.0 / g.spacing[0] ** 2
-            cy = 1.0 / g.spacing[1] ** 2
-            shifts = [((0, -1), cx), ((0, 1), cx), ((-1, 0), cy), ((1, 0), cy)]
-
-        idx = np.arange(flat_mask.size).reshape(shape)
-        off_rows, off_cols, off_vals = [], [], []
-        bnd_rows, bnd_cols, bnd_vals = [], [], []
-        diag = np.zeros(self.n_unknowns)
-        for shift, coef in shifts:
-            src, dst = _shift_slices(shape, shift)
-            p = idx[src].ravel()
-            q = idx[dst].ravel()
-            sel = flat_mask[p] == NodeClass.INTERIOR
-            p, q = p[sel], q[sel]
-            diag_rows = unk[p]
-            np.add.at(diag, diag_rows, coef)
-            q_int = flat_mask[q] == NodeClass.INTERIOR
-            off_rows.append(unk[p[q_int]])
-            off_cols.append(unk[q[q_int]])
-            off_vals.append(np.full(q_int.sum(), -coef))
-            q_bnd = flat_mask[q] == NodeClass.BOUNDARY
-            bnd_rows.append(unk[p[q_bnd]])
-            bnd_cols.append(q[q_bnd])
-            bnd_vals.append(np.full(q_bnd.sum(), coef))
-            if np.any(flat_mask[q] == NodeClass.EXTERIOR):
-                raise ValueError("interior node with exterior stencil neighbor")
-
-        n = self.n_unknowns
-        self.base_diag = diag
-        self.offdiag = sp.csr_matrix(
-            (np.concatenate(off_vals), (np.concatenate(off_rows), np.concatenate(off_cols))),
+        p, q, coef = _stencil_edges(g)
+        if np.any(flat_mask[q] == NodeClass.EXTERIOR):
+            raise ValueError("interior node with exterior stencil neighbor")
+        rows = unk[p]
+        diag = np.zeros(n)
+        np.add.at(diag, rows, coef)
+        q_int = flat_mask[q] == NodeClass.INTERIOR
+        q_bnd = ~q_int
+        self.laplacian = sp.csc_matrix(
+            (np.concatenate([diag, -coef[q_int]]),
+             (np.concatenate([np.arange(n), rows[q_int]]), np.concatenate([np.arange(n), unk[q[q_int]]]))),
             shape=(n, n),
         )
         self.boundary_op = sp.csr_matrix(
-            (np.concatenate(bnd_vals), (np.concatenate(bnd_rows), np.concatenate(bnd_cols))),
-            shape=(n, flat_mask.size),
+            (coef[q_bnd], (rows[q_bnd], q[q_bnd])), shape=(n, flat_mask.size)
         )
-        self._shifts = shifts
-        self._shape = shape
+        self._pattern: _FactorPattern | None = None
+        self._edges = None
 
-    def matrix(self, c_interior: np.ndarray | None) -> sp.csr_matrix:
-        diag = self.base_diag if c_interior is None else self.base_diag + c_interior
-        return self.offdiag + sp.diags(diag)
+    def factor_pattern(self) -> "_FactorPattern":
+        if self._pattern is None:
+            self._pattern = _FactorPattern(self.laplacian)
+        return self._pattern
+
+    def edge_stencil(self, g: Grid):
+        """``(S, p, q)`` such that the Laplacian at the interior nodes is
+        ``S @ (u[q] - u[p])``, a sum over the directed stencil edges p -> q.
+        Each row adds its edges in stencil order, so a constant field has a
+        Laplacian of exactly 0."""
+        if self._edges is None:
+            p, q, coef = _stencil_edges(g)
+            rows = np.searchsorted(self.interior_flat, p)
+            S = sp.csr_matrix((coef, (rows, np.arange(p.size))), shape=(self.n_unknowns, p.size))
+            self._edges = (S, p, q)
+        return self._edges
 
     def rhs(self, boundary_values_flat: np.ndarray) -> np.ndarray:
         return self.boundary_op @ boundary_values_flat
+
+
+def _stencil_edges(g: Grid):
+    """Flat node numbers p, q and coefficient of every directed stencil edge
+    p -> q from an interior node p, one stencil direction after another."""
+    flat_mask = g.mask.ravel()
+    if g.ndim == 1:
+        shape = g.dims
+        shifts = [((-1,), 1.0 / g.spacing[0] ** 2), ((1,), 1.0 / g.spacing[0] ** 2)]
+    else:
+        nx, ny = g.dims
+        shape = (ny, nx)
+        cx = 1.0 / g.spacing[0] ** 2
+        cy = 1.0 / g.spacing[1] ** 2
+        shifts = [((0, -1), cx), ((0, 1), cx), ((-1, 0), cy), ((1, 0), cy)]
+    idx = np.arange(flat_mask.size).reshape(shape)
+    ps, qs, coefs = [], [], []
+    for shift, coef in shifts:
+        src, dst = _shift_slices(shape, shift)
+        p = idx[src].ravel()
+        q = idx[dst].ravel()
+        sel = flat_mask[p] == NodeClass.INTERIOR
+        ps.append(p[sel])
+        qs.append(q[sel])
+        coefs.append(np.full(sel.sum(), coef))
+    return np.concatenate(ps), np.concatenate(qs), np.concatenate(coefs)
+
+
+class _FactorPattern:
+    """The grid Laplacian symmetrically permuted by a fill-reducing
+    ordering, as a CSC template that every factorization on the grid copies.
+
+    Every system on a grid is ``laplacian + diag(c)`` with ``c >= 0``: a
+    symmetric positive definite M-matrix with one sparsity pattern.  So one
+    ordering (SuperLU's minimum degree on A^T + A) serves them all, and
+    each is factorized in SuperLU's symmetric mode with diagonal pivots and
+    no further column ordering.
+    """
+
+    def __init__(self, laplacian: sp.csc_matrix):
+        # an incomplete factorization that drops every entry computes the
+        # same column ordering as a full one at a fraction of its cost
+        perm_c = spla.spilu(
+            laplacian, drop_tol=1e300, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0, options={"SymmetricMode": True},
+        ).perm_c
+        # perm_c[j] is the new position of unknown j; applying perm_c itself
+        # instead of its inverse multiplies the fill more than tenfold
+        self.order = np.argsort(perm_c)
+        t = laplacian[self.order][:, self.order]
+        t.sort_indices()
+        self.template = t
+        n = t.shape[0]
+        col_of = np.repeat(np.arange(n), np.diff(t.indptr))
+        self.diag_slots = np.nonzero(t.indices == col_of)[0]
+        self.base_diag = t.data[self.diag_slots].copy()
+        # ||A||_inf = max_i (|offdiagonal row sum|_i + A_ii), as the
+        # diagonal of every system is positive
+        off = np.abs(t.data)
+        off[self.diag_slots] = 0.0
+        self.offdiag_row_sums = np.bincount(t.indices, weights=off, minlength=n)
+
+    def matrix(self, c: np.ndarray | None) -> tuple[sp.csc_matrix, float]:
+        """``laplacian + diag(c)`` in the permuted order, and its inf-norm;
+        ``c`` is in the original order of the unknowns."""
+        t = self.template
+        diag = self.base_diag if c is None else self.base_diag + c[self.order]
+        data = t.data.copy()
+        data[self.diag_slots] = diag
+        A = sp.csc_matrix((data, t.indices, t.indptr), shape=t.shape, copy=False)
+        return A, float((self.offdiag_row_sums + diag).max(initial=0.0))
 
 
 def _shift_slices(shape, shift):
@@ -159,34 +223,21 @@ def apply_laplacian(u: ScalarField) -> ScalarField:
     """Centered-stencil Laplacian at interior nodes, 0 elsewhere."""
     g = u.grid
     op = grid_operator(g)
-    vals = u.values
-    out = np.zeros_like(vals)
-    flat = vals.ravel()
-    out_flat = out.ravel()
-    interior = op.interior_flat
-    acc = np.zeros(interior.size)
-    idx = np.arange(flat.size).reshape(op._shape)
-    flat_mask = g.mask.ravel()
-    for shift, coef in op._shifts:
-        src, dst = _shift_slices(op._shape, shift)
-        p = idx[src].ravel()
-        q = idx[dst].ravel()
-        sel = flat_mask[p] == NodeClass.INTERIOR
-        p, q = p[sel], q[sel]
-        contrib = np.zeros(flat.size)
-        np.add.at(contrib, p, coef * (flat[q] - flat[p]))
-        acc += contrib[interior]
-    out_flat[interior] = acc
-    return ScalarField(g, out)
+    S, p, q = op.edge_stencil(g)
+    flat = u.values.ravel()
+    out = np.zeros(flat.size)
+    out[op.interior_flat] = S @ (flat[q] - flat[p])
+    return ScalarField(g, out.reshape(u.values.shape))
 
 
-def _solve_linear(A: sp.spmatrix, rhs: list[np.ndarray], tol: float):
-    """Solve A x = b for every b in ``rhs`` with one LU factorization.
+def _solve_linear(op: _GridOperator, c: np.ndarray | None, rhs: list[np.ndarray], tol: float):
+    """Solve (laplacian + diag(c)) x = b for every b in ``rhs`` with one LU
+    factorization; ``c`` None means 0.
 
     Returns ``(solutions, stats)`` in input order.  Zero right-hand sides
     get the zero solution; when all are zero nothing is factorized.
     """
-    n = A.shape[0]
+    n = op.n_unknowns
     if n > DIRECT_SOLVE_LIMIT:
         raise SolverError(
             f"{n} unknowns exceed the direct-solve limit of {DIRECT_SOLVE_LIMIT}"
@@ -197,22 +248,24 @@ def _solve_linear(A: sp.spmatrix, rhs: list[np.ndarray], tol: float):
     live = [k for k, bnorm in enumerate(bnorms) if bnorm != 0.0]
     if not live:
         return xs, stats
-    lu = spla.splu(A.tocsc())
-    a_norm = float(spla.norm(A, np.inf))
+    pattern = op.factor_pattern()
+    order = pattern.order
+    A, a_norm = pattern.matrix(c)
+    lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     for k in live:
-        b = rhs[k]
+        b = rhs[k][order]
         # one triangular solve per column: a multi-column solve runs blocked
         # BLAS kernels whose rounding depends on the block width, so it
         # would not reproduce a single solve bit for bit
-        x = lu.solve(b)
+        y = lu.solve(b)
         # backward-error style relative residual: stable for the stiff
         # screened systems where ||A|| >> ||b|| / ||x||
-        scale = max(bnorms[k], a_norm * float(np.abs(x).max(initial=0.0)))
-        res = float(np.linalg.norm(b - A @ x)) / scale
+        scale = max(bnorms[k], a_norm * float(np.abs(y).max(initial=0.0)))
+        res = float(np.linalg.norm(b - A @ y)) / scale
         stats[k] = LinearSolveStats(1, res, res <= tol)
         if res > tol:
             raise SolverError(f"direct solve residual {res:.3e} exceeds tol {tol:g}", stats=stats[k])
-        xs[k] = x
+        xs[k][order] = y
     return xs, stats
 
 
@@ -244,7 +297,7 @@ def solve_harmonic(g: Grid, boundary_values, tol: float = DEFAULT_TOL):
     """
     op = grid_operator(g)
     bflats = [_boundary_flat(g, b) for b in boundary_values]
-    xs, stats = _solve_linear(op.matrix(None), [op.rhs(b) for b in bflats], tol)
+    xs, stats = _solve_linear(op, None, [op.rhs(b) for b in bflats], tol)
     return [_assemble_solution(g, op, x, b) for x, b in zip(xs, bflats)], stats
 
 
@@ -267,11 +320,10 @@ def solve_screened(g: Grid, c, boundary_values, tol: float = DEFAULT_TOL, source
     M = float(bvals.max(initial=0.0))
     if M == 0.0 and (f_int is None or not f_int.any()):
         return constant_field(g, 0.0), LinearSolveStats(0, 0.0, True)
-    A = op.matrix(c_int)
     b = op.rhs(bflat)
     if f_int is not None:
         b = b + f_int
-    (x,), (stats,) = _solve_linear(A, [b], tol)
+    (x,), (stats,) = _solve_linear(op, c_int, [b], tol)
     if f_int is None:
         eps = CLAMP_REL * M
         x[(x > M) & (x < M + eps)] = M

@@ -97,12 +97,10 @@ def sweep(
     epsilon: float,
     data: ProblemData,
     tol_linear: float = DEFAULT_TOL,
-    boundary_arrays: list[np.ndarray] | None = None,
 ) -> IterationState:
     """One decoupled sweep U^k -> U^{k+1}, components in ascending order."""
     g = s.fields[0].grid
-    if boundary_arrays is None:
-        boundary_arrays = data.boundary_arrays(g)
+    boundary_arrays = data.boundary_arrays(g)
     A = data.weights.as_arrays(g)
     alphas = data.exponents.alphas
     m = data.m
@@ -252,7 +250,6 @@ def _solve_sweeps(g, data, epsilon, tol_fp, max_sweeps, tol_linear, initial) -> 
     """The decoupled sweep iteration: stops when the even/odd sup gap falls
     below tol_fp * M and returns the midpoint of the last pair."""
     t0 = time.perf_counter()
-    boundary_arrays = data.boundary_arrays(g)
     M = data.max_boundary_value(g)
     tol_abs = tol_fp * M
 
@@ -266,7 +263,7 @@ def _solve_sweeps(g, data, epsilon, tol_fp, max_sweeps, tol_linear, initial) -> 
     gaps: list[float] = []
     sweeps = 0
     while sweeps < max_sweeps:
-        state = sweep(state, epsilon, data, tol_linear, boundary_arrays)
+        state = sweep(state, epsilon, data, tol_linear)
         sweeps += 1
         all_stats.extend(state.linear_stats)
         odd = state.fields
@@ -281,7 +278,7 @@ def _solve_sweeps(g, data, epsilon, tol_fp, max_sweeps, tol_linear, initial) -> 
             )
         if sweeps >= max_sweeps:
             break
-        state = sweep(state, epsilon, data, tol_linear, boundary_arrays)
+        state = sweep(state, epsilon, data, tol_linear)
         sweeps += 1
         all_stats.extend(state.linear_stats)
         even = state.fields

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +101,10 @@ class Grid:
     def in_domain(self) -> np.ndarray:
         return self.mask != NodeClass.EXTERIOR
 
+    @cached_property
+    def _boundary_points(self) -> tuple["BoundaryPoint", ...]:
+        return _walk_boundary(self)
+
 
 @dataclass(frozen=True)
 class BoundaryPoint:
@@ -180,19 +185,23 @@ def build_grid(domain: DomainSpec, n) -> Grid:
     raise ConfigError(f"unknown domain kind {domain.kind!r}")
 
 
-def boundary_points(g: Grid) -> list[BoundaryPoint]:
+def boundary_points(g: Grid) -> tuple[BoundaryPoint, ...]:
     """All boundary nodes with their parameters, in perimeter order.
 
     Intervals return (left, right).  Rectangles walk bottom, right, top,
     left; every corner belongs to exactly one side in that fixed order.
-    Disks are sorted by increasing theta.
+    Disks are sorted by increasing theta.  The walk is made once per grid.
     """
+    return g._boundary_points
+
+
+def _walk_boundary(g: Grid) -> tuple[BoundaryPoint, ...]:
     if g.domain.kind == "interval":
         a, b = g.domain.params
-        return [
+        return (
             BoundaryPoint((0,), (a,), "left"),
             BoundaryPoint((g.dims[0] - 1,), (b,), "right"),
-        ]
+        )
 
     if g.domain.kind == "rectangle":
         ax, bx, ay, by = g.domain.params
@@ -208,7 +217,7 @@ def boundary_points(g: Grid) -> list[BoundaryPoint]:
             pts.append(BoundaryPoint((ix, ny - 1), (x[ix], by), ("top", bx - x[ix])))
         for iy in range(ny - 2, 0, -1):
             pts.append(BoundaryPoint((0, iy), (ax, y[iy]), ("left", by - y[iy])))
-        return pts
+        return tuple(pts)
 
     if g.domain.kind == "disk":
         cx, cy, r = g.domain.params
@@ -220,7 +229,7 @@ def boundary_points(g: Grid) -> list[BoundaryPoint]:
             coord = (cx + r * math.cos(theta), cy + r * math.sin(theta))
             pts.append(BoundaryPoint((int(ix), int(iy)), coord, theta))
         pts.sort(key=lambda p: p.param)
-        return pts
+        return tuple(pts)
 
     raise ConfigError(f"unknown domain kind {g.domain.kind!r}")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ast
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,13 +294,19 @@ def validate_partial_segregation(
     discrete boundary.  The default tolerance is 1e-12 * M**m with M the
     largest boundary value (scale-aware zero test).
     """
-    if len(data) < 2:
+    return _segregation_report([boundary_value_array(d, g) for d in data], g, tol)
+
+
+def _segregation_report(arrays, g: Grid, tol: float | None):
+    if len(arrays) < 2:
         raise ConfigError("partial segregation needs at least 2 components")
     pts = boundary_points(g)
-    values = np.array([[eval_boundary(d, p) for p in pts] for d in data])
+    # array axes run (y, x) in 2D, the reverse of the node index
+    at = tuple(np.array(axis, dtype=np.intp) for axis in zip(*(p.index[::-1] for p in pts)))
+    values = np.array([arr[at] for arr in arrays])
     if tol is None:
         M = float(values.max(initial=0.0))
-        tol = 1e-12 * max(M, 1e-300) ** len(data)
+        tol = 1e-12 * max(M, 1e-300) ** len(arrays)
     products = values.prod(axis=0)
     return [(pts[k], float(products[k])) for k in np.nonzero(products > tol)[0]]
 
@@ -311,6 +318,10 @@ class ProblemData:
     boundary: tuple[BoundaryDatum, ...]
     weights: CouplingWeights
     exponents: Exponents
+    # the boundary arrays per grid, evaluated on first use
+    _arrays: "weakref.WeakKeyDictionary[Grid, tuple[np.ndarray, ...]]" = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
+    )
 
     @property
     def m(self) -> int:
@@ -324,7 +335,15 @@ class ProblemData:
             )
 
     def boundary_arrays(self, g: Grid) -> list[np.ndarray]:
-        return [boundary_value_array(d, g) for d in self.boundary]
+        """One full-grid array per datum (``boundary_value_array``), read-only;
+        each grid's are evaluated once."""
+        arrays = self._arrays.get(g)
+        if arrays is None:
+            arrays = tuple(boundary_value_array(d, g) for d in self.boundary)
+            for arr in arrays:
+                arr.flags.writeable = False
+            self._arrays[g] = arrays
+        return list(arrays)
 
     def max_boundary_value(self, g: Grid) -> float:
         b = g.boundary()
@@ -333,6 +352,6 @@ class ProblemData:
     def validate(self, g: Grid, tol: float | None = None) -> dict:
         """Run both assumption checks; empty lists mean valid."""
         return {
-            "segregation": validate_partial_segregation(list(self.boundary), g, tol),
+            "segregation": _segregation_report(self.boundary_arrays(g), g, tol),
             "coupling": validate_coupling(self.weights, g),
         }

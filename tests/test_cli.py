@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from seglimit import DomainSpec, ScalarField, build_grid, elliptic_core
+from seglimit import DomainSpec, ScalarField, build_grid, elliptic_core, geometry, problem_data
 from seglimit.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -178,15 +178,39 @@ def test_solver_failure_exit_3(tmp_path, capsys):
 
 
 def test_direct_solve_limit_exit_3(tmp_path, monkeypatch, capsys):
-    # n = 51 has 49 unknowns; above the limit the solve is refused, not iterated
-    def no_splu(*args, **kwargs):
-        raise AssertionError("splu called above the direct-solve limit")
+    # n = 51 has 49 unknowns; above the limit the solve is refused, not
+    # iterated, and refused before any ordering work
+    def forbidden(*args, **kwargs):
+        raise AssertionError("factorization or ordering above the direct-solve limit")
 
     monkeypatch.setattr(elliptic_core, "DIRECT_SOLVE_LIMIT", 20)
-    monkeypatch.setattr(spla, "splu", no_splu)
+    monkeypatch.setattr(spla, "splu", forbidden)
+    monkeypatch.setattr(spla, "spilu", forbidden)
     rc = main(["limit", str(make_cfg(tmp_path)), "--out", str(tmp_path / "o")])
     assert rc == EXIT_SOLVER
     assert "49 unknowns exceed the direct-solve limit of 20" in capsys.readouterr().err
+
+
+def test_boundary_data_evaluated_once_per_call(tmp_path, monkeypatch):
+    # parse_config's checks, the limit build and the zero threshold share
+    # one evaluation of each datum and one walk of the boundary
+    evaluated, walks = [], []
+    bva, walk = problem_data.boundary_value_array, geometry._walk_boundary
+
+    def counting_bva(d, g):
+        evaluated.append(d.component)
+        return bva(d, g)
+
+    def counting_walk(g):
+        walks.append(g)
+        return walk(g)
+
+    monkeypatch.setattr(problem_data, "boundary_value_array", counting_bva)
+    monkeypatch.setattr(geometry, "_walk_boundary", counting_walk)
+    cfg = str(config_path("line_m3"))
+    assert main(["interfaces", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert sorted(evaluated) == [1, 2, 3]
+    assert len(walks) == 1
 
 
 def fields_csv_oracle(g, fields) -> str:

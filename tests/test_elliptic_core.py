@@ -5,17 +5,20 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seglimit import (
     DomainSpec,
+    NodeClass,
     ScalarField,
     apply_laplacian,
     boundary_points,
     build_grid,
     constant_field,
+    solve_epsilon,
     solve_harmonic,
     solve_screened,
 )
@@ -254,3 +257,120 @@ def test_operator_cache_drops_dead_grids():
     del g
     gc.collect()
     assert len(elliptic_core._operator_cache) == cached
+
+
+def stencil_loop_laplacian(u):
+    """The per-direction stencil walk apply_laplacian replaced: the reference
+    its edge sum must reproduce bit for bit."""
+    g = u.grid
+    flat = u.values.ravel()
+    flat_mask = g.mask.ravel()
+    if g.ndim == 1:
+        shape = g.dims
+        shifts = [((-1,), 1.0 / g.spacing[0] ** 2), ((1,), 1.0 / g.spacing[0] ** 2)]
+    else:
+        shape = g.dims[::-1]
+        cx, cy = (1.0 / h**2 for h in g.spacing)
+        shifts = [((0, -1), cx), ((0, 1), cx), ((-1, 0), cy), ((1, 0), cy)]
+    idx = np.arange(flat.size).reshape(shape)
+    interior = np.nonzero(flat_mask == NodeClass.INTERIOR)[0]
+    acc = np.zeros(interior.size)
+    for shift, coef in shifts:
+        src, dst = elliptic_core._shift_slices(shape, shift)
+        p, q = idx[src].ravel(), idx[dst].ravel()
+        sel = flat_mask[p] == NodeClass.INTERIOR
+        p, q = p[sel], q[sel]
+        contrib = np.zeros(flat.size)
+        np.add.at(contrib, p, coef * (flat[q] - flat[p]))
+        acc += contrib[interior]
+    out = np.zeros(flat.size)
+    out[interior] = acc
+    return out.reshape(u.values.shape)
+
+
+KERNEL_GRIDS = [
+    (DomainSpec.disk(0.1, -0.2, 1.3), 51),
+    (DomainSpec.rectangle(0.0, 1.0, 0.0, 2.5), (37, 53)),
+    (DomainSpec.interval(-1.0, 2.0), 401),
+]
+
+
+@pytest.mark.parametrize("domain,n", KERNEL_GRIDS)
+def test_laplacian_matches_stencil_loop(domain, n):
+    g = build_grid(domain, n)
+    rng = np.random.default_rng(3)
+    for vals in (rng.standard_normal(g.mask.shape) * 1e3, np.full(g.mask.shape, 3.7)):
+        u = ScalarField(g, vals)
+        assert np.array_equal(apply_laplacian(u).values, stencil_loop_laplacian(u))
+
+
+@pytest.mark.parametrize("domain,n", KERNEL_GRIDS)
+def test_kernel_matches_plain_splu(domain, n):
+    # the cached ordering, the permuted template and the symmetric-mode
+    # factorization reproduce a plain default factorization of the same system
+    g = build_grid(domain, n)
+    op = grid_operator(g)
+    rng = np.random.default_rng(11)
+    b = np.where(g.boundary(), rng.uniform(0.0, 2.0, g.mask.shape), 0.0)
+    interior = g.interior()
+
+    def reference(c):
+        A = op.laplacian + sp.diags(c[interior])
+        return spla.splu(A.tocsc()).solve(op.rhs(b.ravel()))
+
+    (h,), _ = solve_harmonic(g, [b])
+    ref = reference(np.zeros(g.mask.shape))
+    assert np.abs(h.values[interior] - ref).max() <= 1e-12 * np.abs(ref).max()
+    for scale in (1.0, 1e4, 1e8):
+        c = rng.uniform(0.0, scale, g.mask.shape)
+        u, _ = solve_screened(g, c, b)
+        ref = reference(c)
+        assert np.abs(u.values[interior] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_one_ordering_per_grid(monkeypatch, configs):
+    # a whole Newton solve computes the fill-reducing ordering once, and
+    # every factorization takes it as given
+    orderings, factorizations = [], []
+    spilu, splu = spla.spilu, spla.splu
+
+    def counting_spilu(A, *args, **kwargs):
+        orderings.append(kwargs.get("permc_spec"))
+        return spilu(A, *args, **kwargs)
+
+    def counting_splu(A, *args, **kwargs):
+        factorizations.append(kwargs.get("permc_spec"))
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "spilu", counting_spilu)
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    cfg = configs["square_m4"]
+    g = build_grid(cfg.domain, 31)
+    r = solve_epsilon(g, cfg.data, 1e-4)
+    assert orderings == ["MMD_AT_PLUS_A"]
+    # the batched harmonic solve plus one screened solve per Newton step
+    assert len(factorizations) == r.sweeps + 1
+    assert set(factorizations) == {"NATURAL"}
+    solve_harmonic(g, cfg.data.boundary_arrays(g))
+    assert len(orderings) == 1
+
+
+def test_fill_equals_superlu_symmetric_mmd(monkeypatch, configs):
+    # the template is permuted by the inverse of SuperLU's perm_c; applying
+    # perm_c itself (the easy mistake) multiplies the fill more than tenfold
+    factors = []
+    splu = spla.splu
+
+    def keeping_splu(A, *args, **kwargs):
+        factors.append(splu(A, *args, **kwargs))
+        return factors[-1]
+
+    cfg = configs["square_m4"]
+    g = build_grid(cfg.domain, 101)
+    op = grid_operator(g)
+    own = splu(op.laplacian, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+               options={"SymmetricMode": True})
+    monkeypatch.setattr(spla, "splu", keeping_splu)
+    solve_harmonic(g, cfg.data.boundary_arrays(g)[:1])
+    (lu,) = factors
+    assert lu.L.nnz + lu.U.nnz == own.L.nnz + own.U.nnz

@@ -20,6 +20,7 @@ from seglimit.errors import ConfigError
 from seglimit.geometry import BoundaryPoint, boundary_points
 from seglimit.problem_data import (
     ThetaRange,
+    boundary_value_array,
     compile_expression,
     eval_boundary,
     validate_coupling,
@@ -172,3 +173,31 @@ def test_theta_range_wrap_consistency(t, lo, width):
     r = ThetaRange(lo, lo + width)
     expected = (t - lo) % (2 * math.pi) < width
     assert r.matches(t) == expected
+
+
+@pytest.mark.parametrize("domain,n", [
+    (DomainSpec.disk(0.0, 0.0, 1.0), 41),
+    (DomainSpec.rectangle(0.0, 2.0, 0.0, 1.0), (9, 7)),
+    (DomainSpec.interval(0.0, 1.0), 9),
+])
+def test_boundary_arrays_once_per_grid_and_validate_unchanged(domain, n):
+    # the arrays are evaluated once per grid, shared read-only, and the
+    # segregation report derived from them equals the point-by-point one
+    g = build_grid(domain, n)
+    data = ProblemData(
+        (BoundaryDatum(1, (Piece.parse("all: 1.5 + x"),)),
+         BoundaryDatum(2, (Piece.parse("all: 3 - x*x/2"),))),
+        CouplingWeights(np.array([1.0, 1.0])), Exponents((1.0, 1.0)),
+    )
+    first, again = data.boundary_arrays(g), data.boundary_arrays(g)
+    assert all(a is b and not a.flags.writeable for a, b in zip(first, again))
+    for arr, d in zip(first, data.boundary):
+        assert np.array_equal(arr, boundary_value_array(d, g))
+    pts = boundary_points(g)
+    values = np.array([[eval_boundary(d, p) for p in pts] for d in data.boundary])
+    products = values.prod(axis=0)
+    tol = 1e-12 * values.max() ** 2
+    expected = [(pts[k], float(products[k])) for k in np.nonzero(products > tol)[0]]
+    assert len(expected) == len(pts)
+    assert data.validate(g)["segregation"] == expected
+    assert validate_partial_segregation(list(data.boundary), g) == expected
