@@ -1,10 +1,11 @@
 """Finite-difference toolkit for singularly perturbed elliptic systems
 whose components segregate in the vanishing-diffusion-penalty limit.
 
-The package solves the m coupled equations at fixed epsilon by monotone
-Newton on one reduced scalar equation, constructs the segregated limit
-explicitly from the same harmonic difference fields, and provides
-convergence-rate and free-boundary diagnostics.
+The package constructs the segregated limit explicitly from m - 1 harmonic
+difference fields, solves the m coupled equations at fixed epsilon by
+monotone Newton on one reduced scalar equation started from that limit on
+the same fields, and provides convergence-rate and free-boundary
+diagnostics.
 """
 
 __version__ = "0.1.0"

@@ -323,6 +323,9 @@ def rate_study(
     """Distance-to-limit table over a decreasing epsilon ladder with a
     log-log slope fit for the pivot component.
 
+    Every eps-solve starts from ``limit`` and runs on its harmonic fields,
+    so the ladder makes no harmonic solve of its own.
+
     The largest epsilon is dropped and the fit redone when the fit residual
     exceeds the pre-asymptotic cap; single-row tables carry no slope.
     """
@@ -337,7 +340,7 @@ def rate_study(
 
     def run(eps: float) -> RateRow:
         try:
-            r = solve_epsilon(g, data, eps, tol_fp, max_sweeps, tol_linear)
+            r = solve_epsilon(g, data, eps, tol_fp, max_sweeps, tol_linear, limit=limit)
         except SolverError as exc:
             return RateRow(eps, None, None, True, str(exc))
         lmp1 = tuple(

@@ -450,7 +450,7 @@ def cmd_compare(cfg: SystemConfig, out: Path, flags: dict) -> int:
     L = _build_limit(cfg, g, flags)
     r = epsilon_solver.solve_epsilon(
         g, cfg.data, flags.get("epsilon") or cfg.epsilon,
-        cfg.tol_fp, cfg.max_sweeps, cfg.tol_linear,
+        cfg.tol_fp, cfg.max_sweeps, cfg.tol_linear, limit=L,
     )
     w.stages["solve"] = {"epsilon": r.epsilon, "sweeps": r.sweeps, "gap": r.gap}
     w.stages["limit"] = {"pivot": L.pivot}

@@ -6,10 +6,12 @@ The stencil is the standard second-order centered one (5-point in 2D,
 nodes only, so the system matrix is a symmetric M-matrix and the discrete
 maximum principle holds.  Every system is solved by one sparse LU
 factorization (SuperLU) followed by triangular solves, and every solution
-passes a backward-error residual check.  A harmonic solve takes a batch of
-boundary data on one grid and factorizes the grid Laplacian once for the
-whole batch; the factor is freed when the call returns.  Systems with more
-than ``DIRECT_SOLVE_LIMIT`` unknowns are refused with a ``SolverError``.
+passes a backward-error residual check and carries a certified sup-norm
+bound on its error (``LinearSolveStats.error_bound``, see ``_solve_linear``).
+A harmonic solve takes a batch of boundary data on one grid and factorizes
+the grid Laplacian once for the whole batch; the factor is freed when the
+call returns.  Systems with more than ``DIRECT_SOLVE_LIMIT`` unknowns are
+refused with a ``SolverError``.
 
 Harmonic and screened systems on one grid (``-Lap + diag(c)``, ``c >= 0``)
 are symmetric positive definite M-matrices with a common sparsity pattern.
@@ -34,16 +36,15 @@ from .geometry import Grid, NodeClass
 DEFAULT_TOL = 1e-10
 DIRECT_SOLVE_LIMIT = 150_000
 
-# values in (-CLAMP_REL*M, 0) are rounding noise and are clamped to 0 so
-# downstream products never see negative factors; same guard above M
-CLAMP_REL = 1e-14
-
 
 @dataclass
 class LinearSolveStats:
     iterations: int
     residual: float
     converged: bool
+    # certified bound on the sup-norm distance of the computed solution to
+    # the exact solution of the stored system (0 for an exact zero solution)
+    error_bound: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,6 +98,23 @@ class _GridOperator:
         self.boundary_op = sp.csr_matrix(
             (coef[q_bnd], (rows[q_bnd], q[q_bnd])), shape=(n, flat_mask.size)
         )
+        # ||(laplacian + diag c)^{-1}||_inf <= R^2 / (2d) for every c >= 0,
+        # R the radius of a ball about x0 holding every domain node (Collatz):
+        # psi = (R^2 - |x - x0|^2) / (2d) is >= 0 on those nodes and the
+        # centered stencil gives -Lap_h psi = 1 exactly, so the comparison
+        # principle bounds A^{-1} 1 by psi.  R is measured in lattice steps
+        # from the centre of the domain's index box, and the factor 1 + 16u
+        # covers the rounding of R^2 and of the stored stencil coefficients.
+        # (np.nonzero lists the mask axes, which run opposite to the grid's.)
+        r2 = 0.0
+        for idx, h in zip(np.nonzero(g.in_domain()), g.spacing[::-1]):
+            r2 = r2 + ((idx - 0.5 * (idx.min() + idx.max())) * h) ** 2
+        u = np.finfo(float).eps / 2
+        self.inverse_norm_bound = (1 + 16 * u) * float(np.max(r2)) / (2 * g.ndim)
+        # the computed residual b - A y of one row (at most 2d + 1 products
+        # summed and subtracted from b) is within gamma (|b| + |A| |y|) of
+        # the exact one
+        self.residual_rounding = (2 * g.ndim + 3) * u
         self._pattern: _FactorPattern | None = None
         self._edges = None
 
@@ -236,6 +254,12 @@ def _solve_linear(op: _GridOperator, c: np.ndarray | None, rhs: list[np.ndarray]
 
     Returns ``(solutions, stats)`` in input order.  Zero right-hand sides
     get the zero solution; when all are zero nothing is factorized.
+
+    Each solution y carries the certified error bound
+    ``R^2/(2d) (||b - A y||_inf + gamma (||b||_inf + ||A||_inf ||y||_inf))``
+    on ``||y - A^{-1} b||_inf``: the discrete maximum principle bounds
+    ``||A^{-1}||_inf`` by R^2/(2d) and the gamma term covers the rounding
+    of the residual itself.
     """
     n = op.n_unknowns
     if n > DIRECT_SOLVE_LIMIT:
@@ -258,11 +282,17 @@ def _solve_linear(op: _GridOperator, c: np.ndarray | None, rhs: list[np.ndarray]
         # BLAS kernels whose rounding depends on the block width, so it
         # would not reproduce a single solve bit for bit
         y = lu.solve(b)
+        r = b - A @ y
+        y_max = float(np.abs(y).max(initial=0.0))
         # backward-error style relative residual: stable for the stiff
         # screened systems where ||A|| >> ||b|| / ||x||
-        scale = max(bnorms[k], a_norm * float(np.abs(y).max(initial=0.0)))
-        res = float(np.linalg.norm(b - A @ y)) / scale
-        stats[k] = LinearSolveStats(1, res, res <= tol)
+        scale = max(bnorms[k], a_norm * y_max)
+        res = float(np.linalg.norm(r)) / scale
+        bound = op.inverse_norm_bound * (
+            float(np.abs(r).max())
+            + op.residual_rounding * (float(np.abs(b).max()) + a_norm * y_max)
+        )
+        stats[k] = LinearSolveStats(1, res, res <= tol, bound)
         if res > tol:
             raise SolverError(f"direct solve residual {res:.3e} exceeds tol {tol:g}", stats=stats[k])
         xs[k][order] = y
@@ -307,8 +337,9 @@ def solve_screened(g: Grid, c, boundary_values, tol: float = DEFAULT_TOL, source
     ``source`` is the interior term f (default 0).  Requires c >= 0 and
     f >= 0 at interior nodes and nonnegative boundary values; then u >= 0
     (M-matrix maximum principle), and without a source also
-    u <= max boundary value.  Rounding-level violations of those exact
-    bounds are clamped.
+    u <= max boundary value.  Violations of those exact bounds within the
+    solve's certified error bound are clamped; a negative value beyond it
+    raises a ``SolverError``.
     """
     op = grid_operator(g)
     c_int = _interior_values(g, op, c, "screening coefficient")
@@ -324,12 +355,16 @@ def solve_screened(g: Grid, c, boundary_values, tol: float = DEFAULT_TOL, source
     if f_int is not None:
         b = b + f_int
     (x,), (stats,) = _solve_linear(op, c_int, [b], tol)
+    bound = stats.error_bound
     if f_int is None:
-        eps = CLAMP_REL * M
-        x[(x > M) & (x < M + eps)] = M
-    else:
-        eps = CLAMP_REL * max(M, float(x.max(initial=0.0)))
-    x[(x < 0) & (x > -eps)] = 0.0
+        x[(x > M) & (x <= M + bound)] = M
+    low = float(x.min(initial=0.0))
+    if low < -bound:
+        raise SolverError(
+            f"screened solve value {low:.3e} is negative beyond its certified "
+            f"error bound {bound:.3e}", stats=stats,
+        )
+    x[x < 0] = 0.0
     field = _assemble_solution(g, op, x, bflat)
     return field, stats
 

@@ -2,18 +2,24 @@
 
 Every equation carries the same reaction term F(U)/eps scaled by its
 weight A_i, so for constant weights the scaled differences
-w_j = u_p/A_p - u_j/A_j against the pivot p = 1 are harmonic at any
-epsilon and for any exponents (the fields ``limit_solver`` builds the
-limit from).  The system then reduces to one scalar equation for the
+w_j = u_p/A_p - u_j/A_j against a pivot p are harmonic at any epsilon and
+for any exponents.  They are the fields ``limit_solver`` builds the limit
+from, and the Newton path takes them, with the pivot, from a
+``LimitResult``.  The system then reduces to one scalar equation for the
 scaled pivot v = u_p/A_p,
 
     Lap v = F(v)/eps,   F(v) = prod_j (A_j (v - w_j))_+^alpha_j,  w_p = 0,
 
-with boundary data phi_p/A_p.  F is nondecreasing and convex, so each
-Newton step is one screened M-matrix solve whose result is a
-supersolution, and from there the iterates decrease monotonically to the
-solution (monotone Newton for convex M-functions).  The components are
-recovered as u_j = A_j (v - w_j).
+with boundary data phi_p/A_p.  F is nondecreasing and convex.  Newton
+starts from the scaled limit pivot v_lim = max(0, max_k w_k), which is a
+subsolution: it is subharmonic, F(v_lim) = 0, and by partial segregation
+its boundary values are phi_p/A_p.  So v_lim <= v*.  Each Newton step is
+one screened M-matrix solve.  By convexity its result is a supersolution,
+whatever the iterate it started from, and from the first step on the
+iterates decrease monotonically to the solution v* (monotone Newton for
+convex M-functions).  The components are recovered as u_j = A_j (v - w_j);
+as v >= v* >= v_lim >= w_j up to the solves' certified error bounds, a
+negative u_j within them is rounding and is clamped to 0.
 
 The decoupled sweep iteration is kept as a cross-check oracle and as the
 path for tabulated (non-constant) weights, where the identity fails.
@@ -41,7 +47,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic_core import (
-    CLAMP_REL,
     DEFAULT_TOL,
     LinearSolveStats,
     ScalarField,
@@ -51,7 +56,7 @@ from .elliptic_core import (
 )
 from .errors import SolverError
 from .geometry import Grid
-from .limit_solver import difference_data
+from .limit_solver import LimitResult, solve_limit
 from .problem_data import ProblemData
 
 DEFAULT_TOL_FP = 1e-8
@@ -62,7 +67,6 @@ DEFAULT_MAX_SWEEPS = 500
 class IterationState:
     k: int
     fields: tuple[ScalarField, ...]
-    prev: tuple[ScalarField, ...] | None
     gap: float
     linear_stats: list[LinearSolveStats] = field(default_factory=list)
 
@@ -89,7 +93,7 @@ def _sup_gap(a: tuple[ScalarField, ...], b: tuple[ScalarField, ...]) -> float:
 def initialize(g: Grid, data: ProblemData, tol_linear: float = DEFAULT_TOL) -> IterationState:
     """U^0: the harmonic extensions of the boundary data."""
     fields, stats = solve_harmonic(g, data.boundary_arrays(g), tol_linear)
-    return IterationState(0, tuple(fields), None, float("inf"), stats)
+    return IterationState(0, tuple(fields), float("inf"), stats)
 
 
 def sweep(
@@ -129,7 +133,7 @@ def sweep(
         pre_new = pre_new * (np.power(nv, alphas[i]) if alphas[i] != 1 else nv)
 
     new = tuple(new_fields)
-    return IterationState(s.k + 1, new, s.fields, _sup_gap(new, s.fields), stats)
+    return IterationState(s.k + 1, new, _sup_gap(new, s.fields), stats)
 
 
 def solve_epsilon(
@@ -140,21 +144,37 @@ def solve_epsilon(
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     tol_linear: float = DEFAULT_TOL,
     initial: tuple[ScalarField, ...] | None = None,
+    limit: LimitResult | None = None,
 ) -> SolveResult:
     """Solve the system at fixed epsilon.
 
-    Constant weights take the reduced Newton path: it stops when the
-    largest component update max_j A_j |dv|_inf falls below tol_fp * M,
-    and ``max_sweeps`` caps (``SolveResult.sweeps`` counts) Newton steps.
-    Tabulated weights take the sweep iteration.  ``initial`` overrides the
-    harmonic-extension start (used for uniqueness cross-checks).
+    Constant weights take the reduced Newton path.  It runs on the pivot
+    and the harmonic difference fields of ``limit``, the explicit limit of
+    the same problem on ``g``; without one it builds the pivot-1 limit
+    with ``solve_limit``.  Newton starts from the limit's scaled pivot
+    v_lim, a subsolution, so its first iterate is a supersolution and the
+    later ones decrease monotonically.  It stops when the largest
+    component update max_j A_j |dv|_inf falls below tol_fp * M, and
+    ``max_sweeps`` caps (``SolveResult.sweeps`` counts) Newton steps.
+    Tabulated weights take the sweep iteration, which starts from the
+    harmonic extensions of the data and ignores ``limit``.  ``initial``
+    overrides either start (used for uniqueness cross-checks).
+    ``SolveResult.linear_stats`` lists the linear solves the call made,
+    those of a limit it built included.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if tol_fp <= 0:
         raise ValueError("tol_fp must be positive")
-    solve = _solve_newton if data.weights.is_constant else _solve_sweeps
-    return solve(g, data, epsilon, tol_fp, max_sweeps, tol_linear, initial)
+    if not data.weights.is_constant:
+        return _solve_sweeps(g, data, epsilon, tol_fp, max_sweeps, tol_linear, initial)
+    stats: list[LinearSolveStats] = []
+    if limit is None:
+        limit = solve_limit(g, data, tol_linear=tol_linear)
+        stats.extend(limit.linear_stats)
+    elif limit.scaled_pivot.grid is not g:
+        raise ValueError("the limit was built on another grid")
+    return _solve_newton(g, data, epsilon, tol_fp, max_sweeps, tol_linear, initial, limit, stats)
 
 
 def _reaction(v: np.ndarray, w: list[np.ndarray], A, alphas) -> tuple[np.ndarray, np.ndarray]:
@@ -185,9 +205,11 @@ def _reaction(v: np.ndarray, w: list[np.ndarray], A, alphas) -> tuple[np.ndarray
     return F, dF
 
 
-def _solve_newton(g, data, epsilon, tol_fp, max_steps, tol_linear, initial) -> SolveResult:
+def _solve_newton(
+    g, data, epsilon, tol_fp, max_steps, tol_linear, initial, limit, stats
+) -> SolveResult:
     t0 = time.perf_counter()
-    p = 1
+    p = limit.pivot
     A = data.weights.values
     alphas = data.exponents.alphas
     phi = data.boundary_arrays(g)
@@ -195,16 +217,13 @@ def _solve_newton(g, data, epsilon, tol_fp, max_steps, tol_linear, initial) -> S
     M = max(float(arr[bnd].max(initial=0.0)) for arr in phi)
     tol_abs = tol_fp * M
 
-    # the m - 1 difference fields and the harmonic start share one batch
-    scaled, diffs, comps = difference_data(phi, A, p)
-    v_boundary = scaled[p - 1]
-    harmonic, stats = solve_harmonic(
-        g, diffs + ([v_boundary] if initial is None else []), tol_linear
-    )
     w = [np.zeros(g.mask.shape)] * data.m
-    for wf, comp in zip(harmonic, comps):
+    w_bound = [0.0] * data.m
+    for wf, comp, st in zip(limit.harmonic, limit.difference_components, limit.linear_stats):
         w[comp - 1] = wf.values
-    v = harmonic[-1].values if initial is None else initial[p - 1].values / A[p - 1]
+        w_bound[comp - 1] = st.error_bound
+    v_boundary = phi[p - 1] / A[p - 1]
+    v = limit.scaled_pivot.values if initial is None else initial[p - 1].values / A[p - 1]
 
     a_max = float(A.max())
     history: list[float] = []
@@ -218,8 +237,8 @@ def _solve_newton(g, data, epsilon, tol_fp, max_steps, tol_linear, initial) -> S
         v = nxt.values
         if history[-1] <= tol_abs:
             return SolveResult(
-                _recover(g, v, w, A, phi, M), epsilon, len(history), history[-1],
-                history, stats, time.perf_counter() - t0,
+                _recover(g, v, w, A, phi, st.error_bound, w_bound), epsilon, len(history),
+                history[-1], history, stats, time.perf_counter() - t0,
             )
     last = history[-1] if history else float("inf")
     raise SolverError(
@@ -229,19 +248,33 @@ def _solve_newton(g, data, epsilon, tol_fp, max_steps, tol_linear, initial) -> S
     )
 
 
-def _recover(g, v, w, A, phi, M) -> tuple[ScalarField, ...]:
-    """u_j = A_j (v - w_j), exact on the boundary and 0 outside the domain."""
+def _recover(g, v, w, A, phi, v_bound, w_bound) -> tuple[ScalarField, ...]:
+    """u_j = A_j (v - w_j), exact on the boundary and 0 outside the domain.
+
+    ``v_bound`` and ``w_bound`` are the certified error bounds of the
+    solves that gave v and each w_j.  The exact u_j are nonnegative, so a
+    negative value within A_j (v_bound + w_bound[j]) is rounding and
+    becomes 0, and one beyond it raises a ``SolverError``.  A component
+    with zero boundary data is 0, as 0 <= u_j <= H(phi_j) = 0 by the
+    maximum principle (u_j is subharmonic).
+    """
     bnd = g.boundary()
     outside = ~g.in_domain()
     fields = []
-    for wj, a, ph in zip(w, A, phi):
+    for j, (wj, a, ph) in enumerate(zip(w, A, phi)):
+        if not ph[bnd].any():
+            fields.append(ScalarField(g, np.zeros(g.mask.shape)))
+            continue
         u = a * (v - wj)
-        # the subtraction of two O(M) fields resolves u only to about
-        # ulp(M): values within CLAMP_REL * M of 0, of either sign, are
-        # rounding noise (a component with zero data must come out 0)
-        u[np.abs(u) < CLAMP_REL * M] = 0.0
         u[bnd] = ph[bnd]
         u[outside] = 0.0
+        low, bound = float(u.min()), a * (v_bound + w_bound[j])
+        if low < -bound:
+            raise SolverError(
+                f"u_{j + 1} = {low:.3e} is negative beyond its certified error "
+                f"bound {bound:.3e}"
+            )
+        u[u <= 0.0] = 0.0
         fields.append(ScalarField(g, u))
     return tuple(fields)
 
@@ -258,7 +291,7 @@ def _solve_sweeps(g, data, epsilon, tol_fp, max_sweeps, tol_linear, initial) -> 
         state = initialize(g, data, tol_linear)
         all_stats.extend(state.linear_stats)
     else:
-        state = IterationState(0, tuple(f.copy() for f in initial), None, float("inf"))
+        state = IterationState(0, tuple(f.copy() for f in initial), float("inf"))
     even = state.fields
     gaps: list[float] = []
     sweeps = 0

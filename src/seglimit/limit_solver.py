@@ -10,6 +10,10 @@ u_j = A_j (v - w_j).  By construction the fields are nonnegative, their
 product vanishes at every node, and the pivot is a pointwise maximum of
 harmonic fields and 0, hence discretely subharmonic.  The construction is
 pivot-independent.
+
+The result keeps the harmonic fields w_j as solved and the scaled pivot
+v_lim = max(0, max_k w_k): ``epsilon_solver`` starts Newton from v_lim on
+these same fields.
 """
 
 from __future__ import annotations
@@ -29,23 +33,13 @@ class LimitResult:
     differences: tuple[ScalarField, ...]  # w_j = u_p/A_p - u_j/A_j for j != p, component order
     difference_components: tuple[int, ...]  # 1-based component index of each difference
     pivot: int  # 1-based
-    linear_stats: list[LinearSolveStats]
+    linear_stats: list[LinearSolveStats]  # one per harmonic field
+    harmonic: tuple[ScalarField, ...]  # the harmonic w_j as solved, same order
+    scaled_pivot: ScalarField  # v_lim = max(0, max_k w_k), 0 outside the domain
 
     @property
     def m(self) -> int:
         return len(self.fields)
-
-
-def difference_data(phi: list[np.ndarray], weights, pivot: int):
-    """Scaled boundary data and the difference data against the pivot.
-
-    Returns ``(scaled, diffs, components)``: ``scaled[j] = phi_j/A_j`` for
-    every component, ``diffs`` the data phi_p/A_p - phi_j/A_j for each
-    j != p, and ``components`` their 1-based indices.
-    """
-    scaled = [arr / a for arr, a in zip(phi, weights)]
-    comps = tuple(j + 1 for j in range(len(phi)) if j + 1 != pivot)
-    return scaled, [scaled[pivot - 1] - scaled[j - 1] for j in comps], comps
 
 
 def harmonic_differences(
@@ -61,20 +55,24 @@ def harmonic_differences(
         raise ValueError(f"pivot {pivot} out of range 1..{data.m}")
     if not data.weights.is_constant:
         raise ValueError("the difference identity needs constant coupling weights")
-    _, diffs, comps = difference_data(data.boundary_arrays(g), data.weights.values, pivot)
-    fields, stats = solve_harmonic(g, diffs, tol_linear)
+    scaled = [arr / a for arr, a in zip(data.boundary_arrays(g), data.weights.values)]
+    comps = tuple(j for j in range(1, data.m + 1) if j != pivot)
+    fields, stats = solve_harmonic(
+        g, [scaled[pivot - 1] - scaled[j - 1] for j in comps], tol_linear
+    )
     return fields, comps, stats
 
 
 def construct_limit(
     w_fields: list[ScalarField], components: tuple[int, ...], pivot: int,
-    weights: np.ndarray, stats: list[LinearSolveStats] | None = None,
+    weights: np.ndarray, stats: list[LinearSolveStats],
 ) -> LimitResult:
     """Assemble the limit from scaled difference fields sharing one grid.
 
-    ``weights`` are the constant A_i.  Ties in the max need no
-    tie-breaking; nodes where several differences coincide are exactly the
-    multi-interface points.
+    ``weights`` are the constant A_i and ``stats`` the harmonic solves'
+    statistics, one per field.  Ties in the max need no tie-breaking; nodes
+    where several differences coincide are exactly the multi-interface
+    points.
     """
     g = w_fields[0].grid
     m = len(w_fields) + 1
@@ -95,7 +93,10 @@ def construct_limit(
         # harmonic field w up to a few roundings
         diffs.append(ScalarField(g, v - vals / a))
     fields[pivot - 1] = ScalarField(g, weights[pivot - 1] * v)
-    return LimitResult(tuple(fields), tuple(diffs), components, pivot, stats or [])
+    return LimitResult(
+        tuple(fields), tuple(diffs), components, pivot, stats, tuple(w_fields),
+        ScalarField(g, v),
+    )
 
 
 def solve_limit(

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from seglimit import DomainSpec, ScalarField, build_grid, elliptic_core, geometry, problem_data
+from seglimit import (
+    DomainSpec,
+    ScalarField,
+    analysis,
+    build_grid,
+    elliptic_core,
+    geometry,
+    problem_data,
+)
 from seglimit.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -20,6 +28,7 @@ from seglimit.errors import ConfigError
 from conftest import config_path
 
 LINE_M2 = str(config_path("line_m2"))
+LINE_M3 = str(config_path("line_m3"))
 
 BASE = """\
 [domain]
@@ -306,6 +315,51 @@ def test_rate_subcommand(tmp_path):
     assert lines[0] == "epsilon,comp,lmp1_dist,sup_dist"
     assert any(line.startswith("# slope=") for line in lines)
     assert manifest_of(out)["stages"]["rate"]["slope"] is not None
+
+
+def counted_splu(monkeypatch) -> list:
+    calls = []
+    splu = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return calls
+
+
+@pytest.mark.parametrize("pivot", ["1", "3"])
+def test_compare_factorizes_once_per_newton_step(tmp_path, monkeypatch, pivot):
+    # the limit's harmonic batch is the only harmonic factorization: Newton
+    # starts from that limit and runs on its fields and pivot
+    calls = counted_splu(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["compare", LINE_M3, "--out", str(out), "--pivot", pivot]) == EXIT_OK
+    assert len(calls) == 1 + manifest_of(out)["stages"]["solve"]["sweeps"]
+
+
+def test_rate_factorizes_once_per_newton_step(tmp_path, monkeypatch):
+    calls = counted_splu(monkeypatch)
+    steps = []
+    solve_epsilon = analysis.solve_epsilon
+
+    def recording(*args, **kwargs):
+        r = solve_epsilon(*args, **kwargs)
+        steps.append(r.sweeps)
+        return r
+
+    monkeypatch.setattr(analysis, "solve_epsilon", recording)
+    assert main(["rate", LINE_M3, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(steps) == 5
+    assert len(calls) == 1 + sum(steps)
+
+
+def test_solve_and_compare_write_the_same_solution(tmp_path):
+    for sub in ("solve", "compare"):
+        assert main([sub, LINE_M3, "--out", str(tmp_path / sub)]) == EXIT_OK
+    assert ((tmp_path / "solve" / "solve_fields.csv").read_bytes()
+            == (tmp_path / "compare" / "solve_fields.csv").read_bytes())
 
 
 def test_interfaces_subcommand(tmp_path):

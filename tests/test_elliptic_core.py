@@ -328,6 +328,53 @@ def test_kernel_matches_plain_splu(domain, n):
         assert np.abs(u.values[interior] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("domain,n", KERNEL_GRIDS)
+def test_error_bound_certifies_solution(domain, n):
+    # against the solution refined once with a residual in extended
+    # precision, for the harmonic and for stiff screened systems
+    g = build_grid(domain, n)
+    op = grid_operator(g)
+    rng = np.random.default_rng(5)
+    b = np.where(g.boundary(), rng.uniform(0.0, 2.0, g.mask.shape), 0.0)
+    rhs = op.rhs(b.ravel()).astype(np.longdouble)
+    interior = g.interior()
+    for scale in (0.0, 1.0, 1e4, 1e8):
+        c = rng.uniform(0.0, scale, g.mask.shape)
+        u, st = solve_screened(g, c, b)
+        A = op.laplacian + sp.diags(c[interior])
+        x = u.values[interior]
+        r = rhs - A.astype(np.longdouble) @ x.astype(np.longdouble)
+        err = spla.splu(A.tocsc()).solve(r.astype(float))
+        assert 0.0 < np.abs(err).max() <= st.error_bound
+    # R^2/(2d) is attained in 1D; the computed inverse is good to about 1e-14
+    inv_norm = np.abs(spla.inv(op.laplacian.tocsc()).toarray()).sum(axis=1).max()
+    assert op.inverse_norm_bound >= (1.0 - 1e-10) * inv_norm
+
+
+def test_screened_clamps_within_certified_bound(monkeypatch, unit_square_21):
+    # a negative value within the solve's error bound is rounding and
+    # becomes 0; one beyond it is a failed solve
+    g = unit_square_21
+    first = grid_operator(g).interior_flat[0]
+    solve_linear = elliptic_core._solve_linear
+    factor = []
+
+    def perturbed(op, c, rhs, tol):
+        (x,), (st,) = solve_linear(op, c, rhs, tol)
+        x[0] = -factor[0] * st.error_bound
+        return [x], [st]
+
+    monkeypatch.setattr(elliptic_core, "_solve_linear", perturbed)
+    b = boundary_array(g, lambda p: 1.0 + p.coord[0])
+    c = np.full(g.mask.shape, 3.0)
+    factor.append(0.5)
+    u, st = solve_screened(g, c, b)
+    assert u.values.ravel()[first] == 0.0 and u.values.min() == 0.0 and st.error_bound > 0
+    factor[0] = 2.0
+    with pytest.raises(SolverError, match="negative beyond its certified error bound"):
+        solve_screened(g, c, b)
+
+
 def test_one_ordering_per_grid(monkeypatch, configs):
     # a whole Newton solve computes the fill-reducing ordering once, and
     # every factorization takes it as given

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seglimit import (
@@ -19,7 +19,10 @@ from seglimit import (
     solve_screened,
 )
 from seglimit.elliptic_core import DEFAULT_TOL
+from seglimit.analysis import segregation_residual
 from seglimit.epsilon_solver import (
+    _reaction,
+    _recover,
     _solve_sweeps,
     difference_harmonicity_check,
     initialize,
@@ -290,9 +293,88 @@ G41 = build_grid(DomainSpec.interval(0.0, 1.0), 41)
 
 @settings(max_examples=20, deadline=None)
 @given(data=segregated_line(), eps=st.sampled_from([1e-1, 1e-2, 1e-3]))
+# u_2 has zero data; a fixed clamp of 1e-14 M left it at -6.0e-15 with M = 0.3
+@example(
+    data=make_data([["end=left: 0.3", "end=right: 0.3"], ["end=left: 0.0", "end=right: 0.0"]],
+                   A=[0.51, 0.51]),
+    eps=1e-1,
+)
 def test_newton_matches_sweep_oracle_1d(data, eps):
     assume(data.max_boundary_value(G41) > 0)
     check_against_oracle(G41, data, eps)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=segregated_line(), eps=st.sampled_from([1e-1, 1e-2, 1e-3]), draw=st.data())
+def test_newton_pivot_invariance(data, eps, draw):
+    # Newton on the fields of a pivot-p limit and of a pivot-q limit
+    # solves one system
+    M = data.max_boundary_value(G41)
+    assume(M > 0)
+    p, q = draw.draw(st.permutations(range(1, data.m + 1)))[:2]
+    rp = solve_epsilon(G41, data, eps, limit=solve_limit(G41, data, p))
+    rq = solve_epsilon(G41, data, eps, limit=solve_limit(G41, data, q))
+    for a, b in zip(rp.fields, rq.fields):
+        assert np.abs(a.values - b.values).max() <= 1e-8 * M
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=segregated_line(), eps=st.sampled_from([1e-1, 1e-2, 1e-3]))
+def test_segregation_residual_matches_reduced_reaction(data, eps):
+    # the product of the recovered components is F(v) of the reduced
+    # equation, recomputed from v = u_p/A_p and the limit's harmonic w_j
+    M = data.max_boundary_value(G41)
+    assume(M > 0)
+    L = solve_limit(G41, data)
+    r = solve_epsilon(G41, data, eps, limit=L)
+    A = data.weights.values
+    w = [np.zeros(G41.mask.shape)] * data.m
+    for wf, comp in zip(L.harmonic, L.difference_components):
+        w[comp - 1] = wf.values
+    F, _ = _reaction(r.fields[L.pivot - 1].values / A[L.pivot - 1], w, A, data.exponents.alphas)
+    max_product, integrals = segregation_residual(r.fields, data.weights, data.exponents)
+    tol = 1e-12 * (A.max() * M) ** data.m
+    inside = G41.in_domain()
+    assert abs(max_product - F[inside].max()) <= tol
+    for a, integral in zip(A, integrals):
+        assert abs(integral - G41.spacing[0] * a * F[inside].sum()) <= tol
+
+
+@pytest.mark.parametrize("name,n,eps,max_steps", [
+    ("square_m4", 101, 1e-4, 6),
+    ("disk_m3", 101, 1e-4, 6),
+    ("line_m2", None, 1e-8, 5),
+])
+def test_limit_start_sandwich(configs, name, n, eps, max_steps):
+    # Newton starts from the subsolution v_lim <= v*; its first iterate is a
+    # supersolution >= v* and the later updates shrink.  Each component
+    # u_j = A_j (v - w_j) inherits the order of v.
+    cfg = configs[name]
+    g = build_grid(cfg.domain, n) if n else cfg.grid
+    L = solve_limit(g, cfg.data)
+    r = solve_epsilon(g, cfg.data, eps, limit=L)
+    first = solve_epsilon(g, cfg.data, eps, tol_fp=1e300, max_sweeps=1, limit=L)
+    assert r.sweeps <= max_steps
+    tol = max(s.error_bound for s in L.linear_stats + r.linear_stats + first.linear_stats)
+    for lim, u, u1 in zip(L.fields, r.fields, first.fields):
+        assert np.all(lim.values <= u.values + tol)
+        assert np.all(u.values <= u1.values + tol)
+    updates = r.gap_history[1:]
+    assert all(b <= a for a, b in zip(updates, updates[1:]))
+
+
+def test_recover_clamps_within_certified_bound(g101):
+    # pivot 1 of M2: w_2 = 1 - 2x and v_lim = max(0, w_2); u_2 = v - w_2
+    x = g101.axis_coords(0)
+    w = [np.zeros(101), 1.0 - 2.0 * x]
+    phi = M2.boundary_arrays(g101)
+    v = np.maximum(w[1], 0.0)
+    v[20] -= 5e-13
+    u = _recover(g101, v, w, M2.weights.values, phi, 4e-13, [0.0, 2e-13])
+    assert u[1].values[20] == 0.0 and u[1].values.min() == 0.0
+    assert u[0].values[20] == v[20]
+    with pytest.raises(SolverError, match="u_2 .* negative beyond its certified error bound"):
+        _recover(g101, v, w, M2.weights.values, phi, 2e-13, [0.0, 2e-13])
 
 
 def test_newton_matches_sweep_oracle_2d(configs):
