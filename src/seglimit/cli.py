@@ -268,24 +268,52 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_rows(fh, table: np.ndarray, prefix: str = "") -> None:
+    """Write ``table`` one line per row, ``prefix`` then every value as
+    ``%.17g`` (the same text as ``_fmt``), in blocks of ``CSV_BLOCK_ROWS``
+    rows, which bounds the memory the text takes.  A block in which at most
+    half the values are distinct formats each distinct float64 bit pattern
+    once (so -0.0 and every NaN payload keep their own text)."""
+    value_row = prefix + ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for start in range(0, len(table), CSV_BLOCK_ROWS):
+        block = np.ascontiguousarray(table[start:start + CSV_BLOCK_ROWS])
+        bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+        if 2 * bits.size > block.size:
+            fh.write((value_row * len(block)) % tuple(block.ravel().tolist()))
+            continue
+        k = bits.size
+        words = ("%.17g\n" * k % tuple(bits.view(np.float64).tolist())).split("\n")[:-1]
+        # each value with the separator that follows it: "," inside a row and
+        # a newline after the last column; the first column takes the prefix
+        first_sep = "," if block.shape[1] > 1 else "\n"
+        cells = np.array(
+            [w + "," for w in words] + [w + "\n" for w in words]
+            + [prefix + w + first_sep for w in words],
+            dtype=object,
+        )
+        cols = inverse.reshape(block.shape)
+        idx = cols.copy()
+        idx[:, -1] += k
+        idx[:, 0] = cols[:, 0] + 2 * k
+        fh.write("".join(cells[idx.ravel()].tolist()))
+
+
 def write_fields_csv(path: Path, g: Grid, fields: tuple[ScalarField, ...]) -> None:
     """One row per grid node, row-major (x fastest in 2D), every value as
-    ``%.17g`` (the same text as ``_fmt``).  Rows are formatted in blocks of
-    ``CSV_BLOCK_ROWS``, which bounds the memory the text takes."""
+    ``%.17g``, written by ``_write_rows``."""
     m = len(fields)
     cols = ["x"] + (["y"] if g.ndim == 2 else []) + [f"u{i+1}" for i in range(m)]
     table = np.column_stack(
         [c.ravel() for c in g.node_coords()] + [f.values.ravel() for f in fields]
     )
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with path.open("w") as fh:
         fh.write(",".join(cols) + "\n")
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            block = table[start:start + CSV_BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        _write_rows(fh, table)
 
 
 def write_interfaces_csv(path: Path, iset: analysis.InterfaceSet) -> None:
+    """One row per interface edge, pair by pair: the pair, the midpoint and
+    the unit normal, written by ``_write_rows``."""
     g = iset.grid
     with path.open("w") as fh:
         if g.ndim == 1:
@@ -293,9 +321,7 @@ def write_interfaces_csv(path: Path, iset: analysis.InterfaceSet) -> None:
         else:
             fh.write("pair_i,pair_j,x,y,nx,ny\n")
         for (i, j), edges in sorted(iset.pairs.items()):
-            for e in edges:
-                vals = list(e.midpoint) + list(e.normal)
-                fh.write(f"{i},{j}," + ",".join(_fmt(v) for v in vals) + "\n")
+            _write_rows(fh, np.hstack([edges.midpoint, edges.normal]), f"{i},{j},")
         if iset.degenerate:
             fh.write("# degenerate: some pair's zero sets cover the whole interior\n")
 

@@ -14,11 +14,17 @@ call returns.  Systems with more than ``DIRECT_SOLVE_LIMIT`` unknowns are
 refused with a ``SolverError``.
 
 Harmonic and screened systems on one grid (``-Lap + diag(c)``, ``c >= 0``)
-are symmetric positive definite M-matrices with a common sparsity pattern.
-So each grid computes one fill-reducing ordering, on its first
-factorization, and keeps the Laplacian permuted by it as a CSC template;
-every factorization copies the template, writes its diagonal, and runs
-SuperLU in symmetric mode with diagonal pivots and no ordering of its own.
+are symmetric positive definite M-matrices with a common sparsity pattern,
+so one fill-reducing ordering serves them all.  A harmonic batch factorizes
+the grid Laplacian as it is, with SuperLU's minimum degree on A^T + A in
+symmetric mode, so that one SuperLU call both orders and factorizes.  The
+grid keeps that ordering (a copy: ``SuperLU.perm_c`` is a view that keeps
+the whole factor alive) and builds from it, on the first screened solve,
+the Laplacian permuted by it as a CSC template.  Every screened
+factorization copies the template, writes its diagonal, and runs SuperLU
+in symmetric mode with diagonal pivots and no ordering of its own.  A
+screened solve on a grid whose Laplacian was never factorized gets the
+ordering from one such factorization first.
 """
 
 from __future__ import annotations
@@ -115,12 +121,32 @@ class _GridOperator:
         # summed and subtracted from b) is within gamma (|b| + |A| |y|) of
         # the exact one
         self.residual_rounding = (2 * g.ndim + 3) * u
+        # ||laplacian + diag(c)||_inf = max_i (row_sums_i + c_i) for c >= 0,
+        # as the diagonal is positive and the rest nonpositive
+        self.row_sums = np.asarray(abs(self.laplacian).sum(axis=1)).ravel()
+        self.order: np.ndarray | None = None
         self._pattern: _FactorPattern | None = None
         self._edges = None
 
+    def factorize_laplacian(self):
+        """SuperLU factor of the Laplacian with its own minimum-degree
+        ordering in symmetric mode; the first one sets the grid's ordering."""
+        lu = spla.splu(
+            self.laplacian, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        if self.order is None:
+            # perm_c[j] is the new position of unknown j, so the order is its
+            # inverse; argsort makes a new array, where keeping perm_c itself
+            # (a view whose base is the SuperLU object) would keep the factor
+            self.order = np.argsort(lu.perm_c)
+        return lu
+
     def factor_pattern(self) -> "_FactorPattern":
         if self._pattern is None:
-            self._pattern = _FactorPattern(self.laplacian)
+            if self.order is None:
+                self.factorize_laplacian()
+            self._pattern = _FactorPattern(self.laplacian, self.order)
         return self._pattern
 
     def edge_stencil(self, g: Grid):
@@ -166,48 +192,32 @@ def _stencil_edges(g: Grid):
 
 
 class _FactorPattern:
-    """The grid Laplacian symmetrically permuted by a fill-reducing
-    ordering, as a CSC template that every factorization on the grid copies.
+    """The grid Laplacian symmetrically permuted by the grid's fill-reducing
+    ordering, as a CSC template that every screened factorization copies.
 
-    Every system on a grid is ``laplacian + diag(c)`` with ``c >= 0``: a
-    symmetric positive definite M-matrix with one sparsity pattern.  So one
-    ordering (SuperLU's minimum degree on A^T + A) serves them all, and
-    each is factorized in SuperLU's symmetric mode with diagonal pivots and
-    no further column ordering.
+    ``order`` is the inverse of the ``perm_c`` of a minimum-degree
+    factorization of the Laplacian (``_GridOperator.factorize_laplacian``),
+    so a natural-order factorization of the template makes the same fill
+    as that one; applying ``perm_c`` itself instead of its inverse
+    multiplies the fill more than tenfold.
     """
 
-    def __init__(self, laplacian: sp.csc_matrix):
-        # an incomplete factorization that drops every entry computes the
-        # same column ordering as a full one at a fraction of its cost
-        perm_c = spla.spilu(
-            laplacian, drop_tol=1e300, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0, options={"SymmetricMode": True},
-        ).perm_c
-        # perm_c[j] is the new position of unknown j; applying perm_c itself
-        # instead of its inverse multiplies the fill more than tenfold
-        self.order = np.argsort(perm_c)
-        t = laplacian[self.order][:, self.order]
+    def __init__(self, laplacian: sp.csc_matrix, order: np.ndarray):
+        self.order = order
+        t = laplacian[order][:, order]
         t.sort_indices()
         self.template = t
-        n = t.shape[0]
-        col_of = np.repeat(np.arange(n), np.diff(t.indptr))
+        col_of = np.repeat(np.arange(t.shape[0]), np.diff(t.indptr))
         self.diag_slots = np.nonzero(t.indices == col_of)[0]
         self.base_diag = t.data[self.diag_slots].copy()
-        # ||A||_inf = max_i (|offdiagonal row sum|_i + A_ii), as the
-        # diagonal of every system is positive
-        off = np.abs(t.data)
-        off[self.diag_slots] = 0.0
-        self.offdiag_row_sums = np.bincount(t.indices, weights=off, minlength=n)
 
-    def matrix(self, c: np.ndarray | None) -> tuple[sp.csc_matrix, float]:
-        """``laplacian + diag(c)`` in the permuted order, and its inf-norm;
-        ``c`` is in the original order of the unknowns."""
+    def matrix(self, c: np.ndarray) -> sp.csc_matrix:
+        """``laplacian + diag(c)`` in the permuted order; ``c`` is in the
+        original order of the unknowns."""
         t = self.template
-        diag = self.base_diag if c is None else self.base_diag + c[self.order]
         data = t.data.copy()
-        data[self.diag_slots] = diag
-        A = sp.csc_matrix((data, t.indices, t.indptr), shape=t.shape, copy=False)
-        return A, float((self.offdiag_row_sums + diag).max(initial=0.0))
+        data[self.diag_slots] = self.base_diag + c[self.order]
+        return sp.csc_matrix((data, t.indices, t.indptr), shape=t.shape, copy=False)
 
 
 def _shift_slices(shape, shift):
@@ -272,10 +282,16 @@ def _solve_linear(op: _GridOperator, c: np.ndarray | None, rhs: list[np.ndarray]
     live = [k for k, bnorm in enumerate(bnorms) if bnorm != 0.0]
     if not live:
         return xs, stats
-    pattern = op.factor_pattern()
-    order = pattern.order
-    A, a_norm = pattern.matrix(c)
-    lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    if c is None:
+        # the factor applies its own ordering, so the system stays unpermuted
+        A, order = op.laplacian, slice(None)
+        a_norm = float(op.row_sums.max(initial=0.0))
+        lu = op.factorize_laplacian()
+    else:
+        pattern = op.factor_pattern()
+        A, order = pattern.matrix(c), pattern.order
+        a_norm = float((op.row_sums + c).max(initial=0.0))
+        lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     for k in live:
         b = rhs[k][order]
         # one triangular solve per column: a multi-column solve runs blocked

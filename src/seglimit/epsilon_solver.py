@@ -41,6 +41,7 @@ sub-problem linear with a nonnegative coefficient.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -155,7 +156,10 @@ def solve_epsilon(
     v_lim, a subsolution, so its first iterate is a supersolution and the
     later ones decrease monotonically.  It stops when the largest
     component update max_j A_j |dv|_inf falls below tol_fp * M, and
-    ``max_sweeps`` caps (``SolveResult.sweeps`` counts) Newton steps.
+    ``max_sweeps`` caps (``SolveResult.sweeps`` counts) Newton steps.  When
+    two consecutive updates after step 2 set no new least update, the
+    iteration has reached the rounding floor of its solves short of tol_fp
+    and raises a ``SolverError`` with the update history.
     Tabulated weights take the sweep iteration, which starts from the
     harmonic extensions of the data and ignores ``limit``.  ``initial``
     overrides either start (used for uniqueness cross-checks).
@@ -227,6 +231,8 @@ def _solve_newton(
 
     a_max = float(A.max())
     history: list[float] = []
+    best = math.inf  # the least update from step 2 on
+    stalled = 0  # consecutive later steps that set no new least update
     while len(history) < max_steps:
         F, dF = _reaction(v, w, A, alphas)
         # F'(v) v - F(v) >= -F(0) = 0 by convexity; the max drops rounding
@@ -240,6 +246,18 @@ def _solve_newton(
                 _recover(g, v, w, A, phi, st.error_bound, w_bound), epsilon, len(history),
                 history[-1], history, stats, time.perf_counter() - t0,
             )
+        # from step 2 on monotone Newton's updates decrease; two steps in a
+        # row that do not have reached the rounding floor of the solves
+        if len(history) >= 2:
+            stalled = 0 if history[-1] < best else stalled + 1
+            best = min(best, history[-1])
+            if stalled == 2:
+                raise SolverError(
+                    f"Newton stalled at step {len(history)}: updates {history[-2]:.3e} "
+                    f"and {history[-1]:.3e} do not fall below {best:.3e}, target "
+                    f"{tol_abs:.3e}",
+                    gap=history[-1], history=history,
+                )
     last = history[-1] if history else float("inf")
     raise SolverError(
         f"Newton not converged after {len(history)} steps (update {last:.3e}, "

@@ -1,6 +1,7 @@
 """Norms, interface extraction, jump checks, and the rate study."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -203,6 +204,99 @@ def test_jump_conditions_square(configs):
         if rep.edges:
             # one-sided 2-point traces are first-order accurate
             assert rep.max_balance <= 20.0 * g.spacing[0] * scale
+
+
+def jump_check_loop(L, I):
+    """The per-edge loop jump_condition_check replaced: the reference its
+    array form must reproduce exactly."""
+    from seglimit.analysis import JumpPairReport
+
+    g = I.grid
+    in_domain = g.in_domain()
+
+    def value(f, idx):
+        return f.values[idx[0]] if g.ndim == 1 else f.values[idx[1], idx[0]]
+
+    def inside(idx):
+        for ax in range(g.ndim):
+            if not 0 <= idx[ax] < g.dims[ax]:
+                return False
+        return bool(in_domain[idx[0]] if g.ndim == 1 else in_domain[idx[1], idx[0]])
+
+    def in_zero(f, idx):
+        return inside(idx) and value(f, idx) < 0.5 * I.delta
+
+    reports = {}
+    for (i, j), edges in I.pairs.items():
+        rep = JumpPairReport((i, j), 0, 0, 0.0, 0.0)
+        ui = L.fields[i - 1]
+        uj = L.fields[j - 1]
+        for e in edges:
+            da = value(ui, e.a) - value(uj, e.a)
+            db = value(ui, e.b) - value(uj, e.b)
+            if da > db:
+                p, q = e.a, e.b
+            elif db > da:
+                p, q = e.b, e.a
+            else:
+                rep.skipped += 1
+                continue
+            axis = 0 if p[0] != q[0] else 1
+            h = g.spacing[axis]
+            step = 1 if q[axis] > p[axis] else -1
+            p_back = tuple(p[a] - (step if a == axis else 0) for a in range(g.ndim))
+            q_fwd = tuple(q[a] + (step if a == axis else 0) for a in range(g.ndim))
+            if not (
+                in_zero(uj, p) and in_zero(uj, p_back)
+                and in_zero(ui, q) and in_zero(ui, q_fwd)
+            ):
+                rep.skipped += 1
+                continue
+
+            def d_p(f):
+                return (value(f, p) - value(f, p_back)) / (step * h)
+
+            def d_q(f):
+                return (value(f, q_fwd) - value(f, q)) / (step * h)
+
+            rep.balance_residuals.append(abs(d_p(ui) + d_q(uj)))
+            for k in range(1, L.m + 1):
+                if k in (i, j):
+                    continue
+                uk = L.fields[k - 1]
+                rep.transfer_residuals.append(abs((d_p(uk) - d_q(uk)) - d_p(ui)))
+            rep.edges += 1
+        rep.max_balance = max(rep.balance_residuals, default=0.0)
+        rep.max_transfer = max(rep.transfer_residuals, default=0.0)
+        reports[(i, j)] = rep
+    return reports
+
+
+@pytest.mark.parametrize("name", ["line_m3", "disk_m3", "square_m4", "square_m4_overlap"])
+def test_jump_check_matches_per_edge_loop(configs, name):
+    cfg = configs[name]
+    g = cfg.grid
+    L = solve_limit(g, cfg.data)
+    I = extract_supports_and_interfaces(
+        L.fields, default_zero_threshold(g, cfg.data.max_boundary_value(g), cfg.tol_linear)
+    )
+    reports = jump_condition_check(L, I)
+    reference = jump_check_loop(L, I)
+    assert reports == reference
+    assert sum(rep.edges for rep in reports.values()) > 0
+    assert sum(rep.skipped for rep in reports.values()) > 0
+
+
+def test_jump_check_skips_unoriented_edges():
+    # u1 - u2 is flat, so the (1, 2) edge has no side where u1 lives
+    g = build_grid(DomainSpec.interval(0.0, 1.0), 5)
+    fields = (ScalarField(g, np.full(5, 0.1)), ScalarField(g, np.full(5, 0.2)),
+              ScalarField(g, np.array([1.0, 0.0, 1.0, 1.0, 1.0])))
+    L = SimpleNamespace(fields=fields, m=3)
+    I = extract_supports_and_interfaces(fields, 0.5)
+    reports = jump_condition_check(L, I)
+    assert reports == jump_check_loop(L, I)
+    assert (reports[(1, 2)].edges, reports[(1, 2)].skipped) == (0, 1)
 
 
 def test_rate_study_slope_and_failures(g401, limit_m3):

@@ -15,14 +15,17 @@ from seglimit import (
     elliptic_core,
     geometry,
     problem_data,
+    solve_limit,
 )
 from seglimit.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SOLVER,
     main,
+    _fmt,
     parse_config,
     write_fields_csv,
+    write_interfaces_csv,
 )
 from seglimit.errors import ConfigError
 from conftest import config_path
@@ -250,6 +253,42 @@ def test_fields_csv_matches_per_value_format(tmp_path, domain, n):
     path = tmp_path / "f.csv"
     write_fields_csv(path, g, fields)
     assert path.read_text() == fields_csv_oracle(g, fields)
+    # few distinct values, so each block formats every distinct bit pattern
+    # once; the values repeat across the block boundary, and -0.0 and two
+    # NaN payloads must keep their own text
+    nans = np.array([0x7FF8000000000000, 0x7FF0000000000001]).view(np.float64)
+    pool = np.concatenate([specials, nans, [2.5, -7.0]])
+    pooled = tuple(ScalarField(g, pool[rng.integers(0, pool.size, shape)]) for _ in range(3))
+    write_fields_csv(path, g, pooled)
+    assert path.read_text() == fields_csv_oracle(g, pooled)
+
+
+def interfaces_csv_oracle(iset) -> str:
+    """The edge-by-edge text the block writer must reproduce."""
+    lines = ["pair_i,pair_j,x,nx" if iset.grid.ndim == 1 else "pair_i,pair_j,x,y,nx,ny"]
+    for (i, j), edges in sorted(iset.pairs.items()):
+        for e in edges:
+            lines.append(f"{i},{j}," + ",".join(_fmt(v) for v in list(e.midpoint) + list(e.normal)))
+    if iset.degenerate:
+        lines.append("# degenerate: some pair's zero sets cover the whole interior")
+    return "\n".join(lines) + "\n"
+
+
+def test_interfaces_csv_matches_per_edge_format(tmp_path, configs):
+    path = tmp_path / "i.csv"
+    for name in ("line_m3", "disk_m3", "square_m4_overlap"):
+        g = build_grid(configs[name].domain, 81 if name != "line_m3" else 401)
+        L = solve_limit(g, configs[name].data)
+        delta = analysis.default_zero_threshold(g, 1.0)
+        iset = analysis.extract_supports_and_interfaces(L.fields, delta)
+        write_interfaces_csv(path, iset)
+        assert path.read_text() == interfaces_csv_oracle(iset)
+    # all-zero data: every pair's zero sets cover the interior and no edge exists
+    zero = tuple(ScalarField(g, np.zeros(g.mask.shape)) for _ in range(3))
+    iset = analysis.extract_supports_and_interfaces(zero, 0.5)
+    assert iset.degenerate and not any(iset.pairs.values())
+    write_interfaces_csv(path, iset)
+    assert path.read_text() == interfaces_csv_oracle(iset)
 
 
 def test_no_config_exit_2(capsys):

@@ -20,6 +20,7 @@ from seglimit import (
     constant_field,
     solve_epsilon,
     solve_harmonic,
+    solve_limit,
     solve_screened,
 )
 from seglimit import elliptic_core
@@ -376,35 +377,54 @@ def test_screened_clamps_within_certified_bound(monkeypatch, unit_square_21):
 
 
 def test_one_ordering_per_grid(monkeypatch, configs):
-    # a whole Newton solve computes the fill-reducing ordering once, and
-    # every factorization takes it as given
-    orderings, factorizations = [], []
-    spilu, splu = spla.spilu, spla.splu
-
-    def counting_spilu(A, *args, **kwargs):
-        orderings.append(kwargs.get("permc_spec"))
-        return spilu(A, *args, **kwargs)
+    # a limit build followed by Newton orders the grid once, in the
+    # harmonic factorization, and every screened factorization takes that
+    # ordering as given; a grid whose first solve is screened orders once too
+    factorizations = []
+    splu = spla.splu
 
     def counting_splu(A, *args, **kwargs):
         factorizations.append(kwargs.get("permc_spec"))
         return splu(A, *args, **kwargs)
 
-    monkeypatch.setattr(spla, "spilu", counting_spilu)
+    def no_spilu(*args, **kwargs):
+        raise AssertionError("spilu called")
+
+    monkeypatch.setattr(spla, "spilu", no_spilu)
     monkeypatch.setattr(spla, "splu", counting_splu)
     cfg = configs["square_m4"]
     g = build_grid(cfg.domain, 31)
-    r = solve_epsilon(g, cfg.data, 1e-4)
-    assert orderings == ["MMD_AT_PLUS_A"]
+    L = solve_limit(g, cfg.data)
+    r = solve_epsilon(g, cfg.data, 1e-4, limit=L)
     # the batched harmonic solve plus one screened solve per Newton step
-    assert len(factorizations) == r.sweeps + 1
-    assert set(factorizations) == {"NATURAL"}
+    assert factorizations == ["MMD_AT_PLUS_A"] + ["NATURAL"] * r.sweeps
+    # every harmonic batch orders within its one factorization, at no
+    # extra SuperLU call
     solve_harmonic(g, cfg.data.boundary_arrays(g))
-    assert len(orderings) == 1
+    assert factorizations.count("MMD_AT_PLUS_A") == 2 and len(factorizations) == 2 + r.sweeps
+
+    factorizations.clear()
+    g = build_grid(cfg.domain, 31)
+    b = cfg.data.boundary_arrays(g)[0]
+    for _ in range(2):
+        solve_screened(g, np.ones(g.mask.shape), b)
+    assert factorizations == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
+
+
+def test_stored_ordering_owns_its_data(configs):
+    # SuperLU.perm_c is a view whose base is the factor: keeping it would
+    # keep the whole factor alive with the grid
+    g = build_grid(configs["disk_m3"].domain, 41)
+    solve_harmonic(g, configs["disk_m3"].data.boundary_arrays(g))
+    op = grid_operator(g)
+    assert op.order.base is None
+    assert op.factor_pattern().order is op.order
 
 
 def test_fill_equals_superlu_symmetric_mmd(monkeypatch, configs):
-    # the template is permuted by the inverse of SuperLU's perm_c; applying
-    # perm_c itself (the easy mistake) multiplies the fill more than tenfold
+    # the screened template is permuted by the inverse of SuperLU's perm_c;
+    # applying perm_c itself (the easy mistake) multiplies the fill more
+    # than tenfold
     factors = []
     splu = spla.splu
 
@@ -417,7 +437,9 @@ def test_fill_equals_superlu_symmetric_mmd(monkeypatch, configs):
     op = grid_operator(g)
     own = splu(op.laplacian, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                options={"SymmetricMode": True})
+    b = cfg.data.boundary_arrays(g)[0]
+    solve_harmonic(g, [b])
     monkeypatch.setattr(spla, "splu", keeping_splu)
-    solve_harmonic(g, cfg.data.boundary_arrays(g)[:1])
+    solve_screened(g, np.ones(g.mask.shape), b)
     (lu,) = factors
     assert lu.L.nnz + lu.U.nnz == own.L.nnz + own.U.nnz

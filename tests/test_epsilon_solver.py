@@ -227,6 +227,18 @@ def test_max_sweeps_exceeded_raises(g101):
     assert err.history[2] <= err.history[1]
 
 
+def test_newton_stall_raises_early(configs):
+    # below its rounding floor Newton's updates rise again (2.3e-13 M at
+    # step 8, then 3.2e-13 and 4.3e-13 on line_m3 at eps 1e-2); two steps
+    # without a new least update end the solve instead of 5000 more
+    cfg = configs["line_m3"]
+    with pytest.raises(SolverError, match="Newton stalled") as exc:
+        solve_epsilon(cfg.grid, cfg.data, 1e-2, tol_fp=1e-15, max_sweeps=5000)
+    h = exc.value.history
+    assert len(h) <= 12 and exc.value.gap == h[-1]
+    assert min(h[1:-2]) <= min(h[-2:])
+
+
 def test_invalid_arguments(g101):
     with pytest.raises(ValueError):
         solve_epsilon(g101, M2, 0.0)
