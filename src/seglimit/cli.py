@@ -411,6 +411,7 @@ def _stats_summary(stats) -> dict:
         "solves": len(stats),
         "max_iterations": max((s.iterations for s in stats), default=0),
         "max_residual": max((s.residual for s in stats), default=0.0),
+        "max_error_bound": float(max((s.error_bound for s in stats), default=0.0)),
     }
 
 
@@ -449,16 +450,19 @@ def cmd_solve(cfg: SystemConfig, out: Path, flags: dict) -> int:
     return EXIT_OK
 
 
-def _build_limit(cfg: SystemConfig, g: Grid, flags: dict):
+def _build_limit(cfg: SystemConfig, g: Grid, flags: dict, w: RunWriter):
+    """The limit on ``g`` from the pivot flag (default 1), recorded as the
+    manifest's ``limit`` stage."""
     pivot = flags.get("pivot") or 1
-    return limit_solver.solve_limit(g, cfg.data, pivot, cfg.tol_linear)
+    L = limit_solver.solve_limit(g, cfg.data, pivot, cfg.tol_linear)
+    w.stages["limit"] = {"pivot": L.pivot, "linear": _stats_summary(L.linear_stats)}
+    return L
 
 
 def cmd_limit(cfg: SystemConfig, out: Path, flags: dict) -> int:
     w = RunWriter(out, "limit", cfg, flags)
     g = cfg.grid
-    L = _build_limit(cfg, g, flags)
-    w.stages["limit"] = {"pivot": L.pivot, "linear": _stats_summary(L.linear_stats)}
+    L = _build_limit(cfg, g, flags, w)
     write_fields_csv(w.path("limit_fields.csv"), g, L.fields)
     delta = flags.get("delta") or analysis.default_zero_threshold(
         g, max(cfg.data.max_boundary_value(g), 1e-300), cfg.tol_linear
@@ -473,13 +477,15 @@ def cmd_limit(cfg: SystemConfig, out: Path, flags: dict) -> int:
 def cmd_compare(cfg: SystemConfig, out: Path, flags: dict) -> int:
     w = RunWriter(out, "compare", cfg, flags)
     g = cfg.grid
-    L = _build_limit(cfg, g, flags)
+    L = _build_limit(cfg, g, flags, w)
     r = epsilon_solver.solve_epsilon(
         g, cfg.data, flags.get("epsilon") or cfg.epsilon,
         cfg.tol_fp, cfg.max_sweeps, cfg.tol_linear, limit=L,
     )
-    w.stages["solve"] = {"epsilon": r.epsilon, "sweeps": r.sweeps, "gap": r.gap}
-    w.stages["limit"] = {"pivot": L.pivot}
+    w.stages["solve"] = {
+        "epsilon": r.epsilon, "sweeps": r.sweeps, "gap": r.gap,
+        "linear": _stats_summary(r.linear_stats),
+    }
     write_fields_csv(w.path("solve_fields.csv"), g, r.fields)
     write_fields_csv(w.path("limit_fields.csv"), g, L.fields)
     write_distance_csv(w.path("distance.csv"), analysis.solve_vs_limit_distances(r, L))
@@ -491,7 +497,7 @@ def cmd_compare(cfg: SystemConfig, out: Path, flags: dict) -> int:
 def cmd_rate(cfg: SystemConfig, out: Path, flags: dict) -> int:
     w = RunWriter(out, "rate", cfg, flags)
     g = cfg.grid
-    L = _build_limit(cfg, g, flags)
+    L = _build_limit(cfg, g, flags, w)
     start = flags.get("start") or 1e-2
     stop = flags.get("stop") or 1e-6
     count = flags.get("count") or 5
@@ -510,7 +516,7 @@ def cmd_rate(cfg: SystemConfig, out: Path, flags: dict) -> int:
 def cmd_interfaces(cfg: SystemConfig, out: Path, flags: dict) -> int:
     w = RunWriter(out, "interfaces", cfg, flags)
     g = cfg.grid
-    L = _build_limit(cfg, g, flags)
+    L = _build_limit(cfg, g, flags, w)
     delta = flags.get("delta") or analysis.default_zero_threshold(
         g, max(cfg.data.max_boundary_value(g), 1e-300), cfg.tol_linear
     )

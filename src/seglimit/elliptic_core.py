@@ -4,31 +4,41 @@ Dirichlet solves on classified grids.
 The stencil is the standard second-order centered one (5-point in 2D,
 3-point in 1D).  Dirichlet values are eliminated: unknowns live at interior
 nodes only, so the system matrix is a symmetric M-matrix and the discrete
-maximum principle holds.  Every system is solved by one sparse LU
-factorization (SuperLU) followed by triangular solves, and every solution
-passes a backward-error residual check and carries a certified sup-norm
-bound on its error (``LinearSolveStats.error_bound``, see ``_solve_linear``).
-A harmonic solve takes a batch of boundary data on one grid and factorizes
-the grid Laplacian once for the whole batch; the factor is freed when the
-call returns.  Systems with more than ``DIRECT_SOLVE_LIMIT`` unknowns are
-refused with a ``SolverError``.
+maximum principle holds.  Every solution passes a backward-error residual
+check and carries a certified sup-norm bound on its error
+(``LinearSolveStats.error_bound``, see ``_solve_linear``).  Systems with
+more than ``DIRECT_SOLVE_LIMIT`` unknowns are refused with a
+``SolverError``.
+
+A harmonic solve takes a batch of boundary data on one grid.  On a box
+grid, a 2D grid whose unknowns are every lattice node off the rim (every
+rectangle), the Laplacian is diagonalized by the sine basis in each
+direction, so each column is solved by two discrete sine transforms
+(DST-I, through ``numpy.fft.rfft`` of the odd extension) in each
+direction and a division by the eigenvalues (the classical fast Poisson
+solver; Lynch, Rice & Thomas 1964; Buzbee, Golub & Nielson 1970).  On
+every other grid (disks, intervals) the batch shares one sparse LU
+factorization (SuperLU) of the grid Laplacian, freed when the call
+returns.  Screened systems are always factorized by SuperLU.
 
 Harmonic and screened systems on one grid (``-Lap + diag(c)``, ``c >= 0``)
 are symmetric positive definite M-matrices with a common sparsity pattern,
-so one fill-reducing ordering serves them all.  A harmonic batch factorizes
-the grid Laplacian as it is, with SuperLU's minimum degree on A^T + A in
-symmetric mode, so that one SuperLU call both orders and factorizes.  The
+so one fill-reducing ordering serves them all.  The grid takes it from its
+first SuperLU factorization, whichever kind that is (a harmonic batch on a
+grid that is not a box, or the first screened solve): that factorization
+runs SuperLU's minimum degree on A^T + A in symmetric mode on the
+unpermuted matrix, so one SuperLU call both orders and factorizes.  The
 grid keeps that ordering (a copy: ``SuperLU.perm_c`` is a view that keeps
-the whole factor alive) and builds from it, on the first screened solve,
-the Laplacian permuted by it as a CSC template.  Every screened
+the whole factor alive) and builds from it, on the next screened solve,
+the Laplacian permuted by it as a CSC template.  Every later screened
 factorization copies the template, writes its diagonal, and runs SuperLU
-in symmetric mode with diagonal pivots and no ordering of its own.  A
-screened solve on a grid whose Laplacian was never factorized gets the
-ordering from one such factorization first.
+in symmetric mode with diagonal pivots and no ordering of its own.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -76,9 +86,9 @@ def constant_field(g: Grid, value: float = 0.0) -> ScalarField:
 
 class _GridOperator:
     """Cached assembly data for one grid: interior numbering, the negative
-    Laplacian on the interior unknowns, the boundary-to-RHS coupling, and,
-    each built on first use, the factor pattern and the edge form of the
-    stencil."""
+    Laplacian on the interior unknowns, the boundary-to-RHS coupling, the
+    sine-transform eigenvalues on a box grid, and, each built on first
+    use, the factor pattern and the edge form of the stencil."""
 
     def __init__(self, g: Grid):
         # holds no reference to g: the cache below is keyed weakly by it
@@ -124,15 +134,17 @@ class _GridOperator:
         # ||laplacian + diag(c)||_inf = max_i (row_sums_i + c_i) for c >= 0,
         # as the diagonal is positive and the rest nonpositive
         self.row_sums = np.asarray(abs(self.laplacian).sum(axis=1)).ravel()
+        self.box_denominators = _box_denominators(g, n)
         self.order: np.ndarray | None = None
         self._pattern: _FactorPattern | None = None
         self._edges = None
 
-    def factorize_laplacian(self):
-        """SuperLU factor of the Laplacian with its own minimum-degree
-        ordering in symmetric mode; the first one sets the grid's ordering."""
+    def factorize(self, A: sp.csc_matrix):
+        """SuperLU factor of ``A``, a system on this grid in the original
+        order of the unknowns, with its own minimum-degree ordering in
+        symmetric mode; the grid's first factor sets the grid's ordering."""
         lu = spla.splu(
-            self.laplacian, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
         if self.order is None:
@@ -143,9 +155,8 @@ class _GridOperator:
         return lu
 
     def factor_pattern(self) -> "_FactorPattern":
+        """The screened template; the grid's ordering must be set."""
         if self._pattern is None:
-            if self.order is None:
-                self.factorize_laplacian()
             self._pattern = _FactorPattern(self.laplacian, self.order)
         return self._pattern
 
@@ -191,15 +202,66 @@ def _stencil_edges(g: Grid):
     return np.concatenate(ps), np.concatenate(qs), np.concatenate(coefs)
 
 
+def _box_denominators(g: Grid, n: int) -> np.ndarray | None:
+    """Scaled eigenvalues of the Laplacian on a box grid, or None.
+
+    A box grid is a 2D grid whose unknowns are exactly the lattice nodes off
+    the rim, ``(nx - 2) (ny - 2)`` of them.  There the Laplacian is
+    ``T_y (x) I + I (x) T_x`` with ``T = tridiag(-1, 2, -1) / h^2`` of size
+    N, and T has the sine eigenvectors ``s_k(j) = sin(pi j k / (N + 1))``
+    with eigenvalues ``(2 sin(k pi / (2 (N + 1))))^2 / h^2`` (this form has
+    no cancellation, unlike ``2 - 2 cos``).  The entry ``[ky, kx]`` is
+    ``4 (Nx + 1) (Ny + 1) (lam_y[ky] + lam_x[kx])``: ``_dst1`` computes -2
+    times the sine transform and the transform squares to (N + 1)/2 times
+    the identity, so the four transforms of ``_box_solve`` and this
+    division together apply the inverse.
+    """
+    if g.ndim != 2:
+        return None
+    nx, ny = g.dims
+    if n != (nx - 2) * (ny - 2) or not np.all(g.mask[1:-1, 1:-1] == NodeClass.INTERIOR):
+        return None
+    lam_x, lam_y = (
+        _sine_eigenvalues(count - 2, 1.0 / h**2) for count, h in zip(g.dims, g.spacing)
+    )
+    return 4 * (nx - 1) * (ny - 1) * (lam_y[:, None] + lam_x[None, :])
+
+
+def _sine_eigenvalues(N: int, coef: float) -> np.ndarray:
+    """Eigenvalues of ``coef * tridiag(-1, 2, -1)`` of size N, in the order
+    of the sine modes k = 1..N; ``coef`` is the stencil's 1/h^2 as stored."""
+    return (2.0 * np.sin(np.arange(1, N + 1) * (np.pi / (2 * (N + 1))))) ** 2 * coef
+
+
+def _dst1(a: np.ndarray) -> np.ndarray:
+    """-2 times the DST-I along the last axis:
+    ``-2 sum_j a[..., j - 1] sin(pi j k / (N + 1))`` for k = 1..N, the
+    imaginary part of the real FFT of the odd extension
+    ``[0, a, 0, -a reversed]``."""
+    N = a.shape[-1]
+    ext = np.zeros(a.shape[:-1] + (2 * N + 2,))
+    ext[..., 1:N + 1] = a
+    ext[..., N + 2:] = -a[..., ::-1]
+    return np.fft.rfft(ext).imag[..., 1:N + 1]
+
+
+def _box_solve(denominators: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``laplacian x = b`` on a box grid: transform in y and x,
+    divide by the eigenvalues, transform in y and x again.  ``b`` is one
+    column in the grid's order of unknowns (x fastest)."""
+    t = _dst1(_dst1(b.reshape(denominators.shape).T).T) / denominators
+    return _dst1(_dst1(t.T).T).ravel()
+
+
 class _FactorPattern:
     """The grid Laplacian symmetrically permuted by the grid's fill-reducing
     ordering, as a CSC template that every screened factorization copies.
 
-    ``order`` is the inverse of the ``perm_c`` of a minimum-degree
-    factorization of the Laplacian (``_GridOperator.factorize_laplacian``),
-    so a natural-order factorization of the template makes the same fill
-    as that one; applying ``perm_c`` itself instead of its inverse
-    multiplies the fill more than tenfold.
+    ``order`` is the inverse of the ``perm_c`` of the grid's first
+    factorization (``_GridOperator.factorize``), a minimum-degree one, so a
+    natural-order factorization of the template makes the same fill as
+    that one; applying ``perm_c`` itself instead of its inverse multiplies
+    the fill more than tenfold.
     """
 
     def __init__(self, laplacian: sp.csc_matrix, order: np.ndarray):
@@ -259,11 +321,12 @@ def apply_laplacian(u: ScalarField) -> ScalarField:
 
 
 def _solve_linear(op: _GridOperator, c: np.ndarray | None, rhs: list[np.ndarray], tol: float):
-    """Solve (laplacian + diag(c)) x = b for every b in ``rhs`` with one LU
-    factorization; ``c`` None means 0.
+    """Solve (laplacian + diag(c)) x = b for every b in ``rhs``; ``c`` None
+    means 0.  The harmonic batch of a box grid takes the sine transform
+    (``_box_solve``); every other call makes one LU factorization.
 
     Returns ``(solutions, stats)`` in input order.  Zero right-hand sides
-    get the zero solution; when all are zero nothing is factorized.
+    get the zero solution; when all are zero nothing is solved.
 
     Each solution y carries the certified error bound
     ``R^2/(2d) (||b - A y||_inf + gamma (||b||_inf + ||A||_inf ||y||_inf))``
@@ -278,41 +341,61 @@ def _solve_linear(op: _GridOperator, c: np.ndarray | None, rhs: list[np.ndarray]
         )
     xs = [np.zeros_like(b) for b in rhs]
     stats = [LinearSolveStats(0, 0.0, True) for _ in rhs]
-    bnorms = [float(np.linalg.norm(b)) for b in rhs]
-    live = [k for k, bnorm in enumerate(bnorms) if bnorm != 0.0]
+    b_maxes = [float(np.abs(b).max(initial=0.0)) for b in rhs]
+    live = [k for k, b_max in enumerate(b_maxes) if b_max != 0.0]
     if not live:
         return xs, stats
+    # the first factorization of a grid applies its own ordering to the
+    # unpermuted system; later screened ones take the grid's template
+    A, order = op.laplacian, slice(None)
     if c is None:
-        # the factor applies its own ordering, so the system stays unpermuted
-        A, order = op.laplacian, slice(None)
         a_norm = float(op.row_sums.max(initial=0.0))
-        lu = op.factorize_laplacian()
+        if op.box_denominators is not None:
+            solve = functools.partial(_box_solve, op.box_denominators)
+        else:
+            solve = op.factorize(A).solve
     else:
-        pattern = op.factor_pattern()
-        A, order = pattern.matrix(c), pattern.order
         a_norm = float((op.row_sums + c).max(initial=0.0))
-        lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        if op.order is None:
+            A = A + sp.diags(c)
+            solve = op.factorize(A).solve
+        else:
+            pattern = op.factor_pattern()
+            A, order = pattern.matrix(c), pattern.order
+            solve = spla.splu(
+                A, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+            ).solve
     for k in live:
         b = rhs[k][order]
-        # one triangular solve per column: a multi-column solve runs blocked
+        # one solve per column: a multi-column triangular solve runs blocked
         # BLAS kernels whose rounding depends on the block width, so it
         # would not reproduce a single solve bit for bit
-        y = lu.solve(b)
+        y = solve(b)
         r = b - A @ y
         y_max = float(np.abs(y).max(initial=0.0))
+        r_max = float(np.abs(r).max())
         # backward-error style relative residual: stable for the stiff
         # screened systems where ||A|| >> ||b|| / ||x||
-        scale = max(bnorms[k], a_norm * y_max)
-        res = float(np.linalg.norm(r)) / scale
+        scale = max(_norm2(rhs[k], b_maxes[k]), a_norm * y_max)
+        res = _norm2(r, r_max) / scale
         bound = op.inverse_norm_bound * (
-            float(np.abs(r).max())
-            + op.residual_rounding * (float(np.abs(b).max()) + a_norm * y_max)
+            r_max + op.residual_rounding * (b_maxes[k] + a_norm * y_max)
         )
         stats[k] = LinearSolveStats(1, res, res <= tol, bound)
         if res > tol:
             raise SolverError(f"direct solve residual {res:.3e} exceeds tol {tol:g}", stats=stats[k])
         xs[k][order] = y
     return xs, stats
+
+
+def _norm2(x: np.ndarray, x_max: float) -> float:
+    """2-norm of ``x`` given ``x_max = max |x|``: numpy's pairwise sum of
+    ``(x / x_max)^2``, scaled back.  ``np.linalg.norm`` goes through the
+    BLAS dot product, which a threaded BLAS splits across threads on long
+    vectors at a cost of milliseconds per call."""
+    if x_max == 0.0:
+        return 0.0
+    return x_max * math.sqrt(float(np.sum(np.square(x / x_max))))
 
 
 def _boundary_flat(g: Grid, boundary_values) -> np.ndarray:

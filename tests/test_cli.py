@@ -313,6 +313,25 @@ def test_limit_subcommand_and_determinism(tmp_path):
     assert m0 == m1
 
 
+def test_limit_stage_recorded_by_every_limit_build(tmp_path):
+    # limit, compare and interfaces build the same limit and record the
+    # same stage, with the certified error bound of its harmonic solves
+    stages = []
+    for sub in ("limit", "compare", "interfaces"):
+        out = tmp_path / sub
+        assert main([sub, LINE_M2, "--out", str(out)]) == EXIT_OK
+        stages.append(manifest_of(out)["stages"]["limit"])
+    assert stages[0] == stages[1] == stages[2]
+    assert stages[0]["pivot"] == 1
+    linear = stages[0]["linear"]
+    assert linear["solves"] == 1 and linear["max_iterations"] == 1
+    assert 0.0 < linear["max_error_bound"] < 1e-6
+    # compare's Newton solves carry their bound too, one solve per step
+    solve = manifest_of(tmp_path / "compare")["stages"]["solve"]
+    assert solve["linear"]["solves"] == solve["sweeps"]
+    assert 0.0 < solve["linear"]["max_error_bound"] < 1e-6
+
+
 def test_compare_unequal_weights_converges_to_limit(tmp_path):
     # constant weights rescale onto the equal-weight problem for u_i / A_i,
     # so the emitted limit is A_j (max(0, max_k w_k) - w_j) and the eps

@@ -25,6 +25,7 @@ from seglimit import (
 )
 from seglimit import elliptic_core
 from seglimit.elliptic_core import LinearSolveStats, grid_operator
+from seglimit.geometry import Grid
 from seglimit.errors import SolverError
 
 
@@ -205,23 +206,26 @@ def test_field_shape_checked(unit_square_21):
 
 
 def test_harmonic_batch_equals_single_solves(configs):
-    # sharing one factorization must not change a bit of any column (a
-    # multi-column triangular solve did, from the fourth column of a block
-    # on this grid); an all-zero column is solved without the factor
-    g = configs["square_m4"].grid
-    phi = configs["square_m4"].data.boundary_arrays(g)
-    data = phi + [phi[0] - p for p in phi[1:]] + [np.zeros(g.mask.shape)]
-    batch, batch_stats = solve_harmonic(g, data)
-    assert len(batch) == len(batch_stats) == len(data)
-    for arr, f, st in zip(data, batch, batch_stats):
-        (single,), (single_st,) = solve_harmonic(g, [arr])
-        assert np.array_equal(f.values, single.values)
-        assert st == single_st
-    assert np.all(batch[-1].values == 0.0)
-    assert batch_stats[-1] == LinearSolveStats(0, 0.0, True)
+    # batching must not change a bit of any column, on the sine-transform
+    # grid and on the factorized one (a multi-column triangular solve on
+    # the shared factor did, from the fourth column of a block); an
+    # all-zero column is solved without the kernel
+    for name in ("square_m4", "disk_m3"):
+        g = configs[name].grid
+        phi = configs[name].data.boundary_arrays(g)
+        data = phi + [phi[0] - p for p in phi[1:]] + [np.zeros(g.mask.shape)]
+        batch, batch_stats = solve_harmonic(g, data)
+        assert len(batch) == len(batch_stats) == len(data)
+        for arr, f, st in zip(data, batch, batch_stats):
+            (single,), (single_st,) = solve_harmonic(g, [arr])
+            assert np.array_equal(f.values, single.values)
+            assert st == single_st
+        assert np.all(batch[-1].values == 0.0)
+        assert batch_stats[-1] == LinearSolveStats(0, 0.0, True)
 
 
-def test_harmonic_batch_factorizes_once(monkeypatch, unit_square_21):
+def test_harmonic_batch_factorizes_once(monkeypatch):
+    # on a grid that is not a box the batch shares one factorization
     calls = []
     splu = spla.splu
 
@@ -230,7 +234,7 @@ def test_harmonic_batch_factorizes_once(monkeypatch, unit_square_21):
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
-    g = unit_square_21
+    g = build_grid(DomainSpec.disk(0.0, 0.0, 1.0), 21)
     data = [boundary_array(g, lambda p, k=k: k + p.coord[0] ** 2) for k in range(4)]
     fields, stats = solve_harmonic(g, data)
     assert len(calls) == 1
@@ -376,10 +380,9 @@ def test_screened_clamps_within_certified_bound(monkeypatch, unit_square_21):
         solve_screened(g, c, b)
 
 
-def test_one_ordering_per_grid(monkeypatch, configs):
-    # a limit build followed by Newton orders the grid once, in the
-    # harmonic factorization, and every screened factorization takes that
-    # ordering as given; a grid whose first solve is screened orders once too
+def counting_factorizations(monkeypatch) -> list:
+    """Patch SuperLU to record the ordering each factorization asks for,
+    and the ordering-only pass to fail."""
     factorizations = []
     splu = spla.splu
 
@@ -392,7 +395,16 @@ def test_one_ordering_per_grid(monkeypatch, configs):
 
     monkeypatch.setattr(spla, "spilu", no_spilu)
     monkeypatch.setattr(spla, "splu", counting_splu)
-    cfg = configs["square_m4"]
+    return factorizations
+
+
+def test_one_ordering_per_grid(monkeypatch, configs):
+    # on a disk a limit build followed by Newton orders the grid once, in
+    # the harmonic factorization, and every screened factorization takes
+    # that ordering as given; a grid whose first solve is screened orders
+    # in that solve's factorization
+    factorizations = counting_factorizations(monkeypatch)
+    cfg = configs["disk_m3"]
     g = build_grid(cfg.domain, 31)
     L = solve_limit(g, cfg.data)
     r = solve_epsilon(g, cfg.data, 1e-4, limit=L)
@@ -408,7 +420,22 @@ def test_one_ordering_per_grid(monkeypatch, configs):
     b = cfg.data.boundary_arrays(g)[0]
     for _ in range(2):
         solve_screened(g, np.ones(g.mask.shape), b)
-    assert factorizations == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
+    assert factorizations == ["MMD_AT_PLUS_A", "NATURAL"]
+
+
+def test_box_grid_orders_in_first_screened_solve(monkeypatch, configs):
+    # on a box grid the harmonic batches take the sine transform, so the
+    # first Newton step's factorization orders the grid
+    factorizations = counting_factorizations(monkeypatch)
+    cfg = configs["square_m4"]
+    g = build_grid(cfg.domain, 31)
+    L = solve_limit(g, cfg.data)
+    assert factorizations == []
+    r = solve_epsilon(g, cfg.data, 1e-4, limit=L)
+    assert r.sweeps >= 2
+    assert factorizations == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (r.sweeps - 1)
+    solve_harmonic(g, cfg.data.boundary_arrays(g))
+    assert len(factorizations) == r.sweeps
 
 
 def test_stored_ordering_owns_its_data(configs):
@@ -440,6 +467,78 @@ def test_fill_equals_superlu_symmetric_mmd(monkeypatch, configs):
     b = cfg.data.boundary_arrays(g)[0]
     solve_harmonic(g, [b])
     monkeypatch.setattr(spla, "splu", keeping_splu)
-    solve_screened(g, np.ones(g.mask.shape), b)
-    (lu,) = factors
-    assert lu.L.nnz + lu.U.nnz == own.L.nnz + own.U.nnz
+    # the first screened solve orders the box grid, the second takes the
+    # template
+    for _ in range(2):
+        solve_screened(g, np.ones(g.mask.shape), b)
+    assert [lu.L.nnz + lu.U.nnz for lu in factors] == [own.L.nnz + own.U.nnz] * 2
+
+
+BOX_GRIDS = [
+    (DomainSpec.rectangle(-1.0, 1.0, -1.0, 1.0), 21),  # N = 19
+    (DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 34),  # N = 32
+    (DomainSpec.rectangle(0.0, 1.3, -0.4, 2.1), (24, 37)),  # hx != hy, N = 22, 35
+]
+
+
+def dense_sine_matrix(N):
+    """The DST-I as a dense sum: S[k - 1, j - 1] = sin(pi j k / (N + 1)),
+    with j k reduced exactly mod 2 (N + 1) so that the arguments stay
+    below 2 pi."""
+    j = np.arange(1, N + 1)
+    return np.sin(np.pi * (np.outer(j, j) % (2 * (N + 1))) / (N + 1))
+
+
+@pytest.mark.parametrize("domain,n", BOX_GRIDS)
+def test_box_kernel_sine_transform(domain, n):
+    # the FFT form of the sine transform, the eigenvalues it divides by, and
+    # the solution against a plain factorization of the same system
+    g = build_grid(domain, n)
+    op = grid_operator(g)
+    assert op.box_denominators is not None
+    rng = np.random.default_rng(13)
+    u = np.finfo(float).eps
+    for count, h in zip(g.dims, g.spacing):
+        N = count - 2
+        S = dense_sine_matrix(N)
+        a = rng.standard_normal((3, N))
+        ref = -2.0 * a @ S.T
+        assert np.abs(elliptic_core._dst1(a) - ref).max() <= 1e-14 * np.abs(ref).max()
+        coef = 1.0 / h**2
+        T = coef * (2.0 * np.eye(N) - np.eye(N, k=1) - np.eye(N, k=-1))
+        lam = elliptic_core._sine_eigenvalues(N, coef)
+        assert np.abs(T @ S - S * lam).max() <= 16 * u * 4 * coef
+        assert np.all(np.diff(lam) > 0) and lam[0] > 0
+    b = [np.where(g.boundary(), rng.uniform(0.0, 2.0, g.mask.shape), 0.0) for _ in range(2)]
+    fields, stats = solve_harmonic(g, b)
+    lu = spla.splu(op.laplacian.tocsc())
+    for f, st, data in zip(fields, stats, b):
+        ref = lu.solve(op.rhs(data.ravel()))
+        assert np.abs(f.values[g.interior()] - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert st.iterations == 1 and st.converged and st.error_bound > 0
+        assert np.array_equal(f.values[g.boundary()], data[g.boundary()])
+
+
+def test_box_kernel_only_on_box_grids(monkeypatch):
+    # the kernel follows the grid's unknowns: a rectangle takes the sine
+    # transform; a disk, an interval and a rectangle with one interior node
+    # made a Dirichlet node are factorized
+    def is_box(domain, n):
+        return grid_operator(build_grid(domain, n)).box_denominators is not None
+
+    assert is_box(DomainSpec.rectangle(0.0, 1.0, 0.0, 2.0), (9, 12))
+    assert not is_box(DomainSpec.disk(0.0, 0.0, 1.0), 21)
+    assert not is_box(DomainSpec.interval(0.0, 1.0), 21)
+    g = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 11)
+    mask = g.mask.copy()
+    mask[4, 6] = NodeClass.BOUNDARY
+    g = Grid(g.domain, g.dims, g.spacing, g.origin, mask)
+    op = grid_operator(g)
+    assert op.box_denominators is None
+    b = np.where(g.boundary(), 1.0, 0.0)
+    (f,), _ = solve_harmonic(g, [b])
+    assert np.allclose(f.values, 1.0, atol=1e-13)
+    # the direct-solve limit refuses a box grid as well
+    monkeypatch.setattr(elliptic_core, "DIRECT_SOLVE_LIMIT", 20)
+    with pytest.raises(SolverError, match="81 unknowns exceed the direct-solve limit of 20"):
+        solve_harmonic(build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 11), [b])
