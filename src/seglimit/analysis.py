@@ -19,7 +19,7 @@ import numpy as np
 from .elliptic_core import DEFAULT_TOL, ScalarField, apply_laplacian
 from .epsilon_solver import DEFAULT_MAX_SWEEPS, DEFAULT_TOL_FP, SolveResult, solve_epsilon
 from .errors import SolverError
-from .geometry import Grid, NodeClass
+from .geometry import Grid
 from .limit_solver import LimitResult
 from .problem_data import ProblemData
 
@@ -304,15 +304,12 @@ class RateRow:
     lmp1: tuple[float, ...] | None  # per-component L^{m+1} distance; None on failure
     sup: tuple[float, ...] | None
     failed: bool = False
-    message: str = ""
 
 
 @dataclass
 class RateTable:
     rows: list[RateRow]
-    pivot: int
     slope: float | None
-    intercept: float | None
     fit_residual: float | None
     dropped_largest: bool = False
 
@@ -322,7 +319,7 @@ def _fit_loglog(eps: list[float], dist: list[float]):
     y = np.log10(dist)
     coef = np.polyfit(x, y, 1)
     resid = y - np.polyval(coef, x)
-    return float(coef[0]), float(coef[1]), float(np.sqrt(np.mean(resid**2)))
+    return float(coef[0]), float(np.sqrt(np.mean(resid**2)))
 
 
 def rate_study(
@@ -330,13 +327,12 @@ def rate_study(
     data: ProblemData,
     eps_list: list[float],
     limit: LimitResult,
-    pivot: int | None = None,
     tol_fp: float = DEFAULT_TOL_FP,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     tol_linear: float = DEFAULT_TOL,
 ) -> RateTable:
     """Distance-to-limit table over a decreasing epsilon ladder with a
-    log-log slope fit for the pivot component.
+    log-log slope fit for the limit's pivot component.
 
     Every eps-solve starts from ``limit`` and runs on its harmonic fields,
     so the ladder makes no harmonic solve of its own.
@@ -349,38 +345,27 @@ def rate_study(
         raise ValueError("epsilon values must be positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be strictly decreasing")
-    pivot = limit.pivot if pivot is None else pivot
-    m = data.m
-    p_norm = m + 1
 
     def run(eps: float) -> RateRow:
         try:
             r = solve_epsilon(g, data, eps, tol_fp, max_sweeps, tol_linear, limit=limit)
-        except SolverError as exc:
-            return RateRow(eps, None, None, True, str(exc))
-        lmp1 = tuple(
-            norm_Lp(ScalarField(g, r.fields[i].values - limit.fields[i].values), p_norm)
-            for i in range(m)
-        )
-        sup = tuple(
-            norm_Lp(ScalarField(g, r.fields[i].values - limit.fields[i].values), math.inf)
-            for i in range(m)
-        )
-        return RateRow(eps, lmp1, sup)
+        except SolverError:
+            return RateRow(eps, None, None, True)
+        dist = solve_vs_limit_distances(r, limit)
+        return RateRow(eps, tuple(d["lmp1"] for d in dist), tuple(d["sup"] for d in dist))
 
     rows = [run(e) for e in eps_list]
 
-    pts = [(r.epsilon, r.lmp1[pivot - 1]) for r in rows if not r.failed and r.lmp1[pivot - 1] > 0]
-    slope = intercept = resid = None
+    k = limit.pivot - 1
+    pts = [(r.epsilon, r.lmp1[k]) for r in rows if not r.failed and r.lmp1[k] > 0]
+    slope = resid = None
     dropped = False
     if len(pts) >= 2:
-        slope, intercept, resid = _fit_loglog([p[0] for p in pts], [p[1] for p in pts])
+        slope, resid = _fit_loglog([p[0] for p in pts], [p[1] for p in pts])
         if resid > RATE_FIT_RESIDUAL_CAP and len(pts) >= 3:
-            slope, intercept, resid = _fit_loglog(
-                [p[0] for p in pts[1:]], [p[1] for p in pts[1:]]
-            )
+            slope, resid = _fit_loglog([p[0] for p in pts[1:]], [p[1] for p in pts[1:]])
             dropped = True
-    return RateTable(rows, pivot, slope, intercept, resid, dropped)
+    return RateTable(rows, slope, resid, dropped)
 
 
 def discrete_energy(fields) -> float:

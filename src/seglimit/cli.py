@@ -9,14 +9,18 @@ pairs.  ``#`` starts a comment.  Sections and keys:
                center = cx cy ; radius = r   (disk)
                n = nodes per axis
     [system]   m, epsilon, alpha = [..], A = [..]
-    [boundary.i]  piece = "<selector>: <expr>"   (repeatable)
+    [boundary.i]  piece = "<selector>: <expr>"   (repeatable; the selector
+                  must be one the domain kind can match, or ``all``)
     [solver]   tol_linear, tol_fp, max_sweeps (caps the Newton steps)
 
-Subcommands: validate, solve, limit, compare, rate, interfaces.  All output
-is data-only CSV plus a run manifest; identical config and flags produce
-identical data files.
+Subcommands: validate, solve, limit, compare, rate, interfaces; each takes
+only its own value flags (``_COMMAND_FLAGS``).  Config numbers and flag
+values go through one check: floats finite and > 0, integers at least
+their floor.  All output is data-only CSV plus a run manifest; identical
+config and flags produce identical data files.
 
-Exit codes: 0 success, 2 config error, 3 solver failure, 4 internal error.
+Exit codes: 0 success, 2 config error (bad flag values included),
+3 solver failure, 4 internal error.
 """
 
 from __future__ import annotations
@@ -34,15 +38,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, epsilon_solver, limit_solver
-from .elliptic_core import DEFAULT_TOL, ScalarField
+from .elliptic_core import ScalarField
 from .errors import ConfigError, SolverError
 from .geometry import DomainSpec, Grid, build_grid, format_grid
 from .problem_data import (
+    AllSelector,
     BoundaryDatum,
     CouplingWeights,
+    EndSelector,
     Exponents,
     Piece,
     ProblemData,
+    SideSelector,
+    ThetaRange,
 )
 
 EXIT_OK = 0
@@ -55,11 +63,16 @@ CSV_BLOCK_ROWS = 4096
 _KNOWN_KEYS = {
     "domain": {"kind", "bounds", "center", "radius", "n"},
     "system": {"m", "epsilon", "alpha", "A"},
-    # standalone aliases for the [system] alpha / A keys
-    "exponents": {"alpha"},
-    "coupling": {"A"},
     "solver": {"tol_linear", "tol_fp", "max_sweeps"},
 }
+# the value of a key the config leaves out; a key without one must be given
+_DEFAULTS = {"epsilon": "1e-8", "tol_linear": "1e-10",
+             "tol_fp": "1e-8", "max_sweeps": "500"}
+# every integer input, config key or flag, with its least allowed value;
+# every other number is a float that must be finite and > 0
+_INT_FLOORS = {"n": 3, "m": 2, "max_sweeps": 1, "pivot": 1, "count": 1}
+# the selector each domain kind can match, besides ``all``
+_SELECTORS = {"interval": EndSelector, "rectangle": SideSelector, "disk": ThetaRange}
 
 
 @dataclass
@@ -112,14 +125,35 @@ def _parse_list(value: str, count: int, what: str, problems: list[str]) -> list[
         return []
     if count and len(out) != count:
         problems.append(f"{what}: expected {count} entries, got {len(out)}")
+    if not all(map(math.isfinite, out)):
+        problems.append(f"{what}: entries must be finite, got {value!r}")
     return out
+
+
+def _parse_number(text: str, key: str, label: str, problems: list[str]):
+    """``text`` as the value of config key or flag ``key``: an integer of at
+    least its ``_INT_FLOORS`` entry, else a finite float > 0.  A bad value
+    is appended to ``problems`` under ``label`` and gives None."""
+    floor = _INT_FLOORS.get(key)
+    try:
+        value = float(text) if floor is None else int(text)
+    except ValueError:
+        problems.append(f"{label}: not {'a number' if floor is None else 'an integer'}: {text!r}")
+        return None
+    if floor is None and not (math.isfinite(value) and value > 0):
+        problems.append(f"{label}: need a finite {key} > 0, got {value}")
+    elif floor is not None and value < floor:
+        problems.append(f"{label}: need {key} >= {floor}, got {value}")
+    else:
+        return value
+    return None
 
 
 def parse_config(path) -> SystemConfig:
     """Parse and fully validate a config file.
 
-    All problems (schema, unknown keys, assumption violations) are reported
-    at once in a single ConfigError.
+    All problems (schema, unknown keys, bad values, assumption violations)
+    are reported at once in a single ConfigError.
     """
     path = Path(path)
     if not path.exists():
@@ -145,91 +179,67 @@ def parse_config(path) -> SystemConfig:
                 continue
             if key in sections.setdefault(section, {}):
                 problems.append(f"[{section}]: duplicate key {key!r}")
-            sections.setdefault(section, {})[key] = value
+            sections[section][key] = value
         else:
             problems.append(f"unknown section [{section}]")
 
+    def number(section: str, key: str):
+        text = sections.get(section, {}).get(key, _DEFAULTS.get(key))
+        if text is None:
+            problems.append(f"[{section}] {key}: missing")
+            return None
+        return _parse_number(text, key, f"[{section}] {key}", problems)
+
     dom = sections.get("domain", {})
     sysc = sections.get("system", {})
-    solv = sections.get("solver", {})
-    for alias, key in (("exponents", "alpha"), ("coupling", "A")):
-        if key in sections.get(alias, {}):
-            if key in sysc:
-                problems.append(f"{key!r} given in both [system] and [{alias}]")
-            sysc.setdefault(key, sections[alias][key])
-
     domain = None
-    n = 0
     kind = dom.get("kind", "")
-    try:
-        n = int(dom.get("n", "0"))
-    except ValueError:
-        problems.append(f"[domain] n: not an integer: {dom.get('n')!r}")
-    if kind == "interval":
-        b = _parse_list(dom.get("bounds", ""), 2, "[domain] bounds", problems)
-        if len(b) == 2:
-            domain = DomainSpec.interval(*b)
-    elif kind == "rectangle":
-        b = _parse_list(dom.get("bounds", ""), 4, "[domain] bounds", problems)
-        if len(b) == 4:
-            domain = DomainSpec.rectangle(*b)
+    n = number("domain", "n")
+    if kind in ("interval", "rectangle"):
+        count = 2 if kind == "interval" else 4
+        b = _parse_list(dom.get("bounds", ""), count, "[domain] bounds", problems)
+        if len(b) == count:
+            domain = getattr(DomainSpec, kind)(*b)
     elif kind == "disk":
         c = _parse_list(dom.get("center", "0 0"), 2, "[domain] center", problems)
-        try:
-            r = float(dom.get("radius", "nan"))
-        except ValueError:
-            r = math.nan
-        if math.isnan(r):
-            problems.append("[domain] radius: missing or not a number")
-        elif len(c) == 2:
+        r = number("domain", "radius")
+        if r is not None and len(c) == 2:
             domain = DomainSpec.disk(c[0], c[1], r)
     else:
         problems.append(f"[domain] kind: expected interval|rectangle|disk, got {kind!r}")
-    if n < 3:
-        problems.append(f"[domain] n: need n >= 3, got {n}")
 
-    try:
-        m = int(sysc.get("m", "0"))
-    except ValueError:
-        m = 0
-        problems.append(f"[system] m: not an integer: {sysc.get('m')!r}")
-    if m < 2:
-        problems.append(f"[system] m: need m >= 2, got {m}")
-
-    def _float(section_map, key, default, label):
-        try:
-            return float(section_map.get(key, default))
-        except ValueError:
-            problems.append(f"{label} {key}: not a number: {section_map.get(key)!r}")
-            return float(default)
-
-    epsilon = _float(sysc, "epsilon", "1e-8", "[system]")
-    alphas = _parse_list(sysc["alpha"], m, "[system] alpha", problems) if "alpha" in sysc else [1.0] * max(m, 0)
-    A = _parse_list(sysc["A"], m, "[system] A", problems) if "A" in sysc else [1.0] * max(m, 0)
-
-    tol_linear = _float(solv, "tol_linear", "1e-10", "[solver]")
-    tol_fp = _float(solv, "tol_fp", "1e-8", "[solver]")
-    try:
-        max_sweeps = int(solv.get("max_sweeps", "500"))
-    except ValueError:
-        max_sweeps = 500
-        problems.append(f"[solver] max_sweeps: not an integer: {solv.get('max_sweeps')!r}")
+    m = number("system", "m")
+    epsilon = number("system", "epsilon")
+    tol_linear = number("solver", "tol_linear")
+    tol_fp = number("solver", "tol_fp")
+    max_sweeps = number("solver", "max_sweeps")
 
     data = None
-    if m >= 2:
+    if m is not None:
+        alphas = _parse_list(sysc["alpha"], m, "[system] alpha", problems) if "alpha" in sysc else [1.0] * m
+        A = _parse_list(sysc["A"], m, "[system] A", problems) if "A" in sysc else [1.0] * m
         missing = [i for i in range(1, m + 1) if i not in boundary_pieces]
         extra = [i for i in boundary_pieces if not 1 <= i <= m]
         if missing:
             problems.append(f"missing boundary sections for components {missing}")
         if extra:
             problems.append(f"boundary sections for unknown components {extra}")
-        if not missing and not extra and not problems:
+        boundary = []
+        for i in range(1, m + 1):
+            pieces = []
+            for text in boundary_pieces.get(i, []):
+                try:
+                    piece = Piece.parse(text)
+                except ConfigError as exc:
+                    problems.extend(exc.problems)
+                    continue
+                if kind in _SELECTORS and not isinstance(piece.selector, (AllSelector, _SELECTORS[kind])):
+                    problems.append(f"[boundary.{i}] piece {text!r}: selector cannot match on a {kind}")
+                pieces.append(piece)
+            boundary.append(BoundaryDatum(i, tuple(pieces)))
+        if not problems:
             try:
-                boundary = tuple(
-                    BoundaryDatum(i, tuple(Piece.parse(p) for p in boundary_pieces[i]))
-                    for i in range(1, m + 1)
-                )
-                data = ProblemData(boundary, CouplingWeights(np.array(A)), Exponents(tuple(alphas)))
+                data = ProblemData(tuple(boundary), CouplingWeights(np.array(A)), Exponents(tuple(alphas)))
             except ConfigError as exc:
                 problems.extend(exc.problems)
 
@@ -368,11 +378,11 @@ class RunWriter:
     the whole run; the output directory is made on the first write.
     """
 
-    def __init__(self, out_dir: Path, subcommand: str, cfg: SystemConfig, flags: dict):
+    def __init__(self, out_dir: Path, cfg: SystemConfig, args: argparse.Namespace):
         self.out = out_dir
-        self.subcommand = subcommand
+        self.subcommand = args.subcommand
         self.cfg = cfg
-        self.flags = flags
+        self.flags = {flag: getattr(args, flag) for flag in _COMMAND_FLAGS[args.subcommand]}
         self.files: list[str] = []
         self.stages: dict = {}
         self.t0 = time.perf_counter()
@@ -415,8 +425,8 @@ def _stats_summary(stats) -> dict:
     }
 
 
-def cmd_validate(cfg: SystemConfig, out: Path, flags: dict) -> int:
-    w = RunWriter(out, "validate", cfg, flags)
+def cmd_validate(cfg: SystemConfig, out: Path, args: argparse.Namespace) -> int:
+    w = RunWriter(out, cfg, args)
     g = cfg.grid
     report = cfg.report
     with w.path("report.txt").open("w") as fh:
@@ -433,40 +443,54 @@ def cmd_validate(cfg: SystemConfig, out: Path, flags: dict) -> int:
     return EXIT_OK if ok else EXIT_CONFIG
 
 
-def cmd_solve(cfg: SystemConfig, out: Path, flags: dict) -> int:
-    w = RunWriter(out, "solve", cfg, flags)
-    g = cfg.grid
+def _solve(cfg: SystemConfig, args: argparse.Namespace, w: RunWriter, limit=None):
+    """The eps solve at ``--epsilon`` (default: the config's), recorded as
+    the manifest's ``solve`` stage."""
     r = epsilon_solver.solve_epsilon(
-        g, cfg.data, flags.get("epsilon") or cfg.epsilon,
-        cfg.tol_fp, cfg.max_sweeps, cfg.tol_linear,
+        cfg.grid, cfg.data, cfg.epsilon if args.epsilon is None else args.epsilon,
+        cfg.tol_fp, cfg.max_sweeps, cfg.tol_linear, limit=limit,
     )
     w.stages["solve"] = {
         "epsilon": r.epsilon, "sweeps": r.sweeps, "gap": r.gap,
         "linear": _stats_summary(r.linear_stats),
     }
-    write_fields_csv(w.path("solve_fields.csv"), g, r.fields)
-    w.path("grid.txt").write_text(format_grid(g))
+    return r
+
+
+def cmd_solve(cfg: SystemConfig, out: Path, args: argparse.Namespace) -> int:
+    w = RunWriter(out, cfg, args)
+    r = _solve(cfg, args, w)
+    write_fields_csv(w.path("solve_fields.csv"), cfg.grid, r.fields)
+    w.path("grid.txt").write_text(format_grid(cfg.grid))
     w.finish()
     return EXIT_OK
 
 
-def _build_limit(cfg: SystemConfig, g: Grid, flags: dict, w: RunWriter):
-    """The limit on ``g`` from the pivot flag (default 1), recorded as the
-    manifest's ``limit`` stage."""
-    pivot = flags.get("pivot") or 1
-    L = limit_solver.solve_limit(g, cfg.data, pivot, cfg.tol_linear)
+def _build_limit(cfg: SystemConfig, args: argparse.Namespace, w: RunWriter):
+    """The limit on pivot ``--pivot``, recorded as the manifest's ``limit``
+    stage."""
+    L = limit_solver.solve_limit(cfg.grid, cfg.data, args.pivot, cfg.tol_linear)
     w.stages["limit"] = {"pivot": L.pivot, "linear": _stats_summary(L.linear_stats)}
     return L
 
 
-def cmd_limit(cfg: SystemConfig, out: Path, flags: dict) -> int:
-    w = RunWriter(out, "limit", cfg, flags)
+def _zero_threshold(cfg: SystemConfig, args: argparse.Namespace) -> float:
+    """``--delta``, by default ``analysis.default_zero_threshold`` at the
+    largest boundary value."""
+    if args.delta is not None:
+        return args.delta
     g = cfg.grid
-    L = _build_limit(cfg, g, flags, w)
-    write_fields_csv(w.path("limit_fields.csv"), g, L.fields)
-    delta = flags.get("delta") or analysis.default_zero_threshold(
+    return analysis.default_zero_threshold(
         g, max(cfg.data.max_boundary_value(g), 1e-300), cfg.tol_linear
     )
+
+
+def cmd_limit(cfg: SystemConfig, out: Path, args: argparse.Namespace) -> int:
+    w = RunWriter(out, cfg, args)
+    g = cfg.grid
+    L = _build_limit(cfg, args, w)
+    write_fields_csv(w.path("limit_fields.csv"), g, L.fields)
+    delta = _zero_threshold(cfg, args)
     iset = analysis.extract_supports_and_interfaces(L.fields, delta)
     write_interfaces_csv(w.path("interfaces.csv"), iset)
     w.path("grid.txt").write_text(format_grid(g))
@@ -474,18 +498,11 @@ def cmd_limit(cfg: SystemConfig, out: Path, flags: dict) -> int:
     return EXIT_OK
 
 
-def cmd_compare(cfg: SystemConfig, out: Path, flags: dict) -> int:
-    w = RunWriter(out, "compare", cfg, flags)
+def cmd_compare(cfg: SystemConfig, out: Path, args: argparse.Namespace) -> int:
+    w = RunWriter(out, cfg, args)
     g = cfg.grid
-    L = _build_limit(cfg, g, flags, w)
-    r = epsilon_solver.solve_epsilon(
-        g, cfg.data, flags.get("epsilon") or cfg.epsilon,
-        cfg.tol_fp, cfg.max_sweeps, cfg.tol_linear, limit=L,
-    )
-    w.stages["solve"] = {
-        "epsilon": r.epsilon, "sweeps": r.sweeps, "gap": r.gap,
-        "linear": _stats_summary(r.linear_stats),
-    }
+    L = _build_limit(cfg, args, w)
+    r = _solve(cfg, args, w, limit=L)
     write_fields_csv(w.path("solve_fields.csv"), g, r.fields)
     write_fields_csv(w.path("limit_fields.csv"), g, L.fields)
     write_distance_csv(w.path("distance.csv"), analysis.solve_vs_limit_distances(r, L))
@@ -494,16 +511,11 @@ def cmd_compare(cfg: SystemConfig, out: Path, flags: dict) -> int:
     return EXIT_OK
 
 
-def cmd_rate(cfg: SystemConfig, out: Path, flags: dict) -> int:
-    w = RunWriter(out, "rate", cfg, flags)
-    g = cfg.grid
-    L = _build_limit(cfg, g, flags, w)
-    start = flags.get("start") or 1e-2
-    stop = flags.get("stop") or 1e-6
-    count = flags.get("count") or 5
-    eps_list = list(np.geomspace(start, stop, count))
+def cmd_rate(cfg: SystemConfig, out: Path, args: argparse.Namespace) -> int:
+    w = RunWriter(out, cfg, args)
+    L = _build_limit(cfg, args, w)
     table = analysis.rate_study(
-        g, cfg.data, eps_list, L,
+        cfg.grid, cfg.data, list(np.geomspace(args.start, args.stop, args.count)), L,
         tol_fp=cfg.tol_fp, max_sweeps=cfg.max_sweeps, tol_linear=cfg.tol_linear,
     )
     w.stages["rate"] = {"slope": table.slope, "fit_residual": table.fit_residual,
@@ -513,13 +525,11 @@ def cmd_rate(cfg: SystemConfig, out: Path, flags: dict) -> int:
     return EXIT_OK
 
 
-def cmd_interfaces(cfg: SystemConfig, out: Path, flags: dict) -> int:
-    w = RunWriter(out, "interfaces", cfg, flags)
+def cmd_interfaces(cfg: SystemConfig, out: Path, args: argparse.Namespace) -> int:
+    w = RunWriter(out, cfg, args)
     g = cfg.grid
-    L = _build_limit(cfg, g, flags, w)
-    delta = flags.get("delta") or analysis.default_zero_threshold(
-        g, max(cfg.data.max_boundary_value(g), 1e-300), cfg.tol_linear
-    )
+    L = _build_limit(cfg, args, w)
+    delta = _zero_threshold(cfg, args)
     iset = analysis.extract_supports_and_interfaces(L.fields, delta)
     reports = analysis.jump_condition_check(L, iset)
     write_interfaces_csv(w.path("interfaces.csv"), iset)
@@ -540,6 +550,26 @@ _COMMANDS = {
     "interfaces": cmd_interfaces,
 }
 
+# every value flag: (default, help); each value goes through _parse_number
+_FLAGS = {
+    "epsilon": (None, "epsilon (default: the config's)"),
+    "pivot": ("1", "pivot component, 1..m"),
+    "delta": (None, "zero-set threshold (default: max(10 tol_linear, h) times "
+                    "the largest boundary value)"),
+    "start": ("1e-2", "largest epsilon of the ladder"),
+    "stop": ("1e-6", "smallest epsilon of the ladder"),
+    "count": ("5", "number of epsilons, geometrically spaced"),
+}
+# the value flags each subcommand takes
+_COMMAND_FLAGS = {
+    "validate": (),
+    "solve": ("epsilon",),
+    "limit": ("pivot", "delta"),
+    "compare": ("epsilon", "pivot"),
+    "rate": ("pivot", "start", "stop", "count"),
+    "interfaces": ("pivot", "delta"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -550,36 +580,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("config_pos", nargs="?", help="config file path")
-        p.add_argument("--config", dest="config_flag", help="config file path")
+        p.add_argument("config", nargs="?", help="config file path")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--epsilon", type=float, help="override config epsilon")
-        p.add_argument("--pivot", type=int, help="pivot component (1-based)")
-        p.add_argument("--delta", type=float, help="zero-set threshold")
-        if name == "rate":
-            p.add_argument("--start", type=float, default=1e-2)
-            p.add_argument("--stop", type=float, default=1e-6)
-            p.add_argument("--count", type=int, default=5)
+        for flag in _COMMAND_FLAGS[name]:
+            default, text = _FLAGS[flag]
+            p.add_argument(f"--{flag}", default=default, help=text)
     return parser
+
+
+def _parse_flags(args: argparse.Namespace, m: int | None, problems: list[str]) -> None:
+    """Replace each value flag of ``args`` by its number; a bad value, a
+    pivot above ``m`` or ``--start`` not above ``--stop`` is appended to
+    ``problems``."""
+    flags = _COMMAND_FLAGS[args.subcommand]
+    for flag in flags:
+        text = getattr(args, flag)
+        if text is not None:
+            setattr(args, flag, _parse_number(text, flag, f"--{flag}", problems))
+    if "pivot" in flags and args.pivot is not None and m is not None and args.pivot > m:
+        problems.append(f"--pivot: need pivot <= m = {m}, got {args.pivot}")
+    if "start" in flags and None not in (args.start, args.stop) and not args.start > args.stop:
+        problems.append(f"--start: need start > stop, got {args.start} and {args.stop}")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if not args.config:
+        print("error: no config file given", file=sys.stderr)
+        return EXIT_CONFIG
     try:
-        config_path = args.config_flag or args.config_pos
-        if not config_path:
-            print("error: no config file given", file=sys.stderr)
-            return EXIT_CONFIG
-        cfg = parse_config(config_path)
-        flags = {
-            "epsilon": getattr(args, "epsilon", None),
-            "pivot": getattr(args, "pivot", None),
-            "delta": getattr(args, "delta", None),
-            "start": getattr(args, "start", None),
-            "stop": getattr(args, "stop", None),
-            "count": getattr(args, "count", None),
-        }
-        return _COMMANDS[args.subcommand](cfg, Path(args.out), flags)
+        try:
+            cfg, problems = parse_config(args.config), []
+        except ConfigError as exc:
+            cfg, problems = None, exc.problems or [str(exc)]
+        _parse_flags(args, cfg.data.m if cfg else None, problems)
+        if problems:
+            raise ConfigError(*problems)
+        return _COMMANDS[args.subcommand](cfg, Path(args.out), args)
     except ConfigError as exc:
         for p in exc.problems or [str(exc)]:
             print(f"config error: {p}", file=sys.stderr)

@@ -51,7 +51,6 @@ from .elliptic_core import (
     DEFAULT_TOL,
     LinearSolveStats,
     ScalarField,
-    apply_laplacian,
     solve_harmonic,
     solve_screened,
 )
@@ -310,48 +309,25 @@ def _solve_sweeps(g, data, epsilon, tol_fp, max_sweeps, tol_linear, initial) -> 
         all_stats.extend(state.linear_stats)
     else:
         state = IterationState(0, tuple(f.copy() for f in initial), float("inf"))
-    even = state.fields
     gaps: list[float] = []
-    sweeps = 0
-    while sweeps < max_sweeps:
+    while state.k < max_sweeps:
+        prev = state.fields
         state = sweep(state, epsilon, data, tol_linear)
-        sweeps += 1
         all_stats.extend(state.linear_stats)
-        odd = state.fields
-        gap = _sup_gap(even, odd)
-        gaps.append(gap)
-        if gap <= tol_abs:
+        if state.k % 2 == 0:
+            continue
+        # an odd sweep closes an even/odd pair
+        gaps.append(state.gap)
+        if state.gap <= tol_abs:
             mid = tuple(
-                ScalarField(g, 0.5 * (e.values + o.values)) for e, o in zip(even, odd)
+                ScalarField(g, 0.5 * (e.values + o.values)) for e, o in zip(prev, state.fields)
             )
             return SolveResult(
-                mid, epsilon, sweeps, gap, gaps, all_stats, time.perf_counter() - t0,
+                mid, epsilon, state.k, state.gap, gaps, all_stats, time.perf_counter() - t0,
             )
-        if sweeps >= max_sweeps:
-            break
-        state = sweep(state, epsilon, data, tol_linear)
-        sweeps += 1
-        all_stats.extend(state.linear_stats)
-        even = state.fields
+    last = gaps[-1] if gaps else float("inf")
     raise SolverError(
-        f"fixed point not converged after {sweeps} sweeps (gap {gaps[-1]:.3e}, "
+        f"fixed point not converged after {state.k} sweeps (gap {last:.3e}, "
         f"target {tol_abs:.3e})",
-        gap=gaps[-1] if gaps else None, history=gaps,
+        gap=last, history=gaps,
     )
-
-
-def difference_harmonicity_check(r: SolveResult) -> float:
-    """Max interior |Lap(u_1 - u_{i+1})| over i.
-
-    The difference identity Lap(u_i/A_i - u_j/A_j) = 0 holds for any
-    constant weights and any exponents; this unscaled form checks it for
-    equal weights and is a report, not an invariant, otherwise.
-    """
-    g = r.fields[0].grid
-    interior = g.interior()
-    worst = 0.0
-    for i in range(1, r.m):
-        d = ScalarField(g, r.fields[0].values - r.fields[i].values)
-        lap = apply_laplacian(d).values
-        worst = max(worst, float(np.abs(lap[interior]).max(initial=0.0)))
-    return worst

@@ -24,17 +24,16 @@ import numpy as np
 
 from .elliptic_core import DEFAULT_TOL, LinearSolveStats, ScalarField, solve_harmonic
 from .geometry import Grid
-from .problem_data import ProblemData, boundary_value_array
+from .problem_data import ProblemData
 
 
 @dataclass
 class LimitResult:
     fields: tuple[ScalarField, ...]
-    differences: tuple[ScalarField, ...]  # w_j = u_p/A_p - u_j/A_j for j != p, component order
-    difference_components: tuple[int, ...]  # 1-based component index of each difference
+    difference_components: tuple[int, ...]  # 1-based component of each harmonic field
     pivot: int  # 1-based
     linear_stats: list[LinearSolveStats]  # one per harmonic field
-    harmonic: tuple[ScalarField, ...]  # the harmonic w_j as solved, same order
+    harmonic: tuple[ScalarField, ...]  # w_j = u_p/A_p - u_j/A_j for j != p, as solved
     scaled_pivot: ScalarField  # v_lim = max(0, max_k w_k), 0 outside the domain
 
     @property
@@ -82,20 +81,13 @@ def construct_limit(
     v[outside] = 0.0
 
     fields: list[ScalarField | None] = [None] * m
-    diffs: list[ScalarField] = []
     for w, comp in zip(w_fields, components):
-        a = weights[comp - 1]
-        vals = a * (v - w.values)
+        vals = weights[comp - 1] * (v - w.values)
         vals[outside] = 0.0
         fields[comp - 1] = ScalarField(g, vals)
-        # store the difference as actually representable, so that with
-        # unit weights u_pivot - u_j == w_j holds bitwise; it matches the
-        # harmonic field w up to a few roundings
-        diffs.append(ScalarField(g, v - vals / a))
     fields[pivot - 1] = ScalarField(g, weights[pivot - 1] * v)
     return LimitResult(
-        tuple(fields), tuple(diffs), components, pivot, stats, tuple(w_fields),
-        ScalarField(g, v),
+        tuple(fields), components, pivot, stats, tuple(w_fields), ScalarField(g, v),
     )
 
 

@@ -256,10 +256,6 @@ class CouplingWeights:
             raise ConfigError("tabulated coupling weights do not match the grid shape")
         return self.values
 
-    def all_equal(self) -> bool:
-        """True when all A_i coincide (the scope of the explicit limit)."""
-        return bool(np.all(self.values == self.values[0]))
-
 
 def validate_coupling(w: CouplingWeights, g: Grid) -> list[dict]:
     """Nodes (or constants) violating 0 < A_i or A_i <= sum_{j != i} A_j."""

@@ -86,7 +86,7 @@ def test_defaults_applied(tmp_path):
     assert cfg.tol_fp == 1e-8
     assert cfg.max_sweeps == 500
     assert cfg.data.exponents.alphas == (1.0, 1.0)
-    assert cfg.data.weights.all_equal()
+    assert np.array_equal(cfg.data.weights.values, [1.0, 1.0])
 
 
 def test_hash_ignores_comments_and_spacing(tmp_path):
@@ -101,17 +101,14 @@ def test_hash_ignores_comments_and_spacing(tmp_path):
 
 
 def test_alias_sections(tmp_path):
-    p = tmp_path / "alias.cfg"
-    p.write_text(BASE.format(system_extra="", left="end=left: 1", right="1", solver="") +
-                 "\n[coupling]\nA = [1, 1]\n\n[exponents]\nalpha = [1, 1]\n")
-    cfg = parse_config(p)
-    assert cfg.data.weights.all_equal()
-    dup = tmp_path / "dup.cfg"
-    dup.write_text(BASE.format(system_extra="A = [1, 1]\n", left="end=left: 1",
-                           right="1", solver="") +
-                   "\n[coupling]\nA = [1, 1]\n")
-    with pytest.raises(ConfigError, match="both"):
-        parse_config(dup)
+    # alpha and A are given in [system] only; the old standalone sections
+    # are unknown sections
+    for section, key in (("coupling", "A"), ("exponents", "alpha")):
+        p = tmp_path / f"{section}.cfg"
+        p.write_text(BASE.format(system_extra="", left="end=left: 1", right="1", solver="") +
+                     f"\n[{section}]\n{key} = [1, 1]\n")
+        with pytest.raises(ConfigError, match=rf"unknown section \[{section}\]"):
+            parse_config(p)
 
 
 def test_coupling_dominance_rejected(tmp_path):
@@ -430,6 +427,119 @@ def test_interfaces_subcommand(tmp_path):
     assert (out / "laplacian_measure.csv").exists()
 
 
-def test_config_flag_form(tmp_path):
+def test_config_flag_form(tmp_path, capsys):
+    # the config is the positional argument; --config is not an option
     out = tmp_path / "out"
-    assert main(["validate", "--config", LINE_M2, "--out", str(out)]) == EXIT_OK
+    assert main(["validate", LINE_M2, "--out", str(out)]) == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", LINE_M2, "--out", str(tmp_path / "o")])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--epsilon", "0"],
+    ["solve", "--epsilon", "-1"],
+    ["solve", "--epsilon", "nan"],
+    ["compare", "--epsilon", "inf"],
+    ["limit", "--pivot", "0"],
+    ["limit", "--pivot", "7"],
+    ["compare", "--pivot", "x"],
+    ["limit", "--delta", "0"],
+    ["interfaces", "--delta", "-1"],
+    ["rate", "--count", "0"],
+    ["rate", "--start", "1e-6", "--stop", "1e-2"],
+])
+def test_bad_flag_value_exit_2(tmp_path, capsys, argv):
+    # a bad value is neither swapped for the default nor left to fail inside
+    # a solver: the flag is named in a config error and nothing is written
+    sub, flag = argv[0], argv[1]
+    out = tmp_path / "o"
+    assert main([sub, LINE_M3, "--out", str(out)] + argv[1:]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {flag}:" in err
+    assert "internal error" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section,line", [
+    ("system", "epsilon = 0"),
+    ("system", "epsilon = nan"),
+    ("solver", "tol_fp = -1"),
+    ("solver", "tol_linear = inf"),
+    ("solver", "max_sweeps = 0"),
+    ("system", "A = [inf, inf]"),
+    ("system", "alpha = [1, nan]"),
+])
+def test_bad_config_value_exit_2(tmp_path, capsys, section, line):
+    key = line.split()[0]
+    p = make_cfg(tmp_path, **{"system_extra" if section == "system" else "solver": line + "\n"})
+    assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: [{section}] {key}:" in err
+    assert "internal error" not in err
+
+
+def test_bad_flag_listed_with_config_problems(tmp_path, capsys):
+    p = make_cfg(tmp_path, solver="tol_fp = 0\n")
+    assert main(["compare", str(p), "--epsilon", "0", "--pivot", "0"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    for name in ("[solver] tol_fp:", "--epsilon:", "--pivot:"):
+        assert f"config error: {name}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--epsilon", "1"],
+    ["solve", "--pivot", "2"],
+    ["limit", "--epsilon", "1e-4"],
+    ["rate", "--delta", "0.1"],
+    ["interfaces", "--count", "3"],
+])
+def test_flag_of_another_subcommand_refused(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], LINE_M2, "--out", str(tmp_path / "o")] + argv[1:])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+def test_manifest_lists_own_flags(tmp_path):
+    expect = {
+        "validate": {},
+        "solve": {"epsilon": 0.01},
+        "limit": {"pivot": 2, "delta": None},
+        "rate": {"pivot": 1, "start": 0.01, "stop": 0.001, "count": 2},
+    }
+    extra = {"solve": ["--epsilon", "1e-2"], "limit": ["--pivot", "2"],
+             "rate": ["--stop", "1e-3", "--count", "2"]}
+    for sub, flags in expect.items():
+        out = tmp_path / sub
+        assert main([sub, LINE_M2, "--out", str(out)] + extra.get(sub, [])) == EXIT_OK
+        assert manifest_of(out)["flags"] == flags
+
+
+@pytest.mark.parametrize("name,kind,selector", [
+    ("disk_m3", "disk", "side=top"),
+    ("disk_m3", "disk", "end=left"),
+    ("square_m4", "rectangle", "theta in [0, pi)"),
+    ("line_m3", "interval", "side=left"),
+])
+def test_selector_of_another_domain_kind_exit_2(tmp_path, capsys, name, kind, selector):
+    # a selector the domain kind cannot match would silently leave its
+    # datum 0 everywhere
+    text = config_path(name).read_text()
+    lines = [f'piece = "{selector}: 1"' if ln.startswith("piece") else ln
+             for ln in text.splitlines()]
+    p = tmp_path / "case.cfg"
+    p.write_text("\n".join(lines) + "\n")
+    assert main(["validate", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    pieces = sum(ln.startswith("piece") for ln in lines)
+    assert err.count(f"cannot match on a {kind}") == pieces > 0
+    assert "internal error" not in err
+
+
+def test_all_selector_on_every_domain_kind(tmp_path):
+    for name in ("line_m3", "disk_m3", "square_m4"):
+        p = tmp_path / f"{name}.cfg"
+        p.write_text(config_path(name).read_text().replace('piece = "', 'piece = "all: 0"\npiece = "', 1))
+        assert parse_config(p).data.m >= 2

@@ -41,13 +41,6 @@ def test_m3_analytic_limit(g401):
     assert np.abs(r.fields[2].values - np.abs(x - 0.5)).max() <= 1e-10
 
 
-def test_difference_invariant_bitwise(g401):
-    r = solve_limit(g401, M3)
-    up = r.fields[r.pivot - 1].values
-    for w, comp in zip(r.differences, r.difference_components):
-        assert np.array_equal(up - r.fields[comp - 1].values, w.values)
-
-
 def test_product_exactly_zero_and_nonnegative(configs):
     for name in ("line_m3", "disk_m3", "square_m4"):
         cfg = configs[name]
