@@ -58,9 +58,8 @@ def segregation_residual(
     for f, a in zip(fields, alphas):
         F = F * (np.power(f.values, a) if a != 1 else f.values)
     max_product = float(F[inside].max(initial=0.0))
-    A = weights.as_arrays(g)
     vol = _cell_volume(g)
-    integrals = [float(vol * (A[i][inside] * F[inside]).sum()) for i in range(len(fields))]
+    integrals = [float(vol * (a * F[inside]).sum()) for a in weights.values]
     return max_product, integrals
 
 

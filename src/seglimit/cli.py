@@ -81,7 +81,6 @@ class SystemConfig:
     n: int
     grid: Grid  # the grid the config was validated on; every subcommand runs on it
     data: ProblemData
-    report: dict  # ProblemData.validate on grid
     epsilon: float
     tol_linear: float
     tol_fp: float
@@ -246,8 +245,8 @@ def parse_config(path) -> SystemConfig:
     if problems:
         raise ConfigError(*problems)
 
-    # assumption checks on the actual grid, with node locations; evaluating
-    # the boundary data rejects negative values outright
+    # assumption checks, segregation on the actual grid with node locations;
+    # evaluating the boundary data rejects negative values outright
     g = build_grid(domain, n)
     report = data.validate(g)
     for pt, prod in report["segregation"][:20]:
@@ -258,14 +257,11 @@ def parse_config(path) -> SystemConfig:
     if len(report["segregation"]) > 20:
         problems.append(f"... and {len(report['segregation']) - 20} more segregation violations")
     for v in report["coupling"]:
-        where = f" at node {v['node']}" if "node" in v else ""
-        problems.append(
-            f"coupling assumption violated for A_{v['component']} ({v['kind']}){where}"
-        )
+        problems.append(f"coupling assumption violated for A_{v['component']} ({v['kind']})")
     if problems:
         raise ConfigError(*problems)
     return SystemConfig(
-        domain, n, g, data, report, epsilon, tol_linear, tol_fp, max_sweeps,
+        domain, n, g, data, epsilon, tol_linear, tol_fp, max_sweeps,
         _config_hash(entries), str(path),
     )
 
@@ -426,21 +422,14 @@ def _stats_summary(stats) -> dict:
 
 
 def cmd_validate(cfg: SystemConfig, out: Path, args: argparse.Namespace) -> int:
+    # parse_config has refused every assumption violation already
     w = RunWriter(out, cfg, args)
-    g = cfg.grid
-    report = cfg.report
-    with w.path("report.txt").open("w") as fh:
-        fh.write(f"m = {cfg.data.m}\n")
-        fh.write(f"segregation violations: {len(report['segregation'])}\n")
-        for pt, prod in report["segregation"]:
-            fh.write(f"  node {pt.index} coord {pt.coord} product {prod:g}\n")
-        fh.write(f"coupling violations: {len(report['coupling'])}\n")
-        for v in report["coupling"]:
-            fh.write(f"  {v}\n")
-    w.path("grid.txt").write_text(format_grid(g))
-    ok = not report["segregation"] and not report["coupling"]
-    w.finish(valid=ok)
-    return EXIT_OK if ok else EXIT_CONFIG
+    w.path("report.txt").write_text(
+        f"m = {cfg.data.m}\nsegregation violations: 0\ncoupling violations: 0\n"
+    )
+    w.path("grid.txt").write_text(format_grid(cfg.grid))
+    w.finish(valid=True)
+    return EXIT_OK
 
 
 def _solve(cfg: SystemConfig, args: argparse.Namespace, w: RunWriter, limit=None):

@@ -437,8 +437,8 @@ def solve_screened(g: Grid, c, boundary_values, tol: float = DEFAULT_TOL, source
     f >= 0 at interior nodes and nonnegative boundary values; then u >= 0
     (M-matrix maximum principle), and without a source also
     u <= max boundary value.  Violations of those exact bounds within the
-    solve's certified error bound are clamped; a negative value beyond it
-    raises a ``SolverError``.
+    solve's certified error bound are clamped; one beyond it raises a
+    ``SolverError``.
     """
     op = grid_operator(g)
     c_int = _interior_values(g, op, c, "screening coefficient")
@@ -456,7 +456,13 @@ def solve_screened(g: Grid, c, boundary_values, tol: float = DEFAULT_TOL, source
     (x,), (stats,) = _solve_linear(op, c_int, [b], tol)
     bound = stats.error_bound
     if f_int is None:
-        x[(x > M) & (x <= M + bound)] = M
+        high = float(x.max(initial=0.0))
+        if high > M + bound:
+            raise SolverError(
+                f"screened solve value {high:.3e} exceeds the largest boundary value "
+                f"{M:.3e} beyond its certified error bound {bound:.3e}", stats=stats,
+            )
+        x[x > M] = M
     low = float(x.min(initial=0.0))
     if low < -bound:
         raise SolverError(

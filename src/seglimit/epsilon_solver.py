@@ -21,15 +21,14 @@ convex M-functions).  The components are recovered as u_j = A_j (v - w_j);
 as v >= v* >= v_lim >= w_j up to the solves' certified error bounds, a
 negative u_j within them is rounding and is clamped to 0.
 
-The decoupled sweep iteration is kept as a cross-check oracle and as the
-path for tabulated (non-constant) weights, where the identity fails.
-Starting from the harmonic extensions of the boundary data, each sweep
-solves one screened linear problem per component in ascending order:
-component i sees the fresh iterates of components j < i and the lagged
-ones of j > i, averaged into the screening coefficient.  Convergence is
-measured by the sup gap between consecutive (even/odd) iterates and the
-midpoint of the last pair is returned.  The iterates need not bracket the
-solution: the averaged coefficient breaks the interleaved ordering
+The decoupled sweep iteration is kept as a cross-check oracle.  Starting
+from the harmonic extensions of the boundary data, each sweep solves one
+screened linear problem per component in ascending order: component i
+sees the fresh iterates of components j < i and the lagged ones of j > i,
+averaged into the screening coefficient.  Convergence is measured by the
+sup gap between consecutive (even/odd) iterates and the midpoint of the
+last pair is returned.  The iterates need not bracket the solution: the
+averaged coefficient breaks the interleaved ordering
 u^0 >= u^2 >= ... >= u^3 >= u^1 after the first few sweeps, and for
 exponents other than 1 the gap can stall.
 
@@ -42,7 +41,6 @@ sub-problem linear with a nonnegative coefficient.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +77,6 @@ class SolveResult:
     gap: float
     gap_history: list[float]  # Newton update norms, or even/odd sweep gaps
     linear_stats: list[LinearSolveStats]
-    wall_time: float
 
     @property
     def m(self) -> int:
@@ -105,7 +102,7 @@ def sweep(
     """One decoupled sweep U^k -> U^{k+1}, components in ascending order."""
     g = s.fields[0].grid
     boundary_arrays = data.boundary_arrays(g)
-    A = data.weights.as_arrays(g)
+    A = data.weights.values
     alphas = data.exponents.alphas
     m = data.m
 
@@ -146,22 +143,19 @@ def solve_epsilon(
     initial: tuple[ScalarField, ...] | None = None,
     limit: LimitResult | None = None,
 ) -> SolveResult:
-    """Solve the system at fixed epsilon.
+    """Solve the system at fixed epsilon by the reduced Newton iteration.
 
-    Constant weights take the reduced Newton path.  It runs on the pivot
-    and the harmonic difference fields of ``limit``, the explicit limit of
-    the same problem on ``g``; without one it builds the pivot-1 limit
-    with ``solve_limit``.  Newton starts from the limit's scaled pivot
+    It runs on the pivot and the harmonic difference fields of ``limit``,
+    the explicit limit of the same problem on ``g``; without one it builds
+    the pivot-1 limit with ``solve_limit``.  Newton starts from the limit's scaled pivot
     v_lim, a subsolution, so its first iterate is a supersolution and the
     later ones decrease monotonically.  It stops when the largest
     component update max_j A_j |dv|_inf falls below tol_fp * M, and
     ``max_sweeps`` caps (``SolveResult.sweeps`` counts) Newton steps.  When
     two consecutive updates after step 2 set no new least update, the
     iteration has reached the rounding floor of its solves short of tol_fp
-    and raises a ``SolverError`` with the update history.
-    Tabulated weights take the sweep iteration, which starts from the
-    harmonic extensions of the data and ignores ``limit``.  ``initial``
-    overrides either start (used for uniqueness cross-checks).
+    and raises a ``SolverError`` with the update history.  ``initial``
+    overrides the start (used for uniqueness cross-checks).
     ``SolveResult.linear_stats`` lists the linear solves the call made,
     those of a limit it built included.
     """
@@ -169,8 +163,6 @@ def solve_epsilon(
         raise ValueError("epsilon must be positive")
     if tol_fp <= 0:
         raise ValueError("tol_fp must be positive")
-    if not data.weights.is_constant:
-        return _solve_sweeps(g, data, epsilon, tol_fp, max_sweeps, tol_linear, initial)
     stats: list[LinearSolveStats] = []
     if limit is None:
         limit = solve_limit(g, data, tol_linear=tol_linear)
@@ -211,7 +203,6 @@ def _reaction(v: np.ndarray, w: list[np.ndarray], A, alphas) -> tuple[np.ndarray
 def _solve_newton(
     g, data, epsilon, tol_fp, max_steps, tol_linear, initial, limit, stats
 ) -> SolveResult:
-    t0 = time.perf_counter()
     p = limit.pivot
     A = data.weights.values
     alphas = data.exponents.alphas
@@ -243,7 +234,7 @@ def _solve_newton(
         if history[-1] <= tol_abs:
             return SolveResult(
                 _recover(g, v, w, A, phi, st.error_bound, w_bound), epsilon, len(history),
-                history[-1], history, stats, time.perf_counter() - t0,
+                history[-1], history, stats,
             )
         # from step 2 on monotone Newton's updates decrease; two steps in a
         # row that do not have reached the rounding floor of the solves
@@ -299,7 +290,6 @@ def _recover(g, v, w, A, phi, v_bound, w_bound) -> tuple[ScalarField, ...]:
 def _solve_sweeps(g, data, epsilon, tol_fp, max_sweeps, tol_linear, initial) -> SolveResult:
     """The decoupled sweep iteration: stops when the even/odd sup gap falls
     below tol_fp * M and returns the midpoint of the last pair."""
-    t0 = time.perf_counter()
     M = data.max_boundary_value(g)
     tol_abs = tol_fp * M
 
@@ -322,9 +312,7 @@ def _solve_sweeps(g, data, epsilon, tol_fp, max_sweeps, tol_linear, initial) -> 
             mid = tuple(
                 ScalarField(g, 0.5 * (e.values + o.values)) for e, o in zip(prev, state.fields)
             )
-            return SolveResult(
-                mid, epsilon, state.k, state.gap, gaps, all_stats, time.perf_counter() - t0,
-            )
+            return SolveResult(mid, epsilon, state.k, state.gap, gaps, all_stats)
     last = gaps[-1] if gaps else float("inf")
     raise SolverError(
         f"fixed point not converged after {state.k} sweeps (gap {last:.3e}, "

@@ -47,13 +47,10 @@ def harmonic_differences(
     """Harmonic fields with boundary data phi_p/A_p - phi_j/A_j for j != p.
 
     Returns (fields, component_indices, stats); indices are 1-based.  All
-    m - 1 fields come from one batched solve.  The difference identity
-    needs constant weights.
+    m - 1 fields come from one batched solve.
     """
     if not 1 <= pivot <= data.m:
         raise ValueError(f"pivot {pivot} out of range 1..{data.m}")
-    if not data.weights.is_constant:
-        raise ValueError("the difference identity needs constant coupling weights")
     scaled = [arr / a for arr, a in zip(data.boundary_arrays(g), data.weights.values)]
     comps = tuple(j for j in range(1, data.m + 1) if j != pivot)
     fields, stats = solve_harmonic(

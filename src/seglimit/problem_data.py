@@ -235,49 +235,32 @@ class Exponents:
 
 @dataclass(frozen=True, eq=False)
 class CouplingWeights:
-    """Per-component weights A_i: shape (m,) constants or (m, *grid shape)."""
+    """Constant per-component weights A_i, one number each: ``values`` has
+    shape (m,).  The difference identity behind the limit and the Newton
+    solve needs constant weights, so any other shape is a ``ConfigError``."""
 
     values: np.ndarray
+
+    def __post_init__(self):
+        if np.ndim(self.values) != 1:
+            raise ConfigError(
+                f"coupling weights need shape (m,), got {np.shape(self.values)}"
+            )
 
     @property
     def m(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def is_constant(self) -> bool:
-        return self.values.ndim == 1
 
-    def as_arrays(self, g: Grid) -> np.ndarray:
-        shape = g.mask.shape
-        if self.is_constant:
-            return np.broadcast_to(self.values.reshape((self.m,) + (1,) * len(shape)),
-                                   (self.m,) + shape)
-        if self.values.shape[1:] != shape:
-            raise ConfigError("tabulated coupling weights do not match the grid shape")
-        return self.values
-
-
-def validate_coupling(w: CouplingWeights, g: Grid) -> list[dict]:
-    """Nodes (or constants) violating 0 < A_i or A_i <= sum_{j != i} A_j."""
+def validate_coupling(w: CouplingWeights) -> list[dict]:
+    """One entry per weight violating 0 < A_i or A_i <= sum_{j != i} A_j."""
     report: list[dict] = []
-    arrays = w.as_arrays(g)
-    where = g.interior() | g.boundary()
-    total = arrays.sum(axis=0)
-    for i in range(w.m):
-        ai = arrays[i]
-        bad_pos = (~(ai > 0)) & where
-        bad_sum = (ai > total - ai) & where
-        if w.is_constant:
-            # constants violate everywhere or nowhere; report once
-            if bad_pos.any():
-                report.append({"component": i + 1, "kind": "positivity", "value": float(w.values[i])})
-            if bad_sum.any():
-                report.append({"component": i + 1, "kind": "dominance", "value": float(w.values[i])})
-        else:
-            for idx in np.argwhere(bad_pos):
-                report.append({"component": i + 1, "kind": "positivity", "node": tuple(int(v) for v in idx)})
-            for idx in np.argwhere(bad_sum):
-                report.append({"component": i + 1, "kind": "dominance", "node": tuple(int(v) for v in idx)})
+    total = w.values.sum()
+    for i, a in enumerate(w.values):
+        if not a > 0:
+            report.append({"component": i + 1, "kind": "positivity", "value": float(a)})
+        if a > total - a:
+            report.append({"component": i + 1, "kind": "dominance", "value": float(a)})
     return report
 
 
@@ -349,5 +332,5 @@ class ProblemData:
         """Run both assumption checks; empty lists mean valid."""
         return {
             "segregation": _segregation_report(self.boundary_arrays(g), g, tol),
-            "coupling": validate_coupling(self.weights, g),
+            "coupling": validate_coupling(self.weights),
         }

@@ -152,7 +152,9 @@ def test_missing_file():
 def test_validate_subcommand(tmp_path):
     out = tmp_path / "out"
     assert main(["validate", LINE_M2, "--out", str(out)]) == EXIT_OK
-    assert (out / "report.txt").exists()
+    assert (out / "report.txt").read_text() == (
+        "m = 2\nsegregation violations: 0\ncoupling violations: 0\n"
+    )
     assert (out / "grid.txt").exists()
     assert manifest_of(out)["valid"] is True
 

@@ -357,26 +357,35 @@ def test_error_bound_certifies_solution(domain, n):
 
 
 def test_screened_clamps_within_certified_bound(monkeypatch, unit_square_21):
-    # a negative value within the solve's error bound is rounding and
-    # becomes 0; one beyond it is a failed solve
+    # a value below 0, or without a source above the largest boundary
+    # value M, is rounding within the solve's error bound and is clamped;
+    # one beyond it is a failed solve
     g = unit_square_21
     first = grid_operator(g).interior_flat[0]
     solve_linear = elliptic_core._solve_linear
-    factor = []
+    shift = []  # (level, multiple of the error bound) set at the first interior node
 
     def perturbed(op, c, rhs, tol):
         (x,), (st,) = solve_linear(op, c, rhs, tol)
-        x[0] = -factor[0] * st.error_bound
+        level, factor = shift[0]
+        x[0] = level + factor * st.error_bound
         return [x], [st]
 
     monkeypatch.setattr(elliptic_core, "_solve_linear", perturbed)
     b = boundary_array(g, lambda p: 1.0 + p.coord[0])
     c = np.full(g.mask.shape, 3.0)
-    factor.append(0.5)
+    shift.append((0.0, -0.5))
     u, st = solve_screened(g, c, b)
     assert u.values.ravel()[first] == 0.0 and u.values.min() == 0.0 and st.error_bound > 0
-    factor[0] = 2.0
+    shift[0] = (0.0, -2.0)
     with pytest.raises(SolverError, match="negative beyond its certified error bound"):
+        solve_screened(g, c, b)
+    M = float(b[g.boundary()].max())
+    shift[0] = (M, 0.5)
+    u, _ = solve_screened(g, c, b)
+    assert u.values.ravel()[first] == M and u.values.max() == M
+    shift[0] = (M, 2.0)
+    with pytest.raises(SolverError, match="exceeds the largest boundary value"):
         solve_screened(g, c, b)
 
 

@@ -410,18 +410,6 @@ def test_newton_matches_sweep_oracle_2d(configs):
     check_against_oracle(g, data, 1e-3)
 
 
-def test_tabulated_weights_take_sweep_path(g101):
-    tab = make_data([["end=left: 1"], ["end=right: 1"], ["all: 0.5"]])
-    tab = ProblemData(
-        tab.boundary, CouplingWeights(np.ones((3,) + g101.mask.shape)), tab.exponents
-    )
-    r_tab = solve_epsilon(g101, tab, 1e-3)
-    r_const = solve_epsilon(g101, M3, 1e-3)
-    assert r_tab.sweeps > r_const.sweeps
-    for a, b in zip(r_tab.fields, r_const.fields):
-        assert np.abs(a.values - b.values).max() <= 1e-7
-
-
 def test_newton_general_exponents_stiff(g101):
     # the sweep loop stalls here at an even/odd gap near 0.24; Newton
     # converges and the discrete equations hold to rounding

@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seglimit import (
-    CouplingWeights,
     DomainSpec,
-    ProblemData,
     apply_laplacian,
     build_grid,
     solve_harmonic,
@@ -116,13 +114,6 @@ def test_weighted_limit_rescales(g401):
     ))
     for a, f, fr in zip(A, r.fields, ref.fields):
         assert np.abs(f.values - a * fr.values).max() <= 1e-12
-
-
-def test_tabulated_weights_rejected(g401):
-    data = make_data([["end=left: 1"], ["end=right: 1"]])
-    tab = ProblemData(data.boundary, CouplingWeights(np.ones((2, 401))), data.exponents)
-    with pytest.raises(ValueError, match="constant"):
-        solve_limit(g401, tab)
 
 
 def test_zero_data_limit(g401):

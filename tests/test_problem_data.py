@@ -122,22 +122,19 @@ def test_segregation_square_quadruple_valid(configs):
 
 
 def test_coupling_valid_and_invalid():
-    g = build_grid(DomainSpec.interval(0.0, 1.0), 9)
-    assert validate_coupling(CouplingWeights(np.array([1.0, 1.0, 1.0])), g) == []
-    bad = validate_coupling(CouplingWeights(np.array([1.0, 2.0])), g)
+    assert validate_coupling(CouplingWeights(np.array([1.0, 1.0, 1.0]))) == []
+    bad = validate_coupling(CouplingWeights(np.array([1.0, 2.0])))
     assert bad and all(v["component"] == 2 and v["kind"] == "dominance" for v in bad)
     # equality case of the dominance inequality is allowed
-    assert validate_coupling(CouplingWeights(np.array([1.0, 1.0, 1.0, 3.0])), g) == []
-    nonpos = validate_coupling(CouplingWeights(np.array([0.0, 1.0])), g)
+    assert validate_coupling(CouplingWeights(np.array([1.0, 1.0, 1.0, 3.0]))) == []
+    nonpos = validate_coupling(CouplingWeights(np.array([0.0, 1.0])))
     assert any(v["kind"] == "positivity" for v in nonpos)
 
 
-def test_tabulated_weights_report_nodes():
-    g = build_grid(DomainSpec.interval(0.0, 1.0), 9)
-    tab = np.ones((2, 9))
-    tab[1, 4] = 3.0
-    report = validate_coupling(CouplingWeights(tab), g)
-    assert report == [{"component": 2, "kind": "dominance", "node": (4,)}]
+@pytest.mark.parametrize("values", [np.ones((2, 9)), np.array(1.0)], ids=["per-node", "0-d"])
+def test_coupling_weights_must_be_constants(values):
+    with pytest.raises(ConfigError, match=r"shape \(m,\)"):
+        CouplingWeights(values)
 
 
 def test_exponents_validated():
