@@ -19,8 +19,8 @@ values go through one check: floats finite and > 0, integers at least
 their floor.  All output is data-only CSV plus a run manifest; identical
 config and flags produce identical data files.
 
-Exit codes: 0 success, 2 config error (bad flag values included),
-3 solver failure, 4 internal error.
+Exit codes: 0 success, 2 config error (bad flag values and an unreadable
+config file included), 3 solver failure, 4 internal error.
 """
 
 from __future__ import annotations
@@ -155,9 +155,13 @@ def parse_config(path) -> SystemConfig:
     are reported at once in a single ConfigError.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    entries = _tokenize(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    entries = _tokenize(text)
     problems: list[str] = []
     sections: dict[str, dict[str, str]] = {}
     boundary_pieces: dict[int, list[str]] = {}
@@ -277,31 +281,33 @@ def _fmt(x: float) -> str:
 def _write_rows(fh, table: np.ndarray, prefix: str = "") -> None:
     """Write ``table`` one line per row, ``prefix`` then every value as
     ``%.17g`` (the same text as ``_fmt``), in blocks of ``CSV_BLOCK_ROWS``
-    rows, which bounds the memory the text takes.  A block in which at most
-    half the values are distinct formats each distinct float64 bit pattern
-    once (so -0.0 and every NaN payload keep their own text)."""
-    value_row = prefix + ",".join(["%.17g"] * table.shape[1]) + "\n"
+    rows, which bounds the memory the text takes.  In each block a column
+    with at most half its values distinct formats each distinct float64 bit
+    pattern once (so -0.0 and every NaN payload keep their own text), as the
+    lattice coordinates of a fields table do; every other column formats
+    value by value.  The cells of a block are joined once."""
+    # each cell's format carries the separator that follows it, "," inside
+    # a row and a newline after the last column, and a NUL to split on; the
+    # first column's carries the prefix
+    fmts = ["%.17g,\0"] * (table.shape[1] - 1) + ["%.17g\n\0"]
+    fmts[0] = prefix.replace("%", "%%") + fmts[0]
     for start in range(0, len(table), CSV_BLOCK_ROWS):
-        block = np.ascontiguousarray(table[start:start + CSV_BLOCK_ROWS])
-        bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-        if 2 * bits.size > block.size:
-            fh.write((value_row * len(block)) % tuple(block.ravel().tolist()))
-            continue
-        k = bits.size
-        words = ("%.17g\n" * k % tuple(bits.view(np.float64).tolist())).split("\n")[:-1]
-        # each value with the separator that follows it: "," inside a row and
-        # a newline after the last column; the first column takes the prefix
-        first_sep = "," if block.shape[1] > 1 else "\n"
-        cells = np.array(
-            [w + "," for w in words] + [w + "\n" for w in words]
-            + [prefix + w + first_sep for w in words],
-            dtype=object,
-        )
-        cols = inverse.reshape(block.shape)
-        idx = cols.copy()
-        idx[:, -1] += k
-        idx[:, 0] = cols[:, 0] + 2 * k
-        fh.write("".join(cells[idx.ravel()].tolist()))
+        block = table[start:start + CSV_BLOCK_ROWS]
+        cells = np.empty(block.shape, dtype=object)
+        for j, fmt in enumerate(fmts):
+            col = np.ascontiguousarray(block[:, j])
+            bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+            if 2 * bits.size > col.size:
+                cells[:, j] = _format_cells(fmt, col)
+            else:
+                cells[:, j] = np.array(_format_cells(fmt, bits.view(np.float64)), dtype=object)[inverse]
+        fh.write("".join(cells.ravel().tolist()))
+
+
+def _format_cells(fmt: str, values: np.ndarray) -> list[str]:
+    """``fmt`` (one value and a trailing NUL) applied to every value, as a
+    list of cells without the NULs."""
+    return (fmt * values.size % tuple(values.tolist())).split("\0")[:-1]
 
 
 def write_fields_csv(path: Path, g: Grid, fields: tuple[ScalarField, ...]) -> None:

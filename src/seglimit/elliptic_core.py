@@ -10,6 +10,12 @@ check and carries a certified sup-norm bound on its error
 more than ``DIRECT_SOLVE_LIMIT`` unknowns are refused with a
 ``SolverError``.
 
+The stencil is kept as arrays shaped like the grid (the interior mask and
+one constant coefficient per direction).  Right-hand sides, residuals and
+``apply_laplacian`` are sums of shifted slices of a grid array; the sparse
+Laplacian is assembled from the same arrays only when SuperLU first needs
+it, so a harmonic batch on a box grid builds no sparse matrix.
+
 A harmonic solve takes a batch of boundary data on one grid.  On a box
 grid, a 2D grid whose unknowns are every lattice node off the rim (every
 rectangle), the Laplacian is diagonalized by the sine basis in each
@@ -85,35 +91,43 @@ def constant_field(g: Grid, value: float = 0.0) -> ScalarField:
 
 
 class _GridOperator:
-    """Cached assembly data for one grid: interior numbering, the negative
-    Laplacian on the interior unknowns, the boundary-to-RHS coupling, the
-    sine-transform eigenvalues on a box grid, and, each built on first
-    use, the factor pattern and the edge form of the stencil."""
+    """Cached data for one grid, kept as arrays shaped like the grid's mask:
+    the interior and boundary masks, the interior numbering, the constant
+    stencil coefficients with their shifted slices, the diagonal and the row
+    sums of the negative Laplacian on the interior unknowns, and the
+    sine-transform eigenvalues on a box grid.  Right-hand sides, residuals
+    and ``apply_laplacian`` are sums of shifted slices of a grid array.  The
+    sparse Laplacian is assembled from the same arrays only when SuperLU
+    first needs it, and the factor pattern after it."""
 
     def __init__(self, g: Grid):
         # holds no reference to g: the cache below is keyed weakly by it
-        flat_mask = g.mask.ravel()
-        self.interior_flat = np.nonzero(flat_mask == NodeClass.INTERIOR)[0]
+        shape = g.mask.shape
+        self.interior = g.interior()
+        self.boundary = g.boundary()
+        self.interior_flat = np.flatnonzero(self.interior)
         n = self.n_unknowns = self.interior_flat.size
-        unk = np.full(flat_mask.size, -1, dtype=np.int64)
-        unk[self.interior_flat] = np.arange(n)
-
-        p, q, coef = _stencil_edges(g)
-        if np.any(flat_mask[q] == NodeClass.EXTERIOR):
+        # (src, dst, coef) of each stencil direction in stencil order, -x, +x,
+        # then -y, +y (mask axes run opposite to the grid's): the node at
+        # src has its neighbour at dst; and the same directions in ascending
+        # order of the neighbour's flat node number, -y, -x, +x, +y
+        self._stencil = []
+        offsets = []
+        for k, h in enumerate(g.spacing):
+            axis = g.ndim - 1 - k
+            for s in (-1, 1):
+                shift = [0] * g.ndim
+                shift[axis] = s
+                self._stencil.append(_shift_slices(shape, shift) + (1.0 / h**2,))
+                offsets.append(s * math.prod(shape[axis + 1:]))
+        self._node_order = [self._stencil[i] for i in np.argsort(offsets)]
+        exterior = g.mask == NodeClass.EXTERIOR
+        if any(np.any(self.interior[src] & exterior[dst]) for src, dst, _ in self._stencil):
             raise ValueError("interior node with exterior stencil neighbor")
-        rows = unk[p]
-        diag = np.zeros(n)
-        np.add.at(diag, rows, coef)
-        q_int = flat_mask[q] == NodeClass.INTERIOR
-        q_bnd = ~q_int
-        self.laplacian = sp.csc_matrix(
-            (np.concatenate([diag, -coef[q_int]]),
-             (np.concatenate([np.arange(n), rows[q_int]]), np.concatenate([np.arange(n), unk[q[q_int]]]))),
-            shape=(n, n),
-        )
-        self.boundary_op = sp.csr_matrix(
-            (coef[q_bnd], (rows[q_bnd], q[q_bnd])), shape=(n, flat_mask.size)
-        )
+        diag = np.zeros(shape)
+        for src, _, coef in self._stencil:
+            diag[src] += coef
+        self.diag = diag.ravel()[self.interior_flat]
         # ||(laplacian + diag c)^{-1}||_inf <= R^2 / (2d) for every c >= 0,
         # R the radius of a ball about x0 holding every domain node (Collatz):
         # psi = (R^2 - |x - x0|^2) / (2d) is >= 0 on those nodes and the
@@ -133,11 +147,27 @@ class _GridOperator:
         self.residual_rounding = (2 * g.ndim + 3) * u
         # ||laplacian + diag(c)||_inf = max_i (row_sums_i + c_i) for c >= 0,
         # as the diagonal is positive and the rest nonpositive
-        self.row_sums = np.asarray(abs(self.laplacian).sum(axis=1)).ravel()
+        self.row_sums = self._row_product(self.interior.astype(float), diag)
         self.box_denominators = _box_denominators(g, n)
         self.order: np.ndarray | None = None
         self._pattern: _FactorPattern | None = None
-        self._edges = None
+
+    @functools.cached_property
+    def laplacian(self) -> sp.csc_matrix:
+        """The negative Laplacian on the interior unknowns: the diagonal,
+        and -coef for every stencil edge between two interior nodes."""
+        n = self.n_unknowns
+        # the number of each interior node's unknown (meaningless elsewhere)
+        unknown = np.cumsum(self.interior.ravel()).reshape(self.interior.shape) - 1
+        rows, cols, vals = [np.arange(n)], [np.arange(n)], [self.diag]
+        for src, dst, coef in self._stencil:
+            edge = self.interior[src] & self.interior[dst]
+            rows.append(unknown[src][edge])
+            cols.append(unknown[dst][edge])
+            vals.append(np.full(rows[-1].size, -coef))
+        return sp.csc_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+        )
 
     def factorize(self, A: sp.csc_matrix):
         """SuperLU factor of ``A``, a system on this grid in the original
@@ -160,46 +190,48 @@ class _GridOperator:
             self._pattern = _FactorPattern(self.laplacian, self.order)
         return self._pattern
 
-    def edge_stencil(self, g: Grid):
-        """``(S, p, q)`` such that the Laplacian at the interior nodes is
-        ``S @ (u[q] - u[p])``, a sum over the directed stencil edges p -> q.
-        Each row adds its edges in stencil order, so a constant field has a
-        Laplacian of exactly 0."""
-        if self._edges is None:
-            p, q, coef = _stencil_edges(g)
-            rows = np.searchsorted(self.interior_flat, p)
-            S = sp.csr_matrix((coef, (rows, np.arange(p.size))), shape=(self.n_unknowns, p.size))
-            self._edges = (S, p, q)
-        return self._edges
+    def _row_product(self, v: np.ndarray, centre: np.ndarray | None = None) -> np.ndarray:
+        """At each interior node p, coef * v[q] summed over the stencil
+        neighbours q in ascending order of q, with ``centre[p]`` added
+        between the neighbours below p and those above it: the order in
+        which a sparse product adds the entries of row p.  ``v`` and
+        ``centre`` are shaped like the mask."""
+        acc = np.zeros(v.shape)
+        for k, (src, dst, coef) in enumerate(self._node_order):
+            if centre is not None and k == len(self._node_order) // 2:
+                acc += centre
+            acc[src] += coef * v[dst]
+        return acc.ravel()[self.interior_flat]
 
     def rhs(self, boundary_values_flat: np.ndarray) -> np.ndarray:
-        return self.boundary_op @ boundary_values_flat
+        """The boundary values' share of the right-hand side: at each
+        interior node, coef times the value of each boundary neighbour."""
+        b = boundary_values_flat.reshape(self.boundary.shape)
+        return self._row_product(np.where(self.boundary, b, 0.0))
 
+    def residual(self, b: np.ndarray, y: np.ndarray, c: np.ndarray | None) -> np.ndarray:
+        """``b - (laplacian + diag(c)) y`` in the original order of the
+        unknowns, rounded as the sparse product with the matrix SuperLU is
+        given (diagonal ``diag + c``); ``c`` None means 0."""
+        d = self.diag if c is None else self.diag + c
+        v = np.zeros(self.interior.size)
+        centre = np.zeros(self.interior.size)
+        v[self.interior_flat] = y
+        centre[self.interior_flat] = -(d * y)
+        # summed with +coef and -d y, each row is the exact negative of the
+        # row of the sparse product A y, so b plus it is b - A y bit for bit
+        shape = self.interior.shape
+        return b + self._row_product(v.reshape(shape), centre.reshape(shape))
 
-def _stencil_edges(g: Grid):
-    """Flat node numbers p, q and coefficient of every directed stencil edge
-    p -> q from an interior node p, one stencil direction after another."""
-    flat_mask = g.mask.ravel()
-    if g.ndim == 1:
-        shape = g.dims
-        shifts = [((-1,), 1.0 / g.spacing[0] ** 2), ((1,), 1.0 / g.spacing[0] ** 2)]
-    else:
-        nx, ny = g.dims
-        shape = (ny, nx)
-        cx = 1.0 / g.spacing[0] ** 2
-        cy = 1.0 / g.spacing[1] ** 2
-        shifts = [((0, -1), cx), ((0, 1), cx), ((-1, 0), cy), ((1, 0), cy)]
-    idx = np.arange(flat_mask.size).reshape(shape)
-    ps, qs, coefs = [], [], []
-    for shift, coef in shifts:
-        src, dst = _shift_slices(shape, shift)
-        p = idx[src].ravel()
-        q = idx[dst].ravel()
-        sel = flat_mask[p] == NodeClass.INTERIOR
-        ps.append(p[sel])
-        qs.append(q[sel])
-        coefs.append(np.full(sel.sum(), coef))
-    return np.concatenate(ps), np.concatenate(qs), np.concatenate(coefs)
+    def laplacian_of(self, v: np.ndarray) -> np.ndarray:
+        """The stencil's Laplacian of ``v`` (shaped like the mask) at the
+        interior nodes, 0 elsewhere: coef * (v[q] - v[p]) summed over the
+        directions in stencil order, so a constant has a Laplacian of
+        exactly 0."""
+        acc = np.zeros(v.shape)
+        for src, dst, coef in self._stencil:
+            acc[src] += coef * (v[dst] - v[src])
+        return np.where(self.interior, acc, 0.0)
 
 
 def _box_denominators(g: Grid, n: int) -> np.ndarray | None:
@@ -311,13 +343,7 @@ def grid_operator(g: Grid) -> _GridOperator:
 
 def apply_laplacian(u: ScalarField) -> ScalarField:
     """Centered-stencil Laplacian at interior nodes, 0 elsewhere."""
-    g = u.grid
-    op = grid_operator(g)
-    S, p, q = op.edge_stencil(g)
-    flat = u.values.ravel()
-    out = np.zeros(flat.size)
-    out[op.interior_flat] = S @ (flat[q] - flat[p])
-    return ScalarField(g, out.reshape(u.values.shape))
+    return ScalarField(u.grid, grid_operator(u.grid).laplacian_of(u.values))
 
 
 def _solve_linear(op: _GridOperator, c: np.ndarray | None, rhs: list[np.ndarray], tol: float):
@@ -346,37 +372,39 @@ def _solve_linear(op: _GridOperator, c: np.ndarray | None, rhs: list[np.ndarray]
     if not live:
         return xs, stats
     # the first factorization of a grid applies its own ordering to the
-    # unpermuted system; later screened ones take the grid's template
-    A, order = op.laplacian, slice(None)
+    # unpermuted system; later screened ones take the grid's template and
+    # solve in its order
+    order = slice(None)
     if c is None:
         a_norm = float(op.row_sums.max(initial=0.0))
         if op.box_denominators is not None:
             solve = functools.partial(_box_solve, op.box_denominators)
         else:
-            solve = op.factorize(A).solve
+            solve = op.factorize(op.laplacian).solve
     else:
         a_norm = float((op.row_sums + c).max(initial=0.0))
         if op.order is None:
-            A = A + sp.diags(c)
-            solve = op.factorize(A).solve
+            solve = op.factorize(op.laplacian + sp.diags(c)).solve
         else:
             pattern = op.factor_pattern()
-            A, order = pattern.matrix(c), pattern.order
+            order = pattern.order
             solve = spla.splu(
-                A, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+                pattern.matrix(c), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
             ).solve
     for k in live:
-        b = rhs[k][order]
+        b = rhs[k]
         # one solve per column: a multi-column triangular solve runs blocked
         # BLAS kernels whose rounding depends on the block width, so it
         # would not reproduce a single solve bit for bit
-        y = solve(b)
-        r = b - A @ y
+        y = xs[k]
+        y[order] = solve(b[order])
+        r = op.residual(b, y, c)
         y_max = float(np.abs(y).max(initial=0.0))
         r_max = float(np.abs(r).max())
         # backward-error style relative residual: stable for the stiff
         # screened systems where ||A|| >> ||b|| / ||x||
-        scale = max(_norm2(rhs[k], b_maxes[k]), a_norm * y_max)
+        scale = max(_norm2(b, b_maxes[k]), a_norm * y_max)
         res = _norm2(r, r_max) / scale
         bound = op.inverse_norm_bound * (
             r_max + op.residual_rounding * (b_maxes[k] + a_norm * y_max)
@@ -384,7 +412,6 @@ def _solve_linear(op: _GridOperator, c: np.ndarray | None, rhs: list[np.ndarray]
         stats[k] = LinearSolveStats(1, res, res <= tol, bound)
         if res > tol:
             raise SolverError(f"direct solve residual {res:.3e} exceeds tol {tol:g}", stats=stats[k])
-        xs[k][order] = y
     return xs, stats
 
 

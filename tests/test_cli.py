@@ -149,6 +149,22 @@ def test_missing_file():
         parse_config("/nonexistent/file.cfg")
 
 
+@pytest.mark.parametrize("kind,why", [("directory", "Is a directory"), ("latin-1", "can't decode")],
+                         ids=["directory", "latin-1"])
+def test_unreadable_config_exit_2(tmp_path, capsys, kind, why):
+    # a directory, or a file that is not UTF-8 text, is a config error that
+    # names the path, not an internal error
+    path = tmp_path / "bad.cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"[domain]\nkind = interval # \xff\n")
+    with pytest.raises(ConfigError, match=f"cannot read config file {path}: .*{why}"):
+        parse_config(path)
+    assert main(["validate", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"config error: cannot read config file {path}" in capsys.readouterr().err
+
+
 def test_validate_subcommand(tmp_path):
     out = tmp_path / "out"
     assert main(["validate", LINE_M2, "--out", str(out)]) == EXIT_OK

@@ -309,6 +309,74 @@ def test_laplacian_matches_stencil_loop(domain, n):
         assert np.array_equal(apply_laplacian(u).values, stencil_loop_laplacian(u))
 
 
+def sparse_boundary_rhs(g, b):
+    """The boundary coupling as the sparse product that the operator's
+    slice sums replaced: coef times the value of each boundary neighbour of
+    an interior node, summed by a CSR row product."""
+    flat_mask = g.mask.ravel()
+    shape = g.mask.shape
+    idx = np.arange(flat_mask.size).reshape(shape)
+    interior = np.nonzero(flat_mask == NodeClass.INTERIOR)[0]
+    unknown = np.full(flat_mask.size, -1)
+    unknown[interior] = np.arange(interior.size)
+    rows, cols, vals = [], [], []
+    for k, h in enumerate(g.spacing):
+        for s in (-1, 1):
+            shift = [0] * g.ndim
+            shift[g.ndim - 1 - k] = s  # the mask axes run opposite to the grid's
+            src, dst = elliptic_core._shift_slices(shape, shift)
+            p, q = idx[src].ravel(), idx[dst].ravel()
+            sel = (flat_mask[p] == NodeClass.INTERIOR) & (flat_mask[q] == NodeClass.BOUNDARY)
+            rows.append(unknown[p[sel]])
+            cols.append(q[sel])
+            vals.append(np.full(sel.sum(), 1.0 / h**2))
+    B = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(interior.size, flat_mask.size),
+    )
+    return B @ b.ravel()
+
+
+@pytest.mark.parametrize("domain,n", KERNEL_GRIDS)
+def test_rhs_and_residual_match_sparse_products(domain, n):
+    # bit for bit, -0.0 included; values off the boundary (NaN here) are
+    # never read.  The residual matches b - A y with the matrix SuperLU is
+    # given, harmonic and screened.
+    g = build_grid(domain, n)
+    op = grid_operator(g)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        vals = rng.standard_normal(g.mask.shape) * 10.0 ** rng.uniform(-30, 30, g.mask.shape)
+        vals.ravel()[::7] = -0.0
+        b = np.where(g.boundary(), vals, np.nan)
+        rhs = op.rhs(b.ravel())
+        assert np.array_equal(rhs.view(np.int64), sparse_boundary_rhs(g, b).view(np.int64))
+        y = rng.standard_normal(op.n_unknowns)
+        for c in (None, rng.uniform(0.0, 1e4, op.n_unknowns)):
+            A = op.laplacian if c is None else op.laplacian + sp.diags(c)
+            r = op.residual(rhs, y, c)
+            assert np.array_equal(r.view(np.int64), (rhs - A @ y).view(np.int64))
+
+
+def test_box_harmonic_and_laplacian_build_no_sparse_matrix(monkeypatch):
+    # a harmonic batch on a box grid and apply_laplacian run on the stencil
+    # arrays alone; the sparse Laplacian is assembled only for SuperLU
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse matrix assembled")
+
+    monkeypatch.setattr(elliptic_core.sp, "csc_matrix", refuse)
+    monkeypatch.setattr(elliptic_core.sp, "csr_matrix", refuse)
+    g = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 2.0), (31, 45))
+    # 1 + x y is harmonic, and the 5-point stencil is exact on it
+    (f,), (st,) = solve_harmonic(g, [boundary_array(g, lambda p: 1.0 + p.coord[0] * p.coord[1])])
+    assert st.converged and st.error_bound > 0
+    X, Y = g.node_coords()
+    assert np.abs(f.values - (1.0 + X * Y)).max() <= 1e-12
+    assert np.abs(apply_laplacian(f).values).max() <= 1e-9
+    disk = build_grid(DomainSpec.disk(0.0, 0.0, 1.0), 21)
+    assert np.all(apply_laplacian(constant_field(disk, 2.0)).values == 0.0)
+
+
 @pytest.mark.parametrize("domain,n", KERNEL_GRIDS)
 def test_kernel_matches_plain_splu(domain, n):
     # the cached ordering, the permuted template and the symmetric-mode
