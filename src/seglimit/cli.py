@@ -31,6 +31,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -421,6 +422,8 @@ class RunWriter:
 def _stats_summary(stats) -> dict:
     return {
         "solves": len(stats),
+        # solves per kernel: sine, tridiagonal, superlu, or none (zero data)
+        "kernels": dict(Counter(s.kernel for s in stats)),
         "max_iterations": max((s.iterations for s in stats), default=0),
         "max_residual": max((s.residual for s in stats), default=0.0),
         "max_error_bound": float(max((s.error_bound for s in stats), default=0.0)),

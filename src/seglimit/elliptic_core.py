@@ -1,4 +1,4 @@
-"""Discrete Laplacian and the two linear kernels: harmonic and screened
+"""Discrete Laplacian and the linear kernels: harmonic and screened
 Dirichlet solves on classified grids.
 
 The stencil is the standard second-order centered one (5-point in 2D,
@@ -14,24 +14,34 @@ The stencil is kept as arrays shaped like the grid (the interior mask and
 one constant coefficient per direction).  Right-hand sides, residuals and
 ``apply_laplacian`` are sums of shifted slices of a grid array; the sparse
 Laplacian is assembled from the same arrays only when SuperLU first needs
-it, so a harmonic batch on a box grid builds no sparse matrix.
+it, so neither an interval grid nor a harmonic batch on a box grid builds
+a sparse matrix.
 
-A harmonic solve takes a batch of boundary data on one grid.  On a box
-grid, a 2D grid whose unknowns are every lattice node off the rim (every
-rectangle), the Laplacian is diagonalized by the sine basis in each
-direction, so each column is solved by two discrete sine transforms
-(DST-I, through ``numpy.fft.rfft`` of the odd extension) in each
-direction and a division by the eigenvalues (the classical fast Poisson
-solver; Lynch, Rice & Thomas 1964; Buzbee, Golub & Nielson 1970).  On
-every other grid (disks, intervals) the batch shares one sparse LU
-factorization (SuperLU) of the grid Laplacian, freed when the call
-returns.  Screened systems are always factorized by SuperLU.
+Three kernels solve the systems, chosen by the grid
+(``LinearSolveStats.kernel`` names the one that ran):
 
-Harmonic and screened systems on one grid (``-Lap + diag(c)``, ``c >= 0``)
-are symmetric positive definite M-matrices with a common sparsity pattern,
-so one fill-reducing ordering serves them all.  The grid takes it from its
-first SuperLU factorization, whichever kind that is (a harmonic batch on a
-grid that is not a box, or the first screened solve): that factorization
+- ``tridiagonal``, every solve on an interval grid.  In node order the
+  unknowns of a 1D grid make ``-Lap + diag(c)`` an SPD tridiagonal, factored
+  once per call as L D L^T by LAPACK (``dpttrf``) and solved per column
+  (``dpttrs``), in O(n) and without pivoting, which is backward stable on
+  SPD tridiagonals (Higham, Accuracy and Stability of Numerical Algorithms,
+  2nd ed., 2002, ch. 9).
+- ``sine``, the harmonic batch on a box grid, a 2D grid whose unknowns are
+  every lattice node off the rim (every rectangle).  There the Laplacian is
+  diagonalized by the sine basis in each direction, so each column is
+  solved by two discrete sine transforms (DST-I, through ``numpy.fft.rfft``
+  of the odd extension) in each direction and a division by the
+  eigenvalues (the classical fast Poisson solver; Lynch, Rice & Thomas
+  1964; Buzbee, Golub & Nielson 1970).
+- ``superlu``, every other solve: the harmonic batch on a disk, and every
+  screened solve in 2D.  One sparse LU factorization serves the call and
+  is freed when it returns.
+
+Harmonic and screened systems on one 2D grid (``-Lap + diag(c)``,
+``c >= 0``) are symmetric positive definite M-matrices with a common
+sparsity pattern, so one fill-reducing ordering serves them all.  The grid
+takes it from its first SuperLU factorization, whichever kind that is (a
+harmonic batch on a disk, or the first screened solve): that factorization
 runs SuperLU's minimum degree on A^T + A in symmetric mode on the
 unpermuted matrix, so one SuperLU call both orders and factorizes.  The
 grid keeps that ordering (a copy: ``SuperLU.perm_c`` is a view that keeps
@@ -51,6 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import SolverError
 from .geometry import Grid, NodeClass
@@ -67,6 +78,9 @@ class LinearSolveStats:
     # certified bound on the sup-norm distance of the computed solution to
     # the exact solution of the stored system (0 for an exact zero solution)
     error_bound: float = 0.0
+    # what solved it: "sine", "tridiagonal" or "superlu" (see _solve_linear),
+    # "none" for an all-zero right-hand side
+    kernel: str = "none"
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +108,9 @@ class _GridOperator:
     """Cached data for one grid, kept as arrays shaped like the grid's mask:
     the interior and boundary masks, the interior numbering, the constant
     stencil coefficients with their shifted slices, the diagonal and the row
-    sums of the negative Laplacian on the interior unknowns, and the
-    sine-transform eigenvalues on a box grid.  Right-hand sides, residuals
+    sums of the negative Laplacian on the interior unknowns, the
+    sine-transform eigenvalues on a box grid and the tridiagonal's
+    off-diagonal on an interval grid.  Right-hand sides, residuals
     and ``apply_laplacian`` are sums of shifted slices of a grid array.  The
     sparse Laplacian is assembled from the same arrays only when SuperLU
     first needs it, and the factor pattern after it."""
@@ -149,6 +164,7 @@ class _GridOperator:
         # as the diagonal is positive and the rest nonpositive
         self.row_sums = self._row_product(self.interior.astype(float), diag)
         self.box_denominators = _box_denominators(g, n)
+        self.off_diagonal = _interval_off_diagonal(g, self.interior_flat)
         self.order: np.ndarray | None = None
         self._pattern: _FactorPattern | None = None
 
@@ -259,6 +275,32 @@ def _box_denominators(g: Grid, n: int) -> np.ndarray | None:
     return 4 * (nx - 1) * (ny - 1) * (lam_y[:, None] + lam_x[None, :])
 
 
+def _interval_off_diagonal(g: Grid, interior_flat: np.ndarray) -> np.ndarray | None:
+    """The off-diagonal of the negative Laplacian on an interval grid, or None.
+
+    On a 1D grid the unknowns in node order make the Laplacian tridiagonal:
+    the entry between consecutive unknowns is the stencil's -1/h^2 (the
+    coefficient computed as ``_GridOperator`` stores it) where they are
+    neighbouring nodes, and 0 where a Dirichlet node lies between them."""
+    if g.ndim != 1:
+        return None
+    (h,) = g.spacing
+    return np.where(np.diff(interior_flat) == 1, -(1.0 / h**2), 0.0)
+
+
+def _tridiagonal_solver(d: np.ndarray, e: np.ndarray):
+    """The solve of the SPD tridiagonal system with diagonal ``d`` and
+    off-diagonal ``e``, from its LDL^T factorization (LAPACK ``dpttrf``,
+    solved by ``dpttrs``).  LAPACK's wrapper refuses an empty off-diagonal,
+    so one unknown is a division."""
+    if d.size == 1:
+        return lambda b: b / d
+    df, ef, info = lapack.dpttrf(d, e)
+    if info != 0:
+        raise SolverError(f"tridiagonal factorization failed: leading minor {info} is not positive")
+    return lambda b: lapack.dpttrs(df, ef, b)[0]
+
+
 def _sine_eigenvalues(N: int, coef: float) -> np.ndarray:
     """Eigenvalues of ``coef * tridiag(-1, 2, -1)`` of size N, in the order
     of the sine modes k = 1..N; ``coef`` is the stencil's 1/h^2 as stored."""
@@ -348,8 +390,10 @@ def apply_laplacian(u: ScalarField) -> ScalarField:
 
 def _solve_linear(op: _GridOperator, c: np.ndarray | None, rhs: list[np.ndarray], tol: float):
     """Solve (laplacian + diag(c)) x = b for every b in ``rhs``; ``c`` None
-    means 0.  The harmonic batch of a box grid takes the sine transform
-    (``_box_solve``); every other call makes one LU factorization.
+    means 0.  An interval grid takes the tridiagonal LDL^T factorization
+    (``_tridiagonal_solver``), the harmonic batch of a box grid the sine
+    transform (``_box_solve``); every other call makes one SuperLU
+    factorization.
 
     Returns ``(solutions, stats)`` in input order.  Zero right-hand sides
     get the zero solution; when all are zero nothing is solved.
@@ -371,27 +415,27 @@ def _solve_linear(op: _GridOperator, c: np.ndarray | None, rhs: list[np.ndarray]
     live = [k for k, b_max in enumerate(b_maxes) if b_max != 0.0]
     if not live:
         return xs, stats
-    # the first factorization of a grid applies its own ordering to the
-    # unpermuted system; later screened ones take the grid's template and
-    # solve in its order
+    a_norm = float((op.row_sums if c is None else op.row_sums + c).max(initial=0.0))
+    # the first SuperLU factorization of a grid applies its own ordering to
+    # the unpermuted system; later screened ones take the grid's template
+    # and solve in its order
     order = slice(None)
-    if c is None:
-        a_norm = float(op.row_sums.max(initial=0.0))
-        if op.box_denominators is not None:
-            solve = functools.partial(_box_solve, op.box_denominators)
-        else:
-            solve = op.factorize(op.laplacian).solve
+    kernel = "superlu"
+    if op.off_diagonal is not None:
+        kernel = "tridiagonal"
+        solve = _tridiagonal_solver(op.diag if c is None else op.diag + c, op.off_diagonal)
+    elif c is None and op.box_denominators is not None:
+        kernel = "sine"
+        solve = functools.partial(_box_solve, op.box_denominators)
+    elif c is None or op.order is None:
+        solve = op.factorize(op.laplacian if c is None else op.laplacian + sp.diags(c)).solve
     else:
-        a_norm = float((op.row_sums + c).max(initial=0.0))
-        if op.order is None:
-            solve = op.factorize(op.laplacian + sp.diags(c)).solve
-        else:
-            pattern = op.factor_pattern()
-            order = pattern.order
-            solve = spla.splu(
-                pattern.matrix(c), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            ).solve
+        pattern = op.factor_pattern()
+        order = pattern.order
+        solve = spla.splu(
+            pattern.matrix(c), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        ).solve
     for k in live:
         b = rhs[k]
         # one solve per column: a multi-column triangular solve runs blocked
@@ -409,7 +453,7 @@ def _solve_linear(op: _GridOperator, c: np.ndarray | None, rhs: list[np.ndarray]
         bound = op.inverse_norm_bound * (
             r_max + op.residual_rounding * (b_maxes[k] + a_norm * y_max)
         )
-        stats[k] = LinearSolveStats(1, res, res <= tol, bound)
+        stats[k] = LinearSolveStats(1, res, res <= tol, bound, kernel)
         if res > tol:
             raise SolverError(f"direct solve residual {res:.3e} exceeds tol {tol:g}", stats=stats[k])
     return xs, stats

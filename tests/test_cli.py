@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from seglimit import (
     DomainSpec,
@@ -390,30 +391,32 @@ def test_rate_subcommand(tmp_path):
     assert manifest_of(out)["stages"]["rate"]["slope"] is not None
 
 
-def counted_splu(monkeypatch) -> list:
+def counted_factorizations(monkeypatch) -> list:
+    """Patch SuperLU and LAPACK's tridiagonal factorization to record the
+    name of each factorization."""
     calls = []
-    splu = spla.splu
+    for module, name in ((spla, "splu"), (lapack, "dpttrf")):
+        def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
 @pytest.mark.parametrize("pivot", ["1", "3"])
 def test_compare_factorizes_once_per_newton_step(tmp_path, monkeypatch, pivot):
     # the limit's harmonic batch is the only harmonic factorization: Newton
-    # starts from that limit and runs on its fields and pivot
-    calls = counted_splu(monkeypatch)
+    # starts from that limit and runs on its fields and pivot; on an
+    # interval every factorization is tridiagonal
+    calls = counted_factorizations(monkeypatch)
     out = tmp_path / "out"
     assert main(["compare", LINE_M3, "--out", str(out), "--pivot", pivot]) == EXIT_OK
-    assert len(calls) == 1 + manifest_of(out)["stages"]["solve"]["sweeps"]
+    assert calls == ["dpttrf"] * (1 + manifest_of(out)["stages"]["solve"]["sweeps"])
 
 
 def test_rate_factorizes_once_per_newton_step(tmp_path, monkeypatch):
-    calls = counted_splu(monkeypatch)
+    calls = counted_factorizations(monkeypatch)
     steps = []
     solve_epsilon = analysis.solve_epsilon
 
@@ -425,7 +428,21 @@ def test_rate_factorizes_once_per_newton_step(tmp_path, monkeypatch):
     monkeypatch.setattr(analysis, "solve_epsilon", recording)
     assert main(["rate", LINE_M3, "--out", str(tmp_path / "out")]) == EXIT_OK
     assert len(steps) == 5
-    assert len(calls) == 1 + sum(steps)
+    assert calls == ["dpttrf"] * (1 + sum(steps))
+
+
+def test_manifest_counts_solves_per_kernel(tmp_path):
+    # the interval takes the tridiagonal kernel throughout; the rectangle's
+    # harmonic batch takes the sine transform and its Newton steps SuperLU
+    square = tmp_path / "square.cfg"
+    square.write_text(config_path("square_m4").read_text().replace("n = 201", "n = 41"))
+    for cfg, harmonic, screened in ((LINE_M2, {"tridiagonal": 1}, "tridiagonal"),
+                                    (square, {"sine": 3}, "superlu")):
+        out = tmp_path / "out"
+        assert main(["compare", str(cfg), "--out", str(out), "--epsilon", "1e-4"]) == EXIT_OK
+        stages = manifest_of(out)["stages"]
+        assert stages["limit"]["linear"]["kernels"] == harmonic
+        assert stages["solve"]["linear"]["kernels"] == {screened: stages["solve"]["sweeps"]}
 
 
 def test_solve_and_compare_write_the_same_solution(tmp_path):

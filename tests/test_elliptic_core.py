@@ -207,10 +207,10 @@ def test_field_shape_checked(unit_square_21):
 
 def test_harmonic_batch_equals_single_solves(configs):
     # batching must not change a bit of any column, on the sine-transform
-    # grid and on the factorized one (a multi-column triangular solve on
-    # the shared factor did, from the fourth column of a block); an
-    # all-zero column is solved without the kernel
-    for name in ("square_m4", "disk_m3"):
+    # grid, the SuperLU one (a multi-column triangular solve on the shared
+    # factor did, from the fourth column of a block) and the tridiagonal
+    # one; an all-zero column is solved without the kernel
+    for name in ("square_m4", "disk_m3", "line_m3"):
         g = configs[name].grid
         phi = configs[name].data.boundary_arrays(g)
         data = phi + [phi[0] - p for p in phi[1:]] + [np.zeros(g.mask.shape)]
@@ -598,14 +598,16 @@ def test_box_kernel_sine_transform(domain, n):
 
 def test_box_kernel_only_on_box_grids(monkeypatch):
     # the kernel follows the grid's unknowns: a rectangle takes the sine
-    # transform; a disk, an interval and a rectangle with one interior node
-    # made a Dirichlet node are factorized
+    # transform; a disk and a rectangle with one interior node made a
+    # Dirichlet node are factorized by SuperLU; an interval takes the
+    # tridiagonal kernel
     def is_box(domain, n):
         return grid_operator(build_grid(domain, n)).box_denominators is not None
 
     assert is_box(DomainSpec.rectangle(0.0, 1.0, 0.0, 2.0), (9, 12))
     assert not is_box(DomainSpec.disk(0.0, 0.0, 1.0), 21)
     assert not is_box(DomainSpec.interval(0.0, 1.0), 21)
+    assert grid_operator(build_grid(DomainSpec.interval(0.0, 1.0), 21)).off_diagonal is not None
     g = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 11)
     mask = g.mask.copy()
     mask[4, 6] = NodeClass.BOUNDARY
@@ -619,3 +621,65 @@ def test_box_kernel_only_on_box_grids(monkeypatch):
     monkeypatch.setattr(elliptic_core, "DIRECT_SOLVE_LIMIT", 20)
     with pytest.raises(SolverError, match="81 unknowns exceed the direct-solve limit of 20"):
         solve_harmonic(build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 11), [b])
+
+
+@pytest.mark.parametrize("n", [401, 2001])
+def test_tridiagonal_kernel_matches_plain_splu(n):
+    # harmonic and screened solves on an interval, c up to 1e8/h^2, against
+    # a plain default SuperLU factorization of the same CSC matrix; the
+    # certified bound covers the difference
+    g = build_grid(DomainSpec.interval(-1.0, 2.0), n)
+    op = grid_operator(g)
+    (h,) = g.spacing
+    rng = np.random.default_rng(17)
+    b = np.where(g.boundary(), rng.uniform(0.0, 2.0, g.mask.shape), 0.0)
+    interior = g.interior()
+    (f,), (st,) = solve_harmonic(g, [b])
+    results = [(np.zeros(g.mask.shape), f, st)]
+    for scale in (1.0, 1e4, 1e8):
+        c = rng.uniform(0.0, scale / h**2, g.mask.shape)
+        results.append((c,) + solve_screened(g, c, b))
+    for c, u, st in results:
+        A = (op.laplacian + sp.diags(c[interior])).tocsc()
+        ref = spla.splu(A).solve(op.rhs(b.ravel()))
+        diff = np.abs(u.values[interior] - ref).max()
+        assert st.kernel == "tridiagonal"
+        assert diff <= 1e-12 * np.abs(ref).max()
+        assert diff <= st.error_bound
+
+
+def test_interval_solves_make_no_superlu_call(monkeypatch, configs):
+    # on an interval no solve factorizes with SuperLU, orders the grid or
+    # builds the sparse Laplacian
+    factorizations = counting_factorizations(monkeypatch)
+    cfg = configs["line_m2"]
+    g = build_grid(cfg.domain, cfg.grid.dims)
+    b = cfg.data.boundary_arrays(g)
+    _, harmonic_stats = solve_harmonic(g, b)
+    _, screened_stats = solve_screened(g, np.ones(g.mask.shape), b[0])
+    r = solve_epsilon(g, cfg.data, 1e-4)
+    assert factorizations == []
+    assert all(st.kernel == "tridiagonal" for st in harmonic_stats + [screened_stats] + r.linear_stats)
+    op = grid_operator(g)
+    assert op.order is None and op._pattern is None and "laplacian" not in vars(op)
+
+
+def test_one_unknown_interval():
+    # n = 3 leaves one unknown x, with (2 / h^2 + c) x = (a + b) / h^2 and
+    # h = 1/2; LAPACK's wrapper takes no empty off-diagonal, so the kernel
+    # divides, and the quotient is exact to the last bit
+    g = build_grid(DomainSpec.interval(0.0, 1.0), 3)
+    a, b = 0.3, 1.7
+    data = np.array([a, 0.0, b])
+    (f,), (st,) = solve_harmonic(g, [data])
+    assert f.values.tolist() == [a, (a + b) / 2, b]
+    assert st.kernel == "tridiagonal" and st.converged
+    c = 5.0
+    u, st = solve_screened(g, np.full(3, c), data)
+    assert u.values.tolist() == [a, (a + b) / (2 + c / 4), b]
+    assert st.kernel == "tridiagonal" and st.converged
+
+
+def test_tridiagonal_kernel_refuses_indefinite_matrix():
+    with pytest.raises(SolverError, match="leading minor 2 is not positive"):
+        elliptic_core._tridiagonal_solver(np.array([2.0, 1.0]), np.array([-3.0]))
