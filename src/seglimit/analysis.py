@@ -303,6 +303,7 @@ class RateRow:
     lmp1: tuple[float, ...] | None  # per-component L^{m+1} distance; None on failure
     sup: tuple[float, ...] | None
     failed: bool = False
+    message: str | None = None  # the SolverError of a failed solve
 
 
 @dataclass
@@ -334,7 +335,8 @@ def rate_study(
     log-log slope fit for the limit's pivot component.
 
     Every eps-solve starts from ``limit`` and runs on its harmonic fields,
-    so the ladder makes no harmonic solve of its own.
+    so the ladder makes no harmonic solve of its own.  A solve that fails
+    gives a failed row that keeps the ``SolverError`` message.
 
     The largest epsilon is dropped and the fit redone when the fit residual
     exceeds the pre-asymptotic cap; single-row tables carry no slope.
@@ -348,8 +350,8 @@ def rate_study(
     def run(eps: float) -> RateRow:
         try:
             r = solve_epsilon(g, data, eps, tol_fp, max_sweeps, tol_linear, limit=limit)
-        except SolverError:
-            return RateRow(eps, None, None, True)
+        except SolverError as exc:
+            return RateRow(eps, None, None, True, str(exc))
         dist = solve_vs_limit_distances(r, limit)
         return RateRow(eps, tuple(d["lmp1"] for d in dist), tuple(d["sup"] for d in dist))
 

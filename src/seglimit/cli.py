@@ -11,7 +11,7 @@ pairs.  ``#`` starts a comment.  Sections and keys:
     [system]   m, epsilon, alpha = [..], A = [..]
     [boundary.i]  piece = "<selector>: <expr>"   (repeatable; the selector
                   must be one the domain kind can match, or ``all``)
-    [solver]   tol_linear, tol_fp, max_sweeps (caps the Newton steps)
+    [solver]   tol_linear, tol_fp, max_sweeps (caps the Newton and chord steps)
 
 Subcommands: validate, solve, limit, compare, rate, interfaces; each takes
 only its own value flags (``_COMMAND_FLAGS``).  Config numbers and flag
@@ -422,6 +422,8 @@ class RunWriter:
 def _stats_summary(stats) -> dict:
     return {
         "solves": len(stats),
+        # solves that made the factor they ran on; the others reused one
+        "factorizations": sum(s.factorized for s in stats),
         # solves per kernel: sine, tridiagonal, superlu, or none (zero data)
         "kernels": dict(Counter(s.kernel for s in stats)),
         "max_iterations": max((s.iterations for s in stats), default=0),
@@ -450,6 +452,8 @@ def _solve(cfg: SystemConfig, args: argparse.Namespace, w: RunWriter, limit=None
     )
     w.stages["solve"] = {
         "epsilon": r.epsilon, "sweeps": r.sweeps, "gap": r.gap,
+        # the certificate bounds the fields' error; the update rule gives none
+        "stop": r.stop, "error_bound": r.gap if r.stop == "certified" else None,
         "linear": _stats_summary(r.linear_stats),
     }
     return r
@@ -517,7 +521,9 @@ def cmd_rate(cfg: SystemConfig, out: Path, args: argparse.Namespace) -> int:
         tol_fp=cfg.tol_fp, max_sweeps=cfg.max_sweeps, tol_linear=cfg.tol_linear,
     )
     w.stages["rate"] = {"slope": table.slope, "fit_residual": table.fit_residual,
-                        "dropped_largest": table.dropped_largest}
+                        "dropped_largest": table.dropped_largest,
+                        "failures": [{"epsilon": row.epsilon, "message": row.message}
+                                     for row in table.rows if row.failed]}
     write_rate_csv(w.path("rate.csv"), table)
     w.finish()
     return EXIT_OK

@@ -35,7 +35,11 @@ Three kernels solve the systems, chosen by the grid
   1964; Buzbee, Golub & Nielson 1970).
 - ``superlu``, every other solve: the harmonic batch on a disk, and every
   screened solve in 2D.  One sparse LU factorization serves the call and
-  is freed when it returns.
+  is freed when it returns, unless the caller holds it in a ``Factor``
+  for later screened solves of the same matrix.
+
+``LinearSolveStats.factorized`` says whether a solve made the factor it
+ran on.
 
 Harmonic and screened systems on one 2D grid (``-Lap + diag(c)``,
 ``c >= 0``) are symmetric positive definite M-matrices with a common
@@ -56,7 +60,7 @@ from __future__ import annotations
 import functools
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,9 +82,13 @@ class LinearSolveStats:
     # certified bound on the sup-norm distance of the computed solution to
     # the exact solution of the stored system (0 for an exact zero solution)
     error_bound: float = 0.0
-    # what solved it: "sine", "tridiagonal" or "superlu" (see _solve_linear),
-    # "none" for an all-zero right-hand side
+    # what solved it: "sine", "tridiagonal" or "superlu" (see Factor), "none"
+    # for an all-zero right-hand side
     kernel: str = "none"
+    # whether this solve made the factor it ran on; the later columns of a
+    # batch, and a screened solve on a held Factor, reuse one.  Not compared:
+    # a column's solution is the same whichever column made the factor
+    factorized: bool = field(default=False, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,6 +247,18 @@ class _GridOperator:
         shape = self.interior.shape
         return b + self._row_product(v.reshape(shape), centre.reshape(shape))
 
+    def laplacian_terms(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """At the interior unknowns, in their order: ``laplacian_of(v)`` and
+        the sum of coef * |v[q] - v[p]| over the same terms, which scales
+        the rounding of the first."""
+        lap = np.zeros(v.shape)
+        mag = np.zeros(v.shape)
+        for src, dst, coef in self._stencil:
+            term = coef * (v[dst] - v[src])
+            lap[src] += term
+            mag[src] += np.abs(term)
+        return lap.ravel()[self.interior_flat], mag.ravel()[self.interior_flat]
+
     def laplacian_of(self, v: np.ndarray) -> np.ndarray:
         """The stencil's Laplacian of ``v`` (shaped like the mask) at the
         interior nodes, 0 elsewhere: coef * (v[q] - v[p]) summed over the
@@ -388,15 +408,73 @@ def apply_laplacian(u: ScalarField) -> ScalarField:
     return ScalarField(u.grid, grid_operator(u.grid).laplacian_of(u.values))
 
 
-def _solve_linear(op: _GridOperator, c: np.ndarray | None, rhs: list[np.ndarray], tol: float):
-    """Solve (laplacian + diag(c)) x = b for every b in ``rhs``; ``c`` None
-    means 0.  An interval grid takes the tridiagonal LDL^T factorization
+class Factor:
+    """The factorization of ``laplacian + diag(c)`` on one grid (``c`` None
+    means 0), made by the first solve that needs it.
+
+    An interval grid takes the tridiagonal LDL^T factorization
     (``_tridiagonal_solver``), the harmonic batch of a box grid the sine
-    transform (``_box_solve``); every other call makes one SuperLU
-    factorization.
+    transform (``_box_solve``), which factorizes nothing; every other
+    system one SuperLU factorization.  A caller may hold one Factor across
+    ``solve_screened`` calls on a grid: a call with an equal ``c`` solves
+    on the held factor, and a call with another ``c`` frees it before the
+    new one is made, so the holder keeps at most one factor alive.
+    ``clear`` frees it.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.c = None
+        self.kernel = "none"
+        self.solve = None
+        self.order = slice(None)
+
+    def use(self, c: np.ndarray) -> None:
+        """Hold the system with screening coefficient ``c``, keeping the
+        factor only if it was made for an equal one."""
+        if self.c is None or not np.array_equal(self.c, c):
+            self.clear()
+            self.c = c
+
+    def prepare(self, op: _GridOperator) -> bool:
+        """Make the factor unless it is made; True when this call
+        factorized a matrix."""
+        if self.solve is not None:
+            return False
+        c = self.c
+        if op.off_diagonal is not None:
+            self.kernel = "tridiagonal"
+            self.solve = _tridiagonal_solver(op.diag if c is None else op.diag + c, op.off_diagonal)
+            return True
+        if c is None and op.box_denominators is not None:
+            self.kernel = "sine"
+            self.solve = functools.partial(_box_solve, op.box_denominators)
+            return False
+        self.kernel = "superlu"
+        # the first SuperLU factorization of a grid applies its own ordering
+        # to the unpermuted system; later screened ones take the grid's
+        # template and solve in its order
+        if c is None or op.order is None:
+            self.solve = op.factorize(op.laplacian if c is None else op.laplacian + sp.diags(c)).solve
+        else:
+            pattern = op.factor_pattern()
+            self.order = pattern.order
+            self.solve = spla.splu(
+                pattern.matrix(c), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            ).solve
+        return True
+
+
+def _solve_linear(op: _GridOperator, factor: Factor, rhs: list[np.ndarray], tol: float):
+    """Solve (laplacian + diag(factor.c)) x = b for every b in ``rhs`` on
+    ``factor``, which is made here unless it is already.
 
     Returns ``(solutions, stats)`` in input order.  Zero right-hand sides
-    get the zero solution; when all are zero nothing is solved.
+    get the zero solution; when all are zero nothing is solved or
+    factorized.
 
     Each solution y carries the certified error bound
     ``R^2/(2d) (||b - A y||_inf + gamma (||b||_inf + ||A||_inf ||y||_inf))``
@@ -409,6 +487,7 @@ def _solve_linear(op: _GridOperator, c: np.ndarray | None, rhs: list[np.ndarray]
         raise SolverError(
             f"{n} unknowns exceed the direct-solve limit of {DIRECT_SOLVE_LIMIT}"
         )
+    c = factor.c
     xs = [np.zeros_like(b) for b in rhs]
     stats = [LinearSolveStats(0, 0.0, True) for _ in rhs]
     b_maxes = [float(np.abs(b).max(initial=0.0)) for b in rhs]
@@ -416,33 +495,15 @@ def _solve_linear(op: _GridOperator, c: np.ndarray | None, rhs: list[np.ndarray]
     if not live:
         return xs, stats
     a_norm = float((op.row_sums if c is None else op.row_sums + c).max(initial=0.0))
-    # the first SuperLU factorization of a grid applies its own ordering to
-    # the unpermuted system; later screened ones take the grid's template
-    # and solve in its order
-    order = slice(None)
-    kernel = "superlu"
-    if op.off_diagonal is not None:
-        kernel = "tridiagonal"
-        solve = _tridiagonal_solver(op.diag if c is None else op.diag + c, op.off_diagonal)
-    elif c is None and op.box_denominators is not None:
-        kernel = "sine"
-        solve = functools.partial(_box_solve, op.box_denominators)
-    elif c is None or op.order is None:
-        solve = op.factorize(op.laplacian if c is None else op.laplacian + sp.diags(c)).solve
-    else:
-        pattern = op.factor_pattern()
-        order = pattern.order
-        solve = spla.splu(
-            pattern.matrix(c), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        ).solve
+    factorized = factor.prepare(op)
+    order = factor.order
     for k in live:
         b = rhs[k]
         # one solve per column: a multi-column triangular solve runs blocked
         # BLAS kernels whose rounding depends on the block width, so it
         # would not reproduce a single solve bit for bit
         y = xs[k]
-        y[order] = solve(b[order])
+        y[order] = factor.solve(b[order])
         r = op.residual(b, y, c)
         y_max = float(np.abs(y).max(initial=0.0))
         r_max = float(np.abs(r).max())
@@ -453,7 +514,8 @@ def _solve_linear(op: _GridOperator, c: np.ndarray | None, rhs: list[np.ndarray]
         bound = op.inverse_norm_bound * (
             r_max + op.residual_rounding * (b_maxes[k] + a_norm * y_max)
         )
-        stats[k] = LinearSolveStats(1, res, res <= tol, bound, kernel)
+        # the batch's first column made the factor, the others reuse it
+        stats[k] = LinearSolveStats(1, res, res <= tol, bound, factor.kernel, factorized and k == live[0])
         if res > tol:
             raise SolverError(f"direct solve residual {res:.3e} exceeds tol {tol:g}", stats=stats[k])
     return xs, stats
@@ -469,11 +531,11 @@ def _norm2(x: np.ndarray, x_max: float) -> float:
     return x_max * math.sqrt(float(np.sum(np.square(x / x_max))))
 
 
-def _boundary_flat(g: Grid, boundary_values) -> np.ndarray:
+def _boundary_flat(g: Grid, op: _GridOperator, boundary_values) -> np.ndarray:
     vals = boundary_values.values if isinstance(boundary_values, ScalarField) else np.asarray(boundary_values, dtype=float)
     if vals.shape != g.mask.shape:
         raise ValueError("boundary values must be a full-grid array")
-    if not np.all(np.isfinite(vals[g.boundary()])):
+    if not np.all(np.isfinite(vals[op.boundary])):
         raise ValueError("boundary values must be finite")
     return vals.ravel()
 
@@ -481,7 +543,7 @@ def _boundary_flat(g: Grid, boundary_values) -> np.ndarray:
 def _assemble_solution(g: Grid, op: _GridOperator, x: np.ndarray, bflat: np.ndarray) -> ScalarField:
     out = np.zeros(g.mask.size)
     out[op.interior_flat] = x
-    bidx = g.boundary().ravel()
+    bidx = op.boundary.ravel()
     out[bidx] = bflat[bidx]
     return ScalarField(g, out.reshape(g.mask.shape))
 
@@ -496,12 +558,13 @@ def solve_harmonic(g: Grid, boundary_values, tol: float = DEFAULT_TOL):
     its boundary extremes.
     """
     op = grid_operator(g)
-    bflats = [_boundary_flat(g, b) for b in boundary_values]
-    xs, stats = _solve_linear(op, None, [op.rhs(b) for b in bflats], tol)
+    bflats = [_boundary_flat(g, op, b) for b in boundary_values]
+    xs, stats = _solve_linear(op, Factor(), [op.rhs(b) for b in bflats], tol)
     return [_assemble_solution(g, op, x, b) for x, b in zip(xs, bflats)], stats
 
 
-def solve_screened(g: Grid, c, boundary_values, tol: float = DEFAULT_TOL, source=None):
+def solve_screened(g: Grid, c, boundary_values, tol: float = DEFAULT_TOL, source=None,
+                   factor: Factor | None = None):
     """Solve the screened equation  Lap(u) = c(x) u - f(x)  with Dirichlet data.
 
     ``source`` is the interior term f (default 0).  Requires c >= 0 and
@@ -510,12 +573,16 @@ def solve_screened(g: Grid, c, boundary_values, tol: float = DEFAULT_TOL, source
     u <= max boundary value.  Violations of those exact bounds within the
     solve's certified error bound are clamped; one beyond it raises a
     ``SolverError``.
+
+    ``factor`` is a ``Factor`` the caller holds: the solve runs on it when
+    it was made for the same c, and otherwise frees it and fills it with
+    its own factorization.  Without one the factor is freed on return.
     """
     op = grid_operator(g)
     c_int = _interior_values(g, op, c, "screening coefficient")
     f_int = None if source is None else _interior_values(g, op, source, "source")
-    bflat = _boundary_flat(g, boundary_values)
-    bvals = bflat[g.boundary().ravel()]
+    bflat = _boundary_flat(g, op, boundary_values)
+    bvals = bflat[op.boundary.ravel()]
     if bvals.size and bvals.min() < 0:
         raise ValueError("screened solve requires nonnegative boundary values")
     M = float(bvals.max(initial=0.0))
@@ -524,7 +591,10 @@ def solve_screened(g: Grid, c, boundary_values, tol: float = DEFAULT_TOL, source
     b = op.rhs(bflat)
     if f_int is not None:
         b = b + f_int
-    (x,), (stats,) = _solve_linear(op, c_int, [b], tol)
+    if factor is None:
+        factor = Factor()
+    factor.use(c_int)
+    (x,), (stats,) = _solve_linear(op, factor, [b], tol)
     bound = stats.error_bound
     if f_int is None:
         high = float(x.max(initial=0.0))
@@ -541,8 +611,7 @@ def solve_screened(g: Grid, c, boundary_values, tol: float = DEFAULT_TOL, source
             f"error bound {bound:.3e}", stats=stats,
         )
     x[x < 0] = 0.0
-    field = _assemble_solution(g, op, x, bflat)
-    return field, stats
+    return _assemble_solution(g, op, x, bflat), stats
 
 
 def _interior_values(g: Grid, op: _GridOperator, arr, what: str) -> np.ndarray:

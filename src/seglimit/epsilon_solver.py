@@ -21,6 +21,39 @@ convex M-functions).  The components are recovered as u_j = A_j (v - w_j);
 as v >= v* >= v_lim >= w_j up to the solves' certified error bounds, a
 negative u_j within them is rounding and is clamped to 0.
 
+Chord steps (Shamanskii's method).  With G(v) = -Lap v + F(v)/eps and
+J(a) = -Lap + diag(F'(a)/eps), a chord step from a supersolution v on the
+Jacobian of a point a >= v is v+ = v - J(a)^{-1} G(v), one more
+triangular solve on the factor of J(a).  As G(v) >= 0 and J(a)^{-1} >= 0,
+v+ <= v.  By convexity G(v) - G(v*) <= J(v) (v - v*), so
+J(a) (v+ - v*) >= diag(F'(a) - F'(v)) (v - v*)/eps >= 0, as F' is
+nondecreasing: v+ >= v*.  And G(v+) >= (J(a) - J(v)) J(a)^{-1} G(v) >= 0,
+so v+ is again a supersolution below a, and the next chord step may use
+the same factor (Ortega & Rheinboldt, Iterative Solution of Nonlinear
+Equations in Several Variables, 1970, 13.3; Kelley, Iterative Methods for
+Linear and Nonlinear Equations, 1995, 5.4).  So after each factorizing
+step made at a Newton iterate, up to ``CHORD_STEPS`` chord steps run on
+its factor.  Two factors take none:
+
+- the first, made at the start v_lim (or ``initial``), which lies below
+  the iterates, so a chord step on it need not decrease them;
+- a tridiagonal one (every interval grid), which costs no more than the
+  solve itself, so a chord step saves nothing and converges more slowly
+  than the Newton step it replaces.
+
+The stop is certified.  For any v with the exact boundary values,
+G(v) - G(v*) = (-Lap + diag(D)) (v - v*) with D >= 0 the divided
+difference of F/eps (F is nondecreasing), so by the discrete maximum
+principle |v - v*| <= R^2/(2d) max_p |G(v)_p|, whatever c = D is.  After
+every solve the residual R = Lap_h v - F(v)/eps is evaluated at the
+interior nodes, with the F the next step needs, and the iteration stops
+when a_max R^2/(2d) max_p (|R_p| + rho_p) <= tol_fp M, where rho_p bounds
+the rounding of R_p.  The update rule stays as the fallback: Newton also
+stops when the update of a factorizing step is at most tol_fp M.  The
+certificate cannot reach tol_fp where the screening coefficient c is large
+(small eps on fine grids): the residual of a computed iterate is then at
+least the rounding of c v, and R^2/(2d) ignores the c that damps it.
+
 The decoupled sweep iteration is kept as a cross-check oracle.  Starting
 from the harmonic extensions of the boundary data, each sweep solves one
 screened linear problem per component in ascending order: component i
@@ -47,8 +80,10 @@ import numpy as np
 
 from .elliptic_core import (
     DEFAULT_TOL,
+    Factor,
     LinearSolveStats,
     ScalarField,
+    grid_operator,
     solve_harmonic,
     solve_screened,
 )
@@ -59,6 +94,8 @@ from .problem_data import ProblemData
 
 DEFAULT_TOL_FP = 1e-8
 DEFAULT_MAX_SWEEPS = 500
+# chord steps on each SuperLU factor made at a Newton iterate
+CHORD_STEPS = 2
 
 
 @dataclass
@@ -73,10 +110,13 @@ class IterationState:
 class SolveResult:
     fields: tuple[ScalarField, ...]
     epsilon: float
-    sweeps: int
+    sweeps: int  # Newton and chord steps, or sweeps
+    # the measure that met tol_fp * M: the residual certificate (a bound on
+    # the fields' error) at a "certified" stop, else the last update or gap
     gap: float
-    gap_history: list[float]  # Newton update norms, or even/odd sweep gaps
+    gap_history: list[float]  # Newton and chord update norms, or even/odd sweep gaps
     linear_stats: list[LinearSolveStats]
+    stop: str = "update"  # "certified" or "update"
 
     @property
     def m(self) -> int:
@@ -149,13 +189,16 @@ def solve_epsilon(
     the explicit limit of the same problem on ``g``; without one it builds
     the pivot-1 limit with ``solve_limit``.  Newton starts from the limit's scaled pivot
     v_lim, a subsolution, so its first iterate is a supersolution and the
-    later ones decrease monotonically.  It stops when the largest
-    component update max_j A_j |dv|_inf falls below tol_fp * M, and
-    ``max_sweeps`` caps (``SolveResult.sweeps`` counts) Newton steps.  When
-    two consecutive updates after step 2 set no new least update, the
-    iteration has reached the rounding floor of its solves short of tol_fp
-    and raises a ``SolverError`` with the update history.  ``initial``
-    overrides the start (used for uniqueness cross-checks).
+    later ones, chord iterates included, decrease monotonically.  It stops
+    when the residual certificate bounds the fields' error by tol_fp * M
+    (``SolveResult.stop`` "certified", ``gap`` the certificate), or when
+    the largest component update max_j A_j |dv|_inf of a factorizing step
+    falls below tol_fp * M ("update").  ``max_sweeps`` caps
+    (``SolveResult.sweeps`` counts) the Newton and chord steps.  When two
+    consecutive factorizing steps after the first set no new least update,
+    the iteration has reached the rounding floor of its solves short of
+    tol_fp and raises a ``SolverError`` with the update history.
+    ``initial`` overrides the start (used for uniqueness cross-checks).
     ``SolveResult.linear_stats`` lists the linear solves the call made,
     those of a limit it built included.
     """
@@ -220,34 +263,80 @@ def _solve_newton(
     v = limit.scaled_pivot.values if initial is None else initial[p - 1].values / A[p - 1]
 
     a_max = float(A.max())
+    op = grid_operator(g)
+    # the computed residual Lap_h v - F(v)/eps at a node is within
+    # gamma_K (sum_k coef_k |v_qk - v_p| + |F_p|/eps) of the exact one: 2d
+    # stencil terms of two operations each, summed; F from m factors of two
+    # operations, a power and a product each, divided by eps; and the
+    # subtraction
+    unit = np.finfo(float).eps / 2
+    K = 2 * g.ndim + 4 * data.m + 4
+    gamma = K * unit / (1 - K * unit)
+
+    def certificate(v, F):
+        lap, mag = op.laplacian_terms(v)
+        f = F.ravel()[op.interior_flat] / epsilon
+        return float(a_max * op.inverse_norm_bound
+                     * (np.abs(lap - f) + gamma * (mag + np.abs(f))).max(initial=0.0))
+
+    def result(stop, gap):
+        return SolveResult(
+            _recover(g, v, w, A, phi, st.error_bound, w_bound), epsilon, len(history),
+            gap, history, stats, stop,
+        )
+
     history: list[float] = []
-    best = math.inf  # the least update from step 2 on
-    stalled = 0  # consecutive later steps that set no new least update
-    while len(history) < max_steps:
-        F, dF = _reaction(v, w, A, alphas)
-        # F'(v) v - F(v) >= -F(0) = 0 by convexity; the max drops rounding
-        source = np.maximum(dF * v - F, 0.0) / epsilon
-        nxt, st = solve_screened(g, dF / epsilon, v_boundary, tol_linear, source=source)
-        stats.append(st)
-        history.append(a_max * float(np.abs(nxt.values - v).max()))
-        v = nxt.values
-        if history[-1] <= tol_abs:
-            return SolveResult(
-                _recover(g, v, w, A, phi, st.error_bound, w_bound), epsilon, len(history),
-                history[-1], history, stats,
-            )
-        # from step 2 on monotone Newton's updates decrease; two steps in a
-        # row that do not have reached the rounding floor of the solves
-        if len(history) >= 2:
-            stalled = 0 if history[-1] < best else stalled + 1
-            best = min(best, history[-1])
-            if stalled == 2:
-                raise SolverError(
-                    f"Newton stalled at step {len(history)}: updates {history[-2]:.3e} "
-                    f"and {history[-1]:.3e} do not fall below {best:.3e}, target "
-                    f"{tol_abs:.3e}",
-                    gap=history[-1], history=history,
-                )
+    newton_updates: list[float] = []  # the updates of the factorizing steps
+    best = math.inf  # the least of them from the second on
+    stalled = 0  # consecutive later factorizing steps that set no new least
+    chords = 0  # chord steps left on the held factor
+    held = Factor()
+    F, dF = _reaction(v, w, A, alphas)
+    try:
+        while len(history) < max_steps:
+            newton = chords == 0
+            if newton:
+                # a Newton step factorizes at the current iterate; free the
+                # held factor first
+                held.clear()
+                dF_k = dF
+                c = dF / epsilon
+            else:
+                chords -= 1
+            # F'(v_k) v - F(v) >= F'(v) v - F(v) >= -F(0) = 0 for v_k >= v >= 0
+            # by convexity; the max drops rounding
+            source = np.maximum(dF_k * v - F, 0.0) / epsilon
+            nxt, st = solve_screened(g, c, v_boundary, tol_linear, source=source, factor=held)
+            stats.append(st)
+            history.append(a_max * float(np.abs(nxt.values - v).max()))
+            v = nxt.values
+            F, dF = _reaction(v, w, A, alphas)
+            bound = certificate(v, F)
+            if bound <= tol_abs:
+                return result("certified", bound)
+            if not newton:
+                continue
+            if history[-1] <= tol_abs:
+                return result("update", history[-1])
+            newton_updates.append(history[-1])
+            if len(newton_updates) >= 2:
+                # only a SuperLU factor made at a Newton iterate (above the
+                # iterates that follow it) serves chord steps
+                if st.kernel == "superlu":
+                    chords = CHORD_STEPS
+                # from here on monotone Newton's updates decrease; two in a
+                # row that do not have reached the rounding floor of the solves
+                stalled = 0 if history[-1] < best else stalled + 1
+                best = min(best, history[-1])
+                if stalled == 2:
+                    raise SolverError(
+                        f"Newton stalled at step {len(history)}: updates {newton_updates[-2]:.3e} "
+                        f"and {history[-1]:.3e} do not fall below {best:.3e}, target "
+                        f"{tol_abs:.3e}",
+                        gap=history[-1], history=history,
+                    )
+    finally:
+        held.clear()
     last = history[-1] if history else float("inf")
     raise SolverError(
         f"Newton not converged after {len(history)} steps (update {last:.3e}, "

@@ -445,6 +445,47 @@ def test_manifest_counts_solves_per_kernel(tmp_path):
         assert stages["solve"]["linear"]["kernels"] == {screened: stages["solve"]["sweeps"]}
 
 
+def test_manifest_records_stop_and_factorizations(tmp_path):
+    # every interval solve factorizes; on a rectangle chord steps reuse a
+    # factor and the residual certificate stops Newton and bounds the
+    # error; at eps 1e-8 on the overlap square it cannot reach tol_fp, and
+    # the update of a factorizing step stops Newton.  The rectangles'
+    # harmonic batch takes the sine transform, which factorizes nothing
+    for name, eps, stop, harmonic in (("line_m2", "1e-8", "certified", 1),
+                                      ("square_m4", "1e-4", "certified", 0),
+                                      ("square_m4_overlap", "1e-8", "update", 0)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(config_path(name).read_text().replace("n = 201", "n = 41"))
+        out = tmp_path / name
+        assert main(["compare", str(cfg), "--out", str(out), "--epsilon", eps]) == EXIT_OK
+        stages = manifest_of(out)["stages"]
+        solve, linear = stages["solve"], stages["solve"]["linear"]
+        assert stages["limit"]["linear"]["factorizations"] == harmonic
+        assert solve["stop"] == stop and solve["sweeps"] == linear["solves"]
+        if stop == "certified":
+            # within tol_fp = 1e-8 times the largest boundary value, 1 or 4
+            assert solve["error_bound"] == solve["gap"] <= 4e-8
+        else:
+            assert solve["error_bound"] is None
+        if name == "line_m2":
+            assert linear["factorizations"] == linear["solves"]
+        else:
+            assert 2 <= linear["factorizations"] < linear["solves"]
+
+
+def test_rate_keeps_why_a_rung_failed(tmp_path):
+    # with one Newton step allowed every rung fails; the manifest keeps
+    # each failed epsilon with its solver message
+    out = tmp_path / "out"
+    cfg = make_cfg(tmp_path, solver="max_sweeps = 1")
+    assert main(["rate", str(cfg), "--out", str(out), "--count", "3"]) == EXIT_OK
+    failures = manifest_of(out)["stages"]["rate"]["failures"]
+    assert [f["epsilon"] for f in failures] == [1e-2, 1e-4, 1e-6]
+    for f in failures:
+        assert f["message"].startswith("Newton not converged after 1 steps")
+    assert (out / "rate.csv").read_text().count("failed,failed") == 3
+
+
 def test_solve_and_compare_write_the_same_solution(tmp_path):
     for sub in ("solve", "compare"):
         assert main([sub, LINE_M3, "--out", str(tmp_path / sub)]) == EXIT_OK

@@ -485,12 +485,14 @@ def test_one_ordering_per_grid(monkeypatch, configs):
     g = build_grid(cfg.domain, 31)
     L = solve_limit(g, cfg.data)
     r = solve_epsilon(g, cfg.data, 1e-4, limit=L)
-    # the batched harmonic solve plus one screened solve per Newton step
-    assert factorizations == ["MMD_AT_PLUS_A"] + ["NATURAL"] * r.sweeps
+    # the batched harmonic solve plus one screened factorization per
+    # factorizing Newton step (chord steps reuse the last one)
+    steps = sum(st.factorized for st in r.linear_stats)
+    assert factorizations == ["MMD_AT_PLUS_A"] + ["NATURAL"] * steps
     # every harmonic batch orders within its one factorization, at no
     # extra SuperLU call
     solve_harmonic(g, cfg.data.boundary_arrays(g))
-    assert factorizations.count("MMD_AT_PLUS_A") == 2 and len(factorizations) == 2 + r.sweeps
+    assert factorizations.count("MMD_AT_PLUS_A") == 2 and len(factorizations) == 2 + steps
 
     factorizations.clear()
     g = build_grid(cfg.domain, 31)
@@ -509,10 +511,11 @@ def test_box_grid_orders_in_first_screened_solve(monkeypatch, configs):
     L = solve_limit(g, cfg.data)
     assert factorizations == []
     r = solve_epsilon(g, cfg.data, 1e-4, limit=L)
-    assert r.sweeps >= 2
-    assert factorizations == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (r.sweeps - 1)
+    steps = sum(st.factorized for st in r.linear_stats)
+    assert steps >= 2
+    assert factorizations == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (steps - 1)
     solve_harmonic(g, cfg.data.boundary_arrays(g))
-    assert len(factorizations) == r.sweeps
+    assert len(factorizations) == steps
 
 
 def test_stored_ordering_owns_its_data(configs):

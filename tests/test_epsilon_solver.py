@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from seglimit import (
     solve_harmonic,
     solve_screened,
 )
+from seglimit import epsilon_solver
 from seglimit.elliptic_core import DEFAULT_TOL
 from seglimit.analysis import segregation_residual
 from seglimit.epsilon_solver import (
@@ -378,7 +380,8 @@ def test_limit_start_sandwich(configs, name, n, eps, max_steps):
     L = solve_limit(g, cfg.data)
     r = solve_epsilon(g, cfg.data, eps, limit=L)
     first = solve_epsilon(g, cfg.data, eps, tol_fp=1e300, max_sweeps=1, limit=L)
-    assert r.sweeps <= max_steps
+    # the cap counts factorizing steps; chord steps on a held factor are extra
+    assert sum(st.factorized for st in r.linear_stats) <= max_steps
     tol = max(s.error_bound for s in L.linear_stats + r.linear_stats + first.linear_stats)
     for lim, u, u1 in zip(L.fields, r.fields, first.fields):
         assert np.all(lim.values <= u.values + tol)
@@ -425,3 +428,134 @@ def test_newton_general_exponents_stiff(g101):
     scale = max(np.abs(lap).max() for lap in laps)
     residual = max(np.abs(lap - F[interior] / eps).max() for lap in laps) / scale
     assert residual <= 1e-9
+
+
+def newton_iterates(g, data, eps, L, v, steps):
+    """``steps`` plain Newton steps on the reduced equation from ``v``, each
+    with its own factorization: the iterates, their updates and the limit's
+    difference fields w_j."""
+    A = data.weights.values
+    w = [np.zeros(g.mask.shape)] * data.m
+    for wf, comp in zip(L.harmonic, L.difference_components):
+        w[comp - 1] = wf.values
+    v_boundary = data.boundary_arrays(g)[L.pivot - 1] / A[L.pivot - 1]
+    iterates, updates = [], []
+    for _ in range(steps):
+        F, dF = _reaction(v, w, A, data.exponents.alphas)
+        nxt, _ = solve_screened(g, dF / eps, v_boundary, source=np.maximum(dF * v - F, 0.0) / eps)
+        updates.append(A.max() * np.abs(nxt.values - v).max())
+        v = nxt.values
+        iterates.append(v)
+    return iterates, updates, w
+
+
+CERTIFICATE_GRIDS = [("disk_m3", 41), ("square_m4", 41), ("line_m3", 401)]
+
+
+@pytest.mark.parametrize("name,n", CERTIFICATE_GRIDS)
+def test_certificate_bounds_the_error(configs, name, n):
+    # at a certified stop the residual certificate bounds the fields'
+    # distance to the solution, taken as 8 more Newton steps from the
+    # returned iterate, which reach the rounding floor of the solves
+    cfg = configs[name]
+    g = build_grid(cfg.domain, n)
+    L = solve_limit(g, cfg.data)
+    A = cfg.data.weights.values
+    interior = g.interior()
+    stops = []
+    for eps in (1e-2, 1e-4, 1e-6, 1e-8):
+        r = solve_epsilon(g, cfg.data, eps, limit=L)
+        stops.append(r.stop)
+        assert r.stop in ("certified", "update")
+        assert r.gap <= 1e-8 * cfg.data.max_boundary_value(g)
+        if r.stop != "certified":
+            continue
+        v = r.fields[L.pivot - 1].values / A[L.pivot - 1]
+        iterates, updates, w = newton_iterates(g, cfg.data, eps, L, v, 8)
+        assert max(updates[-3:]) <= 1e-13
+        error = max(
+            np.abs(f.values - a * (iterates[-1] - wj))[interior].max()
+            for f, a, wj in zip(r.fields, A, w)
+        )
+        assert error <= r.gap
+    assert "certified" in stops
+
+
+@pytest.mark.parametrize("name", ["square_m4", "disk_m3"])
+def test_certificate_stops_before_the_update_rule(configs, name):
+    # plain Newton stopped by the update rule factorizes 6 times here; the
+    # certificate, checked after every solve, stops chord-accelerated Newton
+    # with fewer factorizations
+    cfg = configs[name]
+    g = build_grid(cfg.domain, 101)
+    L = solve_limit(g, cfg.data)
+    tol = 1e-8 * cfg.data.max_boundary_value(g)
+    r = solve_epsilon(g, cfg.data, 1e-4, limit=L)
+    _, updates, _ = newton_iterates(g, cfg.data, 1e-4, L, L.scaled_pivot.values, 8)
+    plain = next(k for k, d in enumerate(updates, start=1) if d <= tol)
+    factorizations = sum(st.factorized for st in r.linear_stats)
+    assert r.stop == "certified" and r.gap <= tol
+    assert factorizations < plain and factorizations < r.sweeps
+
+
+@pytest.mark.parametrize("name,eps", [("square_m4", 1e-4), ("disk_m3", 1e-4), ("disk_m3", 1e-8)])
+def test_chord_iterates_decrease_to_the_solution(monkeypatch, configs, name, eps):
+    # every iterate from the first on, chord iterates included, is at or
+    # below the one before and at or above the last, within the solves'
+    # certified bounds; the first factor (made at the subsolution v_lim,
+    # below the iterates) takes no chord step
+    cfg = configs[name]
+    g = build_grid(cfg.domain, 41)
+    L = solve_limit(g, cfg.data)
+    iterates = []
+
+    def recording(*args, **kwargs):
+        field, st = solve_screened(*args, **kwargs)
+        iterates.append(field.values)
+        return field, st
+
+    monkeypatch.setattr(epsilon_solver, "solve_screened", recording)
+    r = solve_epsilon(g, cfg.data, eps, limit=L)
+    made = [st.factorized for st in r.linear_stats]
+    assert made[:2] == [True, True] and not all(made)
+    assert all(st.kernel == "superlu" for st in r.linear_stats)
+    tol = max(st.error_bound for st in r.linear_stats)
+    for prev, v in zip(iterates, iterates[1:]):
+        assert np.all(v <= prev + tol)
+        assert np.all(v >= iterates[-1] - tol)
+
+
+def test_interval_solves_take_no_chord_step(configs):
+    # a tridiagonal factor costs no more than a solve: every Newton step on
+    # an interval factorizes
+    for name in ("line_m2", "line_m3"):
+        cfg = configs[name]
+        r = solve_epsilon(cfg.grid, cfg.data, 1e-4, limit=solve_limit(cfg.grid, cfg.data))
+        assert all(st.factorized and st.kernel == "tridiagonal" for st in r.linear_stats)
+
+
+def test_at_most_one_superlu_factor_alive(monkeypatch, configs):
+    # the held factor is freed before the next one is made and when the
+    # solve returns
+    live, peak = [0], [0]
+    splu = spla.splu
+
+    class Tracked:
+        def __init__(self, lu):
+            self.lu = lu
+            self.perm_c = lu.perm_c
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+
+        def solve(self, b):
+            return self.lu.solve(b)
+
+        def __del__(self):
+            live[0] -= 1
+
+    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: Tracked(splu(*args, **kwargs)))
+    cfg = configs["disk_m3"]
+    g = build_grid(cfg.domain, 41)
+    r = solve_epsilon(g, cfg.data, 1e-4)
+    assert sum(st.factorized for st in r.linear_stats) < len(r.linear_stats)
+    assert peak[0] == 1 and live[0] == 0
