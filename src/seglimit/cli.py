@@ -426,7 +426,6 @@ def _stats_summary(stats) -> dict:
         "factorizations": sum(s.factorized for s in stats),
         # solves per kernel: sine, tridiagonal, superlu, or none (zero data)
         "kernels": dict(Counter(s.kernel for s in stats)),
-        "max_iterations": max((s.iterations for s in stats), default=0),
         "max_residual": max((s.residual for s in stats), default=0.0),
         "max_error_bound": float(max((s.error_bound for s in stats), default=0.0)),
     }

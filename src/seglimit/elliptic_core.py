@@ -76,9 +76,9 @@ DIRECT_SOLVE_LIMIT = 150_000
 
 @dataclass
 class LinearSolveStats:
-    iterations: int
+    # ||b - A y||_2 / max(||b||_2, ||A||_inf ||y||_inf); a solve raises a
+    # SolverError unless it is at most tol (0 for an exact zero solution)
     residual: float
-    converged: bool
     # certified bound on the sup-norm distance of the computed solution to
     # the exact solution of the stored system (0 for an exact zero solution)
     error_bound: float = 0.0
@@ -132,18 +132,14 @@ class _GridOperator:
         n = self.n_unknowns = self.interior_flat.size
         # (src, dst, coef) of each stencil direction in stencil order, -x, +x,
         # then -y, +y (mask axes run opposite to the grid's): the node at
-        # src has its neighbour at dst; and the same directions in ascending
-        # order of the neighbour's flat node number, -y, -x, +x, +y
+        # src has its neighbour at dst
         self._stencil = []
-        offsets = []
         for k, h in enumerate(g.spacing):
             axis = g.ndim - 1 - k
             for s in (-1, 1):
                 shift = [0] * g.ndim
                 shift[axis] = s
                 self._stencil.append(_shift_slices(shape, shift) + (1.0 / h**2,))
-                offsets.append(s * math.prod(shape[axis + 1:]))
-        self._node_order = [self._stencil[i] for i in np.argsort(offsets)]
         exterior = g.mask == NodeClass.EXTERIOR
         if any(np.any(self.interior[src] & exterior[dst]) for src, dst, _ in self._stencil):
             raise ValueError("interior node with exterior stencil neighbor")
@@ -215,15 +211,11 @@ class _GridOperator:
         return self._pattern
 
     def _row_product(self, v: np.ndarray, centre: np.ndarray | None = None) -> np.ndarray:
-        """At each interior node p, coef * v[q] summed over the stencil
-        neighbours q in ascending order of q, with ``centre[p]`` added
-        between the neighbours below p and those above it: the order in
-        which a sparse product adds the entries of row p.  ``v`` and
-        ``centre`` are shaped like the mask."""
-        acc = np.zeros(v.shape)
-        for k, (src, dst, coef) in enumerate(self._node_order):
-            if centre is not None and k == len(self._node_order) // 2:
-                acc += centre
+        """At each interior node p, ``centre[p]`` (0 when None) plus
+        coef * v[q] summed over the stencil neighbours q in stencil order.
+        ``v`` and ``centre`` are shaped like the mask."""
+        acc = np.zeros(v.shape) if centre is None else centre.copy()
+        for src, dst, coef in self._stencil:
             acc[src] += coef * v[dst]
         return acc.ravel()[self.interior_flat]
 
@@ -235,15 +227,12 @@ class _GridOperator:
 
     def residual(self, b: np.ndarray, y: np.ndarray, c: np.ndarray | None) -> np.ndarray:
         """``b - (laplacian + diag(c)) y`` in the original order of the
-        unknowns, rounded as the sparse product with the matrix SuperLU is
-        given (diagonal ``diag + c``); ``c`` None means 0."""
+        unknowns; ``c`` None means 0."""
         d = self.diag if c is None else self.diag + c
         v = np.zeros(self.interior.size)
         centre = np.zeros(self.interior.size)
         v[self.interior_flat] = y
         centre[self.interior_flat] = -(d * y)
-        # summed with +coef and -d y, each row is the exact negative of the
-        # row of the sparse product A y, so b plus it is b - A y bit for bit
         shape = self.interior.shape
         return b + self._row_product(v.reshape(shape), centre.reshape(shape))
 
@@ -456,15 +445,19 @@ class Factor:
         # the first SuperLU factorization of a grid applies its own ordering
         # to the unpermuted system; later screened ones take the grid's
         # template and solve in its order
-        if c is None or op.order is None:
-            self.solve = op.factorize(op.laplacian if c is None else op.laplacian + sp.diags(c)).solve
-        else:
-            pattern = op.factor_pattern()
-            self.order = pattern.order
-            self.solve = spla.splu(
-                pattern.matrix(c), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            ).solve
+        try:
+            if c is None or op.order is None:
+                self.solve = op.factorize(op.laplacian if c is None else op.laplacian + sp.diags(c)).solve
+            else:
+                pattern = op.factor_pattern()
+                self.order = pattern.order
+                self.solve = spla.splu(
+                    pattern.matrix(c), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True},
+                ).solve
+        except RuntimeError as exc:
+            # SuperLU reports a zero pivot (a NaN in c makes one) this way
+            raise SolverError(f"SuperLU factorization failed: {exc}") from None
         return True
 
 
@@ -489,7 +482,7 @@ def _solve_linear(op: _GridOperator, factor: Factor, rhs: list[np.ndarray], tol:
         )
     c = factor.c
     xs = [np.zeros_like(b) for b in rhs]
-    stats = [LinearSolveStats(0, 0.0, True) for _ in rhs]
+    stats = [LinearSolveStats(0.0) for _ in rhs]
     b_maxes = [float(np.abs(b).max(initial=0.0)) for b in rhs]
     live = [k for k, b_max in enumerate(b_maxes) if b_max != 0.0]
     if not live:
@@ -515,8 +508,9 @@ def _solve_linear(op: _GridOperator, factor: Factor, rhs: list[np.ndarray], tol:
             r_max + op.residual_rounding * (b_maxes[k] + a_norm * y_max)
         )
         # the batch's first column made the factor, the others reuse it
-        stats[k] = LinearSolveStats(1, res, res <= tol, bound, factor.kernel, factorized and k == live[0])
-        if res > tol:
+        stats[k] = LinearSolveStats(res, bound, factor.kernel, factorized and k == live[0])
+        # not ``res > tol``, which a NaN residual would pass
+        if not res <= tol:
             raise SolverError(f"direct solve residual {res:.3e} exceeds tol {tol:g}", stats=stats[k])
     return xs, stats
 
@@ -587,7 +581,7 @@ def solve_screened(g: Grid, c, boundary_values, tol: float = DEFAULT_TOL, source
         raise ValueError("screened solve requires nonnegative boundary values")
     M = float(bvals.max(initial=0.0))
     if M == 0.0 and (f_int is None or not f_int.any()):
-        return constant_field(g, 0.0), LinearSolveStats(0, 0.0, True)
+        return constant_field(g, 0.0), LinearSolveStats(0.0)
     b = op.rhs(bflat)
     if f_int is not None:
         b = b + f_int

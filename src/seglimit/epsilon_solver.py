@@ -54,27 +54,21 @@ certificate cannot reach tol_fp where the screening coefficient c is large
 (small eps on fine grids): the residual of a computed iterate is then at
 least the rounding of c v, and R^2/(2d) ignores the c that damps it.
 
-The decoupled sweep iteration is kept as a cross-check oracle.  Starting
-from the harmonic extensions of the boundary data, each sweep solves one
-screened linear problem per component in ascending order: component i
-sees the fresh iterates of components j < i and the lagged ones of j > i,
-averaged into the screening coefficient.  Convergence is measured by the
-sup gap between consecutive (even/odd) iterates and the midpoint of the
-last pair is returned.  The iterates need not bracket the solution: the
-averaged coefficient breaks the interleaved ordering
-u^0 >= u^2 >= ... >= u^3 >= u^1 after the first few sweeps, and for
-exponents other than 1 the gap can stall.
-
-For general exponents alpha_i >= 1 each inactive factor enters a sweep
-lagged as u_j ** alpha_j and the active component is linearized
-semi-implicitly as u_i_new * u_i_old ** (alpha_i - 1), keeping every
-sub-problem linear with a nonnegative coefficient.
+The decoupled sweep primitives ``initialize`` and ``sweep`` remain for
+cross-checks; no solve runs them.  ``initialize`` gives the harmonic
+extensions of the boundary data, and one sweep solves one screened linear
+problem per component in ascending order: component i sees the fresh
+iterates of components j < i and the lagged ones of j > i, averaged into
+the screening coefficient.  For general exponents alpha_i >= 1 each
+inactive factor enters lagged as u_j ** alpha_j and the active component
+is linearized semi-implicitly as u_i_new * u_i_old ** (alpha_i - 1),
+keeping every sub-problem linear with a nonnegative coefficient.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,21 +94,18 @@ CHORD_STEPS = 2
 
 @dataclass
 class IterationState:
-    k: int
     fields: tuple[ScalarField, ...]
-    gap: float
-    linear_stats: list[LinearSolveStats] = field(default_factory=list)
 
 
 @dataclass
 class SolveResult:
     fields: tuple[ScalarField, ...]
     epsilon: float
-    sweeps: int  # Newton and chord steps, or sweeps
+    sweeps: int  # Newton and chord steps
     # the measure that met tol_fp * M: the residual certificate (a bound on
-    # the fields' error) at a "certified" stop, else the last update or gap
+    # the fields' error) at a "certified" stop, else the last update
     gap: float
-    gap_history: list[float]  # Newton and chord update norms, or even/odd sweep gaps
+    gap_history: list[float]  # the update norm of each Newton and chord step
     linear_stats: list[LinearSolveStats]
     stop: str = "update"  # "certified" or "update"
 
@@ -123,14 +114,10 @@ class SolveResult:
         return len(self.fields)
 
 
-def _sup_gap(a: tuple[ScalarField, ...], b: tuple[ScalarField, ...]) -> float:
-    return max(float(np.abs(ai.values - bi.values).max()) for ai, bi in zip(a, b))
-
-
 def initialize(g: Grid, data: ProblemData, tol_linear: float = DEFAULT_TOL) -> IterationState:
     """U^0: the harmonic extensions of the boundary data."""
-    fields, stats = solve_harmonic(g, data.boundary_arrays(g), tol_linear)
-    return IterationState(0, tuple(fields), float("inf"), stats)
+    fields, _ = solve_harmonic(g, data.boundary_arrays(g), tol_linear)
+    return IterationState(tuple(fields))
 
 
 def sweep(
@@ -156,21 +143,18 @@ def sweep(
         acc = acc * old_pow[j]
 
     new_fields: list[ScalarField] = []
-    stats: list[LinearSolveStats] = []
     pre_old = np.ones_like(old[0])  # prod_{j<i} old_pow[j]
     pre_new = np.ones_like(old[0])  # prod_{j<i} new_pow[j]
     for i in range(m):
         active = old[i] ** (alphas[i] - 1) if alphas[i] != 1 else 1.0
         c = (A[i] / (2.0 * epsilon)) * (pre_old + pre_new) * suf[i] * active
-        f, st = solve_screened(g, c, boundary_arrays[i], tol_linear)
+        f, _ = solve_screened(g, c, boundary_arrays[i], tol_linear)
         new_fields.append(f)
-        stats.append(st)
         pre_old = pre_old * old_pow[i]
         nv = f.values
         pre_new = pre_new * (np.power(nv, alphas[i]) if alphas[i] != 1 else nv)
 
-    new = tuple(new_fields)
-    return IterationState(s.k + 1, new, _sup_gap(new, s.fields), stats)
+    return IterationState(tuple(new_fields))
 
 
 def solve_epsilon(
@@ -212,47 +196,11 @@ def solve_epsilon(
         stats.extend(limit.linear_stats)
     elif limit.scaled_pivot.grid is not g:
         raise ValueError("the limit was built on another grid")
-    return _solve_newton(g, data, epsilon, tol_fp, max_sweeps, tol_linear, initial, limit, stats)
-
-
-def _reaction(v: np.ndarray, w: list[np.ndarray], A, alphas) -> tuple[np.ndarray, np.ndarray]:
-    """F(v) and its right derivative F'(v), nodewise."""
-    m = len(w)
-    fac, dfac = [], []
-    for wj, a, alpha in zip(w, A, alphas):
-        d = a * (v - wj)
-        f = np.maximum(d, 0.0)
-        if alpha == 1:
-            fac.append(f)
-            dfac.append(np.where(d >= 0.0, a, 0.0))
-        else:
-            fac.append(np.power(f, alpha))
-            dfac.append(alpha * a * np.power(f, alpha - 1))
-    # F' = sum_k dfac_k prod_{j != k} fac_j, from prefix and suffix products
-    suf = [None] * m
-    acc = np.ones_like(v)
-    for j in range(m - 1, -1, -1):
-        suf[j] = acc
-        acc = acc * fac[j]
-    F = acc
-    dF = np.zeros_like(v)
-    pre = np.ones_like(v)
-    for k in range(m):
-        dF += dfac[k] * pre * suf[k]
-        pre = pre * fac[k]
-    return F, dF
-
-
-def _solve_newton(
-    g, data, epsilon, tol_fp, max_steps, tol_linear, initial, limit, stats
-) -> SolveResult:
     p = limit.pivot
     A = data.weights.values
     alphas = data.exponents.alphas
     phi = data.boundary_arrays(g)
-    bnd = g.boundary()
-    M = max(float(arr[bnd].max(initial=0.0)) for arr in phi)
-    tol_abs = tol_fp * M
+    tol_abs = tol_fp * data.max_boundary_value(g)
 
     w = [np.zeros(g.mask.shape)] * data.m
     w_bound = [0.0] * data.m
@@ -293,7 +241,7 @@ def _solve_newton(
     held = Factor()
     F, dF = _reaction(v, w, A, alphas)
     try:
-        while len(history) < max_steps:
+        while len(history) < max_sweeps:
             newton = chords == 0
             if newton:
                 # a Newton step factorizes at the current iterate; free the
@@ -345,6 +293,34 @@ def _solve_newton(
     )
 
 
+def _reaction(v: np.ndarray, w: list[np.ndarray], A, alphas) -> tuple[np.ndarray, np.ndarray]:
+    """F(v) and its right derivative F'(v), nodewise."""
+    m = len(w)
+    fac, dfac = [], []
+    for wj, a, alpha in zip(w, A, alphas):
+        d = a * (v - wj)
+        f = np.maximum(d, 0.0)
+        if alpha == 1:
+            fac.append(f)
+            dfac.append(np.where(d >= 0.0, a, 0.0))
+        else:
+            fac.append(np.power(f, alpha))
+            dfac.append(alpha * a * np.power(f, alpha - 1))
+    # F' = sum_k dfac_k prod_{j != k} fac_j, from prefix and suffix products
+    suf = [None] * m
+    acc = np.ones_like(v)
+    for j in range(m - 1, -1, -1):
+        suf[j] = acc
+        acc = acc * fac[j]
+    F = acc
+    dF = np.zeros_like(v)
+    pre = np.ones_like(v)
+    for k in range(m):
+        dF += dfac[k] * pre * suf[k]
+        pre = pre * fac[k]
+    return F, dF
+
+
 def _recover(g, v, w, A, phi, v_bound, w_bound) -> tuple[ScalarField, ...]:
     """u_j = A_j (v - w_j), exact on the boundary and 0 outside the domain.
 
@@ -374,37 +350,3 @@ def _recover(g, v, w, A, phi, v_bound, w_bound) -> tuple[ScalarField, ...]:
         u[u <= 0.0] = 0.0
         fields.append(ScalarField(g, u))
     return tuple(fields)
-
-
-def _solve_sweeps(g, data, epsilon, tol_fp, max_sweeps, tol_linear, initial) -> SolveResult:
-    """The decoupled sweep iteration: stops when the even/odd sup gap falls
-    below tol_fp * M and returns the midpoint of the last pair."""
-    M = data.max_boundary_value(g)
-    tol_abs = tol_fp * M
-
-    all_stats: list[LinearSolveStats] = []
-    if initial is None:
-        state = initialize(g, data, tol_linear)
-        all_stats.extend(state.linear_stats)
-    else:
-        state = IterationState(0, tuple(f.copy() for f in initial), float("inf"))
-    gaps: list[float] = []
-    while state.k < max_sweeps:
-        prev = state.fields
-        state = sweep(state, epsilon, data, tol_linear)
-        all_stats.extend(state.linear_stats)
-        if state.k % 2 == 0:
-            continue
-        # an odd sweep closes an even/odd pair
-        gaps.append(state.gap)
-        if state.gap <= tol_abs:
-            mid = tuple(
-                ScalarField(g, 0.5 * (e.values + o.values)) for e, o in zip(prev, state.fields)
-            )
-            return SolveResult(mid, epsilon, state.k, state.gap, gaps, all_stats)
-    last = gaps[-1] if gaps else float("inf")
-    raise SolverError(
-        f"fixed point not converged after {state.k} sweeps (gap {last:.3e}, "
-        f"target {tol_abs:.3e})",
-        gap=last, history=gaps,
-    )

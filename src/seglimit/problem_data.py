@@ -283,11 +283,15 @@ def _segregation_report(arrays, g: Grid, tol: float | None):
     # array axes run (y, x) in 2D, the reverse of the node index
     at = tuple(np.array(axis, dtype=np.intp) for axis in zip(*(p.index[::-1] for p in pts)))
     values = np.array([arr[at] for arr in arrays])
-    if tol is None:
-        M = float(values.max(initial=0.0))
-        tol = 1e-12 * max(M, 1e-300) ** len(arrays)
     products = values.prod(axis=0)
-    return [(pts[k], float(products[k])) for k in np.nonzero(products > tol)[0]]
+    if tol is None:
+        # products above 1e-12 M^m, tested on the data scaled by M so that
+        # M^m cannot overflow
+        M = max(float(values.max(initial=0.0)), 1e-300)
+        flagged = (values / M).prod(axis=0) > 1e-12
+    else:
+        flagged = products > tol
+    return [(pts[k], float(products[k])) for k in np.nonzero(flagged)[0]]
 
 
 @dataclass(frozen=True)

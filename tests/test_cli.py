@@ -205,6 +205,19 @@ def test_solver_failure_exit_3(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_huge_boundary_data(tmp_path, capsys):
+    # M^m = 1e320 overflows a float: the segregation test scales the data
+    # by M instead, so the config validates and its limit is built.  Its
+    # eps solve overflows to a NaN residual, which is refused, not passed on
+    p = make_cfg(tmp_path, left="end=left: 1e160", right="1e160")
+    assert main(["validate", str(p), "--out", str(tmp_path / "v")]) == EXIT_OK
+    assert main(["limit", str(p), "--out", str(tmp_path / "l")]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["solve", str(p), "--out", str(tmp_path / "s")]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "direct solve residual nan exceeds tol" in err
+
+
 def test_direct_solve_limit_exit_3(tmp_path, monkeypatch, capsys):
     # n = 51 has 49 unknowns; above the limit the solve is refused, not
     # iterated, and refused before any ordering work
@@ -340,7 +353,8 @@ def test_limit_stage_recorded_by_every_limit_build(tmp_path):
     assert stages[0] == stages[1] == stages[2]
     assert stages[0]["pivot"] == 1
     linear = stages[0]["linear"]
-    assert linear["solves"] == 1 and linear["max_iterations"] == 1
+    assert linear["solves"] == 1 and linear["kernels"] == {"tridiagonal": 1}
+    assert linear["max_residual"] <= 1e-10
     assert 0.0 < linear["max_error_bound"] < 1e-6
     # compare's Newton solves carry their bound too, one solve per step
     solve = manifest_of(tmp_path / "compare")["stages"]["solve"]
