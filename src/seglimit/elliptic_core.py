@@ -12,10 +12,8 @@ more than ``DIRECT_SOLVE_LIMIT`` unknowns are refused with a
 
 The stencil is kept as arrays shaped like the grid (the interior mask and
 one constant coefficient per direction).  Right-hand sides, residuals and
-``apply_laplacian`` are sums of shifted slices of a grid array; the sparse
-Laplacian is assembled from the same arrays only when SuperLU first needs
-it, so neither an interval grid nor a harmonic batch on a box grid builds
-a sparse matrix.
+``apply_laplacian`` are sums of shifted slices of a grid array, and no
+solve builds the sparse Laplacian of the grid.
 
 Three kernels solve the systems, chosen by the grid
 (``LinearSolveStats.kernel`` names the one that ran):
@@ -34,25 +32,29 @@ Three kernels solve the systems, chosen by the grid
   eigenvalues (the classical fast Poisson solver; Lynch, Rice & Thomas
   1964; Buzbee, Golub & Nielson 1970).
 - ``superlu``, every other solve: the harmonic batch on a disk, and every
-  screened solve in 2D.  One sparse LU factorization serves the call and
-  is freed when it returns, unless the caller holds it in a ``Factor``
-  for later screened solves of the same matrix.
+  screened solve in 2D.  The red unknowns (ix + iy even) are eliminated
+  exactly, since the 5-point stencil couples them only to black ones, and
+  one sparse LU factorization of the Schur complement on the black
+  unknowns serves the call (``_RedBlack``).  It is freed when the call
+  returns, unless the caller holds it in a ``Factor`` for later screened
+  solves of the same matrix.
 
 ``LinearSolveStats.factorized`` says whether a solve made the factor it
 ran on.
 
-Harmonic and screened systems on one 2D grid (``-Lap + diag(c)``,
-``c >= 0``) are symmetric positive definite M-matrices with a common
-sparsity pattern, so one fill-reducing ordering serves them all.  The grid
-takes it from its first SuperLU factorization, whichever kind that is (a
-harmonic batch on a disk, or the first screened solve): that factorization
-runs SuperLU's minimum degree on A^T + A in symmetric mode on the
-unpermuted matrix, so one SuperLU call both orders and factorizes.  The
-grid keeps that ordering (a copy: ``SuperLU.perm_c`` is a view that keeps
-the whole factor alive) and builds from it, on the next screened solve,
-the Laplacian permuted by it as a CSC template.  Every later screened
-factorization copies the template, writes its diagonal, and runs SuperLU
-in symmetric mode with diagonal pivots and no ordering of its own.
+The Schur complements of the harmonic and screened systems on one 2D grid
+(``-Lap + diag(c)``, ``c >= 0``) are SPD M-matrices with a common sparsity
+pattern, so one fill-reducing ordering serves them all.  The grid takes it
+from its first SuperLU factorization, whichever kind that is (a harmonic
+batch on a disk, or the first screened solve): that factorization runs
+SuperLU's minimum degree on S^T + S in symmetric mode on the black
+unknowns in grid order, so one SuperLU call both orders and factorizes.
+The grid keeps that ordering (a copy: ``SuperLU.perm_c`` is a view that
+keeps the whole factor alive) and builds from it, on the next screened
+solve, the pattern of S permuted by it.  Every later screened
+factorization gathers its values into that pattern and runs SuperLU in
+symmetric mode with diagonal pivots and no ordering of its own; a
+harmonic batch always orders its own factorization.
 """
 
 from __future__ import annotations
@@ -120,8 +122,8 @@ class _GridOperator:
     sine-transform eigenvalues on a box grid and the tridiagonal's
     off-diagonal on an interval grid.  Right-hand sides, residuals
     and ``apply_laplacian`` are sums of shifted slices of a grid array.  The
-    sparse Laplacian is assembled from the same arrays only when SuperLU
-    first needs it, and the factor pattern after it."""
+    red-black reduction of a 2D grid's SuperLU systems is built from the
+    same arrays when SuperLU first needs it."""
 
     def __init__(self, g: Grid):
         # holds no reference to g: the cache below is keyed weakly by it
@@ -132,14 +134,16 @@ class _GridOperator:
         n = self.n_unknowns = self.interior_flat.size
         # (src, dst, coef) of each stencil direction in stencil order, -x, +x,
         # then -y, +y (mask axes run opposite to the grid's): the node at
-        # src has its neighbour at dst
+        # src has its neighbour at dst, one step along _steps
         self._stencil = []
+        self._steps = []
         for k, h in enumerate(g.spacing):
             axis = g.ndim - 1 - k
             for s in (-1, 1):
                 shift = [0] * g.ndim
                 shift[axis] = s
                 self._stencil.append(_shift_slices(shape, shift) + (1.0 / h**2,))
+                self._steps.append(tuple(shift))
         exterior = g.mask == NodeClass.EXTERIOR
         if any(np.any(self.interior[src] & exterior[dst]) for src, dst, _ in self._stencil):
             raise ValueError("interior node with exterior stencil neighbor")
@@ -169,54 +173,18 @@ class _GridOperator:
         self.row_sums = self._row_product(self.interior.astype(float), diag)
         self.box_denominators = _box_denominators(g, n)
         self.off_diagonal = _interval_off_diagonal(g, self.interior_flat)
-        self.order: np.ndarray | None = None
-        self._pattern: _FactorPattern | None = None
 
     @functools.cached_property
-    def laplacian(self) -> sp.csc_matrix:
-        """The negative Laplacian on the interior unknowns: the diagonal,
-        and -coef for every stencil edge between two interior nodes."""
-        n = self.n_unknowns
-        # the number of each interior node's unknown (meaningless elsewhere)
-        unknown = np.cumsum(self.interior.ravel()).reshape(self.interior.shape) - 1
-        rows, cols, vals = [np.arange(n)], [np.arange(n)], [self.diag]
-        for src, dst, coef in self._stencil:
-            edge = self.interior[src] & self.interior[dst]
-            rows.append(unknown[src][edge])
-            cols.append(unknown[dst][edge])
-            vals.append(np.full(rows[-1].size, -coef))
-        return sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-        )
-
-    def factorize(self, A: sp.csc_matrix):
-        """SuperLU factor of ``A``, a system on this grid in the original
-        order of the unknowns, with its own minimum-degree ordering in
-        symmetric mode; the grid's first factor sets the grid's ordering."""
-        lu = spla.splu(
-            A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-        if self.order is None:
-            # perm_c[j] is the new position of unknown j, so the order is its
-            # inverse; argsort makes a new array, where keeping perm_c itself
-            # (a view whose base is the SuperLU object) would keep the factor
-            self.order = np.argsort(lu.perm_c)
-        return lu
-
-    def factor_pattern(self) -> "_FactorPattern":
-        """The screened template; the grid's ordering must be set."""
-        if self._pattern is None:
-            self._pattern = _FactorPattern(self.laplacian, self.order)
-        return self._pattern
+    def red_black(self) -> "_RedBlack":
+        """The red-black reduction of this 2D grid's SuperLU systems."""
+        return _RedBlack(self)
 
     def _row_product(self, v: np.ndarray, centre: np.ndarray | None = None) -> np.ndarray:
         """At each interior node p, ``centre[p]`` (0 when None) plus
         coef * v[q] summed over the stencil neighbours q in stencil order.
         ``v`` and ``centre`` are shaped like the mask."""
         acc = np.zeros(v.shape) if centre is None else centre.copy()
-        for src, dst, coef in self._stencil:
-            acc[src] += coef * v[dst]
+        _add_neighbours(self._stencil, acc, v)
         return acc.ravel()[self.interior_flat]
 
     def rhs(self, boundary_values_flat: np.ndarray) -> np.ndarray:
@@ -336,33 +304,162 @@ def _box_solve(denominators: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _dst1(_dst1(t.T).T).ravel()
 
 
-class _FactorPattern:
-    """The grid Laplacian symmetrically permuted by the grid's fill-reducing
-    ordering, as a CSC template that every screened factorization copies.
+class _RedBlack:
+    """The red-black reduction of the SuperLU systems ``laplacian + diag(c)``
+    on one 2D grid.
 
-    ``order`` is the inverse of the ``perm_c`` of the grid's first
-    factorization (``_GridOperator.factorize``), a minimum-degree one, so a
-    natural-order factorization of the template makes the same fill as
-    that one; applying ``perm_c`` itself instead of its inverse multiplies
-    the fill more than tenfold.
+    The interior unknowns are red where ix + iy is even and black where it
+    is odd.  The 5-point stencil couples red unknowns only to black ones,
+    so with B the stencil coefficients between them the system is
+    ``[[D_r, -B], [-B^T, D_b]]`` with diagonal ``D_r``, and the red unknowns
+    are eliminated exactly: SuperLU factors only the Schur complement
+    ``S = D_b - B^T D_r^{-1} B`` on the black unknowns, the classical
+    reduced system of red/black orderings (Hageman & Young, Applied
+    Iterative Methods, 1981, ch. 9).  S is an SPD M-matrix whose stencil
+    joins a black node to the black nodes two stencil steps away, through
+    the red nodes between them: the centre, (+-1, +-1), (+-2, 0) and
+    (0, +-2).  A column b is solved as ``S y_b = b_b + B^T (b_r / d_r)``,
+    then ``y_r = (b_r + B y_b) / d_r``; with no black unknown only the
+    quotients are left, and SuperLU is not called.
+
+    S's coefficients are grid-shaped arrays, one per offset of its stencil,
+    summed from ``1 / d_r`` by shifted slices; a pattern's ``gather`` picks
+    them in CSC order.  The first factorization orders S itself, in grid
+    order, and sets the grid's ordering; the pattern permuted by it is
+    built when a later screened factorization first needs it.
     """
 
-    def __init__(self, laplacian: sp.csc_matrix, order: np.ndarray):
-        self.order = order
-        t = laplacian[order][:, order]
-        t.sort_indices()
-        self.template = t
-        col_of = np.repeat(np.arange(t.shape[0]), np.diff(t.indptr))
-        self.diag_slots = np.nonzero(t.indices == col_of)[0]
-        self.base_diag = t.data[self.diag_slots].copy()
+    def __init__(self, op: _GridOperator):
+        shape = op.interior.shape
+        self._shape = shape
+        self._stencil = op._stencil
+        self._red = op.interior & (np.indices(shape).sum(axis=0) % 2 == 0)
+        is_red = self._red.ravel()[op.interior_flat]
+        # positions among the interior unknowns and flat grid indices of the
+        # red and the black unknowns, each in grid order
+        self.red_unknowns = np.flatnonzero(is_red)
+        self.black_unknowns = np.flatnonzero(~is_red)
+        self.red_flat = op.interior_flat[self.red_unknowns]
+        self.black_flat = op.interior_flat[self.black_unknowns]
+        self.red_diag = op.diag[self.red_unknowns]
+        self.black_diag = op.diag[self.black_unknowns]
+        self.n_black = self.black_flat.size
+        # S's stencil: for each offset, the two-step paths that reach it as
+        # (src, dst, coef_a coef_b) of the first step, whose dst is the red
+        # node between; the centre first
+        paths: dict[tuple, list] = {(0,) * len(shape): []}
+        for step_a, (src, dst, coef_a) in zip(op._steps, self._stencil):
+            for step_b, (_, _, coef_b) in zip(op._steps, self._stencil):
+                offset = tuple(a + b for a, b in zip(step_a, step_b))
+                paths.setdefault(offset, []).append((src, dst, coef_a * coef_b))
+        self._offsets = list(paths)
+        self._paths = list(paths.values())
+        # grid order, and the grid's ordering once its first factorization
+        # has set it (the inverse of that factor's perm_c)
+        self._natural = self._pattern(np.arange(self.n_black))
+        self.order: np.ndarray | None = None
+        self._ordered = None
 
-    def matrix(self, c: np.ndarray) -> sp.csc_matrix:
-        """``laplacian + diag(c)`` in the permuted order; ``c`` is in the
-        original order of the unknowns."""
-        t = self.template
-        data = t.data.copy()
-        data[self.diag_slots] = self.base_diag + c[self.order]
-        return sp.csc_matrix((data, t.indices, t.indptr), shape=t.shape, copy=False)
+    def _pattern(self, order: np.ndarray) -> tuple:
+        """S's pattern with its unknown i the black unknown ``order[i]``:
+        the black unknowns' positions and flat indices in S's order, and
+        S's CSC ``indices``, ``indptr`` and the ``gather`` of its values
+        from the stacked coefficient arrays."""
+        unknowns = self.black_unknowns[order]
+        flat = self.black_flat[order]
+        size = self._red.size
+        number = np.full(size, -1)
+        number[flat] = np.arange(self.n_black)
+        flat_step = np.array([math.prod(self._shape[k + 1:]) for k in range(len(self._shape))])
+        # rows[j, k]: S's row of the black node at offset k from the one of
+        # column j, -1 where S has no entry; column q holds
+        # S[q + offset, q] = S[q, q + offset], S being symmetric
+        n_offsets = len(self._offsets)
+        rows = np.full((self.n_black, n_offsets), -1)
+        for k, (offset, paths) in enumerate(zip(self._offsets, self._paths)):
+            # the black nodes with a red node on a path to the one at the
+            # offset, which lies in the grid as a red node's neighbour; every
+            # black node has its centre
+            reached = np.full(self._shape, not any(offset))
+            for src, dst, _ in paths:
+                reached[src] |= self._red[dst]
+            at = reached.ravel()[flat]
+            rows[at, k] = number[flat[at] + int(np.dot(offset, flat_step))]
+        # each column's entries in row order: the rows of one column are
+        # distinct, so sorting row * n_offsets + k sorts by row and keeps k
+        key = np.where(rows >= 0, rows * n_offsets + np.arange(n_offsets), -1)
+        key.sort(axis=1)
+        entry = key >= 0
+        counts = entry.sum(axis=1)
+        key = key[entry]
+        indptr = np.zeros(self.n_black + 1, dtype=np.intc)
+        np.cumsum(counts, out=indptr[1:])
+        gather = key % n_offsets * size + np.repeat(flat, counts)
+        return unknowns, flat, (key // n_offsets).astype(np.intc), indptr, gather
+
+    def factor(self, c: np.ndarray | None):
+        """The solve of ``(laplacian + diag(c)) y = b`` in the original
+        order of the unknowns (``c`` None means 0), from one SuperLU
+        factorization of S unless S is empty."""
+        d_red = self.red_diag if c is None else self.red_diag + c[self.red_unknowns]
+        d_black = self.black_diag if c is None else self.black_diag + c[self.black_unknowns]
+        ordered = self.order is not None and c is not None
+        if ordered and self._ordered is None:
+            self._ordered = self._pattern(self.order)
+        unknowns, flat, indices, indptr, gather = self._ordered if ordered else self._natural
+        lu = None
+        if self.n_black:
+            S = sp.csc_matrix(
+                (self._coefficients(d_red, d_black).ravel()[gather], indices, indptr),
+                shape=(self.n_black, self.n_black),
+            )
+            lu = spla.splu(S, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            if self.order is None:
+                # perm_c[j] is the new position of unknown j, so the order is
+                # its inverse; argsort makes a new array, where keeping perm_c
+                # itself (a view whose base is the SuperLU object) would keep
+                # the factor
+                self.order = np.argsort(lu.perm_c)
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            b_red = b[self.red_unknowns]
+            v = np.zeros(self._shape)
+            v.ravel()[self.red_flat] = b_red / d_red
+            acc = np.zeros(self._shape)
+            _add_neighbours(self._stencil, acc, v)
+            rhs = b[unknowns] + acc.ravel()[flat]
+            v.fill(0.0)
+            v.ravel()[flat] = rhs if lu is None else lu.solve(rhs)
+            acc.fill(0.0)
+            _add_neighbours(self._stencil, acc, v)
+            y = np.empty_like(b)
+            y[unknowns] = v.ravel()[flat]
+            y[self.red_unknowns] = (b_red + acc.ravel()[self.red_flat]) / d_red
+            return y
+
+        return solve
+
+    def _coefficients(self, d_red: np.ndarray, d_black: np.ndarray) -> np.ndarray:
+        """S's coefficient arrays, stacked in the order of its offsets: at a
+        black node q, the centre ``d_q - sum coef^2 / d_r`` over its red
+        neighbours r, and at each other offset ``-sum coef_a coef_b / d_r``
+        over the red nodes r between q and q + offset."""
+        inv = np.zeros(self._shape)
+        inv.ravel()[self.red_flat] = 1.0 / d_red
+        coefs = np.zeros((len(self._paths),) + self._shape)
+        coefs[0].ravel()[self.black_flat] = d_black
+        for out, paths in zip(coefs, self._paths):
+            for src, dst, weight in paths:
+                out[src] -= weight * inv[dst]
+        return coefs
+
+
+def _add_neighbours(stencil, acc: np.ndarray, v: np.ndarray) -> None:
+    """Add coef * v[q] to ``acc[p]`` for every stencil neighbour q of every
+    node p, in stencil order; both are shaped like the mask."""
+    for src, dst, coef in stencil:
+        acc[src] += coef * v[dst]
 
 
 def _shift_slices(shape, shift):
@@ -404,7 +501,10 @@ class Factor:
     An interval grid takes the tridiagonal LDL^T factorization
     (``_tridiagonal_solver``), the harmonic batch of a box grid the sine
     transform (``_box_solve``), which factorizes nothing; every other
-    system one SuperLU factorization.  A caller may hold one Factor across
+    system one SuperLU factorization of its Schur complement on the black
+    unknowns (``_RedBlack``), whose solve also returns the red unknowns.
+    ``solve`` maps a right-hand side to the solution, both in the original
+    order of the unknowns.  A caller may hold one Factor across
     ``solve_screened`` calls on a grid: a call with an equal ``c`` solves
     on the held factor, and a call with another ``c`` frees it before the
     new one is made, so the holder keeps at most one factor alive.
@@ -418,7 +518,6 @@ class Factor:
         self.c = None
         self.kernel = "none"
         self.solve = None
-        self.order = slice(None)
 
     def use(self, c: np.ndarray) -> None:
         """Hold the system with screening coefficient ``c``, keeping the
@@ -442,19 +541,8 @@ class Factor:
             self.solve = functools.partial(_box_solve, op.box_denominators)
             return False
         self.kernel = "superlu"
-        # the first SuperLU factorization of a grid applies its own ordering
-        # to the unpermuted system; later screened ones take the grid's
-        # template and solve in its order
         try:
-            if c is None or op.order is None:
-                self.solve = op.factorize(op.laplacian if c is None else op.laplacian + sp.diags(c)).solve
-            else:
-                pattern = op.factor_pattern()
-                self.order = pattern.order
-                self.solve = spla.splu(
-                    pattern.matrix(c), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True},
-                ).solve
+            self.solve = op.red_black.factor(c)
         except RuntimeError as exc:
             # SuperLU reports a zero pivot (a NaN in c makes one) this way
             raise SolverError(f"SuperLU factorization failed: {exc}") from None
@@ -489,14 +577,12 @@ def _solve_linear(op: _GridOperator, factor: Factor, rhs: list[np.ndarray], tol:
         return xs, stats
     a_norm = float((op.row_sums if c is None else op.row_sums + c).max(initial=0.0))
     factorized = factor.prepare(op)
-    order = factor.order
     for k in live:
         b = rhs[k]
         # one solve per column: a multi-column triangular solve runs blocked
         # BLAS kernels whose rounding depends on the block width, so it
         # would not reproduce a single solve bit for bit
-        y = xs[k]
-        y[order] = factor.solve(b[order])
+        y = xs[k] = factor.solve(b)
         r = op.residual(b, y, c)
         y_max = float(np.abs(y).max(initial=0.0))
         r_max = float(np.abs(r).max())

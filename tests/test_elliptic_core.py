@@ -264,10 +264,12 @@ def test_nan_screening_coefficient_raises():
         solve_screened(line, c, boundary_array(line, lambda p: 1.0))
     assert exc.value.stats.kernel == "tridiagonal"
     disk = build_grid(DomainSpec.disk(0.0, 0.0, 1.0), 21)
-    c = np.ones(disk.mask.shape)
-    c[10, 10] = np.nan
-    with pytest.raises(SolverError, match="SuperLU factorization failed"):
-        solve_screened(disk, c, boundary_array(disk, lambda p: 1.0))
+    # at a red node (eliminated) and at a black one (in the Schur complement)
+    for node in ((10, 10), (10, 11)):
+        c = np.ones(disk.mask.shape)
+        c[node] = np.nan
+        with pytest.raises(SolverError, match="SuperLU factorization failed"):
+            solve_screened(disk, c, boundary_array(disk, lambda p: 1.0))
 
 
 def test_operator_cache_drops_dead_grids():
@@ -353,6 +355,57 @@ def sparse_boundary_coupling(g):
     )
 
 
+def sparse_laplacian(g, c=None):
+    """``-Lap + diag(c)`` on the interior unknowns as a CSC matrix (``c`` a
+    full-grid array, None for 0): coef on the diagonal for every stencil
+    neighbour of an interior node, and -coef off it where the neighbour is
+    an interior node too."""
+    flat_mask = g.mask.ravel()
+    shape = g.mask.shape
+    idx = np.arange(flat_mask.size).reshape(shape)
+    interior = np.nonzero(flat_mask == NodeClass.INTERIOR)[0]
+    unknown = np.full(flat_mask.size, -1)
+    unknown[interior] = np.arange(interior.size)
+    diag = np.zeros(interior.size) if c is None else c.ravel()[interior].astype(float)
+    rows, cols, vals = [], [], []
+    for k, h in enumerate(g.spacing):
+        for s in (-1, 1):
+            shift = [0] * g.ndim
+            shift[g.ndim - 1 - k] = s  # the mask axes run opposite to the grid's
+            src, dst = elliptic_core._shift_slices(shape, shift)
+            p, q = idx[src].ravel(), idx[dst].ravel()
+            sel = flat_mask[p] == NodeClass.INTERIOR
+            p, q = p[sel], q[sel]
+            diag[unknown[p]] += 1.0 / h**2
+            sel = flat_mask[q] == NodeClass.INTERIOR
+            rows.append(unknown[p[sel]])
+            cols.append(unknown[q[sel]])
+            vals.append(np.full(sel.sum(), -1.0 / h**2))
+    n = interior.size
+    rows.append(np.arange(n))
+    cols.append(np.arange(n))
+    vals.append(diag)
+    return sp.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+
+
+def black_unknowns(g):
+    """Which interior unknowns are black, ix + iy odd, in their order."""
+    iy, ix = np.nonzero(g.mask == NodeClass.INTERIOR)
+    return (ix + iy) % 2 == 1
+
+
+def schur_complement(g, c=None):
+    """``S = A_bb - A_br A_rr^{-1} A_rb`` of ``A = sparse_laplacian(g, c)``
+    on the black unknowns in grid order, by sparse products."""
+    A = sparse_laplacian(g, c).tocsr()
+    black = black_unknowns(g)
+    red = ~black
+    inv = sp.diags(1.0 / A.diagonal()[red])
+    return (A[black][:, black] - A[black][:, red] @ inv @ A[red][:, black]).tocsc()
+
+
 @pytest.mark.parametrize("domain,n", KERNEL_GRIDS)
 def test_rhs_and_residual_match_sparse_products(domain, n):
     # componentwise within twice the rounding bound of one such sum,
@@ -372,8 +425,9 @@ def test_rhs_and_residual_match_sparse_products(domain, n):
         rhs = op.rhs(np.where(g.boundary(), vals, np.nan).ravel())
         assert np.all(np.abs(rhs - B @ b) <= gamma * (abs(B) @ np.abs(b)))
         y = rng.standard_normal(op.n_unknowns)
+        L = sparse_laplacian(g)
         for c in (None, rng.uniform(0.0, 1e4, op.n_unknowns)):
-            A = op.laplacian if c is None else op.laplacian + sp.diags(c)
+            A = L if c is None else L + sp.diags(c)
             r = op.residual(rhs, y, c)
             assert np.all(np.abs(r - (rhs - A @ y)) <= gamma * (np.abs(rhs) + abs(A) @ np.abs(y)))
 
@@ -399,8 +453,9 @@ def test_box_harmonic_and_laplacian_build_no_sparse_matrix(monkeypatch):
 
 @pytest.mark.parametrize("domain,n", KERNEL_GRIDS)
 def test_kernel_matches_plain_splu(domain, n):
-    # the cached ordering, the permuted template and the symmetric-mode
-    # factorization reproduce a plain default factorization of the same system
+    # the red-black reduction, the cached ordering, the permuted template and
+    # the symmetric-mode factorization reproduce a plain default
+    # factorization of the same system
     g = build_grid(domain, n)
     op = grid_operator(g)
     rng = np.random.default_rng(11)
@@ -408,8 +463,7 @@ def test_kernel_matches_plain_splu(domain, n):
     interior = g.interior()
 
     def reference(c):
-        A = op.laplacian + sp.diags(c[interior])
-        return spla.splu(A.tocsc()).solve(op.rhs(b.ravel()))
+        return spla.splu(sparse_laplacian(g, c)).solve(op.rhs(b.ravel()))
 
     (h,), _ = solve_harmonic(g, [b])
     ref = reference(np.zeros(g.mask.shape))
@@ -434,13 +488,13 @@ def test_error_bound_certifies_solution(domain, n):
     for scale in (0.0, 1.0, 1e4, 1e8):
         c = rng.uniform(0.0, scale, g.mask.shape)
         u, st = solve_screened(g, c, b)
-        A = op.laplacian + sp.diags(c[interior])
+        A = sparse_laplacian(g, c)
         x = u.values[interior]
         r = rhs - A.astype(np.longdouble) @ x.astype(np.longdouble)
         err = spla.splu(A.tocsc()).solve(r.astype(float))
         assert 0.0 < np.abs(err).max() <= st.error_bound
     # R^2/(2d) is attained in 1D; the computed inverse is good to about 1e-14
-    inv_norm = np.abs(spla.inv(op.laplacian.tocsc()).toarray()).sum(axis=1).max()
+    inv_norm = np.abs(spla.inv(sparse_laplacian(g)).toarray()).sum(axis=1).max()
     assert op.inverse_norm_bound >= (1.0 - 1e-10) * inv_norm
 
 
@@ -478,13 +532,14 @@ def test_screened_clamps_within_certified_bound(monkeypatch, unit_square_21):
 
 
 def counting_factorizations(monkeypatch) -> list:
-    """Patch SuperLU to record the ordering each factorization asks for,
-    and the ordering-only pass to fail."""
+    """Patch SuperLU to record the ordering each factorization asks for and
+    the order of its matrix, and the ordering-only pass to fail."""
     factorizations = []
     splu = spla.splu
 
     def counting_splu(A, *args, **kwargs):
-        factorizations.append(kwargs.get("permc_spec"))
+        assert A.shape[0] == A.shape[1]
+        factorizations.append((kwargs.get("permc_spec"), A.shape[0]))
         return splu(A, *args, **kwargs)
 
     def no_spilu(*args, **kwargs):
@@ -496,30 +551,32 @@ def counting_factorizations(monkeypatch) -> list:
 
 
 def test_one_ordering_per_grid(monkeypatch, configs):
-    # on a disk a limit build followed by Newton orders the grid once, in
-    # the harmonic factorization, and every screened factorization takes
-    # that ordering as given; a grid whose first solve is screened orders
-    # in that solve's factorization
+    # on a disk a limit build followed by Newton orders the grid's Schur
+    # complement once, in the harmonic factorization, and every screened
+    # factorization takes that ordering as given; a grid whose first solve
+    # is screened orders in that solve's factorization.  SuperLU only ever
+    # sees S, on the black unknowns
     factorizations = counting_factorizations(monkeypatch)
     cfg = configs["disk_m3"]
     g = build_grid(cfg.domain, 31)
+    nb = int(black_unknowns(g).sum())
     L = solve_limit(g, cfg.data)
     r = solve_epsilon(g, cfg.data, 1e-4, limit=L)
     # the batched harmonic solve plus one screened factorization per
     # factorizing Newton step (chord steps reuse the last one)
     steps = sum(st.factorized for st in r.linear_stats)
-    assert factorizations == ["MMD_AT_PLUS_A"] + ["NATURAL"] * steps
+    assert factorizations == [("MMD_AT_PLUS_A", nb)] + [("NATURAL", nb)] * steps
     # every harmonic batch orders within its one factorization, at no
     # extra SuperLU call
     solve_harmonic(g, cfg.data.boundary_arrays(g))
-    assert factorizations.count("MMD_AT_PLUS_A") == 2 and len(factorizations) == 2 + steps
+    assert factorizations[-1] == ("MMD_AT_PLUS_A", nb) and len(factorizations) == 2 + steps
 
     factorizations.clear()
     g = build_grid(cfg.domain, 31)
     b = cfg.data.boundary_arrays(g)[0]
     for _ in range(2):
         solve_screened(g, np.ones(g.mask.shape), b)
-    assert factorizations == ["MMD_AT_PLUS_A", "NATURAL"]
+    assert factorizations == [("MMD_AT_PLUS_A", nb), ("NATURAL", nb)]
 
 
 def test_box_grid_orders_in_first_screened_solve(monkeypatch, configs):
@@ -533,25 +590,30 @@ def test_box_grid_orders_in_first_screened_solve(monkeypatch, configs):
     r = solve_epsilon(g, cfg.data, 1e-4, limit=L)
     steps = sum(st.factorized for st in r.linear_stats)
     assert steps >= 2
-    assert factorizations == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (steps - 1)
+    assert [spec for spec, _ in factorizations] == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (steps - 1)
     solve_harmonic(g, cfg.data.boundary_arrays(g))
     assert len(factorizations) == steps
 
 
 def test_stored_ordering_owns_its_data(configs):
     # SuperLU.perm_c is a view whose base is the factor: keeping it would
-    # keep the whole factor alive with the grid
+    # keep the whole factor alive with the grid.  The ordering permutes the
+    # black unknowns, and the next screened solve's pattern follows it
     g = build_grid(configs["disk_m3"].domain, 41)
-    solve_harmonic(g, configs["disk_m3"].data.boundary_arrays(g))
-    op = grid_operator(g)
-    assert op.order.base is None
-    assert op.factor_pattern().order is op.order
+    b = configs["disk_m3"].data.boundary_arrays(g)
+    solve_harmonic(g, b)
+    rb = grid_operator(g).red_black
+    assert rb.order.base is None
+    assert np.array_equal(np.sort(rb.order), np.arange(black_unknowns(g).sum()))
+    solve_screened(g, np.ones(g.mask.shape), b[0])
+    assert np.array_equal(rb._ordered[0], np.flatnonzero(black_unknowns(g))[rb.order])
 
 
 def test_fill_equals_superlu_symmetric_mmd(monkeypatch, configs):
-    # the screened template is permuted by the inverse of SuperLU's perm_c;
-    # applying perm_c itself (the easy mistake) multiplies the fill more
-    # than tenfold
+    # the screened pattern of S is permuted by the inverse of SuperLU's
+    # perm_c, so its fill equals that of SuperLU's own symmetric minimum
+    # degree on S; applying perm_c itself (the easy mistake) multiplies the
+    # fill more than tenfold
     factors = []
     splu = spla.splu
 
@@ -561,9 +623,8 @@ def test_fill_equals_superlu_symmetric_mmd(monkeypatch, configs):
 
     cfg = configs["square_m4"]
     g = build_grid(cfg.domain, 101)
-    op = grid_operator(g)
-    own = splu(op.laplacian, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-               options={"SymmetricMode": True})
+    own = splu(schur_complement(g, np.ones(g.mask.shape)), permc_spec="MMD_AT_PLUS_A",
+               diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     b = cfg.data.boundary_arrays(g)[0]
     solve_harmonic(g, [b])
     monkeypatch.setattr(spla, "splu", keeping_splu)
@@ -611,7 +672,7 @@ def test_box_kernel_sine_transform(domain, n):
         assert np.all(np.diff(lam) > 0) and lam[0] > 0
     b = [np.where(g.boundary(), rng.uniform(0.0, 2.0, g.mask.shape), 0.0) for _ in range(2)]
     fields, stats = solve_harmonic(g, b)
-    lu = spla.splu(op.laplacian.tocsc())
+    lu = spla.splu(sparse_laplacian(g))
     for f, st, data in zip(fields, stats, b):
         ref = lu.solve(op.rhs(data.ravel()))
         assert np.abs(f.values[g.interior()] - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -663,17 +724,107 @@ def test_tridiagonal_kernel_matches_plain_splu(n):
         c = rng.uniform(0.0, scale / h**2, g.mask.shape)
         results.append((c,) + solve_screened(g, c, b))
     for c, u, st in results:
-        A = (op.laplacian + sp.diags(c[interior])).tocsc()
-        ref = spla.splu(A).solve(op.rhs(b.ravel()))
+        ref = spla.splu(sparse_laplacian(g, c)).solve(op.rhs(b.ravel()))
         diff = np.abs(u.values[interior] - ref).max()
         assert st.kernel == "tridiagonal"
         assert diff <= 1e-12 * np.abs(ref).max()
         assert diff <= st.error_bound
 
 
+def holed_rectangle():
+    """A rectangle with hx != hy and one interior node made a Dirichlet
+    node, so its harmonic batch is not a box grid's."""
+    g = build_grid(DomainSpec.rectangle(0.0, 1.3, -0.4, 2.1), (24, 37))
+    mask = g.mask.copy()
+    mask[17, 9] = NodeClass.BOUNDARY
+    return Grid(g.domain, g.dims, g.spacing, g.origin, mask)
+
+
+RED_BLACK_GRIDS = [
+    lambda: build_grid(DomainSpec.disk(0.1, -0.2, 1.3), 41),
+    lambda: build_grid(DomainSpec.disk(0.0, 0.0, 1.0), 101),
+    lambda: build_grid(DomainSpec.rectangle(0.0, 1.3, -0.4, 2.1), (24, 37)),
+    holed_rectangle,
+]
+
+
+@pytest.mark.parametrize("make_grid", RED_BLACK_GRIDS,
+                         ids=["disk_41", "disk_101", "rectangle", "holed_rectangle"])
+def test_red_black_kernel_matches_plain_splu(make_grid):
+    # a harmonic batch and screened solves with c up to 1e8/h^2, solved on
+    # the Schur complement of the black unknowns, against a plain default
+    # SuperLU factorization of the full -Lap + diag(c); the certified bound
+    # covers the difference
+    g = make_grid()
+    op = grid_operator(g)
+    h = min(g.spacing)
+    rng = np.random.default_rng(19)
+    interior = g.interior()
+    data = [np.where(g.boundary(), rng.uniform(0.0, 2.0, g.mask.shape), 0.0) for _ in range(2)]
+    fields, stats = solve_harmonic(g, data)
+    results = [(None, b, f, st) for b, f, st in zip(data, fields, stats)]
+    for scale in (1.0, 1e4, 1e8):
+        c = rng.uniform(0.0, scale / h**2, g.mask.shape)
+        results.append((c, data[0]) + solve_screened(g, c, data[0]))
+    for c, b, u, st in results:
+        ref = spla.splu(sparse_laplacian(g, c)).solve(op.rhs(b.ravel()))
+        diff = np.abs(u.values[interior] - ref).max()
+        assert st.kernel == ("sine" if c is None and op.box_denominators is not None else "superlu")
+        assert diff <= 1e-12 * np.abs(ref).max()
+        assert diff <= st.error_bound
+
+
+def test_superlu_sees_only_black_unknowns(monkeypatch):
+    # every matrix SuperLU factors is a Schur complement, of the order of
+    # its grid's black unknowns
+    factorizations = counting_factorizations(monkeypatch)
+    expected = []
+    for make_grid in RED_BLACK_GRIDS:
+        g = make_grid()
+        b = np.where(g.boundary(), 1.0 + g.node_coords()[0] ** 2, 0.0)
+        solve_harmonic(g, [b])
+        solve_screened(g, np.full(g.mask.shape, 7.0), b)
+        solve_screened(g, np.full(g.mask.shape, 9.0), b)
+        calls = 2 if grid_operator(g).box_denominators is not None else 3
+        expected += [int(black_unknowns(g).sum())] * calls
+    assert [n for _, n in factorizations] == expected
+
+
+def test_red_black_without_black_unknowns(monkeypatch):
+    # a 3 x 3 rectangle has one unknown, a red one: the screened solve is
+    # its exact quotient, and SuperLU is not called.  On these data the
+    # product with the reciprocal, 0.5, differs from the quotient in the
+    # last bit
+    factorizations = counting_factorizations(monkeypatch)
+    g = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 2.0), 3)
+    op = grid_operator(g)
+    assert op.n_unknowns == 1 and op.red_black.n_black == 0
+    b = np.array([[0.7, 0.3, 0.9], [1.6, 0.0, 0.1], [0.8, 0.4, 0.2]])
+    c = 5.0
+    u, st = solve_screened(g, np.full(g.mask.shape, c), b)
+    assert u.values[1, 1] == op.rhs(b.ravel())[0] / (op.diag[0] + c) == 0.5000000000000001
+    assert st.kernel == "superlu" and st.residual <= DEFAULT_TOL
+    assert factorizations == []
+
+
+def test_red_black_with_one_black_unknown(monkeypatch):
+    # a 4 x 3 rectangle has a red and a black unknown: S is 1 x 1
+    factorizations = counting_factorizations(monkeypatch)
+    g = build_grid(DomainSpec.rectangle(0.0, 1.5, 0.0, 1.0), (4, 3))
+    op = grid_operator(g)
+    assert op.n_unknowns == 2 and op.red_black.n_black == 1
+    b = np.where(g.boundary(), np.arange(12.0).reshape(3, 4) / 7, 0.0)
+    c = np.array([[0.0] * 4, [0.0, 3.0, 4.0e6, 0.0], [0.0] * 4])
+    u, st = solve_screened(g, c, b)
+    ref = np.linalg.solve(sparse_laplacian(g, c).toarray(), op.rhs(b.ravel()))
+    diff = np.abs(u.values[g.interior()] - ref).max()
+    assert diff <= 1e-15 * np.abs(ref).max() and diff <= st.error_bound
+    assert st.kernel == "superlu" and factorizations == [("MMD_AT_PLUS_A", 1)]
+
+
 def test_interval_solves_make_no_superlu_call(monkeypatch, configs):
     # on an interval no solve factorizes with SuperLU, orders the grid or
-    # builds the sparse Laplacian
+    # builds the red-black reduction
     factorizations = counting_factorizations(monkeypatch)
     cfg = configs["line_m2"]
     g = build_grid(cfg.domain, cfg.grid.dims)
@@ -684,7 +835,7 @@ def test_interval_solves_make_no_superlu_call(monkeypatch, configs):
     assert factorizations == []
     assert all(st.kernel == "tridiagonal" for st in harmonic_stats + [screened_stats] + r.linear_stats)
     op = grid_operator(g)
-    assert op.order is None and op._pattern is None and "laplacian" not in vars(op)
+    assert "red_black" not in vars(op)
 
 
 def test_one_unknown_interval():
