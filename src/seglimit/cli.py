@@ -79,7 +79,6 @@ _SELECTORS = {"interval": EndSelector, "rectangle": SideSelector, "disk": ThetaR
 @dataclass
 class SystemConfig:
     domain: DomainSpec
-    n: int
     grid: Grid  # the grid the config was validated on; every subcommand runs on it
     data: ProblemData
     epsilon: float
@@ -266,7 +265,7 @@ def parse_config(path) -> SystemConfig:
     if problems:
         raise ConfigError(*problems)
     return SystemConfig(
-        domain, n, g, data, epsilon, tol_linear, tol_fp, max_sweeps,
+        domain, g, data, epsilon, tol_linear, tol_fp, max_sweeps,
         _config_hash(entries), str(path),
     )
 
@@ -475,23 +474,14 @@ def _build_limit(cfg: SystemConfig, args: argparse.Namespace, w: RunWriter):
     return L
 
 
-def _zero_threshold(cfg: SystemConfig, args: argparse.Namespace) -> float:
-    """``--delta``, by default ``analysis.default_zero_threshold`` at the
-    largest boundary value."""
-    if args.delta is not None:
-        return args.delta
-    g = cfg.grid
-    return analysis.default_zero_threshold(
-        g, max(cfg.data.max_boundary_value(g), 1e-300), cfg.tol_linear
-    )
-
-
 def cmd_limit(cfg: SystemConfig, out: Path, args: argparse.Namespace) -> int:
     w = RunWriter(out, cfg, args)
     g = cfg.grid
     L = _build_limit(cfg, args, w)
     write_fields_csv(w.path("limit_fields.csv"), g, L.fields)
-    delta = _zero_threshold(cfg, args)
+    delta = analysis.default_zero_threshold(
+        g, max(cfg.data.max_boundary_value(g), 1e-300), cfg.tol_linear
+    )
     iset = analysis.extract_supports_and_interfaces(L.fields, delta)
     write_interfaces_csv(w.path("interfaces.csv"), iset)
     w.path("grid.txt").write_text(format_grid(g))
@@ -532,7 +522,9 @@ def cmd_interfaces(cfg: SystemConfig, out: Path, args: argparse.Namespace) -> in
     w = RunWriter(out, cfg, args)
     g = cfg.grid
     L = _build_limit(cfg, args, w)
-    delta = _zero_threshold(cfg, args)
+    delta = analysis.default_zero_threshold(
+        g, max(cfg.data.max_boundary_value(g), 1e-300), cfg.tol_linear
+    )
     iset = analysis.extract_supports_and_interfaces(L.fields, delta)
     reports = analysis.jump_condition_check(L, iset)
     write_interfaces_csv(w.path("interfaces.csv"), iset)
@@ -557,8 +549,6 @@ _COMMANDS = {
 _FLAGS = {
     "epsilon": (None, "epsilon (default: the config's)"),
     "pivot": ("1", "pivot component, 1..m"),
-    "delta": (None, "zero-set threshold (default: max(10 tol_linear, h) times "
-                    "the largest boundary value)"),
     "start": ("1e-2", "largest epsilon of the ladder"),
     "stop": ("1e-6", "smallest epsilon of the ladder"),
     "count": ("5", "number of epsilons, geometrically spaced"),
@@ -567,10 +557,10 @@ _FLAGS = {
 _COMMAND_FLAGS = {
     "validate": (),
     "solve": ("epsilon",),
-    "limit": ("pivot", "delta"),
+    "limit": ("pivot",),
     "compare": ("epsilon", "pivot"),
     "rate": ("pivot", "start", "stop", "count"),
-    "interfaces": ("pivot", "delta"),
+    "interfaces": ("pivot",),
 }
 
 

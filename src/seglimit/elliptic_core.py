@@ -74,6 +74,9 @@ from .geometry import Grid, NodeClass
 
 DEFAULT_TOL = 1e-10
 DIRECT_SOLVE_LIMIT = 150_000
+# right-hand sides below this are solved scaled up by a power of two (see
+# ``_solve_linear``); well clear of the subnormals, which start at 2^-1022
+_TINY_RHS = 2.0 ** -900
 
 
 @dataclass
@@ -578,21 +581,34 @@ def _solve_linear(op: _GridOperator, factor: Factor, rhs: list[np.ndarray], tol:
     a_norm = float((op.row_sums if c is None else op.row_sums + c).max(initial=0.0))
     factorized = factor.prepare(op)
     for k in live:
-        b = rhs[k]
+        b, b_max, shift = rhs[k], b_maxes[k], 0
+        if b_max < _TINY_RHS:
+            # near the subnormals the solution and the residual underflow
+            # and lose their relative accuracy; solve b 2^shift instead,
+            # with max |b 2^shift| in [0.5, 1), and scale back.  Scaling by
+            # a power of two is exact, so the residual check is unchanged
+            shift = -math.frexp(b_max)[1]
+            b, b_max = np.ldexp(b, shift), math.ldexp(b_max, shift)
         # one solve per column: a multi-column triangular solve runs blocked
         # BLAS kernels whose rounding depends on the block width, so it
         # would not reproduce a single solve bit for bit
-        y = xs[k] = factor.solve(b)
+        y = factor.solve(b)
         r = op.residual(b, y, c)
         y_max = float(np.abs(y).max(initial=0.0))
         r_max = float(np.abs(r).max())
         # backward-error style relative residual: stable for the stiff
         # screened systems where ||A|| >> ||b|| / ||x||
-        scale = max(_norm2(b, b_maxes[k]), a_norm * y_max)
+        scale = max(_norm2(b, b_max), a_norm * y_max)
         res = _norm2(r, r_max) / scale
         bound = op.inverse_norm_bound * (
-            r_max + op.residual_rounding * (b_maxes[k] + a_norm * y_max)
+            r_max + op.residual_rounding * (b_max + a_norm * y_max)
         )
+        xs[k] = y
+        if shift:
+            # scaling back rounds each of y and the bound by at most half
+            # the smallest subnormal
+            xs[k] = np.ldexp(y, -shift)
+            bound = math.ldexp(bound, -shift) + math.ldexp(1.0, -1074)
         # the batch's first column made the factor, the others reuse it
         stats[k] = LinearSolveStats(res, bound, factor.kernel, factorized and k == live[0])
         # not ``res > tol``, which a NaN residual would pass

@@ -1,12 +1,9 @@
 """Solver for the coupled system at fixed epsilon.
 
-Every equation carries the same reaction term F(U)/eps scaled by its
-weight A_i, so for constant weights the scaled differences
-w_j = u_p/A_p - u_j/A_j against a pivot p are harmonic at any epsilon and
-for any exponents.  They are the fields ``limit_solver`` builds the limit
-from, and the Newton path takes them, with the pivot, from a
-``LimitResult``.  The system then reduces to one scalar equation for the
-scaled pivot v = u_p/A_p,
+The Newton path runs on the difference identity of ``limit_solver``: it
+takes the harmonic fields w_j and the pivot p from a ``LimitResult``, and
+the system reduces to one scalar equation for the scaled pivot
+v = u_p/A_p,
 
     Lap v = F(v)/eps,   F(v) = prod_j (A_j (v - w_j))_+^alpha_j,  w_p = 0,
 
@@ -17,9 +14,9 @@ its boundary values are phi_p/A_p.  So v_lim <= v*.  Each Newton step is
 one screened M-matrix solve.  By convexity its result is a supersolution,
 whatever the iterate it started from, and from the first step on the
 iterates decrease monotonically to the solution v* (monotone Newton for
-convex M-functions).  The components are recovered as u_j = A_j (v - w_j);
-as v >= v* >= v_lim >= w_j up to the solves' certified error bounds, a
-negative u_j within them is rounding and is clamped to 0.
+convex M-functions).  The components are recovered with
+``limit_solver.recover``: as v >= v* >= v_lim >= w_j up to the solves'
+certified error bounds, a negative u_j within them is rounding.
 
 Chord steps (Shamanskii's method).  With G(v) = -Lap v + F(v)/eps and
 J(a) = -Lap + diag(F'(a)/eps), a chord step from a supersolution v on the
@@ -83,7 +80,7 @@ from .elliptic_core import (
 )
 from .errors import SolverError
 from .geometry import Grid
-from .limit_solver import LimitResult, solve_limit
+from .limit_solver import LimitResult, recover, solve_limit
 from .problem_data import ProblemData
 
 DEFAULT_TOL_FP = 1e-8
@@ -201,12 +198,7 @@ def solve_epsilon(
     alphas = data.exponents.alphas
     phi = data.boundary_arrays(g)
     tol_abs = tol_fp * data.max_boundary_value(g)
-
-    w = [np.zeros(g.mask.shape)] * data.m
-    w_bound = [0.0] * data.m
-    for wf, comp, st in zip(limit.harmonic, limit.difference_components, limit.linear_stats):
-        w[comp - 1] = wf.values
-        w_bound[comp - 1] = st.error_bound
+    w = limit.w
     v_boundary = phi[p - 1] / A[p - 1]
     v = limit.scaled_pivot.values if initial is None else initial[p - 1].values / A[p - 1]
 
@@ -229,7 +221,7 @@ def solve_epsilon(
 
     def result(stop, gap):
         return SolveResult(
-            _recover(g, v, w, A, phi, st.error_bound, w_bound), epsilon, len(history),
+            recover(g, v, w, A, phi, st.error_bound, limit.w_bound), epsilon, len(history),
             gap, history, stats, stop,
         )
 
@@ -320,33 +312,3 @@ def _reaction(v: np.ndarray, w: list[np.ndarray], A, alphas) -> tuple[np.ndarray
         pre = pre * fac[k]
     return F, dF
 
-
-def _recover(g, v, w, A, phi, v_bound, w_bound) -> tuple[ScalarField, ...]:
-    """u_j = A_j (v - w_j), exact on the boundary and 0 outside the domain.
-
-    ``v_bound`` and ``w_bound`` are the certified error bounds of the
-    solves that gave v and each w_j.  The exact u_j are nonnegative, so a
-    negative value within A_j (v_bound + w_bound[j]) is rounding and
-    becomes 0, and one beyond it raises a ``SolverError``.  A component
-    with zero boundary data is 0, as 0 <= u_j <= H(phi_j) = 0 by the
-    maximum principle (u_j is subharmonic).
-    """
-    bnd = g.boundary()
-    outside = ~g.in_domain()
-    fields = []
-    for j, (wj, a, ph) in enumerate(zip(w, A, phi)):
-        if not ph[bnd].any():
-            fields.append(ScalarField(g, np.zeros(g.mask.shape)))
-            continue
-        u = a * (v - wj)
-        u[bnd] = ph[bnd]
-        u[outside] = 0.0
-        low, bound = float(u.min()), a * (v_bound + w_bound[j])
-        if low < -bound:
-            raise SolverError(
-                f"u_{j + 1} = {low:.3e} is negative beyond its certified error "
-                f"bound {bound:.3e}"
-            )
-        u[u <= 0.0] = 0.0
-        fields.append(ScalarField(g, u))
-    return tuple(fields)

@@ -150,7 +150,7 @@ def build_grid(domain: DomainSpec, n) -> Grid:
         ax, bx, ay, by = domain.params
         if not (bx > ax and by > ay):
             raise ConfigError(f"degenerate rectangle [{ax},{bx}]x[{ay},{by}]")
-        nx, ny = _as_axis_counts(n, 2) if isinstance(n, (tuple, list)) else _as_axis_counts((n, n), 2)
+        nx, ny = _as_axis_counts(n, 2)
         hx = (bx - ax) / (nx - 1)
         hy = (by - ay) / (ny - 1)
         mask = np.full((ny, nx), NodeClass.INTERIOR, dtype=np.int8)
@@ -162,7 +162,7 @@ def build_grid(domain: DomainSpec, n) -> Grid:
         cx, cy, r = domain.params
         if not r > 0:
             raise ConfigError(f"degenerate disk, radius {r}")
-        nx, ny = _as_axis_counts(n, 2) if isinstance(n, (tuple, list)) else _as_axis_counts((n, n), 2)
+        nx, ny = _as_axis_counts(n, 2)
         hx = 2 * r / (nx - 1)
         hy = 2 * r / (ny - 1)
         x = (cx - r) + hx * np.arange(nx)

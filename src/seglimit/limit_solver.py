@@ -1,19 +1,19 @@
 """Explicit construction of the vanishing-epsilon limit.
 
 Every equation carries the same reaction term scaled by its weight A_i,
-so for constant weights all scaled differences u_p/A_p - u_j/A_j against
-a pivot component p are harmonic with boundary data phi_p/A_p - phi_j/A_j,
-at any epsilon and for any exponents.  The limit is then assembled
-pointwise: the scaled pivot v = u_p/A_p is the positive part of the
-largest difference field and every component is recovered as
-u_j = A_j (v - w_j).  By construction the fields are nonnegative, their
-product vanishes at every node, and the pivot is a pointwise maximum of
-harmonic fields and 0, hence discretely subharmonic.  The construction is
-pivot-independent.
+so for constant weights the scaled differences w_j = u_p/A_p - u_j/A_j
+against a pivot component p are harmonic with boundary data
+phi_p/A_p - phi_j/A_j, at any epsilon and for any exponents (w_p = 0).
+Given the scaled pivot v = u_p/A_p, every component is recovered as
+u_j = A_j (v - w_j) (``recover``).  The limit takes v = v_lim, the
+positive part of the largest difference field.  By construction its
+fields are nonnegative, their product vanishes at every node, and the
+pivot is a pointwise maximum of harmonic fields and 0, hence discretely
+subharmonic.  The construction is pivot-independent.
 
-The result keeps the harmonic fields w_j as solved and the scaled pivot
-v_lim = max(0, max_k w_k): ``epsilon_solver`` starts Newton from v_lim on
-these same fields.
+The result keeps the m fields w_j as solved and v_lim: ``epsilon_solver``
+starts Newton from v_lim on these same fields and recovers its
+components with the same ``recover``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic_core import DEFAULT_TOL, LinearSolveStats, ScalarField, solve_harmonic
+from .errors import SolverError
 from .geometry import Grid
 from .problem_data import ProblemData
 
@@ -30,10 +31,10 @@ from .problem_data import ProblemData
 @dataclass
 class LimitResult:
     fields: tuple[ScalarField, ...]
-    difference_components: tuple[int, ...]  # 1-based component of each harmonic field
     pivot: int  # 1-based
     linear_stats: list[LinearSolveStats]  # one per harmonic field
-    harmonic: tuple[ScalarField, ...]  # w_j = u_p/A_p - u_j/A_j for j != p, as solved
+    w: tuple[np.ndarray, ...]  # w_j = u_p/A_p - u_j/A_j in component order, 0 at the pivot
+    w_bound: tuple[float, ...]  # the certified error bound of each w_j, 0 at the pivot
     scaled_pivot: ScalarField  # v_lim = max(0, max_k w_k), 0 outside the domain
 
     @property
@@ -44,55 +45,77 @@ class LimitResult:
 def harmonic_differences(
     g: Grid, data: ProblemData, pivot: int = 1, tol_linear: float = DEFAULT_TOL
 ):
-    """Harmonic fields with boundary data phi_p/A_p - phi_j/A_j for j != p.
+    """The m fields w_j, harmonic with boundary data phi_p/A_p - phi_j/A_j.
 
-    Returns (fields, component_indices, stats); indices are 1-based.  All
-    m - 1 fields come from one batched solve.
+    Returns (w, stats): w in component order with w_p = 0, and the
+    statistics of the m - 1 harmonic fields, which come from one batched
+    solve.
     """
     if not 1 <= pivot <= data.m:
         raise ValueError(f"pivot {pivot} out of range 1..{data.m}")
     scaled = [arr / a for arr, a in zip(data.boundary_arrays(g), data.weights.values)]
-    comps = tuple(j for j in range(1, data.m + 1) if j != pivot)
     fields, stats = solve_harmonic(
-        g, [scaled[pivot - 1] - scaled[j - 1] for j in comps], tol_linear
+        g, [scaled[pivot - 1] - s for j, s in enumerate(scaled, 1) if j != pivot], tol_linear
     )
-    return fields, comps, stats
+    w = [f.values for f in fields]
+    w.insert(pivot - 1, np.zeros(g.mask.shape))
+    return w, stats
 
 
 def construct_limit(
-    w_fields: list[ScalarField], components: tuple[int, ...], pivot: int,
-    weights: np.ndarray, stats: list[LinearSolveStats],
+    g: Grid, data: ProblemData, pivot: int, w: list[np.ndarray],
+    stats: list[LinearSolveStats],
 ) -> LimitResult:
-    """Assemble the limit from scaled difference fields sharing one grid.
+    """Assemble the limit on pivot ``pivot`` from the fields and statistics
+    of ``harmonic_differences``.
 
-    ``weights`` are the constant A_i and ``stats`` the harmonic solves'
-    statistics, one per field.  Ties in the max need no tie-breaking; nodes
-    where several differences coincide are exactly the multi-interface
-    points.
+    Ties in the max need no tie-breaking; nodes where several differences
+    coincide are exactly the multi-interface points.
     """
-    g = w_fields[0].grid
-    m = len(w_fields) + 1
-    stacked = np.stack([w.values for w in w_fields] + [np.zeros(g.mask.shape)])
-    v = stacked.max(axis=0)
-    outside = ~g.in_domain()
-    v[outside] = 0.0
+    v = np.stack(w).max(axis=0)  # w_p = 0 is among the w
+    v[~g.in_domain()] = 0.0
+    w_bound = [st.error_bound for st in stats]
+    w_bound.insert(pivot - 1, 0.0)
+    fields = recover(g, v, w, data.weights.values, data.boundary_arrays(g), 0.0, w_bound)
+    return LimitResult(fields, pivot, stats, tuple(w), tuple(w_bound), ScalarField(g, v))
 
-    fields: list[ScalarField | None] = [None] * m
-    for w, comp in zip(w_fields, components):
-        vals = weights[comp - 1] * (v - w.values)
-        vals[outside] = 0.0
-        fields[comp - 1] = ScalarField(g, vals)
-    fields[pivot - 1] = ScalarField(g, weights[pivot - 1] * v)
-    return LimitResult(
-        tuple(fields), components, pivot, stats, tuple(w_fields), ScalarField(g, v),
-    )
+
+def recover(g, v, w, A, phi, v_bound, w_bound) -> tuple[ScalarField, ...]:
+    """u_j = A_j (v - w_j), exact on the boundary and 0 outside the domain.
+
+    ``v_bound`` and ``w_bound`` are the certified error bounds of the
+    solves that gave v and each w_j.  The exact u_j are nonnegative, so a
+    negative value within A_j (v_bound + w_bound[j]) is rounding and
+    becomes 0, and one beyond it raises a ``SolverError``.  A component
+    with zero boundary data is 0, as 0 <= u_j <= H(phi_j) = 0 by the
+    maximum principle (u_j is subharmonic).
+    """
+    bnd = g.boundary()
+    outside = ~g.in_domain()
+    fields = []
+    for j, (wj, a, ph) in enumerate(zip(w, A, phi)):
+        if not ph[bnd].any():
+            fields.append(ScalarField(g, np.zeros(g.mask.shape)))
+            continue
+        u = a * (v - wj)
+        u[bnd] = ph[bnd]
+        u[outside] = 0.0
+        low, bound = float(u.min()), a * (v_bound + w_bound[j])
+        if low < -bound:
+            raise SolverError(
+                f"u_{j + 1} = {low:.3e} is negative beyond its certified error "
+                f"bound {bound:.3e}"
+            )
+        u[u <= 0.0] = 0.0
+        fields.append(ScalarField(g, u))
+    return tuple(fields)
 
 
 def solve_limit(
     g: Grid, data: ProblemData, pivot: int = 1, tol_linear: float = DEFAULT_TOL
 ) -> LimitResult:
-    w, comps, stats = harmonic_differences(g, data, pivot, tol_linear)
-    return construct_limit(w, comps, pivot, data.weights.values, stats)
+    w, stats = harmonic_differences(g, data, pivot, tol_linear)
+    return construct_limit(g, data, pivot, w, stats)
 
 
 def pivot_equivalence_check(

@@ -265,18 +265,19 @@ def validate_coupling(w: CouplingWeights) -> list[dict]:
 
 
 def validate_partial_segregation(
-    data: list[BoundaryDatum], g: Grid, tol: float | None = None
+    data: list[BoundaryDatum], g: Grid
 ) -> list[tuple[BoundaryPoint, float]]:
-    """Boundary nodes where the product of all boundary data exceeds tol.
+    """Boundary nodes where the product of all boundary data exceeds
+    1e-12 * M**m, with M the largest boundary value (a scale-aware zero
+    test), each with its product.
 
     An empty report means the partial segregation assumption holds on the
-    discrete boundary.  The default tolerance is 1e-12 * M**m with M the
-    largest boundary value (scale-aware zero test).
+    discrete boundary.
     """
-    return _segregation_report([boundary_value_array(d, g) for d in data], g, tol)
+    return _segregation_report([boundary_value_array(d, g) for d in data], g)
 
 
-def _segregation_report(arrays, g: Grid, tol: float | None):
+def _segregation_report(arrays, g: Grid):
     if len(arrays) < 2:
         raise ConfigError("partial segregation needs at least 2 components")
     pts = boundary_points(g)
@@ -284,13 +285,10 @@ def _segregation_report(arrays, g: Grid, tol: float | None):
     at = tuple(np.array(axis, dtype=np.intp) for axis in zip(*(p.index[::-1] for p in pts)))
     values = np.array([arr[at] for arr in arrays])
     products = values.prod(axis=0)
-    if tol is None:
-        # products above 1e-12 M^m, tested on the data scaled by M so that
-        # M^m cannot overflow
-        M = max(float(values.max(initial=0.0)), 1e-300)
-        flagged = (values / M).prod(axis=0) > 1e-12
-    else:
-        flagged = products > tol
+    # products above 1e-12 M^m, tested on the data scaled by M so that M^m
+    # cannot overflow
+    M = max(float(values.max(initial=0.0)), 1e-300)
+    flagged = (values / M).prod(axis=0) > 1e-12
     return [(pts[k], float(products[k])) for k in np.nonzero(flagged)[0]]
 
 
@@ -332,9 +330,9 @@ class ProblemData:
         b = g.boundary()
         return max(float(arr[b].max(initial=0.0)) for arr in self.boundary_arrays(g))
 
-    def validate(self, g: Grid, tol: float | None = None) -> dict:
+    def validate(self, g: Grid) -> dict:
         """Run both assumption checks; empty lists mean valid."""
         return {
-            "segregation": _segregation_report(self.boundary_arrays(g), g, tol),
+            "segregation": _segregation_report(self.boundary_arrays(g), g),
             "coupling": validate_coupling(self.weights),
         }

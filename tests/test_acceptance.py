@@ -194,7 +194,7 @@ def test_criterion_07_segregation(configs):
     cases = [("line_m2", None), ("line_m3", None), ("square_m4", 101)]
     for name, n in cases:
         cfg = configs[name]
-        g = build_grid(cfg.domain, n or cfg.n)
+        g = build_grid(cfg.domain, n) if n else cfg.grid
         prev = None
         for eps in (1e-2, 1e-4, 1e-6):
             r = solve_epsilon(g, cfg.data, eps, cfg.tol_fp, 20000, cfg.tol_linear)

@@ -535,8 +535,8 @@ def test_config_flag_form(tmp_path, capsys):
     ["limit", "--pivot", "0"],
     ["limit", "--pivot", "7"],
     ["compare", "--pivot", "x"],
-    ["limit", "--delta", "0"],
-    ["interfaces", "--delta", "-1"],
+    ["interfaces", "--pivot", "7"],
+    ["rate", "--stop", "nan"],
     ["rate", "--count", "0"],
     ["rate", "--start", "1e-6", "--stop", "1e-2"],
 ])
@@ -584,6 +584,7 @@ def test_bad_flag_listed_with_config_problems(tmp_path, capsys):
     ["limit", "--epsilon", "1e-4"],
     ["rate", "--delta", "0.1"],
     ["interfaces", "--count", "3"],
+    ["limit", "--delta", "0.1"],
 ])
 def test_flag_of_another_subcommand_refused(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -596,7 +597,7 @@ def test_manifest_lists_own_flags(tmp_path):
     expect = {
         "validate": {},
         "solve": {"epsilon": 0.01},
-        "limit": {"pivot": 2, "delta": None},
+        "limit": {"pivot": 2},
         "rate": {"pivot": 1, "start": 0.01, "stop": 0.001, "count": 2},
     }
     extra = {"solve": ["--epsilon", "1e-2"], "limit": ["--pivot", "2"],

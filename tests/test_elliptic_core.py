@@ -174,6 +174,23 @@ def test_screened_maximum_principle_exact(data):
     assert np.all(u.values <= M)
 
 
+@pytest.mark.parametrize("c", [0.0, 1e6])
+def test_subnormal_boundary_data_solved(c):
+    # a right-hand side down at the subnormals underflows in the solve; it
+    # is solved scaled by a power of two and keeps the maximum principle
+    g = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 9)
+    p = boundary_points(g)[-1]
+    b = np.zeros(g.mask.shape)
+    b[p.index[1], p.index[0]] = 5e-324
+    u, stats = solve_screened(g, np.full(g.mask.shape, c), b)
+    assert np.all(u.values >= 0.0) and np.all(u.values <= 5e-324)
+    assert stats.residual <= DEFAULT_TOL
+    (h,), (hs,) = solve_harmonic(g, [b * 2.0**1000])
+    (t,), (ts,) = solve_harmonic(g, [b])
+    assert ts.residual == hs.residual
+    assert np.all(np.abs(t.values - h.values * 2.0**-1000) <= ts.error_bound)
+
+
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_harmonic_linearity_and_comparison(data):

@@ -25,12 +25,11 @@ from seglimit.elliptic_core import DEFAULT_TOL
 from seglimit.analysis import segregation_residual
 from seglimit.epsilon_solver import (
     _reaction,
-    _recover,
     initialize,
     sweep,
 )
 from seglimit.errors import SolverError
-from seglimit.limit_solver import solve_limit
+from seglimit.limit_solver import recover, solve_limit
 
 
 def make_data(pieces_per_comp, A=None, alphas=None):
@@ -365,10 +364,7 @@ def test_segregation_residual_matches_reduced_reaction(data, eps):
     L = solve_limit(G41, data)
     r = solve_epsilon(G41, data, eps, limit=L)
     A = data.weights.values
-    w = [np.zeros(G41.mask.shape)] * data.m
-    for wf, comp in zip(L.harmonic, L.difference_components):
-        w[comp - 1] = wf.values
-    F, _ = _reaction(r.fields[L.pivot - 1].values / A[L.pivot - 1], w, A, data.exponents.alphas)
+    F, _ = _reaction(r.fields[L.pivot - 1].values / A[L.pivot - 1], L.w, A, data.exponents.alphas)
     max_product, integrals = segregation_residual(r.fields, data.weights, data.exponents)
     tol = 1e-12 * (A.max() * M) ** data.m
     inside = G41.in_domain()
@@ -408,11 +404,11 @@ def test_recover_clamps_within_certified_bound(g101):
     phi = M2.boundary_arrays(g101)
     v = np.maximum(w[1], 0.0)
     v[20] -= 5e-13
-    u = _recover(g101, v, w, M2.weights.values, phi, 4e-13, [0.0, 2e-13])
+    u = recover(g101, v, w, M2.weights.values, phi, 4e-13, [0.0, 2e-13])
     assert u[1].values[20] == 0.0 and u[1].values.min() == 0.0
     assert u[0].values[20] == v[20]
     with pytest.raises(SolverError, match="u_2 .* negative beyond its certified error bound"):
-        _recover(g101, v, w, M2.weights.values, phi, 2e-13, [0.0, 2e-13])
+        recover(g101, v, w, M2.weights.values, phi, 2e-13, [0.0, 2e-13])
 
 
 def test_newton_matches_sweep_oracle_2d(configs):
@@ -442,22 +438,19 @@ def test_newton_general_exponents_stiff(g101):
 
 
 def newton_iterates(g, data, eps, L, v, steps):
-    """``steps`` plain Newton steps on the reduced equation from ``v``, each
-    with its own factorization: the iterates, their updates and the limit's
-    difference fields w_j."""
+    """``steps`` plain Newton steps on the reduced equation from ``v``, on
+    the limit's difference fields, each with its own factorization: the
+    iterates and their updates."""
     A = data.weights.values
-    w = [np.zeros(g.mask.shape)] * data.m
-    for wf, comp in zip(L.harmonic, L.difference_components):
-        w[comp - 1] = wf.values
     v_boundary = data.boundary_arrays(g)[L.pivot - 1] / A[L.pivot - 1]
     iterates, updates = [], []
     for _ in range(steps):
-        F, dF = _reaction(v, w, A, data.exponents.alphas)
+        F, dF = _reaction(v, L.w, A, data.exponents.alphas)
         nxt, _ = solve_screened(g, dF / eps, v_boundary, source=np.maximum(dF * v - F, 0.0) / eps)
         updates.append(A.max() * np.abs(nxt.values - v).max())
         v = nxt.values
         iterates.append(v)
-    return iterates, updates, w
+    return iterates, updates
 
 
 CERTIFICATE_GRIDS = [("disk_m3", 41), ("square_m4", 41), ("line_m3", 401)]
@@ -482,11 +475,11 @@ def test_certificate_bounds_the_error(configs, name, n):
         if r.stop != "certified":
             continue
         v = r.fields[L.pivot - 1].values / A[L.pivot - 1]
-        iterates, updates, w = newton_iterates(g, cfg.data, eps, L, v, 8)
+        iterates, updates = newton_iterates(g, cfg.data, eps, L, v, 8)
         assert max(updates[-3:]) <= 1e-13
         error = max(
             np.abs(f.values - a * (iterates[-1] - wj))[interior].max()
-            for f, a, wj in zip(r.fields, A, w)
+            for f, a, wj in zip(r.fields, A, L.w)
         )
         assert error <= r.gap
     assert "certified" in stops
@@ -502,7 +495,7 @@ def test_certificate_stops_before_the_update_rule(configs, name):
     L = solve_limit(g, cfg.data)
     tol = 1e-8 * cfg.data.max_boundary_value(g)
     r = solve_epsilon(g, cfg.data, 1e-4, limit=L)
-    _, updates, _ = newton_iterates(g, cfg.data, 1e-4, L, L.scaled_pivot.values, 8)
+    _, updates = newton_iterates(g, cfg.data, 1e-4, L, L.scaled_pivot.values, 8)
     plain = next(k for k, d in enumerate(updates, start=1) if d <= tol)
     factorizations = sum(st.factorized for st in r.linear_stats)
     assert r.stop == "certified" and r.gap <= tol

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seglimit import (
+    CouplingWeights,
     DomainSpec,
+    ProblemData,
     apply_laplacian,
     build_grid,
     solve_harmonic,
@@ -76,13 +78,21 @@ def test_harmonic_envelope_bounds(configs):
 
 
 def test_boundary_trace_reproduced(configs):
-    cfg = configs["disk_m3"]
-    g = build_grid(cfg.domain, 101)
-    r = solve_limit(g, cfg.data)
-    phi = cfg.data.boundary_arrays(g)
-    bnd = g.boundary()
-    for i, f in enumerate(r.fields):
-        assert np.abs(f.values[bnd] - phi[i][bnd]).max() <= 1e-12
+    # every component takes its boundary data exactly, at every pivot and
+    # with unequal weights too
+    for name, n, A in (("disk_m3", 101, None), ("square_m4_overlap", 41, None),
+                       ("square_m4", 41, [1.0, 1.2, 0.9, 1.1]), ("line_m3", 801, [1.0, 1.0, 1.5])):
+        cfg = configs[name]
+        g = build_grid(cfg.domain, n)
+        data = cfg.data if A is None else ProblemData(
+            cfg.data.boundary, CouplingWeights(np.array(A)), cfg.data.exponents
+        )
+        phi = data.boundary_arrays(g)
+        bnd = g.boundary()
+        for pivot in range(1, data.m + 1):
+            r = solve_limit(g, data, pivot)
+            for f, ph in zip(r.fields, phi):
+                assert np.array_equal(f.values[bnd], ph[bnd]), (name, pivot)
 
 
 def test_pivot_equivalence(g401, configs):

@@ -105,7 +105,7 @@ def test_expression_caret_power():
 
 def test_segregation_disk_triple_valid():
     g = build_grid(DomainSpec.disk(0.0, 0.0, 1.0), 51)
-    assert validate_partial_segregation([PHI1, PHI2, PHI3], g, tol=1e-12) == []
+    assert validate_partial_segregation([PHI1, PHI2, PHI3], g) == []
 
 
 def test_segregation_all_ones_fails_everywhere():
@@ -118,7 +118,7 @@ def test_segregation_all_ones_fails_everywhere():
 def test_segregation_square_quadruple_valid(configs):
     cfg = configs["square_m4"]
     g = build_grid(cfg.domain, 41)
-    assert validate_partial_segregation(list(cfg.data.boundary), g, tol=1e-12) == []
+    assert validate_partial_segregation(list(cfg.data.boundary), g) == []
 
 
 def test_coupling_valid_and_invalid():
