@@ -75,7 +75,7 @@ class InterfaceEdge:
 class PairEdges:
     """The interface edges of one pair as arrays, one row per edge: the
     lattice indices (ix[, iy]) of both endpoints, the midpoint and the unit
-    normal.  Indexing and iteration give ``InterfaceEdge`` objects."""
+    normal.  Indexing, and so iteration, gives ``InterfaceEdge`` objects."""
 
     a: np.ndarray  # (k, d) int
     b: np.ndarray
@@ -88,9 +88,6 @@ class PairEdges:
     def __getitem__(self, k: int) -> InterfaceEdge:
         arrays = (self.a, self.b, self.midpoint, self.normal)
         return InterfaceEdge(*(tuple(arr[k].tolist()) for arr in arrays))
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
 
 
 @dataclass
@@ -135,9 +132,14 @@ def _interface_edges(
     origin, spacing = np.array(g.origin), np.array(g.spacing)
     mid = 0.5 * ((origin + spacing * ia) + (origin + spacing * ib))
     grad = 0.5 * (grad[pf] + grad[qf])
-    # vecdot is the dot product np.linalg.norm takes, so the norms agree bitwise
+    # each edge's gradient scaled by a power of two to a largest entry in
+    # [0.5, 1), so its square cannot overflow; the scaling is exact, so the
+    # normal is the unscaled gradient over its norm bit for bit.  vecdot is
+    # the dot product np.linalg.norm takes, so the norms agree bitwise
+    exp = np.frexp(np.abs(grad).max(axis=1))[1]
+    grad = np.ldexp(grad, -exp[:, None])
     nrm = np.sqrt(np.vecdot(grad, grad))
-    flat = ~(nrm > 1e-30)
+    flat = ~(np.ldexp(nrm, exp) > 1e-30)
     normal = grad / np.where(flat, 1.0, nrm)[:, None]
     normal[flat] = np.eye(g.ndim)[axis]
     return ia, ib, mid, normal
@@ -158,29 +160,18 @@ def extract_supports_and_interfaces(
     interior = g.interior()
     zero = np.stack([(f.values < delta) & interior for f in fields])
 
-    n_interior = int(interior.sum())
-    degenerate = False
-    for i in range(m):
-        for j in range(i + 1, m):
-            if zero[i].sum() == n_interior and zero[j].sum() == n_interior:
-                degenerate = True
-
     flat_int = interior.ravel()
     zflat = zero.reshape(m, -1)
-    shape = g.mask.shape
-    idx = np.arange(g.mask.size).reshape(shape)
+    degenerate = bool(np.count_nonzero(zflat.sum(axis=1) == flat_int.sum()) >= 2)
 
-    if g.ndim == 1:
-        axis_pairs = [(idx[:-1].ravel(), idx[1:].ravel(), 0)]
-    else:
-        axis_pairs = [
-            (idx[:, :-1].ravel(), idx[:, 1:].ravel(), 0),
-            (idx[:-1, :].ravel(), idx[1:, :].ravel(), 1),
-        ]
-    # interior-interior edges of each axis with the zero-set membership of
+    # interior-interior edges of each grid axis, from each node to the next
+    # one along the axis in node order, with the zero-set membership of
     # their endpoints
+    nodes = _node_indices(g, np.arange(g.mask.size))
     axis_edges = []
-    for p_all, q_all, axis in axis_pairs:
+    for axis in range(g.ndim):
+        p_all = np.flatnonzero(nodes[:, axis] < g.dims[axis] - 1)
+        q_all = p_all + math.prod(g.dims[:axis])
         ok = flat_int[p_all] & flat_int[q_all]
         p_arr, q_arr = p_all[ok], q_all[ok]
         zp, zq = zflat[:, p_arr], zflat[:, q_arr]
@@ -205,15 +196,13 @@ def extract_supports_and_interfaces(
     return InterfaceSet(g, delta, zero, pairs, degenerate)
 
 
-def laplacian_measure(u: ScalarField, g: Grid | None = None) -> ScalarField:
+def laplacian_measure(u: ScalarField) -> ScalarField:
     """h * Lap_h(u): the discrete interface Dirac density.
 
     Values approximate the normal-derivative jump along interfaces and
     vanish where u is discretely harmonic.
     """
-    g = g or u.grid
-    lap = apply_laplacian(u)
-    return ScalarField(g, g.spacing[0] * lap.values)
+    return ScalarField(u.grid, u.grid.spacing[0] * apply_laplacian(u).values)
 
 
 @dataclass
@@ -243,19 +232,17 @@ def jump_condition_check(L: LimitResult, I: InterfaceSet) -> dict[tuple[int, int
     hugging the outer boundary) are skipped and counted.
     """
     g = I.grid
-    dims = np.array(g.dims)
     spacing = np.array(g.spacing)
-    in_domain = g.in_domain().ravel()
     vals = [f.values.ravel() for f in L.fields]
     # half-delta guard band: genuine zero regions are exact zeros up to
     # solver noise, while a component vanishing only on a lower dimensional
     # set grows like h * slope away from it
     cut = 0.5 * I.delta
 
+    # the nodes tested are interior nodes and their stencil neighbours,
+    # all lattice nodes in the domain (see ``Grid``)
     def in_zero(f: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        inside = np.all((idx >= 0) & (idx < dims), axis=1)
-        flat = _flat_indices(g, np.where(inside[:, None], idx, 0))
-        return inside & in_domain[flat] & (f[flat] < cut)
+        return f[_flat_indices(g, idx)] < cut
 
     reports: dict[tuple[int, int], JumpPairReport] = {}
     for (i, j), edges in I.pairs.items():

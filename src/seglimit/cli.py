@@ -39,20 +39,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, epsilon_solver, limit_solver
-from .elliptic_core import ScalarField
+from .elliptic_core import DEFAULT_TOL, ScalarField
 from .errors import ConfigError, SolverError
 from .geometry import DomainSpec, Grid, build_grid, format_grid
-from .problem_data import (
-    AllSelector,
-    BoundaryDatum,
-    CouplingWeights,
-    EndSelector,
-    Exponents,
-    Piece,
-    ProblemData,
-    SideSelector,
-    ThetaRange,
-)
+from .problem_data import BoundaryDatum, CouplingWeights, Exponents, Piece, ProblemData
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,14 +56,14 @@ _KNOWN_KEYS = {
     "system": {"m", "epsilon", "alpha", "A"},
     "solver": {"tol_linear", "tol_fp", "max_sweeps"},
 }
-# the value of a key the config leaves out; a key without one must be given
-_DEFAULTS = {"epsilon": "1e-8", "tol_linear": "1e-10",
-             "tol_fp": "1e-8", "max_sweeps": "500"}
+# the value of a key the config leaves out, as config text; a key without
+# one must be given.  epsilon has no library default
+_DEFAULTS = {"epsilon": "1e-8", "tol_linear": str(DEFAULT_TOL),
+             "tol_fp": str(epsilon_solver.DEFAULT_TOL_FP),
+             "max_sweeps": str(epsilon_solver.DEFAULT_MAX_SWEEPS)}
 # every integer input, config key or flag, with its least allowed value;
 # every other number is a float that must be finite and > 0
 _INT_FLOORS = {"n": 3, "m": 2, "max_sweeps": 1, "pivot": 1, "count": 1}
-# the selector each domain kind can match, besides ``all``
-_SELECTORS = {"interval": EndSelector, "rectangle": SideSelector, "disk": ThetaRange}
 
 
 @dataclass
@@ -210,6 +200,7 @@ def parse_config(path) -> SystemConfig:
             domain = DomainSpec.disk(c[0], c[1], r)
     else:
         problems.append(f"[domain] kind: expected interval|rectangle|disk, got {kind!r}")
+        kind = None  # no selector is checked against an unknown kind
 
     m = number("system", "m")
     epsilon = number("system", "epsilon")
@@ -236,7 +227,7 @@ def parse_config(path) -> SystemConfig:
                 except ConfigError as exc:
                     problems.extend(exc.problems)
                     continue
-                if kind in _SELECTORS and not isinstance(piece.selector, (AllSelector, _SELECTORS[kind])):
+                if kind and piece.selector.kind not in (None, kind):
                     problems.append(f"[boundary.{i}] piece {text!r}: selector cannot match on a {kind}")
                 pieces.append(piece)
             boundary.append(BoundaryDatum(i, tuple(pieces)))
@@ -528,7 +519,7 @@ def cmd_interfaces(cfg: SystemConfig, out: Path, args: argparse.Namespace) -> in
     iset = analysis.extract_supports_and_interfaces(L.fields, delta)
     reports = analysis.jump_condition_check(L, iset)
     write_interfaces_csv(w.path("interfaces.csv"), iset)
-    measures = tuple(analysis.laplacian_measure(f, g) for f in L.fields)
+    measures = tuple(analysis.laplacian_measure(f) for f in L.fields)
     write_fields_csv(w.path("laplacian_measure.csv"), g, measures)
     write_jump_report(w.path("jump_report.csv"), reports)
     w.path("grid.txt").write_text(format_grid(g))

@@ -107,9 +107,6 @@ class ScalarField:
         if self.values.shape != self.grid.mask.shape:
             raise ValueError("field shape does not match grid")
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
 
 def constant_field(g: Grid, value: float = 0.0) -> ScalarField:
     vals = np.full(g.mask.shape, float(value))
@@ -147,9 +144,6 @@ class _GridOperator:
                 shift[axis] = s
                 self._stencil.append(_shift_slices(shape, shift) + (1.0 / h**2,))
                 self._steps.append(tuple(shift))
-        exterior = g.mask == NodeClass.EXTERIOR
-        if any(np.any(self.interior[src] & exterior[dst]) for src, dst, _ in self._stencil):
-            raise ValueError("interior node with exterior stencil neighbor")
         diag = np.zeros(shape)
         for src, _, coef in self._stencil:
             diag[src] += coef
@@ -208,9 +202,11 @@ class _GridOperator:
         return b + self._row_product(v.reshape(shape), centre.reshape(shape))
 
     def laplacian_terms(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """At the interior unknowns, in their order: ``laplacian_of(v)`` and
-        the sum of coef * |v[q] - v[p]| over the same terms, which scales
-        the rounding of the first."""
+        """At the interior unknowns, in their order: the stencil's Laplacian
+        of ``v`` (shaped like the mask), coef * (v[q] - v[p]) summed over
+        the directions in stencil order, so a constant has a Laplacian of
+        exactly 0; and the sum of coef * |v[q] - v[p]| over the same terms,
+        which scales the rounding of the first."""
         lap = np.zeros(v.shape)
         mag = np.zeros(v.shape)
         for src, dst, coef in self._stencil:
@@ -218,16 +214,6 @@ class _GridOperator:
             lap[src] += term
             mag[src] += np.abs(term)
         return lap.ravel()[self.interior_flat], mag.ravel()[self.interior_flat]
-
-    def laplacian_of(self, v: np.ndarray) -> np.ndarray:
-        """The stencil's Laplacian of ``v`` (shaped like the mask) at the
-        interior nodes, 0 elsewhere: coef * (v[q] - v[p]) summed over the
-        directions in stencil order, so a constant has a Laplacian of
-        exactly 0."""
-        acc = np.zeros(v.shape)
-        for src, dst, coef in self._stencil:
-            acc[src] += coef * (v[dst] - v[src])
-        return np.where(self.interior, acc, 0.0)
 
 
 def _box_denominators(g: Grid, n: int) -> np.ndarray | None:
@@ -494,7 +480,10 @@ def grid_operator(g: Grid) -> _GridOperator:
 
 def apply_laplacian(u: ScalarField) -> ScalarField:
     """Centered-stencil Laplacian at interior nodes, 0 elsewhere."""
-    return ScalarField(u.grid, grid_operator(u.grid).laplacian_of(u.values))
+    op = grid_operator(u.grid)
+    out = np.zeros(u.values.size)
+    out[op.interior_flat] = op.laplacian_terms(u.values)[0]
+    return ScalarField(u.grid, out.reshape(u.values.shape))
 
 
 class Factor:
@@ -682,8 +671,6 @@ def solve_screened(g: Grid, c, boundary_values, tol: float = DEFAULT_TOL, source
     if bvals.size and bvals.min() < 0:
         raise ValueError("screened solve requires nonnegative boundary values")
     M = float(bvals.max(initial=0.0))
-    if M == 0.0 and (f_int is None or not f_int.any()):
-        return constant_field(g, 0.0), LinearSolveStats(0.0)
     b = op.rhs(bflat)
     if f_int is not None:
         b = b + f_int

@@ -132,12 +132,7 @@ def sweep(
 
     old = [f.values for f in s.fields]
     old_pow = [np.power(old[j], alphas[j]) if alphas[j] != 1 else old[j] for j in range(m)]
-    # suffix products of lagged powered factors: suf[i] = prod_{j > i} old_pow[j]
-    suf = [None] * m
-    acc = np.ones_like(old[0])
-    for j in range(m - 1, -1, -1):
-        suf[j] = acc
-        acc = acc * old_pow[j]
+    suf, _ = _suffix_products(old_pow)
 
     new_fields: list[ScalarField] = []
     pre_old = np.ones_like(old[0])  # prod_{j<i} old_pow[j]
@@ -287,7 +282,6 @@ def solve_epsilon(
 
 def _reaction(v: np.ndarray, w: list[np.ndarray], A, alphas) -> tuple[np.ndarray, np.ndarray]:
     """F(v) and its right derivative F'(v), nodewise."""
-    m = len(w)
     fac, dfac = [], []
     for wj, a, alpha in zip(w, A, alphas):
         d = a * (v - wj)
@@ -299,16 +293,21 @@ def _reaction(v: np.ndarray, w: list[np.ndarray], A, alphas) -> tuple[np.ndarray
             fac.append(np.power(f, alpha))
             dfac.append(alpha * a * np.power(f, alpha - 1))
     # F' = sum_k dfac_k prod_{j != k} fac_j, from prefix and suffix products
-    suf = [None] * m
-    acc = np.ones_like(v)
-    for j in range(m - 1, -1, -1):
-        suf[j] = acc
-        acc = acc * fac[j]
-    F = acc
+    suf, F = _suffix_products(fac)
     dF = np.zeros_like(v)
     pre = np.ones_like(v)
-    for k in range(m):
+    for k in range(len(w)):
         dF += dfac[k] * pre * suf[k]
         pre = pre * fac[k]
     return F, dF
 
+
+def _suffix_products(factors: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """``suf[i] = prod_{j > i} factors[j]`` for every i, and the product of
+    all the factors, multiplied from the last factor down."""
+    suf = [None] * len(factors)
+    acc = np.ones_like(factors[0])
+    for j in range(len(factors) - 1, -1, -1):
+        suf[j] = acc
+        acc = acc * factors[j]
+    return suf, acc

@@ -3,10 +3,14 @@
 Every grid is a uniform lattice whose nodes are classified interior,
 boundary, or exterior.  Intervals and rectangles use all lattice nodes;
 disks are masked out of their bounding box: interior nodes lie strictly
-inside the circle and the boundary ring is the first layer of outside
-nodes adjacent to an inside node (staircase approximation).  Boundary
-values on a disk are read off the radial projection of the boundary node
-onto the circle, so ``BoundaryPoint.coord`` is the projected point there.
+inside the circle and off the lattice rim (a rim node that rounds to
+inside the circle is not interior), and the boundary ring is the first
+layer of other nodes adjacent to an interior node (staircase
+approximation).  So every interior node has its whole stencil on the
+lattice and in the domain; ``Grid`` refuses a mask where one has not.
+Boundary values on a disk are read off the radial projection of the
+boundary node onto the circle, so ``BoundaryPoint.coord`` is the
+projected point there.
 """
 
 from __future__ import annotations
@@ -65,7 +69,9 @@ class Grid:
     """Immutable structured grid with node classification.
 
     ``mask`` holds :class:`NodeClass` codes, shape ``(nx,)`` in 1D and
-    ``(ny, nx)`` (row-major in y) in 2D.
+    ``(ny, nx)`` (row-major in y) in 2D.  No interior node lies on the
+    lattice rim or next to an exterior node, so every stencil neighbour of
+    an interior node is a lattice node in the domain.
     """
 
     domain: DomainSpec
@@ -73,6 +79,15 @@ class Grid:
     spacing: tuple[float, ...]
     origin: tuple[float, ...]
     mask: np.ndarray
+
+    def __post_init__(self):
+        # the padding puts the nodes beyond the rim outside the domain; a
+        # shift by one node along an axis brings each node's neighbour to it
+        outside = np.pad(self.mask == NodeClass.EXTERIOR, 1, constant_values=True)
+        core = (slice(1, -1),) * self.ndim
+        if any(np.any(self.interior() & np.roll(outside, s, axis)[core])
+               for axis in range(self.ndim) for s in (-1, 1)):
+            raise ValueError("interior node on the lattice rim or next to an exterior node")
 
     @property
     def ndim(self) -> int:
@@ -169,6 +184,8 @@ def build_grid(domain: DomainSpec, n) -> Grid:
         y = (cy - r) + hy * np.arange(ny)
         X, Y = np.meshgrid(x, y)
         inside = (X - cx) ** 2 + (Y - cy) ** 2 < r**2
+        # a rim node can round to inside, but has no neighbour beyond the rim
+        inside[[0, -1]] = inside[:, [0, -1]] = False
         ring = np.zeros_like(inside)
         ring[1:, :] |= inside[:-1, :]
         ring[:-1, :] |= inside[1:, :]

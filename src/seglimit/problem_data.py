@@ -84,6 +84,10 @@ def compile_expression(text: str):
 
 # ---------------------------------------------------------------------------
 # piece selectors
+#
+# Each selector belongs to one domain kind (``kind``; None for ``all``) and
+# ``matches`` the boundary parameter of that kind only (see
+# ``BoundaryPoint.param``): a parameter of another kind never matches.
 
 
 @dataclass(frozen=True)
@@ -92,9 +96,12 @@ class ThetaRange:
 
     lo: float
     hi: float
+    kind = "disk"
 
-    def matches(self, theta: float) -> bool:
-        t = theta % _TWO_PI
+    def matches(self, param) -> bool:
+        if not isinstance(param, float):
+            return False
+        t = param % _TWO_PI
         if self.hi <= _TWO_PI:
             return self.lo <= t < self.hi
         return t >= self.lo or t < self.hi - _TWO_PI
@@ -103,19 +110,27 @@ class ThetaRange:
 @dataclass(frozen=True)
 class SideSelector:
     side: str
+    kind = "rectangle"
 
-    def matches_side(self, side: str) -> bool:
-        return self.side == side
+    def matches(self, param) -> bool:
+        return isinstance(param, tuple) and param[0] == self.side
 
 
 @dataclass(frozen=True)
 class EndSelector:
     end: str
+    kind = "interval"
+
+    def matches(self, param) -> bool:
+        return param == self.end
 
 
 @dataclass(frozen=True)
 class AllSelector:
-    pass
+    kind = None
+
+    def matches(self, param) -> bool:
+        return True
 
 
 def parse_selector(text: str):
@@ -170,20 +185,7 @@ class BoundaryDatum:
 
     def piece_for(self, p: BoundaryPoint) -> Piece | None:
         """First piece whose selector matches; None means the default 0."""
-        for piece in self.pieces:
-            sel = piece.selector
-            if isinstance(sel, AllSelector):
-                return piece
-            if isinstance(sel, ThetaRange) and isinstance(p.param, float):
-                if sel.matches(p.param):
-                    return piece
-            elif isinstance(sel, SideSelector) and isinstance(p.param, tuple):
-                if sel.matches_side(p.param[0]):
-                    return piece
-            elif isinstance(sel, EndSelector) and isinstance(p.param, str):
-                if sel.end == p.param:
-                    return piece
-        return None
+        return next((piece for piece in self.pieces if piece.selector.matches(p.param)), None)
 
 
 def eval_boundary(d: BoundaryDatum, p: BoundaryPoint) -> float:
@@ -212,12 +214,10 @@ def eval_boundary(d: BoundaryDatum, p: BoundaryPoint) -> float:
 
 def boundary_value_array(d: BoundaryDatum, g: Grid) -> np.ndarray:
     """Full-grid array with the datum evaluated at boundary nodes, 0 elsewhere."""
-    out = np.zeros(g.dims[::-1] if g.ndim == 2 else g.dims)
+    out = np.zeros(g.mask.shape)
     for p in boundary_points(g):
-        if g.ndim == 1:
-            out[p.index[0]] = eval_boundary(d, p)
-        else:
-            out[p.index[1], p.index[0]] = eval_boundary(d, p)
+        # array axes run (y, x) in 2D, the reverse of the node index
+        out[p.index[::-1]] = eval_boundary(d, p)
     return out
 
 

@@ -1,6 +1,7 @@
 """Config parsing, subcommand runs, output schemas, and exit codes."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -207,11 +208,19 @@ def test_solver_failure_exit_3(tmp_path, capsys):
 
 def test_huge_boundary_data(tmp_path, capsys):
     # M^m = 1e320 overflows a float: the segregation test scales the data
-    # by M instead, so the config validates and its limit is built.  Its
-    # eps solve overflows to a NaN residual, which is refused, not passed on
+    # by M instead, so the config validates and its limit is built.  The
+    # limit's interface normals are unit vectors, as each edge's gradient is
+    # scaled before it is squared, and no overflow is warned of.  Its eps
+    # solve overflows to a NaN residual, which is refused, not passed on
     p = make_cfg(tmp_path, left="end=left: 1e160", right="1e160")
     assert main(["validate", str(p), "--out", str(tmp_path / "v")]) == EXIT_OK
-    assert main(["limit", str(p), "--out", str(tmp_path / "l")]) == EXIT_OK
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["limit", str(p), "--out", str(tmp_path / "l")]) == EXIT_OK
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    rows = (tmp_path / "l" / "interfaces.csv").read_text().splitlines()
+    assert rows[0] == "pair_i,pair_j,x,nx" and len(rows) > 1
+    assert all(abs(float(row.split(",")[3])) == 1.0 for row in rows[1:])
     capsys.readouterr()
     assert main(["solve", str(p), "--out", str(tmp_path / "s")]) == EXIT_SOLVER
     err = capsys.readouterr().err

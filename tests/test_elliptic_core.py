@@ -93,6 +93,18 @@ def test_harmonic_interior_residual(unit_disk_101):
     assert np.abs(lap.values[g.interior()]).max() * g.spacing[0] ** 2 <= 1e-8
 
 
+@pytest.mark.parametrize("n", [99, 197])
+def test_harmonic_extension_exact_on_disk_with_rim_rounding(n):
+    # x + 2 is discretely harmonic, so its extension from the boundary
+    # nodes is exact up to rounding.  At these n a node on the lattice rim
+    # rounds to inside the unit circle; as an interior node it would miss
+    # a stencil neighbour, so build_grid makes it a boundary node
+    g = build_grid(DomainSpec.disk(0.0, 0.0, 1.0), n)
+    X, _ = g.node_coords()
+    (f,), _ = solve_harmonic(g, [np.where(g.boundary(), X + 2.0, 0.0)])
+    assert np.abs(f.values - (X + 2.0))[g.in_domain()].max() <= 1e-12
+
+
 def test_screened_reduces_to_harmonic(unit_square_21):
     g = unit_square_21
     b = boundary_array(g, lambda p: abs(p.coord[0]))
@@ -718,10 +730,14 @@ def test_box_kernel_only_on_box_grids(monkeypatch):
     b = np.where(g.boundary(), 1.0, 0.0)
     (f,), _ = solve_harmonic(g, [b])
     assert np.allclose(f.values, 1.0, atol=1e-13)
-    # the direct-solve limit refuses a box grid as well
+    # the direct-solve limit refuses a box grid as well, and a screened
+    # solve of zero data, which would factorize nothing
     monkeypatch.setattr(elliptic_core, "DIRECT_SOLVE_LIMIT", 20)
+    g = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 11)
     with pytest.raises(SolverError, match="81 unknowns exceed the direct-solve limit of 20"):
-        solve_harmonic(build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 11), [b])
+        solve_harmonic(g, [b])
+    with pytest.raises(SolverError, match="81 unknowns exceed the direct-solve limit of 20"):
+        solve_screened(g, np.ones(g.mask.shape), np.zeros(g.mask.shape))
 
 
 @pytest.mark.parametrize("n", [401, 2001])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seglimit import DomainSpec, NodeClass, boundary_points, build_grid
+from seglimit import DomainSpec, Grid, NodeClass, boundary_points, build_grid
 from seglimit.errors import ConfigError
 from seglimit.geometry import format_grid
 
@@ -119,6 +119,32 @@ def test_interior_stencil_neighbors_never_exterior():
             assert m[iy + dy, ix + dx] != NodeClass.EXTERIOR
 
 
+@pytest.mark.parametrize("domain", [DomainSpec.disk(0.0, 0.0, 1.0), DomainSpec.disk(0.1, -0.2, 1.3)],
+                         ids=["unit", "off_centre"])
+def test_disk_interior_off_the_lattice_rim(domain):
+    # a rim node can round to inside the circle (the unit disk at n = 99,
+    # 197, ..., the off-centre one at n = 275, ...); it has no neighbour
+    # beyond the rim, so it is never interior
+    for n in range(3, 402):
+        interior = build_grid(domain, n).interior()
+        assert not (interior[[0, -1]].any() or interior[:, [0, -1]].any()), n
+
+
+def test_grid_refuses_interior_node_without_its_stencil():
+    # an interior node on the lattice rim, or next to an exterior node
+    g = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 5)
+    mask = g.mask.copy()
+    mask[0, 2] = NodeClass.INTERIOR
+    with pytest.raises(ValueError, match="lattice rim or next to an exterior node"):
+        Grid(g.domain, g.dims, g.spacing, g.origin, mask)
+    d = build_grid(DomainSpec.disk(0.0, 0.0, 1.0), 11)
+    mask = d.mask.copy()
+    assert mask[1, 2] == NodeClass.BOUNDARY and mask[1, 1] == NodeClass.EXTERIOR
+    mask[1, 2] = NodeClass.INTERIOR
+    with pytest.raises(ValueError, match="lattice rim or next to an exterior node"):
+        Grid(d.domain, d.dims, d.spacing, d.origin, mask)
+
+
 def test_disk_mask_symmetry():
     g = build_grid(DomainSpec.disk(0.0, 0.0, 1.0), 81)
     m = np.asarray(g.mask)
@@ -169,11 +195,16 @@ def test_interval_grid_invariants(a, width, n):
 def test_disk_grid_invariants(n, r):
     g = build_grid(DomainSpec.disk(0.0, 0.0, r), n)
     m = np.asarray(g.mask)
-    # boundary nodes lie outside the circle and touch an interior node
+    # boundary nodes lie outside the circle or on the lattice rim, and touch
+    # an interior node.  The rim lies on or outside the circle, but a rim
+    # node can round to inside it; it is never interior
     X, Y = g.node_coords()
     bnd = g.boundary()
-    assert np.all(X[bnd] ** 2 + Y[bnd] ** 2 >= r**2)
+    rim = np.ones_like(bnd)
+    rim[1:-1, 1:-1] = False
+    assert np.all(X[bnd & ~rim] ** 2 + Y[bnd & ~rim] ** 2 >= r**2)
     interior = g.interior()
+    assert not np.any(interior & rim)
     touched = np.zeros_like(interior)
     touched[1:, :] |= interior[:-1, :]
     touched[:-1, :] |= interior[1:, :]

@@ -19,6 +19,9 @@ from seglimit import (
 from seglimit.errors import ConfigError
 from seglimit.geometry import BoundaryPoint, boundary_points
 from seglimit.problem_data import (
+    AllSelector,
+    EndSelector,
+    SideSelector,
     ThetaRange,
     boundary_value_array,
     compile_expression,
@@ -63,6 +66,20 @@ def test_theta_range_half_open_and_wrap():
     assert wrap.matches(0.0)
     assert wrap.matches(5.0)
     assert not wrap.matches(math.pi)
+
+
+def test_selectors_match_only_their_domain_kind():
+    # the boundary parameter of a disk, a rectangle and an interval
+    params = (0.5, ("top", 0.25), "left")
+    for sel, expected in (
+        (ThetaRange(0.0, math.pi), [True, False, False]),
+        (SideSelector("top"), [False, True, False]),
+        (EndSelector("left"), [False, False, True]),
+        (AllSelector(), [True, True, True]),
+    ):
+        assert [sel.matches(p) for p in params] == expected, sel
+    assert (ThetaRange.kind, SideSelector.kind, EndSelector.kind, AllSelector.kind) == (
+        "disk", "rectangle", "interval", None)
 
 
 def test_piece_selection_first_match_then_default():
