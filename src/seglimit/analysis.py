@@ -101,15 +101,13 @@ class InterfaceSet:
 
 def _node_indices(g: Grid, flat: np.ndarray) -> np.ndarray:
     """Lattice indices (ix[, iy]) of flat node numbers, one row per node."""
-    if g.ndim == 1:
-        return flat[:, None]
-    nx = g.dims[0]
-    return np.column_stack([flat % nx, flat // nx])
+    # the mask axes run opposite to the grid's
+    return np.column_stack(np.unravel_index(flat, g.mask.shape)[::-1])
 
 
 def _flat_indices(g: Grid, idx: np.ndarray) -> np.ndarray:
     """Flat node numbers of lattice indices, the inverse of ``_node_indices``."""
-    return idx[:, 0] if g.ndim == 1 else idx[:, 0] + g.dims[0] * idx[:, 1]
+    return np.ravel_multi_index(tuple(idx.T[::-1]), g.mask.shape)
 
 
 def _gradient(vals: np.ndarray, g: Grid) -> np.ndarray:

@@ -50,6 +50,8 @@ EXIT_SOLVER = 3
 EXIT_INTERNAL = 4
 
 CSV_BLOCK_ROWS = 4096
+# the CSV column name of each grid axis
+_AXES = ("x", "y")
 
 _KNOWN_KEYS = {
     "domain": {"kind", "bounds", "center", "radius", "n"},
@@ -304,8 +306,7 @@ def _format_cells(fmt: str, values: np.ndarray) -> list[str]:
 def write_fields_csv(path: Path, g: Grid, fields: tuple[ScalarField, ...]) -> None:
     """One row per grid node, row-major (x fastest in 2D), every value as
     ``%.17g``, written by ``_write_rows``."""
-    m = len(fields)
-    cols = ["x"] + (["y"] if g.ndim == 2 else []) + [f"u{i+1}" for i in range(m)]
+    cols = list(_AXES[:g.ndim]) + [f"u{i+1}" for i in range(len(fields))]
     table = np.column_stack(
         [c.ravel() for c in g.node_coords()] + [f.values.ravel() for f in fields]
     )
@@ -317,12 +318,9 @@ def write_fields_csv(path: Path, g: Grid, fields: tuple[ScalarField, ...]) -> No
 def write_interfaces_csv(path: Path, iset: analysis.InterfaceSet) -> None:
     """One row per interface edge, pair by pair: the pair, the midpoint and
     the unit normal, written by ``_write_rows``."""
-    g = iset.grid
+    axes = _AXES[:iset.grid.ndim]
     with path.open("w") as fh:
-        if g.ndim == 1:
-            fh.write("pair_i,pair_j,x,nx\n")
-        else:
-            fh.write("pair_i,pair_j,x,y,nx,ny\n")
+        fh.write(",".join(["pair_i", "pair_j", *axes, *("n" + a for a in axes)]) + "\n")
         for (i, j), edges in sorted(iset.pairs.items()):
             _write_rows(fh, np.hstack([edges.midpoint, edges.normal]), f"{i},{j},")
         if iset.degenerate:
@@ -367,8 +365,9 @@ def write_jump_report(path: Path, reports) -> None:
 class RunWriter:
     """Collects emitted files and writes the run manifest.
 
-    Created at the start of a subcommand, so that ``wall_time_s`` covers
-    the whole run; the output directory is made on the first write.
+    ``main`` creates it once the flags parse, so that ``wall_time_s``
+    covers the whole subcommand, and finishes it when the subcommand
+    returns; the output directory is made on the first write.
     """
 
     def __init__(self, out_dir: Path, cfg: SystemConfig, args: argparse.Namespace):
@@ -421,15 +420,13 @@ def _stats_summary(stats) -> dict:
     }
 
 
-def cmd_validate(cfg: SystemConfig, out: Path, args: argparse.Namespace) -> int:
+def cmd_validate(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict:
     # parse_config has refused every assumption violation already
-    w = RunWriter(out, cfg, args)
     w.path("report.txt").write_text(
         f"m = {cfg.data.m}\nsegregation violations: 0\ncoupling violations: 0\n"
     )
     w.path("grid.txt").write_text(format_grid(cfg.grid))
-    w.finish(valid=True)
-    return EXIT_OK
+    return {"valid": True}
 
 
 def _solve(cfg: SystemConfig, args: argparse.Namespace, w: RunWriter, limit=None):
@@ -448,13 +445,11 @@ def _solve(cfg: SystemConfig, args: argparse.Namespace, w: RunWriter, limit=None
     return r
 
 
-def cmd_solve(cfg: SystemConfig, out: Path, args: argparse.Namespace) -> int:
-    w = RunWriter(out, cfg, args)
+def cmd_solve(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict:
     r = _solve(cfg, args, w)
     write_fields_csv(w.path("solve_fields.csv"), cfg.grid, r.fields)
     w.path("grid.txt").write_text(format_grid(cfg.grid))
-    w.finish()
-    return EXIT_OK
+    return {}
 
 
 def _build_limit(cfg: SystemConfig, args: argparse.Namespace, w: RunWriter):
@@ -465,23 +460,28 @@ def _build_limit(cfg: SystemConfig, args: argparse.Namespace, w: RunWriter):
     return L
 
 
-def cmd_limit(cfg: SystemConfig, out: Path, args: argparse.Namespace) -> int:
-    w = RunWriter(out, cfg, args)
+def _interfaces(cfg: SystemConfig, L, w: RunWriter) -> analysis.InterfaceSet:
+    """The interfaces of the limit ``L`` between its zero sets at the
+    ``default_zero_threshold`` of the largest boundary value, written to
+    ``interfaces.csv``."""
     g = cfg.grid
-    L = _build_limit(cfg, args, w)
-    write_fields_csv(w.path("limit_fields.csv"), g, L.fields)
     delta = analysis.default_zero_threshold(
         g, max(cfg.data.max_boundary_value(g), 1e-300), cfg.tol_linear
     )
     iset = analysis.extract_supports_and_interfaces(L.fields, delta)
     write_interfaces_csv(w.path("interfaces.csv"), iset)
-    w.path("grid.txt").write_text(format_grid(g))
-    w.finish(label="limit", delta=delta)
-    return EXIT_OK
+    return iset
 
 
-def cmd_compare(cfg: SystemConfig, out: Path, args: argparse.Namespace) -> int:
-    w = RunWriter(out, cfg, args)
+def cmd_limit(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict:
+    L = _build_limit(cfg, args, w)
+    write_fields_csv(w.path("limit_fields.csv"), cfg.grid, L.fields)
+    iset = _interfaces(cfg, L, w)
+    w.path("grid.txt").write_text(format_grid(cfg.grid))
+    return {"label": "limit", "delta": iset.delta}
+
+
+def cmd_compare(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict:
     g = cfg.grid
     L = _build_limit(cfg, args, w)
     r = _solve(cfg, args, w, limit=L)
@@ -489,12 +489,10 @@ def cmd_compare(cfg: SystemConfig, out: Path, args: argparse.Namespace) -> int:
     write_fields_csv(w.path("limit_fields.csv"), g, L.fields)
     write_distance_csv(w.path("distance.csv"), analysis.solve_vs_limit_distances(r, L))
     w.path("grid.txt").write_text(format_grid(g))
-    w.finish(label="limit")
-    return EXIT_OK
+    return {"label": "limit"}
 
 
-def cmd_rate(cfg: SystemConfig, out: Path, args: argparse.Namespace) -> int:
-    w = RunWriter(out, cfg, args)
+def cmd_rate(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict:
     L = _build_limit(cfg, args, w)
     table = analysis.rate_study(
         cfg.grid, cfg.data, list(np.geomspace(args.start, args.stop, args.count)), L,
@@ -505,26 +503,18 @@ def cmd_rate(cfg: SystemConfig, out: Path, args: argparse.Namespace) -> int:
                         "failures": [{"epsilon": row.epsilon, "message": row.message}
                                      for row in table.rows if row.failed]}
     write_rate_csv(w.path("rate.csv"), table)
-    w.finish()
-    return EXIT_OK
+    return {}
 
 
-def cmd_interfaces(cfg: SystemConfig, out: Path, args: argparse.Namespace) -> int:
-    w = RunWriter(out, cfg, args)
+def cmd_interfaces(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict:
     g = cfg.grid
     L = _build_limit(cfg, args, w)
-    delta = analysis.default_zero_threshold(
-        g, max(cfg.data.max_boundary_value(g), 1e-300), cfg.tol_linear
-    )
-    iset = analysis.extract_supports_and_interfaces(L.fields, delta)
-    reports = analysis.jump_condition_check(L, iset)
-    write_interfaces_csv(w.path("interfaces.csv"), iset)
+    iset = _interfaces(cfg, L, w)
+    write_jump_report(w.path("jump_report.csv"), analysis.jump_condition_check(L, iset))
     measures = tuple(analysis.laplacian_measure(f) for f in L.fields)
     write_fields_csv(w.path("laplacian_measure.csv"), g, measures)
-    write_jump_report(w.path("jump_report.csv"), reports)
     w.path("grid.txt").write_text(format_grid(g))
-    w.finish(label="limit", delta=delta)
-    return EXIT_OK
+    return {"label": "limit", "delta": iset.delta}
 
 
 _COMMANDS = {
@@ -574,8 +564,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_flags(args: argparse.Namespace, m: int | None, problems: list[str]) -> None:
     """Replace each value flag of ``args`` by its number; a bad value, a
-    pivot above ``m`` or ``--start`` not above ``--stop`` is appended to
-    ``problems``."""
+    pivot above ``m``, ``--start`` not above ``--stop`` or an ``--out``
+    whose nearest existing path is not a directory is appended to
+    ``problems``.  The check of ``--out`` creates nothing; a dangling
+    symbolic link exists, as no directory can be made in its place."""
+    out = Path(args.out)
+    existing = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        problems.append(f"--out: {existing} is not a directory")
     flags = _COMMAND_FLAGS[args.subcommand]
     for flag in flags:
         text = getattr(args, flag)
@@ -600,7 +596,10 @@ def main(argv=None) -> int:
         _parse_flags(args, cfg.data.m if cfg else None, problems)
         if problems:
             raise ConfigError(*problems)
-        return _COMMANDS[args.subcommand](cfg, Path(args.out), args)
+        w = RunWriter(Path(args.out), cfg, args)
+        # a subcommand that raises leaves no manifest
+        w.finish(**_COMMANDS[args.subcommand](cfg, w, args))
+        return EXIT_OK
     except ConfigError as exc:
         for p in exc.problems or [str(exc)]:
             print(f"config error: {p}", file=sys.stderr)

@@ -616,10 +616,17 @@ def _norm2(x: np.ndarray, x_max: float) -> float:
     return x_max * math.sqrt(float(np.sum(np.square(x / x_max))))
 
 
-def _boundary_flat(g: Grid, op: _GridOperator, boundary_values) -> np.ndarray:
-    vals = boundary_values.values if isinstance(boundary_values, ScalarField) else np.asarray(boundary_values, dtype=float)
+def _grid_values(g: Grid, arr, what: str) -> np.ndarray:
+    """The values of ``arr``, a ScalarField or an array shaped like the
+    grid's mask; another shape raises a ValueError naming ``what``."""
+    vals = arr.values if isinstance(arr, ScalarField) else np.asarray(arr, dtype=float)
     if vals.shape != g.mask.shape:
-        raise ValueError("boundary values must be a full-grid array")
+        raise ValueError(f"{what} must be a full-grid array")
+    return vals
+
+
+def _boundary_flat(g: Grid, op: _GridOperator, boundary_values) -> np.ndarray:
+    vals = _grid_values(g, boundary_values, "boundary values")
     if not np.all(np.isfinite(vals[op.boundary])):
         raise ValueError("boundary values must be finite")
     return vals.ravel()
@@ -678,30 +685,38 @@ def solve_screened(g: Grid, c, boundary_values, tol: float = DEFAULT_TOL, source
         factor = Factor()
     factor.use(c_int)
     (x,), (stats,) = _solve_linear(op, factor, [b], tol)
-    bound = stats.error_bound
-    if f_int is None:
-        high = float(x.max(initial=0.0))
-        if high > M + bound:
-            raise SolverError(
-                f"screened solve value {high:.3e} exceeds the largest boundary value "
-                f"{M:.3e} beyond its certified error bound {bound:.3e}", stats=stats,
-            )
-        x[x > M] = M
-    low = float(x.min(initial=0.0))
-    if low < -bound:
-        raise SolverError(
-            f"screened solve value {low:.3e} is negative beyond its certified "
-            f"error bound {bound:.3e}", stats=stats,
-        )
-    x[x < 0] = 0.0
+    clamp_within_bound(x, stats.error_bound, "screened solve value",
+                       M if f_int is None else None, stats)
     return _assemble_solution(g, op, x, bflat), stats
 
 
+def clamp_within_bound(x: np.ndarray, bound: float, what: str, high: float | None = None,
+                       stats: LinearSolveStats | None = None) -> None:
+    """Clamp ``x`` in place to the exact bounds of the solution it
+    approximates: 0 <= x, and x <= ``high`` unless that is None.  A value
+    past a bound by at most the certified error ``bound`` is rounding and
+    is set to the bound (every value <= 0 to +0.0); one further out raises
+    a ``SolverError`` that carries ``stats``, its message starting with
+    ``what`` and the value."""
+    if high is not None:
+        top = float(x.max(initial=0.0))
+        if top > high + bound:
+            raise SolverError(
+                f"{what} {top:.3e} exceeds the largest boundary value "
+                f"{high:.3e} beyond its certified error bound {bound:.3e}", stats=stats,
+            )
+        x[x > high] = high
+    low = float(x.min(initial=0.0))
+    if low < -bound:
+        raise SolverError(
+            f"{what} {low:.3e} is negative beyond its certified error bound {bound:.3e}",
+            stats=stats,
+        )
+    x[x <= 0.0] = 0.0
+
+
 def _interior_values(g: Grid, op: _GridOperator, arr, what: str) -> np.ndarray:
-    vals = arr.values if isinstance(arr, ScalarField) else np.asarray(arr, dtype=float)
-    if vals.shape != g.mask.shape:
-        raise ValueError(f"{what} must be a full-grid array")
-    out = vals.ravel()[op.interior_flat]
+    out = _grid_values(g, arr, what).ravel()[op.interior_flat]
     if np.any(out < 0):
         raise ValueError(f"{what} must be nonnegative at interior nodes")
     return out

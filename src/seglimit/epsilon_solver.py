@@ -98,7 +98,6 @@ class IterationState:
 class SolveResult:
     fields: tuple[ScalarField, ...]
     epsilon: float
-    sweeps: int  # Newton and chord steps
     # the measure that met tol_fp * M: the residual certificate (a bound on
     # the fields' error) at a "certified" stop, else the last update
     gap: float
@@ -109,6 +108,11 @@ class SolveResult:
     @property
     def m(self) -> int:
         return len(self.fields)
+
+    @property
+    def sweeps(self) -> int:
+        """The Newton and chord steps."""
+        return len(self.gap_history)
 
 
 def initialize(g: Grid, data: ProblemData, tol_linear: float = DEFAULT_TOL) -> IterationState:
@@ -216,7 +220,7 @@ def solve_epsilon(
 
     def result(stop, gap):
         return SolveResult(
-            recover(g, v, w, A, phi, st.error_bound, limit.w_bound), epsilon, len(history),
+            recover(g, v, w, A, phi, st.error_bound, limit.w_bound), epsilon,
             gap, history, stats, stop,
         )
 

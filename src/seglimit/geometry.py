@@ -81,12 +81,8 @@ class Grid:
     mask: np.ndarray
 
     def __post_init__(self):
-        # the padding puts the nodes beyond the rim outside the domain; a
-        # shift by one node along an axis brings each node's neighbour to it
-        outside = np.pad(self.mask == NodeClass.EXTERIOR, 1, constant_values=True)
-        core = (slice(1, -1),) * self.ndim
-        if any(np.any(self.interior() & np.roll(outside, s, axis)[core])
-               for axis in range(self.ndim) for s in (-1, 1)):
+        # the nodes beyond the rim are outside the domain
+        if np.any(self.interior() & _next_to(self.mask == NodeClass.EXTERIOR, beyond=True)):
             raise ValueError("interior node on the lattice rim or next to an exterior node")
 
     @property
@@ -102,10 +98,7 @@ class Grid:
 
     def node_coords(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays shaped like ``mask`` (X, then Y in 2D)."""
-        if self.ndim == 1:
-            return (self.axis_coords(0),)
-        X, Y = np.meshgrid(self.axis_coords(0), self.axis_coords(1))
-        return X, Y
+        return tuple(np.meshgrid(*(self.axis_coords(k) for k in range(self.ndim))))
 
     def interior(self) -> np.ndarray:
         return self.mask == NodeClass.INTERIOR
@@ -119,6 +112,17 @@ class Grid:
     @cached_property
     def _boundary_points(self) -> tuple["BoundaryPoint", ...]:
         return _walk_boundary(self)
+
+
+def _next_to(nodes: np.ndarray, beyond: bool) -> np.ndarray:
+    """The lattice nodes with a neighbour, one node away along an axis, in
+    ``nodes``; the nodes beyond the lattice rim count as ``beyond``."""
+    # a shift by one node along an axis brings each node's neighbour to it
+    padded = np.pad(nodes, 1, constant_values=beyond)
+    core = (slice(1, -1),) * nodes.ndim
+    return np.logical_or.reduce(
+        [np.roll(padded, s, axis)[core] for axis in range(nodes.ndim) for s in (-1, 1)]
+    )
 
 
 @dataclass(frozen=True)
@@ -186,15 +190,10 @@ def build_grid(domain: DomainSpec, n) -> Grid:
         inside = (X - cx) ** 2 + (Y - cy) ** 2 < r**2
         # a rim node can round to inside, but has no neighbour beyond the rim
         inside[[0, -1]] = inside[:, [0, -1]] = False
-        ring = np.zeros_like(inside)
-        ring[1:, :] |= inside[:-1, :]
-        ring[:-1, :] |= inside[1:, :]
-        ring[:, 1:] |= inside[:, :-1]
-        ring[:, :-1] |= inside[:, 1:]
-        ring &= ~inside
         mask = np.full((ny, nx), NodeClass.EXTERIOR, dtype=np.int8)
+        # the boundary ring: the other nodes next to an interior node
+        mask[_next_to(inside, beyond=False)] = NodeClass.BOUNDARY
         mask[inside] = NodeClass.INTERIOR
-        mask[ring] = NodeClass.BOUNDARY
         if not inside.any():
             raise ConfigError("degenerate disk: no interior nodes at this resolution")
         return Grid(domain, (nx, ny), (hx, hy), (cx - r, cy - r), mask)
@@ -257,7 +256,7 @@ def format_grid(g: Grid) -> str:
     dims = ",".join(str(d) for d in g.dims)
     h = ",".join(repr(float(s)) for s in g.spacing)
     origin = ",".join(repr(float(o)) for o in g.origin)
-    rows = g.mask.reshape(1, -1) if g.ndim == 1 else g.mask
+    rows = g.mask.reshape(-1, g.dims[0])
     text = np.full((rows.shape[0], rows.shape[1] + 1), ord("\n"), dtype=np.uint8)
     text[:, :-1] = _EXPORT_CHAR[rows]
     return f"# dims={dims} h={h} origin={origin}\n" + text.tobytes().decode("ascii")

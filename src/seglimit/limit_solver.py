@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic_core import DEFAULT_TOL, LinearSolveStats, ScalarField, solve_harmonic
-from .errors import SolverError
+from .elliptic_core import (
+    DEFAULT_TOL, LinearSolveStats, ScalarField, clamp_within_bound, solve_harmonic,
+)
 from .geometry import Grid
 from .problem_data import ProblemData
 
@@ -86,7 +87,8 @@ def recover(g, v, w, A, phi, v_bound, w_bound) -> tuple[ScalarField, ...]:
     ``v_bound`` and ``w_bound`` are the certified error bounds of the
     solves that gave v and each w_j.  The exact u_j are nonnegative, so a
     negative value within A_j (v_bound + w_bound[j]) is rounding and
-    becomes 0, and one beyond it raises a ``SolverError``.  A component
+    becomes 0, and one beyond it raises a ``SolverError``
+    (``clamp_within_bound``).  A component
     with zero boundary data is 0, as 0 <= u_j <= H(phi_j) = 0 by the
     maximum principle (u_j is subharmonic).
     """
@@ -100,13 +102,7 @@ def recover(g, v, w, A, phi, v_bound, w_bound) -> tuple[ScalarField, ...]:
         u = a * (v - wj)
         u[bnd] = ph[bnd]
         u[outside] = 0.0
-        low, bound = float(u.min()), a * (v_bound + w_bound[j])
-        if low < -bound:
-            raise SolverError(
-                f"u_{j + 1} = {low:.3e} is negative beyond its certified error "
-                f"bound {bound:.3e}"
-            )
-        u[u <= 0.0] = 0.0
+        clamp_within_bound(u, a * (v_bound + w_bound[j]), f"u_{j + 1} =")
         fields.append(ScalarField(g, u))
     return tuple(fields)
 

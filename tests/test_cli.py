@@ -15,7 +15,9 @@ from seglimit import (
     analysis,
     build_grid,
     elliptic_core,
+    epsilon_solver,
     geometry,
+    limit_solver,
     problem_data,
     solve_limit,
 )
@@ -24,7 +26,6 @@ from seglimit.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     main,
-    _fmt,
     parse_config,
     write_fields_csv,
     write_interfaces_csv,
@@ -306,7 +307,8 @@ def interfaces_csv_oracle(iset) -> str:
     lines = ["pair_i,pair_j,x,nx" if iset.grid.ndim == 1 else "pair_i,pair_j,x,y,nx,ny"]
     for (i, j), edges in sorted(iset.pairs.items()):
         for e in edges:
-            lines.append(f"{i},{j}," + ",".join(_fmt(v) for v in list(e.midpoint) + list(e.normal)))
+            values = list(e.midpoint) + list(e.normal)
+            lines.append(f"{i},{j}," + ",".join(format(float(v), ".17g") for v in values))
     if iset.degenerate:
         lines.append("# degenerate: some pair's zero sets cover the whole interior")
     return "\n".join(lines) + "\n"
@@ -559,6 +561,28 @@ def test_bad_flag_value_exit_2(tmp_path, capsys, argv):
     assert f"config error: {flag}:" in err
     assert "internal error" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["validate", "solve", "limit", "compare", "rate", "interfaces"])
+def test_out_not_a_directory_exit_2(tmp_path, monkeypatch, capsys, sub):
+    # --out naming a regular file, a path under one or a dangling symbolic
+    # link is a bad flag value: refused before any solve, and nothing is
+    # written
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(epsilon_solver, "solve_epsilon", no_solve)
+    monkeypatch.setattr(limit_solver, "solve_limit", no_solve)
+    f = tmp_path / "file"
+    f.write_text("keep\n")
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "nowhere")
+    for out, named in ((f, f), (f / "sub", f), (link, link)):
+        assert main([sub, LINE_M2, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: --out: {named} is not a directory" in err
+        assert f.read_text() == "keep\n"
+    assert sorted(tmp_path.iterdir()) == [f, link]
 
 
 @pytest.mark.parametrize("section,line", [

@@ -548,6 +548,10 @@ def test_screened_clamps_within_certified_bound(monkeypatch, unit_square_21):
     shift.append((0.0, -0.5))
     u, st = solve_screened(g, c, b)
     assert u.values.ravel()[first] == 0.0 and u.values.min() == 0.0 and st.error_bound > 0
+    # -0.0 + -0.0 * bound is -0.0, which comes back as +0.0
+    shift[0] = (-0.0, -0.0)
+    u, _ = solve_screened(g, c, b)
+    assert u.values.ravel()[first] == 0.0 and not np.signbit(u.values).any()
     shift[0] = (0.0, -2.0)
     with pytest.raises(SolverError, match="negative beyond its certified error bound"):
         solve_screened(g, c, b)

@@ -211,3 +211,5 @@ def test_disk_grid_invariants(n, r):
     touched[:, 1:] |= interior[:, :-1]
     touched[:, :-1] |= interior[:, 1:]
     assert np.all(touched[bnd])
+    # and every other node next to an interior node is a boundary node
+    assert np.array_equal(bnd, touched & ~interior)
