@@ -65,8 +65,9 @@ def segregation_residual(
 
 @dataclass
 class InterfaceEdge:
-    a: tuple[int, ...]  # node index (ix[, iy])
-    b: tuple[int, ...]
+    p: int  # flat node numbers of the endpoints, q = p + _strides(grid)[axis]
+    q: int
+    axis: int
     midpoint: tuple[float, ...]
     normal: tuple[float, ...]
 
@@ -74,20 +75,24 @@ class InterfaceEdge:
 @dataclass(eq=False)
 class PairEdges:
     """The interface edges of one pair as arrays, one row per edge: the
-    lattice indices (ix[, iy]) of both endpoints, the midpoint and the unit
-    normal.  Indexing, and so iteration, gives ``InterfaceEdge`` objects."""
+    flat node numbers p and q = p + _strides(grid)[axis] of the endpoints,
+    the grid axis of the edge, the midpoint and the unit normal.  Indexing, and
+    so iteration, gives ``InterfaceEdge`` objects."""
 
-    a: np.ndarray  # (k, d) int
-    b: np.ndarray
+    p: np.ndarray  # (k,) int
+    q: np.ndarray
+    axis: np.ndarray
     midpoint: np.ndarray  # (k, d) float
     normal: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.a)
+        return len(self.p)
 
     def __getitem__(self, k: int) -> InterfaceEdge:
-        arrays = (self.a, self.b, self.midpoint, self.normal)
-        return InterfaceEdge(*(tuple(arr[k].tolist()) for arr in arrays))
+        return InterfaceEdge(
+            int(self.p[k]), int(self.q[k]), int(self.axis[k]),
+            tuple(self.midpoint[k].tolist()), tuple(self.normal[k].tolist()),
+        )
 
 
 @dataclass
@@ -99,15 +104,10 @@ class InterfaceSet:
     degenerate: bool = False
 
 
-def _node_indices(g: Grid, flat: np.ndarray) -> np.ndarray:
-    """Lattice indices (ix[, iy]) of flat node numbers, one row per node."""
-    # the mask axes run opposite to the grid's
-    return np.column_stack(np.unravel_index(flat, g.mask.shape)[::-1])
-
-
-def _flat_indices(g: Grid, idx: np.ndarray) -> np.ndarray:
-    """Flat node numbers of lattice indices, the inverse of ``_node_indices``."""
-    return np.ravel_multi_index(tuple(idx.T[::-1]), g.mask.shape)
+def _strides(g: Grid) -> np.ndarray:
+    """The step of the flat node number along each grid axis,
+    prod(dims[:axis]): x runs fastest."""
+    return np.cumprod((1,) + g.dims[:-1])
 
 
 def _gradient(vals: np.ndarray, g: Grid) -> np.ndarray:
@@ -121,26 +121,26 @@ def _gradient(vals: np.ndarray, g: Grid) -> np.ndarray:
 
 
 def _interface_edges(
-    g: Grid, pf: np.ndarray, qf: np.ndarray, grad: np.ndarray, axis: int
+    coords: np.ndarray, p: np.ndarray, q: np.ndarray, grad: np.ndarray, axis: int
 ) -> tuple[np.ndarray, ...]:
-    """Lattice indices, midpoints and unit normals of the edges p-q, the
-    normal being the mean gradient of the two endpoints, or the edge
-    direction where that gradient is flat."""
-    ia, ib = _node_indices(g, pf), _node_indices(g, qf)
-    origin, spacing = np.array(g.origin), np.array(g.spacing)
-    mid = 0.5 * ((origin + spacing * ia) + (origin + spacing * ib))
-    grad = 0.5 * (grad[pf] + grad[qf])
+    """The edges p-q along ``axis`` as ``PairEdges`` columns: the normal is
+    the mean gradient of the two endpoints, or the edge direction where that
+    gradient is exactly zero."""
+    mid = 0.5 * (coords[p] + coords[q])
+    grad = 0.5 * (grad[p] + grad[q])
     # each edge's gradient scaled by a power of two to a largest entry in
-    # [0.5, 1), so its square cannot overflow; the scaling is exact, so the
-    # normal is the unscaled gradient over its norm bit for bit.  vecdot is
-    # the dot product np.linalg.norm takes, so the norms agree bitwise
+    # [0.5, 1), so its square cannot overflow and its norm is 0 only where
+    # the gradient is; the scaling is exact, so the normal is the unscaled
+    # gradient over its norm bit for bit.  vecdot is the dot product
+    # np.linalg.norm takes, so the norms agree bitwise
     exp = np.frexp(np.abs(grad).max(axis=1))[1]
     grad = np.ldexp(grad, -exp[:, None])
     nrm = np.sqrt(np.vecdot(grad, grad))
-    flat = ~(np.ldexp(nrm, exp) > 1e-30)
+    # not ``nrm == 0``: a NaN gradient is flat too
+    flat = ~(nrm > 0.0)
     normal = grad / np.where(flat, 1.0, nrm)[:, None]
-    normal[flat] = np.eye(g.ndim)[axis]
-    return ia, ib, mid, normal
+    normal[flat] = np.eye(coords.shape[1])[axis]
+    return p, q, np.full(len(p), axis), mid, normal
 
 
 def extract_supports_and_interfaces(
@@ -162,21 +162,21 @@ def extract_supports_and_interfaces(
     zflat = zero.reshape(m, -1)
     degenerate = bool(np.count_nonzero(zflat.sum(axis=1) == flat_int.sum()) >= 2)
 
-    # interior-interior edges of each grid axis, from each node to the next
-    # one along the axis in node order, with the zero-set membership of
+    # interior-interior edges of each grid axis, from each interior node to
+    # the next node along the axis, which is on the lattice (an interior
+    # node is off its rim, see ``Grid``), with the zero-set membership of
     # their endpoints
-    nodes = _node_indices(g, np.arange(g.mask.size))
+    p_all = np.flatnonzero(flat_int)
     axis_edges = []
-    for axis in range(g.ndim):
-        p_all = np.flatnonzero(nodes[:, axis] < g.dims[axis] - 1)
-        q_all = p_all + math.prod(g.dims[:axis])
-        ok = flat_int[p_all] & flat_int[q_all]
+    for axis, stride in enumerate(_strides(g)):
+        q_all = p_all + stride
+        ok = flat_int[q_all]
         p_arr, q_arr = p_all[ok], q_all[ok]
         zp, zq = zflat[:, p_arr], zflat[:, q_arr]
         axis_edges.append((p_arr, q_arr, zp, zq, np.any(zp != zq, axis=0), axis))
 
-    no_index = np.zeros((0, g.ndim), dtype=np.int64)
-    no_value = np.zeros((0, g.ndim))
+    coords = np.column_stack([c.ravel() for c in g.node_coords()])
+    no_edges = (np.zeros(0, dtype=np.int64),) * 3 + (np.zeros((0, g.ndim)),) * 2
     pairs: dict[tuple[int, int], PairEdges] = {}
     for i in range(m):
         for j in range(i + 1, m):
@@ -186,10 +186,10 @@ def extract_supports_and_interfaces(
                 if hit.any():
                     hits.append((p_arr[hit], q_arr[hit], axis))
             if not hits:
-                pairs[(i + 1, j + 1)] = PairEdges(no_index, no_index, no_value, no_value)
+                pairs[(i + 1, j + 1)] = PairEdges(*no_edges)
                 continue
             grad = _gradient(fields[i].values - fields[j].values, g)
-            parts = [_interface_edges(g, pf, qf, grad, axis) for pf, qf, axis in hits]
+            parts = [_interface_edges(coords, pf, qf, grad, axis) for pf, qf, axis in hits]
             pairs[(i + 1, j + 1)] = PairEdges(*(np.concatenate(col) for col in zip(*parts)))
     return InterfaceSet(g, delta, zero, pairs, degenerate)
 
@@ -231,43 +231,37 @@ def jump_condition_check(L: LimitResult, I: InterfaceSet) -> dict[tuple[int, int
     """
     g = I.grid
     spacing = np.array(g.spacing)
+    stride = _strides(g)
     vals = [f.values.ravel() for f in L.fields]
     # half-delta guard band: genuine zero regions are exact zeros up to
     # solver noise, while a component vanishing only on a lower dimensional
     # set grows like h * slope away from it
     cut = 0.5 * I.delta
 
-    # the nodes tested are interior nodes and their stencil neighbours,
-    # all lattice nodes in the domain (see ``Grid``)
-    def in_zero(f: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return f[_flat_indices(g, idx)] < cut
-
     reports: dict[tuple[int, int], JumpPairReport] = {}
     for (i, j), edges in I.pairs.items():
         ui, uj = vals[i - 1], vals[j - 1]
-        fa, fb = _flat_indices(g, edges.a), _flat_indices(g, edges.b)
         # p: side where u_i lives (the zero region of u_j); the difference
         # u_i - u_j increases toward it.  A tie leaves the edge unoriented.
-        da = ui[fa] - uj[fa]
-        db = ui[fb] - uj[fb]
-        flip = (db > da)[:, None]
-        oriented = (da > db) | flip[:, 0]
-        p = np.where(flip, edges.b, edges.a)[oriented]
-        q = np.where(flip, edges.a, edges.b)[oriented]
-        axis = (p[:, 0] == q[:, 0]).astype(np.int64)
-        rows = np.arange(len(p))
-        step = np.where(q[rows, axis] > p[rows, axis], 1, -1)
-        shift = np.eye(g.ndim, dtype=np.int64)[axis] * step[:, None]
-        p_back, q_fwd = p - shift, q + shift
-        ok = in_zero(uj, p) & in_zero(uj, p_back) & in_zero(ui, q) & in_zero(ui, q_fwd)
-        fp, fpb, fq, fqf = (_flat_indices(g, idx[ok]) for idx in (p, p_back, q, q_fwd))
-        sh = step[ok] * spacing[axis[ok]]
+        da = ui[edges.p] - uj[edges.p]
+        db = ui[edges.q] - uj[edges.q]
+        flip = db > da
+        oriented = (da > db) | flip
+        p = np.where(flip, edges.q, edges.p)[oriented]
+        q = np.where(flip, edges.p, edges.q)[oriented]
+        axis = edges.axis[oriented]
+        # the step from p to q; the one-sided stencils are p, p - shift and
+        # q, q + shift, nodes of the domain next to interior ones (``Grid``)
+        step = np.where(flip, -1, 1)[oriented]
+        shift = step * stride[axis]
+        ok = (uj[p] < cut) & (uj[p - shift] < cut) & (ui[q] < cut) & (ui[q + shift] < cut)
+        p, q, shift, sh = p[ok], q[ok], shift[ok], step[ok] * spacing[axis[ok]]
 
         def d_p(f: np.ndarray) -> np.ndarray:
-            return (f[fp] - f[fpb]) / sh
+            return (f[p] - f[p - shift]) / sh
 
         def d_q(f: np.ndarray) -> np.ndarray:
-            return (f[fqf] - f[fq]) / sh
+            return (f[q + shift] - f[q]) / sh
 
         balance = np.abs(d_p(ui) + d_q(uj))
         # one row per edge, one column per third component
@@ -363,15 +357,12 @@ def discrete_energy(fields) -> float:
     vol = _cell_volume(g)
     total = 0.0
     for f in fields:
-        v = f.values
-        if g.ndim == 1:
-            ok = inside[:-1] & inside[1:]
-            total += vol * float((((v[1:] - v[:-1]) / g.spacing[0])[ok] ** 2).sum())
-        else:
-            okx = inside[:, :-1] & inside[:, 1:]
-            total += vol * float((((v[:, 1:] - v[:, :-1]) / g.spacing[0])[okx] ** 2).sum())
-            oky = inside[:-1, :] & inside[1:, :]
-            total += vol * float((((v[1:, :] - v[:-1, :]) / g.spacing[1])[oky] ** 2).sum())
+        for k in range(g.ndim):
+            # grid axis k is mask axis ndim - 1 - k; edges with both ends in
+            # the domain
+            ax = g.ndim - 1 - k
+            ok = np.delete(inside, 0, axis=ax) & np.delete(inside, -1, axis=ax)
+            total += vol * float(((np.diff(f.values, axis=ax) / g.spacing[k])[ok] ** 2).sum())
     return total
 
 

@@ -235,9 +235,8 @@ def solve_epsilon(
         while len(history) < max_sweeps:
             newton = chords == 0
             if newton:
-                # a Newton step factorizes at the current iterate; free the
-                # held factor first
-                held.clear()
+                # a Newton step factorizes at the current iterate; ``held``
+                # frees its factor of the last one first (``Factor.use``)
                 dF_k = dF
                 c = dF / epsilon
             else:

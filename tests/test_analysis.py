@@ -114,6 +114,12 @@ def _reference_gradient(vals, g, idx):
     return out
 
 
+def _lattice(g, flat):
+    """Lattice indices (ix[, iy]) of a flat node number; the mask axes run
+    opposite to the grid's."""
+    return tuple(int(k) for k in np.unravel_index(flat, g.mask.shape)[::-1])
+
+
 def _reference_edge_geometry(g, d, a, b):
     """Midpoint and unit normal of one edge, computed node by node."""
     ca = [g.origin[ax] + g.spacing[ax] * a[ax] for ax in range(g.ndim)]
@@ -121,7 +127,7 @@ def _reference_edge_geometry(g, d, a, b):
     mid = tuple(0.5 * (x + y) for x, y in zip(ca, cb))
     grad = 0.5 * (_reference_gradient(d, g, a) + _reference_gradient(d, g, b))
     nrm = float(np.linalg.norm(grad))
-    if nrm > 1e-30:
+    if nrm > 0.0:
         return mid, tuple(float(v / nrm) for v in grad)
     axis = 0 if a[0] != b[0] else 1
     return mid, tuple(float(v) for v in np.eye(g.ndim)[axis])
@@ -131,7 +137,8 @@ def _assert_edges_match_reference(I, fields):
     for (i, j), edges in I.pairs.items():
         d = fields[i - 1].values - fields[j - 1].values
         for e in edges:
-            assert (e.midpoint, e.normal) == _reference_edge_geometry(I.grid, d, e.a, e.b)
+            a, b = _lattice(I.grid, e.p), _lattice(I.grid, e.q)
+            assert (e.midpoint, e.normal) == _reference_edge_geometry(I.grid, d, a, b)
 
 
 def test_interface_geometry_matches_per_edge_reference(configs, g401, limit_m3):
@@ -154,6 +161,24 @@ def test_interface_geometry_matches_per_edge_reference(configs, g401, limit_m3):
     I = extract_supports_and_interfaces(fields, 0.5)
     assert [e.normal for e in I.pairs[(1, 2)]] == [(1.0,)]
     _assert_edges_match_reference(I, fields)
+
+
+@pytest.mark.parametrize("name", ["disk_m3", "square_m4_overlap"])
+def test_interface_edges_on_flat_node_numbers(configs, name):
+    # an edge joins an interior node p to the next node q along its axis,
+    # also interior, and its midpoint is the mean of their coordinates
+    g = build_grid(configs[name].domain, 81)
+    L = solve_limit(g, configs[name].data)
+    I = extract_supports_and_interfaces(L.fields, default_zero_threshold(g, 1.0))
+    stride = (1, g.dims[0])
+    interior = g.interior().ravel()
+    coords = np.column_stack([c.ravel() for c in g.node_coords()])
+    edges = [e for pair in I.pairs.values() for e in pair]
+    assert len(edges) > 50 and {e.axis for e in edges} == {0, 1}
+    for e in edges:
+        assert e.q == e.p + stride[e.axis]
+        assert interior[e.p] and interior[e.q]
+        assert e.midpoint == tuple(0.5 * (coords[e.p] + coords[e.q]))
 
 
 def test_interface_degenerate_flag(g401):
@@ -232,12 +257,13 @@ def jump_check_loop(L, I):
         ui = L.fields[i - 1]
         uj = L.fields[j - 1]
         for e in edges:
-            da = value(ui, e.a) - value(uj, e.a)
-            db = value(ui, e.b) - value(uj, e.b)
+            a, b = _lattice(g, e.p), _lattice(g, e.q)
+            da = value(ui, a) - value(uj, a)
+            db = value(ui, b) - value(uj, b)
             if da > db:
-                p, q = e.a, e.b
+                p, q = a, b
             elif db > da:
-                p, q = e.b, e.a
+                p, q = b, a
             else:
                 rep.skipped += 1
                 continue

@@ -1,6 +1,7 @@
 """Config parsing, subcommand runs, output schemas, and exit codes."""
 
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -329,6 +330,35 @@ def test_interfaces_csv_matches_per_edge_format(tmp_path, configs):
     assert iset.degenerate and not any(iset.pairs.values())
     write_interfaces_csv(path, iset)
     assert path.read_text() == interfaces_csv_oracle(iset)
+
+
+def scaled_config(tmp_path, name, factor, n=None):
+    """The shipped config ``name`` with every boundary expression multiplied
+    by ``factor`` and, unless None, ``n`` nodes per axis."""
+    text = re.sub(r'piece = "([^:]*): (.*)"', lambda mt: f'piece = "{mt[1]}: {factor!r} * ({mt[2]})"',
+                  config_path(name).read_text())
+    if n is not None:
+        text = re.sub(r"^n = .*$", f"n = {n}", text, flags=re.MULTILINE)
+    p = tmp_path / f"{name}-{factor!r}.cfg"
+    p.write_text(text)
+    return p
+
+
+@pytest.mark.parametrize("name,n", [("disk_m3", 81), ("line_m2", None)])
+def test_interface_normals_scale_free(tmp_path, name, n):
+    # scaling the data scales the limit and its zero threshold, so the
+    # interfaces do not move and their normals turn by rounding only; a
+    # gradient is flat only where it is exactly zero, however small
+    tables = []
+    for factor in (1.0, 1e-40):
+        out = tmp_path / f"out-{factor!r}"
+        assert main(["limit", str(scaled_config(tmp_path, name, factor, n)), "--out", str(out)]) == EXIT_OK
+        tables.append(np.loadtxt(out / "interfaces.csv", delimiter=",", skiprows=1, ndmin=2))
+    unit, tiny = tables
+    d = (unit.shape[1] - 2) // 2
+    assert unit.shape == tiny.shape and len(unit) > 0
+    assert np.array_equal(unit[:, : 2 + d], tiny[:, : 2 + d])
+    assert np.abs(unit[:, 2 + d:] - tiny[:, 2 + d:]).max() <= 1e-12
 
 
 def test_no_config_exit_2(capsys):

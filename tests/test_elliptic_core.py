@@ -527,6 +527,74 @@ def test_error_bound_certifies_solution(domain, n):
     assert op.inverse_norm_bound >= (1.0 - 1e-10) * inv_norm
 
 
+def _perturb_kernel_solves(monkeypatch, k):
+    """Make every kernel solve add delta = 1e-6 max |y| to entry ``k`` of
+    its solution y; returns the list of (b, returned y, delta) it fills."""
+    seen = []
+    prepare = elliptic_core.Factor.prepare
+
+    def perturbing_prepare(self, op):
+        # each solve below makes a fresh Factor, prepared once
+        made = prepare(self, op)
+        exact = self.solve
+
+        def solve(b):
+            y = np.array(exact(b), dtype=float)
+            delta = 1e-6 * np.abs(y).max()
+            y[k] += delta
+            seen.append((b, y, delta))
+            return y
+
+        self.solve = solve
+        return made
+
+    monkeypatch.setattr(elliptic_core.Factor, "prepare", perturbing_prepare)
+    return seen
+
+
+def _residual_cases():
+    line = build_grid(DomainSpec.interval(0.0, 1.0), 41)
+    box = build_grid(DomainSpec.rectangle(0.0, 2.0, 0.0, 1.0), (31, 17))
+    disk = build_grid(DomainSpec.disk(0.0, 0.0, 1.0), 21)
+    c_line = 50.0 * (1.0 + line.axis_coords(0))
+    X, _ = disk.node_coords()
+    c_disk = 1e8 / disk.spacing[0] ** 2 * (0.5 + 0.5 * X**2)
+    line_data = boundary_array(line, lambda p: 1.0 + p.coord[0])
+    box_data = boundary_array(box, lambda p: 1.0 + p.coord[0] ** 2 + p.coord[1])
+    disk_data = boundary_array(disk, lambda p: 2.0 + p.coord[1])
+    return [
+        ("tridiagonal", line, c_line,
+         lambda tol: solve_screened(line, c_line, line_data, tol=tol)[1]),
+        ("sine", box, None, lambda tol: solve_harmonic(box, [box_data], tol=tol)[1][0]),
+        ("superlu", disk, c_disk,
+         lambda tol: solve_screened(disk, c_disk, disk_data, tol=tol)[1]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["tridiagonal", "sine", "superlu"])
+def test_residual_is_sup_norm_backward_error(monkeypatch, case):
+    # a kernel solve off by delta at one unknown k leaves the residual
+    # -delta A e_k, so the recorded residual is
+    # ||A delta e_k||_inf / max(||b||_inf, ||A||_inf ||y||_inf)
+    kernel, g, c, run = _residual_cases()[case]
+    A = sparse_laplacian(g, c).toarray()
+    # an unknown in the middle, or the one of the largest c, whose column
+    # of A then holds the largest entry of A
+    k = A.shape[0] // 2 if c is None else int(np.argmax(np.diag(A)))
+    seen = _perturb_kernel_solves(monkeypatch, k)
+    st = run(1.0)
+    assert st.kernel == kernel and len(seen) == 1
+    b, y, delta = seen[0]
+    a_norm = np.abs(A).sum(axis=1).max()
+    expected = delta * np.abs(A[:, k]).max() / max(np.abs(b).max(), a_norm * np.abs(y).max())
+    assert st.residual == pytest.approx(expected, rel=1e-9)
+    # the gate reads the same number: it passes at tol = residual, and a
+    # tol just below raises
+    assert run(st.residual).residual == st.residual
+    with pytest.raises(SolverError, match="direct solve residual"):
+        run(np.nextafter(st.residual, 0.0))
+
+
 def test_screened_clamps_within_certified_bound(monkeypatch, unit_square_21):
     # a value below 0, or without a source above the largest boundary
     # value M, is rounding within the solve's error bound and is clamped;
