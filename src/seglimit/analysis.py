@@ -38,13 +38,19 @@ def _cell_volume(g: Grid) -> float:
 
 
 def norm_Lp(u: ScalarField, p: float) -> float:
-    """Midpoint-rule discrete L^p norm over the domain nodes (sup for p=inf)."""
-    vals = np.abs(u.values[u.grid.in_domain()])
-    if math.isinf(p):
-        return float(vals.max(initial=0.0))
+    """Midpoint-rule discrete L^p norm over the domain nodes (sup for p=inf).
+
+    The sum is taken in units of 2^e, with e the binary exponent of the
+    largest value, so that no power overflows or underflows to 0."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    return float((_cell_volume(u.grid) * (vals**p).sum()) ** (1.0 / p))
+    vals = np.abs(u.values[u.grid.in_domain()])
+    top = float(vals.max(initial=0.0))
+    if math.isinf(p) or top == 0 or not math.isfinite(top):
+        return top
+    e = math.frexp(top)[1]
+    scaled = float(_cell_volume(u.grid) * (np.ldexp(vals, -e) ** p).sum())
+    return math.ldexp(scaled ** (1.0 / p), e)
 
 
 def segregation_residual(

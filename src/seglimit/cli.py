@@ -16,8 +16,8 @@ pairs.  ``#`` starts a comment.  Sections and keys:
 Subcommands: validate, solve, limit, compare, rate, interfaces; each takes
 only its own value flags (``_COMMAND_FLAGS``).  Config numbers and flag
 values go through one check: floats finite and > 0, integers at least
-their floor.  All output is data-only CSV plus a run manifest; identical
-config and flags produce identical data files.
+their floor.  All output is data-only CSV plus the run's ``grid.txt`` and
+manifest; identical config and flags produce identical data files.
 
 Exit codes: 0 success, 2 config error (bad flag values and an unreadable
 config file included), 3 solver failure, 4 internal error.
@@ -363,7 +363,7 @@ def write_jump_report(path: Path, reports) -> None:
 
 
 class RunWriter:
-    """Collects emitted files and writes the run manifest.
+    """Collects emitted files and writes the run's ``grid.txt`` and manifest.
 
     ``main`` creates it once the flags parse, so that ``wall_time_s``
     covers the whole subcommand, and finishes it when the subcommand
@@ -385,6 +385,8 @@ class RunWriter:
         return self.out / name
 
     def finish(self, **extra) -> Path:
+        """Write the grid the run ran on to ``grid.txt``, then the manifest."""
+        self.path("grid.txt").write_text(format_grid(self.cfg.grid))
         manifest = {
             "tool": f"seglimit {__version__}",
             "subcommand": self.subcommand,
@@ -398,7 +400,6 @@ class RunWriter:
             "wall_time_s": time.perf_counter() - self.t0,
         }
         manifest.update(extra)
-        self.out.mkdir(parents=True, exist_ok=True)
         p = self.out / "manifest.json"
         p.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return p
@@ -425,7 +426,6 @@ def cmd_validate(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> d
     w.path("report.txt").write_text(
         f"m = {cfg.data.m}\nsegregation violations: 0\ncoupling violations: 0\n"
     )
-    w.path("grid.txt").write_text(format_grid(cfg.grid))
     return {"valid": True}
 
 
@@ -448,7 +448,6 @@ def _solve(cfg: SystemConfig, args: argparse.Namespace, w: RunWriter, limit=None
 def cmd_solve(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict:
     r = _solve(cfg, args, w)
     write_fields_csv(w.path("solve_fields.csv"), cfg.grid, r.fields)
-    w.path("grid.txt").write_text(format_grid(cfg.grid))
     return {}
 
 
@@ -477,8 +476,7 @@ def cmd_limit(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict
     L = _build_limit(cfg, args, w)
     write_fields_csv(w.path("limit_fields.csv"), cfg.grid, L.fields)
     iset = _interfaces(cfg, L, w)
-    w.path("grid.txt").write_text(format_grid(cfg.grid))
-    return {"label": "limit", "delta": iset.delta}
+    return {"delta": iset.delta}
 
 
 def cmd_compare(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict:
@@ -488,8 +486,7 @@ def cmd_compare(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> di
     write_fields_csv(w.path("solve_fields.csv"), g, r.fields)
     write_fields_csv(w.path("limit_fields.csv"), g, L.fields)
     write_distance_csv(w.path("distance.csv"), analysis.solve_vs_limit_distances(r, L))
-    w.path("grid.txt").write_text(format_grid(g))
-    return {"label": "limit"}
+    return {}
 
 
 def cmd_rate(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict:
@@ -513,8 +510,7 @@ def cmd_interfaces(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) ->
     write_jump_report(w.path("jump_report.csv"), analysis.jump_condition_check(L, iset))
     measures = tuple(analysis.laplacian_measure(f) for f in L.fields)
     write_fields_csv(w.path("laplacian_measure.csv"), g, measures)
-    w.path("grid.txt").write_text(format_grid(g))
-    return {"label": "limit", "delta": iset.delta}
+    return {"delta": iset.delta}
 
 
 _COMMANDS = {
@@ -597,7 +593,7 @@ def main(argv=None) -> int:
         if problems:
             raise ConfigError(*problems)
         w = RunWriter(Path(args.out), cfg, args)
-        # a subcommand that raises leaves no manifest
+        # a subcommand that raises leaves no grid.txt and no manifest
         w.finish(**_COMMANDS[args.subcommand](cfg, w, args))
         return EXIT_OK
     except ConfigError as exc:

@@ -132,7 +132,7 @@ class _GridOperator:
         self.interior = g.interior()
         self.boundary = g.boundary()
         self.interior_flat = np.flatnonzero(self.interior)
-        n = self.n_unknowns = self.interior_flat.size
+        self.n_unknowns = self.interior_flat.size
         # (src, dst, coef) of each stencil direction in stencil order, -x, +x,
         # then -y, +y (mask axes run opposite to the grid's): the node at
         # src has its neighbour at dst, one step along _steps
@@ -169,7 +169,7 @@ class _GridOperator:
         # ||laplacian + diag(c)||_inf = max_i (row_sums_i + c_i) for c >= 0,
         # as the diagonal is positive and the rest nonpositive
         self.row_sums = self._row_product(self.interior.astype(float), diag)
-        self.box_denominators = _box_denominators(g, n)
+        self.box_denominators = _box_denominators(g)
         self.off_diagonal = _interval_off_diagonal(g, self.interior_flat)
 
     @functools.cached_property
@@ -217,25 +217,25 @@ class _GridOperator:
         return lap.ravel()[self.interior_flat], mag.ravel()[self.interior_flat]
 
 
-def _box_denominators(g: Grid, n: int) -> np.ndarray | None:
+def _box_denominators(g: Grid) -> np.ndarray | None:
     """Scaled eigenvalues of the Laplacian on a box grid, or None.
 
     A box grid is a 2D grid whose unknowns are exactly the lattice nodes off
-    the rim, ``(nx - 2) (ny - 2)`` of them.  There the Laplacian is
-    ``T_y (x) I + I (x) T_x`` with ``T = tridiag(-1, 2, -1) / h^2`` of size
-    N, and T has the sine eigenvectors ``s_k(j) = sin(pi j k / (N + 1))``
-    with eigenvalues ``(2 sin(k pi / (2 (N + 1))))^2 / h^2`` (this form has
-    no cancellation, unlike ``2 - 2 cos``).  The entry ``[ky, kx]`` is
+    the rim, ``(nx - 2) (ny - 2)`` of them: as no interior node lies on the
+    rim (``Grid``), it is one whose every node off the rim is interior.
+    There the Laplacian is ``T_y (x) I + I (x) T_x`` with
+    ``T = tridiag(-1, 2, -1) / h^2`` of size N, and T has the sine
+    eigenvectors ``s_k(j) = sin(pi j k / (N + 1))`` with eigenvalues
+    ``(2 sin(k pi / (2 (N + 1))))^2 / h^2`` (this form has no
+    cancellation, unlike ``2 - 2 cos``).  The entry ``[ky, kx]`` is
     ``4 (Nx + 1) (Ny + 1) (lam_y[ky] + lam_x[kx])``: ``_dst1`` computes -2
     times the sine transform and the transform squares to (N + 1)/2 times
     the identity, so the four transforms of ``_box_solve`` and this
     division together apply the inverse.
     """
-    if g.ndim != 2:
+    if g.ndim != 2 or not np.all(g.mask[1:-1, 1:-1] == NodeClass.INTERIOR):
         return None
     nx, ny = g.dims
-    if n != (nx - 2) * (ny - 2) or not np.all(g.mask[1:-1, 1:-1] == NodeClass.INTERIOR):
-        return None
     lam_x, lam_y = (
         _sine_eigenvalues(count - 2, 1.0 / h**2) for count, h in zip(g.dims, g.spacing)
     )

@@ -1,16 +1,16 @@
 """Structured grids over intervals, rectangles, and masked disks.
 
-Every grid is a uniform lattice whose nodes are classified interior,
-boundary, or exterior.  Intervals and rectangles use all lattice nodes;
-disks are masked out of their bounding box: interior nodes lie strictly
-inside the circle and off the lattice rim (a rim node that rounds to
-inside the circle is not interior), and the boundary ring is the first
-layer of other nodes adjacent to an interior node (staircase
-approximation).  So every interior node has its whole stencil on the
-lattice and in the domain; ``Grid`` refuses a mask where one has not.
-Boundary values on a disk are read off the radial projection of the
-boundary node onto the circle, so ``BoundaryPoint.coord`` is the
-projected point there.
+Every grid is a uniform lattice on the domain's bounding box whose nodes
+are classified interior, boundary, or exterior.  Intervals and rectangles
+use all lattice nodes, the rim as boundary; disks are masked out of the
+box: interior nodes lie strictly inside the circle and off the lattice
+rim (a rim node that rounds to inside the circle is not interior), and
+the boundary ring is the first layer of other nodes adjacent to an
+interior node (staircase approximation).  So every interior node has its
+whole stencil on the lattice and in the domain; ``Grid`` refuses a mask
+where one has not.  Boundary values on a disk are read off the radial
+projection of the boundary node onto the circle, so
+``BoundaryPoint.coord`` is the projected point there.
 """
 
 from __future__ import annotations
@@ -154,51 +154,36 @@ def _as_axis_counts(n, ndim: int) -> tuple[int, ...]:
 
 
 def build_grid(domain: DomainSpec, n) -> Grid:
-    """Build a classified grid with ``n`` nodes per axis."""
-    if domain.kind == "interval":
-        a, b = domain.params
-        if not b > a:
-            raise ConfigError(f"degenerate interval [{a}, {b}]")
-        (nx,) = _as_axis_counts(n, 1)
-        h = (b - a) / (nx - 1)
-        mask = np.full(nx, NodeClass.INTERIOR, dtype=np.int8)
-        mask[0] = mask[-1] = NodeClass.BOUNDARY
-        return Grid(domain, (nx,), (h,), (a,), mask)
-
-    if domain.kind == "rectangle":
-        ax, bx, ay, by = domain.params
-        if not (bx > ax and by > ay):
-            raise ConfigError(f"degenerate rectangle [{ax},{bx}]x[{ay},{by}]")
-        nx, ny = _as_axis_counts(n, 2)
-        hx = (bx - ax) / (nx - 1)
-        hy = (by - ay) / (ny - 1)
-        mask = np.full((ny, nx), NodeClass.INTERIOR, dtype=np.int8)
-        mask[0, :] = mask[-1, :] = NodeClass.BOUNDARY
-        mask[:, 0] = mask[:, -1] = NodeClass.BOUNDARY
-        return Grid(domain, (nx, ny), (hx, hy), (ax, ay), mask)
-
-    if domain.kind == "disk":
-        cx, cy, r = domain.params
-        if not r > 0:
-            raise ConfigError(f"degenerate disk, radius {r}")
-        nx, ny = _as_axis_counts(n, 2)
-        hx = 2 * r / (nx - 1)
-        hy = 2 * r / (ny - 1)
-        x = (cx - r) + hx * np.arange(nx)
-        y = (cy - r) + hy * np.arange(ny)
-        X, Y = np.meshgrid(x, y)
-        inside = (X - cx) ** 2 + (Y - cy) ** 2 < r**2
-        # a rim node can round to inside, but has no neighbour beyond the rim
-        inside[[0, -1]] = inside[:, [0, -1]] = False
-        mask = np.full((ny, nx), NodeClass.EXTERIOR, dtype=np.int8)
-        # the boundary ring: the other nodes next to an interior node
-        mask[_next_to(inside, beyond=False)] = NodeClass.BOUNDARY
-        mask[inside] = NodeClass.INTERIOR
-        if not inside.any():
-            raise ConfigError("degenerate disk: no interior nodes at this resolution")
-        return Grid(domain, (nx, ny), (hx, hy), (cx - r, cy - r), mask)
-
-    raise ConfigError(f"unknown domain kind {domain.kind!r}")
+    """Build a classified grid with ``n`` nodes per axis on the domain's
+    bounding box."""
+    p = domain.params
+    if domain.kind in ("interval", "rectangle"):
+        origin = p[0::2]
+        extent = tuple(b - a for a, b in zip(p[0::2], p[1::2]))
+    elif domain.kind == "disk":
+        cx, cy, r = p
+        origin, extent = (cx - r, cy - r), (2 * r, 2 * r)
+    else:
+        raise ConfigError(f"unknown domain kind {domain.kind!r}")
+    if not all(e > 0 for e in extent):
+        raise ConfigError(f"degenerate {domain.kind} {p}")
+    dims = _as_axis_counts(n, len(extent))
+    spacing = tuple(e / (c - 1) for e, c in zip(extent, dims))
+    # mask axes run opposite to the grid's
+    rim = _next_to(np.zeros(dims[::-1], dtype=bool), beyond=True)
+    if domain.kind != "disk":
+        mask = np.where(rim, NodeClass.BOUNDARY, NodeClass.INTERIOR).astype(np.int8)
+        return Grid(domain, dims, spacing, origin, mask)
+    X, Y = np.meshgrid(*(o + h * np.arange(c) for o, h, c in zip(origin, spacing, dims)))
+    # a rim node can round to inside, but has no neighbour beyond the rim
+    inside = ((X - cx) ** 2 + (Y - cy) ** 2 < r**2) & ~rim
+    if not inside.any():
+        raise ConfigError("degenerate disk: no interior nodes at this resolution")
+    mask = np.full(rim.shape, NodeClass.EXTERIOR, dtype=np.int8)
+    # the boundary ring: the other nodes next to an interior node
+    mask[_next_to(inside, beyond=False)] = NodeClass.BOUNDARY
+    mask[inside] = NodeClass.INTERIOR
+    return Grid(domain, dims, spacing, origin, mask)
 
 
 def boundary_points(g: Grid) -> tuple[BoundaryPoint, ...]:
@@ -222,8 +207,9 @@ def _walk_boundary(g: Grid) -> tuple[BoundaryPoint, ...]:
     if g.domain.kind == "rectangle":
         ax, bx, ay, by = g.domain.params
         nx, ny = g.dims
-        x = g.axis_coords(0)
-        y = g.axis_coords(1)
+        # Python floats, so the points print as plain numbers
+        x = g.axis_coords(0).tolist()
+        y = g.axis_coords(1).tolist()
         pts: list[BoundaryPoint] = []
         for ix in range(nx):  # bottom owns both of its corners
             pts.append(BoundaryPoint((ix, 0), (x[ix], ay), ("bottom", x[ix] - ax)))

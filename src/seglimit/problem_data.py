@@ -68,6 +68,11 @@ def compile_expression(text: str):
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {text!r}: {exc.msg}") from None
     _check_expr_node(tree, text)
+    # every number is a float, so a power that leaves the float range
+    # raises OverflowError instead of building an unbounded integer
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant):
+            node.value = float(node.value)
     code = compile(tree, "<boundary-expr>", "eval")
 
     def evaluate(**env) -> float:
@@ -264,32 +269,23 @@ def validate_coupling(w: CouplingWeights) -> list[dict]:
     return report
 
 
-def validate_partial_segregation(
-    data: list[BoundaryDatum], g: Grid
-) -> list[tuple[BoundaryPoint, float]]:
-    """Boundary nodes where the product of all boundary data exceeds
+def _segregation_report(arrays, g: Grid) -> list[tuple[BoundaryPoint, float]]:
+    """Boundary nodes where the product of the boundary data exceeds
     1e-12 * M**m, with M the largest boundary value (a scale-aware zero
-    test), each with its product.
-
-    An empty report means the partial segregation assumption holds on the
-    discrete boundary.
-    """
-    return _segregation_report([boundary_value_array(d, g) for d in data], g)
-
-
-def _segregation_report(arrays, g: Grid):
+    test), each with its product; empty when the partial segregation
+    assumption holds on the discrete boundary."""
     if len(arrays) < 2:
         raise ConfigError("partial segregation needs at least 2 components")
     pts = boundary_points(g)
     # array axes run (y, x) in 2D, the reverse of the node index
     at = tuple(np.array(axis, dtype=np.intp) for axis in zip(*(p.index[::-1] for p in pts)))
     values = np.array([arr[at] for arr in arrays])
-    products = values.prod(axis=0)
     # products above 1e-12 M^m, tested on the data scaled by M so that M^m
     # cannot overflow
     M = max(float(values.max(initial=0.0)), 1e-300)
     flagged = (values / M).prod(axis=0) > 1e-12
-    return [(pts[k], float(products[k])) for k in np.nonzero(flagged)[0]]
+    # each flagged product in Python floats, which round an overflow to inf
+    return [(pts[k], math.prod(values[:, k].tolist())) for k in np.nonzero(flagged)[0]]
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,25 @@ def test_norm_lp_values(g401):
         norm_Lp(u, 0.5)
 
 
+@pytest.mark.parametrize("p", [3.0, 4.0, 5.0])
+@pytest.mark.parametrize("domain,n", [
+    (DomainSpec.interval(0.0, 1.0), 401),
+    (DomainSpec.disk(0.0, 0.0, 1.0), 41),
+], ids=["interval", "disk"])
+def test_norm_lp_scale_free(domain, n, p):
+    # a field scaled by 2^400 or 2^-400 has its norm scaled by the same
+    # power of two, where v^p alone would overflow or underflow to 0
+    g = build_grid(domain, n)
+    X = g.node_coords()[0]
+    v = np.where(g.in_domain(), 1.5 + np.sin(7 * X), 0.0)
+    base = norm_Lp(ScalarField(g, v), p)
+    for s in (400, -400):
+        got = norm_Lp(ScalarField(g, np.ldexp(v, s)), p)
+        want = math.ldexp(base, s)
+        assert math.isfinite(got) and got > 0
+        assert abs(got - want) <= 4 * math.ulp(want)
+
+
 def test_default_zero_threshold(g401):
     h = g401.spacing[0]
     assert default_zero_threshold(g401, 2.0) == pytest.approx(2.0 * h)

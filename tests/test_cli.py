@@ -1,7 +1,10 @@
 """Config parsing, subcommand runs, output schemas, and exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -132,6 +135,19 @@ def test_negative_boundary_rejected(tmp_path):
         parse_config(make_cfg(tmp_path, right="x - 2"))
 
 
+def test_negative_rectangle_data_message_plain_numbers(tmp_path):
+    # a rectangle point prints its coordinates as plain numbers
+    text = config_path("square_m4").read_text()
+    text = re.sub(r"^bounds = .*$", "bounds = 0 3 0 1", text, flags=re.MULTILINE)
+    text = re.sub(r"^n = .*$", "n = 21", text, flags=re.MULTILINE)
+    p = tmp_path / "wide.cfg"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match="negative") as exc:
+        parse_config(p)
+    message = "\n".join(exc.value.problems)
+    assert "(2.85, 1.0)" in message and "np.float64" not in message
+
+
 def test_errors_aggregated(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text(
@@ -227,6 +243,32 @@ def test_huge_boundary_data(tmp_path, capsys):
     assert main(["solve", str(p), "--out", str(tmp_path / "s")]) == EXIT_SOLVER
     err = capsys.readouterr().err
     assert "solver failure" in err and "direct solve residual nan exceeds tol" in err
+
+
+def test_huge_disk_data_validates_without_warnings(tmp_path):
+    # two data overlap on an arc of disk_m3; at 1e250 their product
+    # overflows, which the segregation check must not compute off the
+    # flagged nodes
+    p = scaled_config(tmp_path, "disk_m3", 1e250)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = parse_config(p)
+    assert cfg.data.max_boundary_value(cfg.grid) > 1e249
+
+
+def test_huge_power_in_expression_exit_2(tmp_path):
+    # the numbers of an expression are floats, so 9^9^9 overflows at once
+    # instead of building an integer with hundreds of millions of digits
+    p = make_cfg(tmp_path, left="end=left: 9^9^9")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-m", "seglimit.cli", "validate", str(p), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert run.returncode == EXIT_CONFIG
+    assert "failed to evaluate" in run.stderr
 
 
 def test_direct_solve_limit_exit_3(tmp_path, monkeypatch, capsys):
@@ -372,8 +414,6 @@ def test_limit_subcommand_and_determinism(tmp_path):
         out = tmp_path / name
         assert main(["limit", LINE_M2, "--out", str(out)]) == EXIT_OK
         outs.append(out)
-    man = manifest_of(outs[0])
-    assert man["label"] == "limit"
     for fname in ("limit_fields.csv", "interfaces.csv", "grid.txt"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
     m0, m1 = manifest_of(outs[0]), manifest_of(outs[1])
@@ -381,6 +421,22 @@ def test_limit_subcommand_and_determinism(tmp_path):
         m.pop("created")
         m.pop("wall_time_s")
     assert m0 == m1
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["solve", "--epsilon", "1e-2"],
+    ["limit"],
+    ["compare", "--epsilon", "1e-2"],
+    ["rate", "--start", "1e-2", "--stop", "1e-3", "--count", "2"],
+    ["interfaces"],
+], ids=lambda argv: argv[0])
+def test_every_run_records_its_grid(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main([argv[0], LINE_M2, "--out", str(out), *argv[1:]]) == EXIT_OK
+    man = manifest_of(out)
+    assert "grid.txt" in man["files"] and "label" not in man
+    assert (out / "grid.txt").read_text() == geometry.format_grid(parse_config(LINE_M2).grid)
 
 
 def test_limit_stage_recorded_by_every_limit_build(tmp_path):
@@ -419,7 +475,6 @@ def test_compare_unequal_weights_converges_to_limit(tmp_path):
     for eps in ("1e-4", "1e-6", "1e-8"):
         out = tmp_path / eps
         assert main(["compare", str(p), "--out", str(out), "--epsilon", eps]) == EXIT_OK
-        assert manifest_of(out)["label"] == "limit"
         rows = (out / "distance.csv").read_text().splitlines()[1:]
         sups.append(max(float(r.split(",")[2]) for r in rows))
     assert sups[0] > sups[1] > sups[2]

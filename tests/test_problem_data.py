@@ -27,7 +27,6 @@ from seglimit.problem_data import (
     compile_expression,
     eval_boundary,
     validate_coupling,
-    validate_partial_segregation,
 )
 
 
@@ -42,6 +41,13 @@ def sine_arc(lo: str, hi: str) -> Piece:
 PHI1 = BoundaryDatum(1, (sine_arc("0", "4*pi/3"),))
 PHI2 = BoundaryDatum(2, (sine_arc("2*pi/3", "2*pi"),))
 PHI3 = BoundaryDatum(3, (sine_arc("4*pi/3", "2*pi + 2*pi/3"),))
+
+
+def segregation(data, g):
+    """The segregation report of the boundary data ``data`` on ``g``."""
+    m = len(data)
+    problem = ProblemData(tuple(data), CouplingWeights(np.ones(m)), Exponents((1.0,) * m))
+    return problem.validate(g)["segregation"]
 
 
 def test_disk_example_values():
@@ -122,20 +128,20 @@ def test_expression_caret_power():
 
 def test_segregation_disk_triple_valid():
     g = build_grid(DomainSpec.disk(0.0, 0.0, 1.0), 51)
-    assert validate_partial_segregation([PHI1, PHI2, PHI3], g) == []
+    assert segregation([PHI1, PHI2, PHI3], g) == []
 
 
 def test_segregation_all_ones_fails_everywhere():
     g = build_grid(DomainSpec.interval(0.0, 1.0), 9)
     ones = [BoundaryDatum(i, (Piece.parse("all: 1"),)) for i in (1, 2)]
-    report = validate_partial_segregation(ones, g)
+    report = segregation(ones, g)
     assert len(report) == len(boundary_points(g))
 
 
 def test_segregation_square_quadruple_valid(configs):
     cfg = configs["square_m4"]
     g = build_grid(cfg.domain, 41)
-    assert validate_partial_segregation(list(cfg.data.boundary), g) == []
+    assert cfg.data.validate(g)["segregation"] == []
 
 
 def test_coupling_valid_and_invalid():
@@ -214,4 +220,3 @@ def test_boundary_arrays_once_per_grid_and_validate_unchanged(domain, n):
     expected = [(pts[k], float(products[k])) for k in np.nonzero(products > tol)[0]]
     assert len(expected) == len(pts)
     assert data.validate(g)["segregation"] == expected
-    assert validate_partial_segregation(list(data.boundary), g) == expected
