@@ -1,12 +1,16 @@
 """Norms, segregation diagnostics, interface geometry, free-boundary jump
 checks, Laplacian-as-measure fields, and the epsilon convergence-rate study.
 
-Interface extraction works on zero sets resolved only to grid accuracy:
-a node belongs to the discrete zero set of component i when u_i < delta.
-An edge between adjacent interior nodes realizes the (i, j) interface when
-the zero-set membership pattern changes across it and the two endpoints
-cover both zero sets.  Nodes sitting exactly on an interface belong to
-several zero sets; edges interior to a shared zero band are excluded.
+An interior node belongs to the discrete zero set of component i when
+u_i < delta.  The explicit limit knows its zero sets exactly: u_j =
+A_j (v - w_j) is 0 wherever w_j is the largest difference, and every
+rounding-level value is clamped to 0 (``limit_solver.recover``).  So the
+CLI takes delta = 2^-1074, the smallest positive float, under which a
+nonnegative u_i is in the zero set exactly when u_i == 0.  An edge between
+adjacent interior nodes realizes the (i, j) interface when the zero-set
+membership pattern changes across it and the two endpoints cover both zero
+sets.  Nodes sitting exactly on an interface belong to several zero sets;
+edges interior to a shared zero band are excluded.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ RATE_FIT_RESIDUAL_CAP = 0.05
 
 
 def default_zero_threshold(g: Grid, scale: float, tol_linear: float = DEFAULT_TOL) -> float:
-    """Interfaces are resolved only to grid accuracy: max(10*tol*M, h*M)."""
+    """A zero threshold at grid accuracy, max(10*tol*M, h*M), for fields
+    whose zeros are not exact, such as an eps solve's."""
     h = max(g.spacing)
     return max(10.0 * tol_linear * scale, h * scale)
 
@@ -104,7 +109,6 @@ class PairEdges:
 @dataclass
 class InterfaceSet:
     grid: Grid
-    delta: float
     zero_sets: np.ndarray  # (m, *mask shape) bool, restricted to interior nodes
     pairs: dict[tuple[int, int], PairEdges]
     degenerate: bool = False
@@ -197,7 +201,7 @@ def extract_supports_and_interfaces(
             grad = _gradient(fields[i].values - fields[j].values, g)
             parts = [_interface_edges(coords, pf, qf, grad, axis) for pf, qf, axis in hits]
             pairs[(i + 1, j + 1)] = PairEdges(*(np.concatenate(col) for col in zip(*parts)))
-    return InterfaceSet(g, delta, zero, pairs, degenerate)
+    return InterfaceSet(g, zero, pairs, degenerate)
 
 
 def laplacian_measure(u: ScalarField) -> ScalarField:
@@ -225,24 +229,25 @@ def jump_condition_check(L: LimitResult, I: InterfaceSet) -> dict[tuple[int, int
 
     For each interface edge the derivative of each component is estimated
     by a 2-point first-order difference on each side along the edge axis.
-    Checked identities (unit-weight scope): the two meeting components have
-    opposite one-sided normal derivatives, and any third component's
-    derivative jump equals the meeting component's derivative.
+    The identities are those of the scaled fields u_k / A_k, with A the
+    weights of ``L``: the two meeting components have opposite one-sided
+    normal derivatives, d_n u_i / A_i + d_n u_j / A_j = 0, and any third
+    component's derivative jump equals the meeting component's derivative,
+    [d_n u_k] / A_k = d_n u_i / A_i.
 
     The identities involve one-sided traces from inside the respective zero
-    regions, so an edge is evaluated only when its p-side stencil lies in
-    the zero set of u_j and its q-side stencil in the zero set of u_i;
-    edges failing that (degenerate lower-dimensional zero sets, interfaces
-    hugging the outer boundary) are skipped and counted.
+    regions, so an edge is evaluated only when its p-side stencil nodes are
+    exact zeros of u_j and its q-side ones exact zeros of u_i, as the
+    limit's zero regions are; edges failing that (degenerate
+    lower-dimensional zero sets, interfaces hugging the outer boundary) are
+    skipped and counted.
     """
     g = I.grid
     spacing = np.array(g.spacing)
     stride = _strides(g)
     vals = [f.values.ravel() for f in L.fields]
-    # half-delta guard band: genuine zero regions are exact zeros up to
-    # solver noise, while a component vanishing only on a lower dimensional
-    # set grows like h * slope away from it
-    cut = 0.5 * I.delta
+    # dividing by a weight of 1 is exact
+    scaled = [u / a for u, a in zip(vals, L.weights)]
 
     reports: dict[tuple[int, int], JumpPairReport] = {}
     for (i, j), edges in I.pairs.items():
@@ -260,7 +265,7 @@ def jump_condition_check(L: LimitResult, I: InterfaceSet) -> dict[tuple[int, int
         # q, q + shift, nodes of the domain next to interior ones (``Grid``)
         step = np.where(flip, -1, 1)[oriented]
         shift = step * stride[axis]
-        ok = (uj[p] < cut) & (uj[p - shift] < cut) & (ui[q] < cut) & (ui[q + shift] < cut)
+        ok = (uj[p] == 0) & (uj[p - shift] == 0) & (ui[q] == 0) & (ui[q + shift] == 0)
         p, q, shift, sh = p[ok], q[ok], shift[ok], step[ok] * spacing[axis[ok]]
 
         def d_p(f: np.ndarray) -> np.ndarray:
@@ -269,10 +274,11 @@ def jump_condition_check(L: LimitResult, I: InterfaceSet) -> dict[tuple[int, int
         def d_q(f: np.ndarray) -> np.ndarray:
             return (f[q + shift] - f[q]) / sh
 
-        balance = np.abs(d_p(ui) + d_q(uj))
+        si, sj = scaled[i - 1], scaled[j - 1]
+        balance = np.abs(d_p(si) + d_q(sj))
         # one row per edge, one column per third component
-        jumps = np.array([d_p(uk) - d_q(uk) for k, uk in enumerate(vals) if k + 1 not in (i, j)])
-        transfer = np.abs(jumps.T - d_p(ui)[:, None])
+        jumps = np.array([d_p(sk) - d_q(sk) for k, sk in enumerate(scaled) if k + 1 not in (i, j)])
+        transfer = np.abs(jumps.T - d_p(si)[:, None])
         edges_ok = int(ok.sum())
         reports[(i, j)] = JumpPairReport(
             (i, j), edges_ok, len(edges) - edges_ok,

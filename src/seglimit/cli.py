@@ -459,15 +459,11 @@ def _build_limit(cfg: SystemConfig, args: argparse.Namespace, w: RunWriter):
     return L
 
 
-def _interfaces(cfg: SystemConfig, L, w: RunWriter) -> analysis.InterfaceSet:
-    """The interfaces of the limit ``L`` between its zero sets at the
-    ``default_zero_threshold`` of the largest boundary value, written to
-    ``interfaces.csv``."""
-    g = cfg.grid
-    delta = analysis.default_zero_threshold(
-        g, max(cfg.data.max_boundary_value(g), 1e-300), cfg.tol_linear
-    )
-    iset = analysis.extract_supports_and_interfaces(L.fields, delta)
+def _interfaces(L, w: RunWriter) -> analysis.InterfaceSet:
+    """The interfaces of the limit ``L`` between its exact zero sets,
+    written to ``interfaces.csv``: its fields are nonnegative, so
+    ``u < 2^-1074`` holds exactly where u == 0."""
+    iset = analysis.extract_supports_and_interfaces(L.fields, math.ulp(0.0))
     write_interfaces_csv(w.path("interfaces.csv"), iset)
     return iset
 
@@ -475,8 +471,8 @@ def _interfaces(cfg: SystemConfig, L, w: RunWriter) -> analysis.InterfaceSet:
 def cmd_limit(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict:
     L = _build_limit(cfg, args, w)
     write_fields_csv(w.path("limit_fields.csv"), cfg.grid, L.fields)
-    iset = _interfaces(cfg, L, w)
-    return {"delta": iset.delta}
+    _interfaces(L, w)
+    return {}
 
 
 def cmd_compare(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict:
@@ -506,11 +502,11 @@ def cmd_rate(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict:
 def cmd_interfaces(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict:
     g = cfg.grid
     L = _build_limit(cfg, args, w)
-    iset = _interfaces(cfg, L, w)
+    iset = _interfaces(L, w)
     write_jump_report(w.path("jump_report.csv"), analysis.jump_condition_check(L, iset))
     measures = tuple(analysis.laplacian_measure(f) for f in L.fields)
     write_fields_csv(w.path("laplacian_measure.csv"), g, measures)
-    return {"delta": iset.delta}
+    return {}
 
 
 _COMMANDS = {

@@ -6,9 +6,9 @@ The stencil is the standard second-order centered one (5-point in 2D,
 nodes only, so the system matrix is a symmetric M-matrix and the discrete
 maximum principle holds.  Every solution passes a backward-error residual
 check and carries a certified sup-norm bound on its error
-(``LinearSolveStats.error_bound``, see ``_solve_linear``).  Systems with
-more than ``DIRECT_SOLVE_LIMIT`` unknowns are refused with a
-``SolverError``.
+(``LinearSolveStats.error_bound``, see ``_solve_linear``).  A SuperLU
+factorization of more than ``DIRECT_SOLVE_LIMIT`` unknowns is refused with
+a ``SolverError``; the sine and tridiagonal kernels take any size.
 
 The stencil is kept as arrays shaped like the grid (the interior mask and
 one constant coefficient per direction).  Right-hand sides, residuals and
@@ -533,6 +533,11 @@ class Factor:
             self.kernel = "sine"
             self.solve = functools.partial(_box_solve, op.box_denominators)
             return False
+        n = op.n_unknowns
+        if n > DIRECT_SOLVE_LIMIT:
+            raise SolverError(
+                f"{n} unknowns exceed the direct-solve limit of {DIRECT_SOLVE_LIMIT}"
+            )
         self.kernel = "superlu"
         try:
             self.solve = op.red_black.factor(c)
@@ -561,11 +566,6 @@ def _solve_linear(op: _GridOperator, factor: Factor, rhs: list[np.ndarray], tol:
     ``||A^{-1}||_inf`` by R^2/(2d) and the gamma term covers the rounding
     of the residual itself.
     """
-    n = op.n_unknowns
-    if n > DIRECT_SOLVE_LIMIT:
-        raise SolverError(
-            f"{n} unknowns exceed the direct-solve limit of {DIRECT_SOLVE_LIMIT}"
-        )
     c = factor.c
     xs = [np.zeros_like(b) for b in rhs]
     stats = [LinearSolveStats(0.0) for _ in rhs]

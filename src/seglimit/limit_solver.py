@@ -37,6 +37,7 @@ class LimitResult:
     w: tuple[np.ndarray, ...]  # w_j = u_p/A_p - u_j/A_j in component order, 0 at the pivot
     w_bound: tuple[float, ...]  # the certified error bound of each w_j, 0 at the pivot
     scaled_pivot: ScalarField  # v_lim = max(0, max_k w_k), 0 outside the domain
+    weights: np.ndarray  # the A_j the fields were recovered with
 
     @property
     def m(self) -> int:
@@ -77,8 +78,9 @@ def construct_limit(
     v[~g.in_domain()] = 0.0
     w_bound = [st.error_bound for st in stats]
     w_bound.insert(pivot - 1, 0.0)
-    fields = recover(g, v, w, data.weights.values, data.boundary_arrays(g), 0.0, w_bound)
-    return LimitResult(fields, pivot, stats, tuple(w), tuple(w_bound), ScalarField(g, v))
+    A = data.weights.values
+    fields = recover(g, v, w, A, data.boundary_arrays(g), 0.0, w_bound)
+    return LimitResult(fields, pivot, stats, tuple(w), tuple(w_bound), ScalarField(g, v), A)
 
 
 def recover(g, v, w, A, phi, v_bound, w_bound) -> tuple[ScalarField, ...]:

@@ -82,7 +82,10 @@ def compile_expression(text: str):
         try:
             return float(eval(code, {"__builtins__": {}}, scope))  # noqa: S307 - ast-whitelisted
         except Exception as exc:
-            raise ConfigError(f"failed to evaluate {text!r}: {exc}") from None
+            # the message is the last argument; an OverflowError puts an
+            # errno before it
+            msg = exc.args[-1] if exc.args else exc
+            raise ConfigError(f"failed to evaluate {text!r}: {msg}") from None
 
     return evaluate
 
@@ -178,7 +181,8 @@ class Piece:
         sel_s, sep, expr_s = text.partition(":")
         if not sep:
             raise ConfigError(f"piece needs the form '<selector>: <expr>': {text!r}")
-        return Piece(parse_selector(sel_s), expr_s.strip(), compile_expression(expr_s))
+        expr_s = expr_s.strip()
+        return Piece(parse_selector(sel_s), expr_s, compile_expression(expr_s))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from seglimit.cli import (
     write_interfaces_csv,
 )
 from seglimit.errors import ConfigError
-from conftest import config_path
+from conftest import CONFIG_NAMES, config_path
 
 LINE_M2 = str(config_path("line_m2"))
 LINE_M3 = str(config_path("line_m3"))
@@ -268,26 +268,31 @@ def test_huge_power_in_expression_exit_2(tmp_path):
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert run.returncode == EXIT_CONFIG
-    assert "failed to evaluate" in run.stderr
+    # the expression as written, and the error's message, not its errno tuple
+    assert "failed to evaluate '9^9^9'" in run.stderr
+    assert "(34," not in run.stderr
 
 
 def test_direct_solve_limit_exit_3(tmp_path, monkeypatch, capsys):
-    # n = 51 has 49 unknowns; above the limit the solve is refused, not
-    # iterated, and refused before any ordering work
+    # a disk at n = 11 has 69 unknowns, whose harmonic batch SuperLU
+    # factorizes; above the limit the solve is refused, not iterated, and
+    # refused before any ordering work
     def forbidden(*args, **kwargs):
         raise AssertionError("factorization or ordering above the direct-solve limit")
 
     monkeypatch.setattr(elliptic_core, "DIRECT_SOLVE_LIMIT", 20)
     monkeypatch.setattr(spla, "splu", forbidden)
     monkeypatch.setattr(spla, "spilu", forbidden)
-    rc = main(["limit", str(make_cfg(tmp_path)), "--out", str(tmp_path / "o")])
+    p = tmp_path / "disk.cfg"
+    p.write_text(re.sub(r"^n = .*$", "n = 11", config_path("disk_m3").read_text(), flags=re.MULTILINE))
+    rc = main(["limit", str(p), "--out", str(tmp_path / "o")])
     assert rc == EXIT_SOLVER
-    assert "49 unknowns exceed the direct-solve limit of 20" in capsys.readouterr().err
+    assert "69 unknowns exceed the direct-solve limit of 20" in capsys.readouterr().err
 
 
 def test_boundary_data_evaluated_once_per_call(tmp_path, monkeypatch):
-    # parse_config's checks, the limit build and the zero threshold share
-    # one evaluation of each datum and one walk of the boundary
+    # parse_config's checks and the limit build share one evaluation of
+    # each datum and one walk of the boundary
     evaluated, walks = [], []
     bva, walk = problem_data.boundary_value_array, geometry._walk_boundary
 
@@ -388,7 +393,7 @@ def scaled_config(tmp_path, name, factor, n=None):
 
 @pytest.mark.parametrize("name,n", [("disk_m3", 81), ("line_m2", None)])
 def test_interface_normals_scale_free(tmp_path, name, n):
-    # scaling the data scales the limit and its zero threshold, so the
+    # scaling the data scales the limit but not its exact zero sets, so the
     # interfaces do not move and their normals turn by rounding only; a
     # gradient is flat only where it is exactly zero, however small
     tables = []
@@ -601,6 +606,46 @@ def test_solve_and_compare_write_the_same_solution(tmp_path):
         assert main([sub, LINE_M3, "--out", str(tmp_path / sub)]) == EXIT_OK
     assert ((tmp_path / "solve" / "solve_fields.csv").read_bytes()
             == (tmp_path / "compare" / "solve_fields.csv").read_bytes())
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_interfaces_from_exact_zero_sets(tmp_path, monkeypatch, name):
+    # limit's interfaces.csv comes from the limit's exact zero sets, and the
+    # jump check of a 2D config evaluates all but a few of their edges
+    seen = []
+    extract = analysis.extract_supports_and_interfaces
+
+    def spy(fields, delta):
+        iset = extract(fields, delta)
+        seen.append((fields, iset))
+        return iset
+
+    monkeypatch.setattr(analysis, "extract_supports_and_interfaces", spy)
+    cfg = str(config_path(name))
+    assert main(["limit", cfg, "--out", str(tmp_path / "limit")]) == EXIT_OK
+    ((fields, iset),) = seen
+    interior = fields[0].grid.interior()
+    assert np.array_equal(iset.zero_sets, np.stack([(f.values == 0) & interior for f in fields]))
+    assert main(["interfaces", cfg, "--out", str(tmp_path / "interfaces")]) == EXIT_OK
+    lines = (tmp_path / "interfaces" / "jump_report.csv").read_text().splitlines()[1:]
+    if fields[0].grid.ndim == 2:
+        assert sum(int(line.split(",")[3]) for line in lines) <= 2
+
+
+def test_weighted_jump_identities(tmp_path):
+    # line_m3 with A = [1, 1, 1.5]: the identities of u_k / A_k hold to
+    # rounding on every edge, and no manifest records a zero threshold
+    p = tmp_path / "weighted.cfg"
+    p.write_text(re.sub(r"^A = .*$", "A = [1, 1, 1.5]", config_path("line_m3").read_text(),
+                        flags=re.MULTILINE))
+    for sub in ("limit", "interfaces"):
+        assert main([sub, str(p), "--out", str(tmp_path / sub)]) == EXIT_OK
+        assert "delta" not in manifest_of(tmp_path / sub)
+    rows = [line.split(",") for line in
+            (tmp_path / "interfaces" / "jump_report.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 3 and sum(int(r[2]) for r in rows) > 0
+    for r in rows:
+        assert int(r[3]) == 0 and float(r[4]) <= 1e-11 and float(r[5]) <= 1e-11
 
 
 def test_interfaces_subcommand(tmp_path):

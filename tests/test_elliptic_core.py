@@ -802,14 +802,22 @@ def test_box_kernel_only_on_box_grids(monkeypatch):
     b = np.where(g.boundary(), 1.0, 0.0)
     (f,), _ = solve_harmonic(g, [b])
     assert np.allclose(f.values, 1.0, atol=1e-13)
-    # the direct-solve limit refuses a box grid as well, and a screened
-    # solve of zero data, which would factorize nothing
+    # the direct-solve limit refuses a SuperLU factorization, of a disk's
+    # harmonic batch or of a screened system in 2D; the sine transform of a
+    # box grid and the tridiagonal kernel of an interval take any size
     monkeypatch.setattr(elliptic_core, "DIRECT_SOLVE_LIMIT", 20)
+    disk = build_grid(DomainSpec.disk(0.0, 0.0, 1.0), 11)
+    with pytest.raises(SolverError, match="69 unknowns exceed the direct-solve limit of 20"):
+        solve_harmonic(disk, [np.where(disk.boundary(), 1.0, 0.0)])
     g = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 11)
+    b = np.where(g.boundary(), 1.0, 0.0)
     with pytest.raises(SolverError, match="81 unknowns exceed the direct-solve limit of 20"):
-        solve_harmonic(g, [b])
-    with pytest.raises(SolverError, match="81 unknowns exceed the direct-solve limit of 20"):
-        solve_screened(g, np.ones(g.mask.shape), np.zeros(g.mask.shape))
+        solve_screened(g, np.ones(g.mask.shape), b)
+    (f,), (st,) = solve_harmonic(g, [b])
+    assert st.kernel == "sine" and np.allclose(f.values, 1.0, atol=1e-13)
+    line = build_grid(DomainSpec.interval(0.0, 1.0), 51)
+    _, st = solve_screened(line, np.ones(51), np.where(line.boundary(), 1.0, 0.0))
+    assert st.kernel == "tridiagonal" and st.residual <= DEFAULT_TOL
 
 
 @pytest.mark.parametrize("n", [401, 2001])
