@@ -120,24 +120,19 @@ def _strides(g: Grid) -> np.ndarray:
     return np.cumprod((1,) + g.dims[:-1])
 
 
-def _gradient(vals: np.ndarray, g: Grid) -> np.ndarray:
-    """Gradient at every node, one row per flat node number: central
-    differences inside, one-sided at the lattice rim."""
-    # array axes run (y, x) in 2D, the reverse of the grid axes
-    parts = np.gradient(vals, *g.spacing[::-1])
-    if g.ndim == 1:
-        parts = [parts]
-    return np.column_stack([d.ravel() for d in parts[::-1]])
-
-
 def _interface_edges(
-    coords: np.ndarray, p: np.ndarray, q: np.ndarray, grad: np.ndarray, axis: int
+    g: Grid, coords: np.ndarray, d: np.ndarray, p: np.ndarray, q: np.ndarray, axis: int
 ) -> tuple[np.ndarray, ...]:
     """The edges p-q along ``axis`` as ``PairEdges`` columns: the normal is
-    the mean gradient of the two endpoints, or the edge direction where that
-    gradient is exactly zero."""
+    the mean gradient of d (u_i - u_j by flat node number) at the two
+    endpoints, or the edge direction where that gradient is exactly zero."""
     mid = 0.5 * (coords[p] + coords[q])
-    grad = 0.5 * (grad[p] + grad[q])
+    # central differences, as np.gradient takes them: an endpoint is
+    # interior, so its neighbours along every axis are nodes
+    grad = 0.5 * np.column_stack([
+        (d[p + s] - d[p - s]) / (2.0 * h) + (d[q + s] - d[q - s]) / (2.0 * h)
+        for s, h in zip(_strides(g), g.spacing)
+    ])
     # each edge's gradient scaled by a power of two to a largest entry in
     # [0.5, 1), so its square cannot overflow and its norm is 0 only where
     # the gradient is; the scaling is exact, so the normal is the unscaled
@@ -149,7 +144,7 @@ def _interface_edges(
     # not ``nrm == 0``: a NaN gradient is flat too
     flat = ~(nrm > 0.0)
     normal = grad / np.where(flat, 1.0, nrm)[:, None]
-    normal[flat] = np.eye(coords.shape[1])[axis]
+    normal[flat] = np.eye(g.ndim)[axis]
     return p, q, np.full(len(p), axis), mid, normal
 
 
@@ -198,8 +193,8 @@ def extract_supports_and_interfaces(
             if not hits:
                 pairs[(i + 1, j + 1)] = PairEdges(*no_edges)
                 continue
-            grad = _gradient(fields[i].values - fields[j].values, g)
-            parts = [_interface_edges(coords, pf, qf, grad, axis) for pf, qf, axis in hits]
+            d = (fields[i].values - fields[j].values).ravel()
+            parts = [_interface_edges(g, coords, d, pf, qf, axis) for pf, qf, axis in hits]
             pairs[(i + 1, j + 1)] = PairEdges(*(np.concatenate(col) for col in zip(*parts)))
     return InterfaceSet(g, zero, pairs, degenerate)
 

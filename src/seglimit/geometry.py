@@ -169,6 +169,13 @@ def build_grid(domain: DomainSpec, n) -> Grid:
         raise ConfigError(f"degenerate {domain.kind} {p}")
     dims = _as_axis_counts(n, len(extent))
     spacing = tuple(e / (c - 1) for e, c in zip(extent, dims))
+    # the operators divide by h^2 and the disk test squares distances
+    # across the box, so h^2, 1/h^2 and the squared extent (which bounds
+    # h^2) must be finite positive floats
+    if not (all(h * h > 0 and 1 / (h * h) < math.inf for h in spacing)
+            and sum(e * e for e in extent) < math.inf):
+        raise ConfigError(f"{domain.kind} spacing {spacing} is out of range: h^2, 1/h^2 or "
+                          "the squared extent is not a finite positive float")
     # mask axes run opposite to the grid's
     rim = _next_to(np.zeros(dims[::-1], dtype=bool), beyond=True)
     if domain.kind != "disk":

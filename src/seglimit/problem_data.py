@@ -264,11 +264,15 @@ class CouplingWeights:
 def validate_coupling(w: CouplingWeights) -> list[dict]:
     """One entry per weight violating 0 < A_i or A_i <= sum_{j != i} A_j."""
     report: list[dict] = []
-    total = w.values.sum()
-    for i, a in enumerate(w.values):
+    # dominance in units of 2^e, with e the binary exponent of the largest
+    # weight, so that the sum cannot overflow; the scaling is exact
+    e = math.frexp(float(np.abs(w.values).max()))[1]
+    scaled = np.ldexp(w.values, -e)
+    total = scaled.sum()
+    for i, (a, s) in enumerate(zip(w.values, scaled)):
         if not a > 0:
             report.append({"component": i + 1, "kind": "positivity", "value": float(a)})
-        if a > total - a:
+        if s > total - s:
             report.append({"component": i + 1, "kind": "dominance", "value": float(a)})
     return report
 

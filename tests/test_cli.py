@@ -273,6 +273,32 @@ def test_huge_power_in_expression_exit_2(tmp_path):
     assert "(34," not in run.stderr
 
 
+@pytest.mark.parametrize("name,line,rc", [
+    ("line_m2", "bounds = 0 1e-300", EXIT_CONFIG),
+    ("line_m2", "bounds = -1e300 1e300", EXIT_CONFIG),
+    ("square_m4", "bounds = 0 1e-300 0 1", EXIT_CONFIG),
+    ("disk_m3", "radius = 1e300", EXIT_CONFIG),
+    ("disk_m3", "radius = 1e-300", EXIT_CONFIG),
+    ("line_m2", "bounds = 0 1e-150", EXIT_OK),
+    ("line_m2", "bounds = 0 1e150", EXIT_OK),
+])
+def test_domain_scale(tmp_path, capsys, name, line, rc):
+    # a spacing whose square or its reciprocal, or a squared extent of the
+    # domain, that leaves the float range is a config error of validate and
+    # limit alike, naming the domain kind and its spacing; inside the range
+    # the limit runs
+    key = line.split(" = ")[0]
+    text = re.sub(rf"^{key} = .*$", line, config_path(name).read_text(), flags=re.MULTILINE)
+    p = tmp_path / "scale.cfg"
+    p.write_text(text if name == "line_m2" else re.sub(r"^n = .*$", "n = 21", text, flags=re.MULTILINE))
+    kind = re.search(r"^kind = (\w+)$", text, flags=re.MULTILINE)[1]
+    for sub in ("validate", "limit"):
+        assert main([sub, str(p), "--out", str(tmp_path / sub)]) == rc
+        err = capsys.readouterr().err
+        if rc == EXIT_CONFIG:
+            assert f"config error: {kind} spacing (" in err and "out of range" in err
+
+
 def test_direct_solve_limit_exit_3(tmp_path, monkeypatch, capsys):
     # a disk at n = 11 has 69 unknowns, whose harmonic batch SuperLU
     # factorizes; above the limit the solve is refused, not iterated, and
@@ -493,6 +519,16 @@ def test_compare_subcommand(tmp_path):
     lines = (out / "distance.csv").read_text().splitlines()
     assert lines[0] == "comp,lmp1_dist,sup_dist"
     assert len(lines) == 3
+    # line_m3 with every boundary expression times 1e100 or 1e-100: no
+    # overflow or underflow is warned of, and every distance is finite and > 0
+    for factor in (1e100, 1e-100):
+        out = tmp_path / f"out-{factor!r}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", str(scaled_config(tmp_path, "line_m3", factor)),
+                         "--out", str(out)]) == EXIT_OK
+        rows = np.loadtxt(out / "distance.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert rows.shape == (3, 3) and np.all(np.isfinite(rows[:, 1:]) & (rows[:, 1:] > 0))
 
 
 def test_rate_subcommand(tmp_path):

@@ -1,6 +1,7 @@
 """Boundary data evaluation, expression grammar, and assumption checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,13 @@ def test_coupling_valid_and_invalid():
     assert validate_coupling(CouplingWeights(np.array([1.0, 1.0, 1.0, 3.0]))) == []
     nonpos = validate_coupling(CouplingWeights(np.array([0.0, 1.0])))
     assert any(v["kind"] == "positivity" for v in nonpos)
+    # weights near the float maximum: their sum overflows, the dominance
+    # test must not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = validate_coupling(CouplingWeights(np.array([1.7e308, 1e308])))
+        assert huge == [{"component": 1, "kind": "dominance", "value": 1.7e308}]
+        assert validate_coupling(CouplingWeights(np.array([1e308, 1e308]))) == []
 
 
 @pytest.mark.parametrize("values", [np.ones((2, 9)), np.array(1.0)], ids=["per-node", "0-d"])
