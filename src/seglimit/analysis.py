@@ -1,5 +1,5 @@
-"""Norms, segregation diagnostics, interface geometry, free-boundary jump
-checks, Laplacian-as-measure fields, and the epsilon convergence-rate study.
+"""Norms, interface geometry, free-boundary jump checks, Laplacian-as-measure
+fields, and the epsilon convergence-rate study.
 
 An interior node belongs to the discrete zero set of component i when
 u_i < delta.  The explicit limit knows its zero sets exactly: u_j =
@@ -56,22 +56,6 @@ def norm_Lp(u: ScalarField, p: float) -> float:
     e = math.frexp(top)[1]
     scaled = float(_cell_volume(u.grid) * (np.ldexp(vals, -e) ** p).sum())
     return math.ldexp(scaled ** (1.0 / p), e)
-
-
-def segregation_residual(
-    fields: tuple[ScalarField, ...], weights, exponents=None
-) -> tuple[float, list[float]]:
-    """(max nodal product, per-component reaction integrals int A_i F(U))."""
-    g = fields[0].grid
-    inside = g.in_domain()
-    alphas = exponents.alphas if exponents is not None else (1.0,) * len(fields)
-    F = np.ones(g.mask.shape)
-    for f, a in zip(fields, alphas):
-        F = F * (np.power(f.values, a) if a != 1 else f.values)
-    max_product = float(F[inside].max(initial=0.0))
-    vol = _cell_volume(g)
-    integrals = [float(vol * (a * F[inside]).sum()) for a in weights.values]
-    return max_product, integrals
 
 
 @dataclass
@@ -353,24 +337,6 @@ def rate_study(
             slope, resid = _fit_loglog([p[0] for p in pts[1:]], [p[1] for p in pts[1:]])
             dropped = True
     return RateTable(rows, slope, resid, dropped)
-
-
-def discrete_energy(fields) -> float:
-    """Forward-difference Dirichlet energy summed over all components."""
-    if isinstance(fields, ScalarField):
-        fields = (fields,)
-    g = fields[0].grid
-    inside = g.in_domain()
-    vol = _cell_volume(g)
-    total = 0.0
-    for f in fields:
-        for k in range(g.ndim):
-            # grid axis k is mask axis ndim - 1 - k; edges with both ends in
-            # the domain
-            ax = g.ndim - 1 - k
-            ok = np.delete(inside, 0, axis=ax) & np.delete(inside, -1, axis=ax)
-            total += vol * float(((np.diff(f.values, axis=ax) / g.spacing[k])[ok] ** 2).sum())
-    return total
 
 
 def solve_vs_limit_distances(r: SolveResult, limit: LimitResult) -> list[dict]:

@@ -51,15 +51,18 @@ certificate cannot reach tol_fp where the screening coefficient c is large
 (small eps on fine grids): the residual of a computed iterate is then at
 least the rounding of c v, and R^2/(2d) ignores the c that damps it.
 
-The decoupled sweep primitives ``initialize`` and ``sweep`` remain for
-cross-checks; no solve runs them.  ``initialize`` gives the harmonic
-extensions of the boundary data, and one sweep solves one screened linear
-problem per component in ascending order: component i sees the fresh
-iterates of components j < i and the lagged ones of j > i, averaged into
-the screening coefficient.  For general exponents alpha_i >= 1 each
-inactive factor enters lagged as u_j ** alpha_j and the active component
-is linearized semi-implicitly as u_i_new * u_i_old ** (alpha_i - 1),
-keeping every sub-problem linear with a nonnegative coefficient.
+What remains here of the decoupled sweep iteration is its two
+primitives, ``initialize`` and ``sweep``, on plain tuples of fields; no
+solve runs them.  They are kept because the benchmark traces them by
+name, and the tests build a cross-check oracle from them.  ``initialize``
+gives the harmonic extensions of the boundary data, and one sweep solves
+one screened linear problem per component in ascending order: component i
+sees the fresh iterates of components j < i and the lagged ones of j > i,
+averaged into the screening coefficient.  For general exponents
+alpha_i >= 1 each inactive factor enters lagged as u_j ** alpha_j and the
+active component is linearized semi-implicitly as
+u_i_new * u_i_old ** (alpha_i - 1), keeping every sub-problem linear with
+a nonnegative coefficient.
 """
 
 from __future__ import annotations
@@ -90,11 +93,6 @@ CHORD_STEPS = 2
 
 
 @dataclass
-class IterationState:
-    fields: tuple[ScalarField, ...]
-
-
-@dataclass
 class SolveResult:
     fields: tuple[ScalarField, ...]
     epsilon: float
@@ -115,26 +113,28 @@ class SolveResult:
         return len(self.gap_history)
 
 
-def initialize(g: Grid, data: ProblemData, tol_linear: float = DEFAULT_TOL) -> IterationState:
+def initialize(
+    g: Grid, data: ProblemData, tol_linear: float = DEFAULT_TOL
+) -> tuple[ScalarField, ...]:
     """U^0: the harmonic extensions of the boundary data."""
     fields, _ = solve_harmonic(g, data.boundary_arrays(g), tol_linear)
-    return IterationState(tuple(fields))
+    return tuple(fields)
 
 
 def sweep(
-    s: IterationState,
+    fields: tuple[ScalarField, ...],
     epsilon: float,
     data: ProblemData,
     tol_linear: float = DEFAULT_TOL,
-) -> IterationState:
+) -> tuple[ScalarField, ...]:
     """One decoupled sweep U^k -> U^{k+1}, components in ascending order."""
-    g = s.fields[0].grid
+    g = fields[0].grid
     boundary_arrays = data.boundary_arrays(g)
     A = data.weights.values
     alphas = data.exponents.alphas
     m = data.m
 
-    old = [f.values for f in s.fields]
+    old = [f.values for f in fields]
     old_pow = [np.power(old[j], alphas[j]) if alphas[j] != 1 else old[j] for j in range(m)]
     suf, _ = _suffix_products(old_pow)
 
@@ -150,7 +150,7 @@ def sweep(
         nv = f.values
         pre_new = pre_new * (np.power(nv, alphas[i]) if alphas[i] != 1 else nv)
 
-    return IterationState(tuple(new_fields))
+    return tuple(new_fields)
 
 
 def solve_epsilon(

@@ -89,10 +89,6 @@ class Grid:
     def ndim(self) -> int:
         return len(self.dims)
 
-    @property
-    def n_nodes(self) -> int:
-        return int(np.prod(self.dims))
-
     def axis_coords(self, axis: int) -> np.ndarray:
         return self.origin[axis] + self.spacing[axis] * np.arange(self.dims[axis])
 
@@ -176,12 +172,20 @@ def build_grid(domain: DomainSpec, n) -> Grid:
             and sum(e * e for e in extent) < math.inf):
         raise ConfigError(f"{domain.kind} spacing {spacing} is out of range: h^2, 1/h^2 or "
                           "the squared extent is not a finite positive float")
+    # the node coordinates, as ``Grid.axis_coords`` gives them, must be
+    # distinct floats: where |origin| / h is above 2^52 neighbours round
+    # together, and at 1e300 every node would sit at one point
+    axes = [o + h * np.arange(c) for o, h, c in zip(origin, spacing, dims)]
+    for k, x in enumerate(axes):
+        if not np.all(np.diff(x) > 0):
+            raise ConfigError(f"{domain.kind} axis {k}: origin {origin[k]!r} and spacing "
+                              f"{spacing[k]!r} give node coordinates that are not distinct")
     # mask axes run opposite to the grid's
     rim = _next_to(np.zeros(dims[::-1], dtype=bool), beyond=True)
     if domain.kind != "disk":
         mask = np.where(rim, NodeClass.BOUNDARY, NodeClass.INTERIOR).astype(np.int8)
         return Grid(domain, dims, spacing, origin, mask)
-    X, Y = np.meshgrid(*(o + h * np.arange(c) for o, h, c in zip(origin, spacing, dims)))
+    X, Y = np.meshgrid(*axes)
     # a rim node can round to inside, but has no neighbour beyond the rim
     inside = ((X - cx) ** 2 + (Y - cy) ** 2 < r**2) & ~rim
     if not inside.any():

@@ -114,17 +114,3 @@ def solve_limit(
 ) -> LimitResult:
     w, stats = harmonic_differences(g, data, pivot, tol_linear)
     return construct_limit(g, data, pivot, w, stats)
-
-
-def pivot_equivalence_check(
-    g: Grid, data: ProblemData, p: int, q: int, tol_linear: float = DEFAULT_TOL
-) -> float:
-    """Max sup-norm discrepancy across components between pivots p and q."""
-    if p == q:
-        raise ValueError("pivots must differ")
-    rp = solve_limit(g, data, p, tol_linear)
-    rq = solve_limit(g, data, q, tol_linear)
-    return max(
-        float(np.abs(a.values - b.values).max())
-        for a, b in zip(rp.fields, rq.fields)
-    )

@@ -15,15 +15,14 @@ from seglimit import (
 )
 from seglimit.analysis import (
     default_zero_threshold,
-    discrete_energy,
     extract_supports_and_interfaces,
     jump_condition_check,
     laplacian_measure,
     norm_Lp,
     rate_study,
-    segregation_residual,
     solve_vs_limit_distances,
 )
+from helpers import discrete_energy, segregation_residual
 from test_epsilon_solver import M2, M3, ZERO2
 
 

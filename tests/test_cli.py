@@ -299,6 +299,65 @@ def test_domain_scale(tmp_path, capsys, name, line, rc):
             assert f"config error: {kind} spacing (" in err and "out of range" in err
 
 
+# (shipped config, (pattern, replacement) edits of its lines, message)
+BAD_CONFIGS = {
+    "key-value": ("line_m2", [(r"^n = 2001$", "n = 2001\njunk")],
+                  "line 6: expected 'key = value', got 'junk'"),
+    "list-syntax": ("line_m2", [(r"^A = .*$", "A = [1, one]")],
+                    "[system] A: cannot parse list '[1, one]'"),
+    "list-length": ("line_m2", [(r"^A = .*$", "A = [1, 1, 1]")],
+                    "[system] A: expected 2 entries, got 3"),
+    "boundary-section": ("line_m2", [(r"^\[boundary\.2\]$", "[boundary.two]")],
+                         "bad boundary section [boundary.two]"),
+    "boundary-key": ("line_m2", [(r"^\[boundary\.1\]$", "[boundary.1]\ncolor = red")],
+                     "[boundary.1]: unknown key 'color'"),
+    "key-missing": ("line_m2", [(r"^m = 2$", "")], "[system] m: missing"),
+    "boundary-missing": ("line_m2", [(r"^\[boundary\.2\]$", "[boundary.1]")],
+                         "missing boundary sections for components [2]"),
+    "boundary-extra": ("line_m2", [(r"^\[solver\]$", '[boundary.5]\npiece = "all: 0"\n[solver]')],
+                       "boundary sections for unknown components [5]"),
+    # all 80 boundary nodes of the 21 x 21 square violate it; 20 are listed
+    "segregation-more": ("square_m4", [(r"^n = .*$", "n = 21"), (r"^piece = .*$", 'piece = "all: 1"')],
+                         "... and 60 more segregation violations"),
+    "side": ("line_m2", [(r"^piece = .*left.*$", 'piece = "side=front: 1"')], "unknown side 'front'"),
+    "endpoint": ("line_m2", [(r"^piece = .*left.*$", 'piece = "end=middle: 1"')],
+                 "unknown endpoint 'middle' (expected left or right)"),
+    "theta-open": ("disk_m3", [(r"^piece = .*$", 'piece = "theta in (0, pi): 1"')],
+                   "theta range must be half-open [lo, hi): 'theta in (0, pi)'"),
+    "theta-bounds": ("disk_m3", [(r"^piece = .*$", 'piece = "theta in [0): 1"')],
+                     "theta range needs two bounds: 'theta in [0)'"),
+    "theta-order": ("disk_m3", [(r"^piece = .*$", 'piece = "theta in [pi, 0): 1"')],
+                    "theta range out of order: 'theta in [pi, 0)'"),
+    "selector": ("line_m2", [(r"^piece = .*left.*$", 'piece = "corner=1: 1"')],
+                 "cannot parse piece selector 'corner=1'"),
+    "piece-form": ("line_m2", [(r"^piece = .*left.*$", 'piece = "1"')],
+                   "piece needs the form '<selector>: <expr>': '1'"),
+    "arguments": ("line_m2", [(r"^piece = .*left.*$", 'piece = "end=left: sin(x, 1)"')],
+                  "functions take one argument in expression 'sin(x, 1)'"),
+    "expression-syntax": ("line_m2", [(r"^piece = .*left.*$", 'piece = "end=left: 1 +"')],
+                          "cannot parse expression '1 +'"),
+    "evaluation": ("line_m2", [(r"^piece = .*left.*$", 'piece = "end=left: sqrt(x - 2)"')],
+                   "failed to evaluate 'sqrt(x - 2)'"),
+    "not-finite": ("line_m2", [(r"^piece = .*left.*$", 'piece = "end=left: 1e308 * 10"')],
+                   "boundary expression '1e308 * 10' is not finite at (0.0,)"),
+    "exponent": ("line_m2", [(r"^alpha = .*$", "alpha = [1, 0.5]")],
+                 "alpha_2 = 0.5 violates alpha_i >= 1"),
+}
+
+
+@pytest.mark.parametrize("name,edits,message", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_config_error_messages(tmp_path, capsys, name, edits, message):
+    text = config_path(name).read_text()
+    for pattern, replacement in edits:
+        text = re.sub(pattern, replacement, text, flags=re.MULTILINE)
+    p = tmp_path / "bad.cfg"
+    p.write_text(text)
+    assert main(["validate", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "internal error" not in err
+
+
 def test_direct_solve_limit_exit_3(tmp_path, monkeypatch, capsys):
     # a disk at n = 11 has 69 unknowns, whose harmonic batch SuperLU
     # factorizes; above the limit the solve is refused, not iterated, and
@@ -540,6 +599,30 @@ def test_rate_subcommand(tmp_path):
     assert lines[0] == "epsilon,comp,lmp1_dist,sup_dist"
     assert any(line.startswith("# slope=") for line in lines)
     assert manifest_of(out)["stages"]["rate"]["slope"] is not None
+
+
+def test_rate_refits_without_the_largest_epsilon(tmp_path):
+    # from eps = 1 the fit over all five rungs is polluted by the largest,
+    # above RATE_FIT_RESIDUAL_CAP, so the slope is refitted on the other four
+    out = tmp_path / "out"
+    assert main(["rate", LINE_M2, "--out", str(out), "--start", "1", "--stop", "1e-4"]) == EXIT_OK
+    lines = (out / "rate.csv").read_text().splitlines()
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:] if not ln.startswith("#")])
+    pivot = rows[rows[:, 1] == 1]
+    x, y = np.log10(pivot[:, 0]), np.log10(pivot[:, 2])
+
+    def fit(x, y):
+        coef = np.polyfit(x, y, 1)
+        return coef[0], np.sqrt(np.mean((y - np.polyval(coef, x)) ** 2))
+
+    assert fit(x, y)[1] > analysis.RATE_FIT_RESIDUAL_CAP
+    slope, resid = fit(x[1:], y[1:])
+    stage = manifest_of(out)["stages"]["rate"]
+    assert stage["dropped_largest"] is True
+    assert stage["slope"] == pytest.approx(slope, rel=1e-12)
+    assert stage["fit_residual"] == pytest.approx(resid, rel=1e-9)
+    assert lines[-2] == f"# slope={stage['slope']:.17g} fit_residual={stage['fit_residual']:.17g}"
+    assert lines[-1] == "# largest epsilon dropped from fit (pre-asymptotic)"
 
 
 def counted_factorizations(monkeypatch) -> list:

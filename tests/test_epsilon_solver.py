@@ -22,7 +22,6 @@ from seglimit import (
 )
 from seglimit import epsilon_solver
 from seglimit.elliptic_core import DEFAULT_TOL
-from seglimit.analysis import segregation_residual
 from seglimit.epsilon_solver import (
     _reaction,
     initialize,
@@ -30,6 +29,7 @@ from seglimit.epsilon_solver import (
 )
 from seglimit.errors import SolverError
 from seglimit.limit_solver import recover, solve_limit
+from helpers import segregation_residual
 
 
 def make_data(pieces_per_comp, A=None, alphas=None):
@@ -60,7 +60,7 @@ def g101():
 
 def test_initialize_zero_data(g101):
     s = initialize(g101, ZERO2)
-    for f in s.fields:
+    for f in s:
         assert np.all(f.values == 0.0)
 
 
@@ -69,8 +69,8 @@ def test_initialize_harmonic_extensions(g101):
     data = make_data([["end=left: 1"], ["end=right: 1"]])
     s = initialize(g101, data)
     x = g101.axis_coords(0)
-    assert np.allclose(s.fields[0].values, 1.0 - x, atol=1e-12)
-    assert np.allclose(s.fields[1].values, x, atol=1e-12)
+    assert np.allclose(s[0].values, 1.0 - x, atol=1e-12)
+    assert np.allclose(s[1].values, x, atol=1e-12)
 
 
 def test_sweep_vanishing_component_restores_harmonic(g101):
@@ -79,15 +79,15 @@ def test_sweep_vanishing_component_restores_harmonic(g101):
     s2 = sweep(s, 1e-3, data)
     # u_2 harmonic extension of 0 is 0; its factor kills every coupling
     x = g101.axis_coords(0)
-    assert np.allclose(s2.fields[0].values, 1.0 - x, atol=1e-10)
-    assert np.all(s2.fields[1].values == 0.0)
-    assert np.allclose(s2.fields[2].values, x, atol=1e-10)
+    assert np.allclose(s2[0].values, 1.0 - x, atol=1e-10)
+    assert np.all(s2[1].values == 0.0)
+    assert np.allclose(s2[2].values, x, atol=1e-10)
 
 
 def test_sweep_huge_epsilon_identity(g101):
     s = initialize(g101, M2)
     s2 = sweep(s, 1e12, M2)
-    for a, b in zip(s.fields, s2.fields):
+    for a, b in zip(s, s2):
         assert np.allclose(a.values, b.values, atol=1e-9)
 
 
@@ -101,7 +101,7 @@ def test_sweep_coefficient_hand_assembly(g101):
     b = np.zeros(101)
     b[0] = 1.0
     expected, _ = solve_screened(g101, x / eps, b)
-    assert np.allclose(s2.fields[0].values, expected.values, atol=1e-12)
+    assert np.allclose(s2[0].values, expected.values, atol=1e-12)
 
 
 def test_solve_zero_data_one_sweep(g101):
@@ -159,7 +159,7 @@ def test_monotone_sandwich_first_sweeps(g101):
     for _ in range(4):
         states.append(sweep(states[-1], eps, M3))
     for hi, lo in ((0, 1), (0, 2), (2, 1), (2, 3), (3, 1), (4, 3)):
-        for fh, fl in zip(states[hi].fields, states[lo].fields):
+        for fh, fl in zip(states[hi], states[lo]):
             assert (fl.values - fh.values).max() <= tol_bound
 
 
@@ -171,7 +171,7 @@ def test_even_odd_gap_nonincreasing(g101):
     gaps = [
         max(
             np.abs(a.values - b.values).max()
-            for a, b in zip(states[2 * k].fields, states[2 * k + 1].fields)
+            for a, b in zip(states[2 * k], states[2 * k + 1])
         )
         for k in range(5)
     ]
@@ -186,7 +186,7 @@ def test_global_bounds_and_harmonic_envelope(g101):
     for i, f in enumerate(r.fields):
         assert np.all(f.values >= 0.0)
         assert np.all(f.values <= M)
-        assert np.all(f.values <= s0.fields[i].values + 1e-8)
+        assert np.all(f.values <= s0[i].values + 1e-8)
     # lower bound: u_i - sum_{j != i} u_j >= harmonic ext of
     # phi_i - sum_{j != i} phi_j
     phi = M3.boundary_arrays(g101)
@@ -207,7 +207,7 @@ def test_uniqueness_from_perturbed_start(g401):
     L = solve_limit(g401, M2)
     seeded = tuple(
         type(f)(g401, 0.5 * f.values + 0.5 * lf.values)
-        for f, lf in zip(initialize(g401, M2).fields, L.fields)
+        for f, lf in zip(initialize(g401, M2), L.fields)
     )
     r2 = solve_epsilon(g401, M2, eps, tol_fp=tol_fp, max_sweeps=5000, initial=seeded)
     gap = max(
@@ -217,8 +217,6 @@ def test_uniqueness_from_perturbed_start(g401):
 
 
 def test_reaction_integral_decreases(g101):
-    from seglimit.analysis import segregation_residual
-
     prev = None
     for eps in (1e-2, 1e-4, 1e-6):
         r = solve_epsilon(g101, M2, eps, max_sweeps=5000)
@@ -276,9 +274,9 @@ def sweep_oracle(g, data, eps, max_sweeps=20000):
         prev, s = s, sweep(s, eps, data, DEFAULT_TOL)
         # an odd sweep closes an even/odd pair
         if k % 2 == 1 and max(
-            np.abs(a.values - b.values).max() for a, b in zip(prev.fields, s.fields)
+            np.abs(a.values - b.values).max() for a, b in zip(prev, s)
         ) <= tol:
-            return [0.5 * (a.values + b.values) for a, b in zip(prev.fields, s.fields)]
+            return [0.5 * (a.values + b.values) for a, b in zip(prev, s)]
     raise AssertionError(f"sweep oracle not converged after {max_sweeps} sweeps")
 
 

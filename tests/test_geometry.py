@@ -32,7 +32,7 @@ def test_disk_interior_fraction():
     # up to a perimeter band of strictly-inside misses (about 1.8 points
     # at n=101)
     g = build_grid(DomainSpec.disk(0.0, 0.0, 1.0), 101)
-    frac = g.interior().sum() / g.n_nodes
+    frac = g.interior().sum() / g.mask.size
     assert abs(frac - math.pi / 4) < 0.02
 
 
@@ -52,6 +52,21 @@ def test_degenerate_domains_rejected():
         build_grid(DomainSpec.disk(0.0, 0.0, 0.0), 5)
     with pytest.raises(ConfigError):
         build_grid(DomainSpec.interval(0.0, 1.0), 2)
+
+
+@pytest.mark.parametrize("domain,axis", [
+    (DomainSpec.disk(1e300, 1e300, 1.0), 0),
+    (DomainSpec.disk(0.0, 1e300, 1.0), 1),
+    (DomainSpec.rectangle(1e17, 1e17 + 64, 0.0, 1.0), 0),
+    (DomainSpec.interval(1e17, 1e17 + 64), 0),
+], ids=["disk", "disk-y", "rectangle", "interval"])
+def test_node_coordinates_must_be_distinct(domain, axis):
+    # where |origin| / h is above 2^52 neighbouring lattice coordinates
+    # round together (at 1e300 all of them); every node off the rim of such
+    # a disk would test inside its circle
+    with pytest.raises(ConfigError, match=rf"^{domain.kind} axis {axis}: origin \S+ and spacing "
+                                          r"\S+ give node coordinates that are not distinct$"):
+        build_grid(domain, 21)
 
 
 def test_interval_boundary_points():

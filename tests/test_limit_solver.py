@@ -14,7 +14,7 @@ from seglimit import (
     solve_harmonic,
     solve_limit,
 )
-from seglimit.limit_solver import pivot_equivalence_check
+from helpers import pivot_equivalence_check
 from test_epsilon_solver import M2, M3, ZERO2, make_data
 
 

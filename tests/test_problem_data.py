@@ -125,6 +125,7 @@ def test_expression_caret_power():
     assert f(x=0.5) == pytest.approx(0.75)
     g = compile_expression("sqrt(abs(cos(pi)))")
     assert g() == pytest.approx(1.0)
+    assert compile_expression("-x + 1")(x=0.25) == 0.75
 
 
 def test_segregation_disk_triple_valid():
