@@ -1,9 +1,15 @@
 #!/usr/bin/env python3
-"""Reproduce the headline experiment outputs for the shipped configs.
+"""Reproduce the experiment outputs for the shipped configs.
 
-For each config this runs the fixed-epsilon solve, the explicit limit
-construction, the solve-vs-limit comparison, and the interface
-diagnostics, writing plot-ready CSV files under out/<name>/.
+For each config this runs ``validate``, ``solve``, ``compare``, ``rate``
+and ``interfaces``, and ``limit`` at every pivot 1..m, in this process,
+with each subcommand's default flags.  The outputs go to
+out/<name>/<subcommand>/, limit's to out/<name>/limit-pivot<k>/.  A
+config that fails ``validate`` gets no other call.  The exit code is the
+largest of the calls'.
+
+Two runs, at two commits or on two machines, compare with
+``diff -r --exclude=manifest.json``: the manifests hold the run's time.
 """
 
 import argparse
@@ -13,6 +19,13 @@ from pathlib import Path
 from seglimit import cli
 
 CONFIGS = ["line_m2", "line_m3", "disk_m3", "square_m4", "square_m4_overlap"]
+SUBCOMMANDS = ("solve", "compare", "rate", "interfaces")
+
+
+def run(argv: list[str], out: Path) -> int:
+    code = cli.main([*argv, "--out", str(out)])
+    print(f"{out}: exit {code}")
+    return code
 
 
 def main() -> int:
@@ -22,16 +35,18 @@ def main() -> int:
     parser.add_argument("--only", nargs="*", choices=CONFIGS, default=None)
     args = parser.parse_args()
 
-    names = args.only or CONFIGS
-    worst = 0
-    for name in names:
+    codes = []
+    for name in args.only or CONFIGS:
         cfg_path = str(Path(args.configs_dir) / f"{name}.cfg")
-        for sub in ("validate", "compare", "interfaces"):
-            out_dir = str(Path(args.out) / name / sub)
-            code = cli.main([sub, cfg_path, "--out", out_dir])
-            print(f"{name}/{sub}: exit {code}")
-            worst = max(worst, code)
-    return worst
+        out = Path(args.out) / name
+        codes.append(run(["validate", cfg_path], out / "validate"))
+        if codes[-1]:
+            continue  # every other call would refuse the config too
+        for sub in SUBCOMMANDS:
+            codes.append(run([sub, cfg_path], out / sub))
+        for pivot in range(1, cli.parse_config(cfg_path).data.m + 1):
+            codes.append(run(["limit", cfg_path, "--pivot", str(pivot)], out / f"limit-pivot{pivot}"))
+    return max(codes, default=0)
 
 
 if __name__ == "__main__":

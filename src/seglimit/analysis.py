@@ -165,20 +165,15 @@ def extract_supports_and_interfaces(
         axis_edges.append((p_arr, q_arr, zp, zq, np.any(zp != zq, axis=0), axis))
 
     coords = np.column_stack([c.ravel() for c in g.node_coords()])
-    no_edges = (np.zeros(0, dtype=np.int64),) * 3 + (np.zeros((0, g.ndim)),) * 2
     pairs: dict[tuple[int, int], PairEdges] = {}
     for i in range(m):
         for j in range(i + 1, m):
-            hits = []
+            d = (fields[i].values - fields[j].values).ravel()
+            # an axis without an edge of the pair gives empty columns
+            parts = []
             for p_arr, q_arr, zp, zq, changed, axis in axis_edges:
                 hit = changed & ((zp[i] & zq[j]) | (zp[j] & zq[i]))
-                if hit.any():
-                    hits.append((p_arr[hit], q_arr[hit], axis))
-            if not hits:
-                pairs[(i + 1, j + 1)] = PairEdges(*no_edges)
-                continue
-            d = (fields[i].values - fields[j].values).ravel()
-            parts = [_interface_edges(g, coords, d, pf, qf, axis) for pf, qf, axis in hits]
+                parts.append(_interface_edges(g, coords, d, p_arr[hit], q_arr[hit], axis))
             pairs[(i + 1, j + 1)] = PairEdges(*(np.concatenate(col) for col in zip(*parts)))
     return InterfaceSet(g, zero, pairs, degenerate)
 

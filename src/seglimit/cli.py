@@ -249,12 +249,17 @@ def parse_config(path) -> SystemConfig:
     for pt, prod in report["segregation"][:20]:
         problems.append(
             f"partial segregation violated at boundary node {pt.index} "
-            f"(coord {tuple(round(c, 6) for c in pt.coord)}): product {prod:g}"
+            f"(coord {tuple(round(c, 6) for c in pt.coord)}): "
+            f"relative product prod(u_k / M) = {prod:g}, M the largest boundary value"
         )
     if len(report["segregation"]) > 20:
         problems.append(f"... and {len(report['segregation']) - 20} more segregation violations")
     for v in report["coupling"]:
         problems.append(f"coupling assumption violated for A_{v['component']} ({v['kind']})")
+    for v in report["scale"]:
+        i = v["component"]
+        problems.append(f"A_{i} = {v['value']:g}: M/A_{i} is not a finite float, with M = "
+                        f"{data.max_boundary_value(g):g} the largest boundary value")
     if problems:
         raise ConfigError(*problems)
     return SystemConfig(
@@ -599,7 +604,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure in stage {args.subcommand!r}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

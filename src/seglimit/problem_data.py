@@ -277,23 +277,32 @@ def validate_coupling(w: CouplingWeights) -> list[dict]:
     return report
 
 
+def validate_scale(w: CouplingWeights, M: float) -> list[dict]:
+    """One entry per positive weight A_i for which M / A_i is not a finite
+    float, with M the largest boundary value: the limit divides the data by
+    the weights (``limit_solver.harmonic_differences``)."""
+    return [{"component": i, "value": a} for i, a in enumerate(w.values.tolist(), start=1)
+            if a > 0 and not math.isfinite(M / a)]
+
+
 def _segregation_report(arrays, g: Grid) -> list[tuple[BoundaryPoint, float]]:
-    """Boundary nodes where the product of the boundary data exceeds
-    1e-12 * M**m, with M the largest boundary value (a scale-aware zero
-    test), each with its product; empty when the partial segregation
-    assumption holds on the discrete boundary."""
+    """Boundary nodes where the relative product prod_k(u_k / M) of the
+    boundary data exceeds 1e-12, with M the largest boundary value (a
+    scale-aware zero test), each with its relative product; empty when the
+    partial segregation assumption holds on the discrete boundary."""
     if len(arrays) < 2:
         raise ConfigError("partial segregation needs at least 2 components")
     pts = boundary_points(g)
     # array axes run (y, x) in 2D, the reverse of the node index
     at = tuple(np.array(axis, dtype=np.intp) for axis in zip(*(p.index[::-1] for p in pts)))
     values = np.array([arr[at] for arr in arrays])
-    # products above 1e-12 M^m, tested on the data scaled by M so that M^m
-    # cannot overflow
-    M = max(float(values.max(initial=0.0)), 1e-300)
-    flagged = (values / M).prod(axis=0) > 1e-12
-    # each flagged product in Python floats, which round an overflow to inf
-    return [(pts[k], math.prod(values[:, k].tolist())) for k in np.nonzero(flagged)[0]]
+    M = float(values.max(initial=0.0))
+    if M == 0:
+        return []
+    # each ratio is at most 1, so the product cannot overflow, and a
+    # flagged one is above 1e-12, so it is not 0
+    relative = (values / M).prod(axis=0)
+    return [(pts[k], float(relative[k])) for k in np.nonzero(relative > 1e-12)[0]]
 
 
 @dataclass(frozen=True)
@@ -335,8 +344,10 @@ class ProblemData:
         return max(float(arr[b].max(initial=0.0)) for arr in self.boundary_arrays(g))
 
     def validate(self, g: Grid) -> dict:
-        """Run both assumption checks; empty lists mean valid."""
+        """Run both assumption checks and the scale check of the weights;
+        empty lists mean valid."""
         return {
             "segregation": _segregation_report(self.boundary_arrays(g), g),
             "coupling": validate_coupling(self.weights),
+            "scale": validate_scale(self.weights, self.max_boundary_value(g)),
         }

@@ -27,6 +27,7 @@ from seglimit import (
 )
 from seglimit.cli import (
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_SOLVER,
     main,
@@ -491,6 +492,48 @@ def test_interface_normals_scale_free(tmp_path, name, n):
     assert unit.shape == tiny.shape and len(unit) > 0
     assert np.array_equal(unit[:, : 2 + d], tiny[:, : 2 + d])
     assert np.abs(unit[:, 2 + d:] - tiny[:, 2 + d:]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e-290, 1e-300, 1e-305, 1e-310])
+def test_segregation_violation_at_any_scale(tmp_path, capsys, factor):
+    # component 2 is also 1e-3 at the left end; the check scales the data
+    # by their largest value, so a common factor, down to the subnormals,
+    # neither hides the violation nor changes the product it reports
+    p = scaled_config(tmp_path, "line_m2", factor, 21)
+    p.write_text(p.read_text().replace(
+        "[boundary.2]\n", f'[boundary.2]\npiece = "end=left: {factor!r} * (1e-3)"\n'))
+    assert main(["validate", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "partial segregation violated at boundary node (0,)" in err
+    assert "relative product prod(u_k / M) = 0.001," in err
+
+
+@pytest.mark.parametrize("weight,rc", [(1e-310, EXIT_CONFIG), (1e-300, EXIT_OK)])
+def test_weight_too_small_for_the_data(tmp_path, capsys, weight, rc):
+    # the limit divides the data by the weights: a weight under which the
+    # largest datum divided by it is not a finite float is refused before
+    # any solve, and one just above it runs
+    text = config_path("line_m2").read_text().replace("A = [1, 1]", f"A = [{weight!r}, {weight!r}]")
+    p = tmp_path / "weights.cfg"
+    p.write_text(re.sub(r"^n = .*$", "n = 201", text, flags=re.MULTILINE))
+    for sub in ("validate", "limit", "interfaces", "solve", "compare"):
+        assert main([sub, str(p), "--out", str(tmp_path / sub)]) == rc
+        err = capsys.readouterr().err
+        if rc == EXIT_CONFIG:
+            for i in (1, 2):
+                assert (f"config error: A_{i} = 1e-310: M/A_{i} is not a finite float, "
+                        "with M = 1 the largest boundary value") in err
+
+
+def test_internal_error_exit_4(tmp_path, monkeypatch, capsys):
+    # an exception that no stage expects gives exit 4 and its message
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken limit")
+
+    monkeypatch.setattr(limit_solver, "solve_limit", broken)
+    assert main(["limit", LINE_M2, "--out", str(tmp_path / "o")]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: broken limit\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_no_config_exit_2(capsys):

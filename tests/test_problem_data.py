@@ -224,8 +224,7 @@ def test_boundary_arrays_once_per_grid_and_validate_unchanged(domain, n):
         assert np.array_equal(arr, boundary_value_array(d, g))
     pts = boundary_points(g)
     values = np.array([[eval_boundary(d, p) for p in pts] for d in data.boundary])
-    products = values.prod(axis=0)
-    tol = 1e-12 * values.max() ** 2
-    expected = [(pts[k], float(products[k])) for k in np.nonzero(products > tol)[0]]
+    relative = (values / values.max()).prod(axis=0)
+    expected = [(pts[k], float(relative[k])) for k in np.nonzero(relative > 1e-12)[0]]
     assert len(expected) == len(pts)
     assert data.validate(g)["segregation"] == expected
