@@ -5,8 +5,9 @@ For each config this runs ``validate``, ``solve``, ``compare``, ``rate``
 and ``interfaces``, and ``limit`` at every pivot 1..m, in this process,
 with each subcommand's default flags.  The outputs go to
 out/<name>/<subcommand>/, limit's to out/<name>/limit-pivot<k>/.  A
-config that fails ``validate`` gets no other call.  The exit code is the
-largest of the calls'.
+config that fails ``validate`` gets no other call.  Each call's line
+gives its exit status and wall time, and the last line the total time.
+The exit code is the largest of the calls'.
 
 Two runs, at two commits or on two machines, compare with
 ``diff -r --exclude=manifest.json``: the manifests hold the run's time.
@@ -14,6 +15,7 @@ Two runs, at two commits or on two machines, compare with
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from seglimit import cli
@@ -23,8 +25,9 @@ SUBCOMMANDS = ("solve", "compare", "rate", "interfaces")
 
 
 def run(argv: list[str], out: Path) -> int:
+    t0 = time.perf_counter()
     code = cli.main([*argv, "--out", str(out)])
-    print(f"{out}: exit {code}")
+    print(f"{out}: exit {code} in {time.perf_counter() - t0:.2f} s")
     return code
 
 
@@ -35,6 +38,7 @@ def main() -> int:
     parser.add_argument("--only", nargs="*", choices=CONFIGS, default=None)
     args = parser.parse_args()
 
+    t0 = time.perf_counter()
     codes = []
     for name in args.only or CONFIGS:
         cfg_path = str(Path(args.configs_dir) / f"{name}.cfg")
@@ -46,6 +50,7 @@ def main() -> int:
             codes.append(run([sub, cfg_path], out / sub))
         for pivot in range(1, cli.parse_config(cfg_path).data.m + 1):
             codes.append(run(["limit", cfg_path, "--pivot", str(pivot)], out / f"limit-pivot{pivot}"))
+    print(f"{len(codes)} calls in {time.perf_counter() - t0:.2f} s")
     return max(codes, default=0)
 
 

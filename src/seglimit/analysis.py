@@ -307,8 +307,8 @@ def rate_study(
     exceeds the pre-asymptotic cap; single-row tables carry no slope.
     """
     eps_list = [float(e) for e in eps_list]
-    if any(e <= 0 for e in eps_list):
-        raise ValueError("epsilon values must be positive")
+    if not all(e > 0 and 1 / e < math.inf for e in eps_list):
+        raise ValueError("epsilon values must be positive with finite reciprocals")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be strictly decreasing")
 

@@ -15,9 +15,10 @@ pairs.  ``#`` starts a comment.  Sections and keys:
 
 Subcommands: validate, solve, limit, compare, rate, interfaces; each takes
 only its own value flags (``_COMMAND_FLAGS``).  Config numbers and flag
-values go through one check: floats finite and > 0, integers at least
-their floor.  All output is data-only CSV plus the run's ``grid.txt`` and
-manifest; identical config and flags produce identical data files.
+values go through one check: floats finite and > 0 with a finite
+reciprocal, integers at least their floor.  All output is data-only CSV,
+every number as ``%.17g`` (``_write_rows``), plus the run's ``grid.txt``
+and manifest; identical config and flags produce identical data files.
 
 Exit codes: 0 success, 2 config error (bad flag values and an unreadable
 config file included), 3 solver failure, 4 internal error.
@@ -123,16 +124,17 @@ def _parse_list(value: str, count: int, what: str, problems: list[str]) -> list[
 
 def _parse_number(text: str, key: str, label: str, problems: list[str]):
     """``text`` as the value of config key or flag ``key``: an integer of at
-    least its ``_INT_FLOORS`` entry, else a finite float > 0.  A bad value
-    is appended to ``problems`` under ``label`` and gives None."""
+    least its ``_INT_FLOORS`` entry, else a finite float > 0 whose
+    reciprocal is a finite float too (the solve divides by eps).  A bad
+    value is appended to ``problems`` under ``label`` and gives None."""
     floor = _INT_FLOORS.get(key)
     try:
         value = float(text) if floor is None else int(text)
     except ValueError:
         problems.append(f"{label}: not {'a number' if floor is None else 'an integer'}: {text!r}")
         return None
-    if floor is None and not (math.isfinite(value) and value > 0):
-        problems.append(f"{label}: need a finite {key} > 0, got {value}")
+    if floor is None and not (0 < value < math.inf and 1 / value < math.inf):
+        problems.append(f"{label}: need a finite {key} > 0 with a finite 1/{key}, got {value}")
     elif floor is not None and value < floor:
         problems.append(f"{label}: need {key} >= {floor}, got {value}")
     else:
@@ -258,8 +260,9 @@ def parse_config(path) -> SystemConfig:
         problems.append(f"coupling assumption violated for A_{v['component']} ({v['kind']})")
     for v in report["scale"]:
         i = v["component"]
-        problems.append(f"A_{i} = {v['value']:g}: M/A_{i} is not a finite float, with M = "
-                        f"{data.max_boundary_value(g):g} the largest boundary value")
+        problems.append(f"A_{i} = {v['value']:g}: (M/A_{i}) 4 sum_k 1/h_k^2 is not a finite float, "
+                        f"with M = {data.max_boundary_value(g):g} the largest boundary value "
+                        f"and h = {', '.join(f'{h:g}' for h in g.spacing)}")
     if problems:
         raise ConfigError(*problems)
     return SystemConfig(
@@ -272,18 +275,13 @@ def parse_config(path) -> SystemConfig:
 # output writers
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_rows(fh, table: np.ndarray, prefix: str = "") -> None:
     """Write ``table`` one line per row, ``prefix`` then every value as
-    ``%.17g`` (the same text as ``_fmt``), in blocks of ``CSV_BLOCK_ROWS``
-    rows, which bounds the memory the text takes.  In each block a column
-    with at most half its values distinct formats each distinct float64 bit
-    pattern once (so -0.0 and every NaN payload keep their own text), as the
-    lattice coordinates of a fields table do; every other column formats
-    value by value.  The cells of a block are joined once."""
+    ``%.17g`` (an integer below 2^53 as its plain digits), in blocks of
+    ``CSV_BLOCK_ROWS`` rows, which bounds the memory the text takes.  Each
+    column of a block formats each distinct float64 bit pattern once (so
+    -0.0 and every NaN payload keep their own text), and the cells of a
+    block are joined once."""
     # each cell's format carries the separator that follows it, "," inside
     # a row and a newline after the last column, and a NUL to split on; the
     # first column's carries the prefix
@@ -291,21 +289,13 @@ def _write_rows(fh, table: np.ndarray, prefix: str = "") -> None:
     fmts[0] = prefix.replace("%", "%%") + fmts[0]
     for start in range(0, len(table), CSV_BLOCK_ROWS):
         block = table[start:start + CSV_BLOCK_ROWS]
+        block = np.ascontiguousarray(block, dtype=np.float64).view(np.int64)
         cells = np.empty(block.shape, dtype=object)
         for j, fmt in enumerate(fmts):
-            col = np.ascontiguousarray(block[:, j])
-            bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-            if 2 * bits.size > col.size:
-                cells[:, j] = _format_cells(fmt, col)
-            else:
-                cells[:, j] = np.array(_format_cells(fmt, bits.view(np.float64)), dtype=object)[inverse]
+            bits, inverse = np.unique(block[:, j], return_inverse=True)
+            text = (fmt * bits.size % tuple(bits.view(np.float64).tolist())).split("\0")[:-1]
+            cells[:, j] = np.array(text, dtype=object)[inverse]
         fh.write("".join(cells.ravel().tolist()))
-
-
-def _format_cells(fmt: str, values: np.ndarray) -> list[str]:
-    """``fmt`` (one value and a trailing NUL) applied to every value, as a
-    list of cells without the NULs."""
-    return (fmt * values.size % tuple(values.tolist())).split("\0")[:-1]
 
 
 def write_fields_csv(path: Path, g: Grid, fields: tuple[ScalarField, ...]) -> None:
@@ -337,12 +327,12 @@ def write_rate_csv(path: Path, table: analysis.RateTable) -> None:
         fh.write("epsilon,comp,lmp1_dist,sup_dist\n")
         for row in table.rows:
             if row.failed:
-                fh.write(f"{_fmt(row.epsilon)},-,failed,failed\n")
-                continue
-            for i, (a, b) in enumerate(zip(row.lmp1, row.sup), start=1):
-                fh.write(f"{_fmt(row.epsilon)},{i},{_fmt(a)},{_fmt(b)}\n")
-        slope = "nan" if table.slope is None else _fmt(table.slope)
-        resid = "nan" if table.fit_residual is None else _fmt(table.fit_residual)
+                fh.write("%.17g,-,failed,failed\n" % row.epsilon)
+            else:
+                rows = np.column_stack([np.arange(1, len(row.sup) + 1), row.lmp1, row.sup])
+                _write_rows(fh, rows, "%.17g," % row.epsilon)
+        slope = "nan" if table.slope is None else "%.17g" % table.slope
+        resid = "nan" if table.fit_residual is None else "%.17g" % table.fit_residual
         fh.write(f"# slope={slope} fit_residual={resid}\n")
         if table.slope is None:
             fh.write("# slope undefined: fewer than two usable points\n")
@@ -353,18 +343,14 @@ def write_rate_csv(path: Path, table: analysis.RateTable) -> None:
 def write_distance_csv(path: Path, distances: list[dict]) -> None:
     with path.open("w") as fh:
         fh.write("comp,lmp1_dist,sup_dist\n")
-        for d in distances:
-            fh.write(f"{d['component']},{_fmt(d['lmp1'])},{_fmt(d['sup'])}\n")
+        _write_rows(fh, np.array([[d["component"], d["lmp1"], d["sup"]] for d in distances]))
 
 
 def write_jump_report(path: Path, reports) -> None:
     with path.open("w") as fh:
         fh.write("pair_i,pair_j,edges,skipped,max_balance,max_transfer\n")
-        for (i, j), rep in sorted(reports.items()):
-            fh.write(
-                f"{i},{j},{rep.edges},{rep.skipped},"
-                f"{_fmt(rep.max_balance)},{_fmt(rep.max_transfer)}\n"
-            )
+        _write_rows(fh, np.array([[i, j, r.edges, r.skipped, r.max_balance, r.max_transfer]
+                                  for (i, j), r in sorted(reports.items())]))
 
 
 class RunWriter:

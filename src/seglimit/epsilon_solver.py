@@ -182,8 +182,8 @@ def solve_epsilon(
     ``SolveResult.linear_stats`` lists the linear solves the call made,
     those of a limit it built included.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (epsilon > 0 and 1 / float(epsilon) < math.inf):
+        raise ValueError("epsilon must be positive with a finite reciprocal")
     if tol_fp <= 0:
         raise ValueError("tol_fp must be positive")
     stats: list[LinearSolveStats] = []

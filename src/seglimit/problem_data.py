@@ -277,12 +277,15 @@ def validate_coupling(w: CouplingWeights) -> list[dict]:
     return report
 
 
-def validate_scale(w: CouplingWeights, M: float) -> list[dict]:
-    """One entry per positive weight A_i for which M / A_i is not a finite
-    float, with M the largest boundary value: the limit divides the data by
-    the weights (``limit_solver.harmonic_differences``)."""
+def validate_scale(w: CouplingWeights, M: float, g: Grid) -> list[dict]:
+    """One entry per positive weight A_i for which (M / A_i) 4 sum_k 1/h_k^2
+    is not a finite float, with M the largest boundary value: the limit
+    divides the data by the weights (``limit_solver.harmonic_differences``)
+    and the grid Laplacian, whose row sums are at most 4 sum_k 1/h_k^2 in
+    magnitude, multiplies the quotient."""
+    norm = 4 * sum(1 / float(h) ** 2 for h in g.spacing)
     return [{"component": i, "value": a} for i, a in enumerate(w.values.tolist(), start=1)
-            if a > 0 and not math.isfinite(M / a)]
+            if a > 0 and not math.isfinite(M / a * norm)]
 
 
 def _segregation_report(arrays, g: Grid) -> list[tuple[BoundaryPoint, float]]:
@@ -349,5 +352,5 @@ class ProblemData:
         return {
             "segregation": _segregation_report(self.boundary_arrays(g), g),
             "coupling": validate_coupling(self.weights),
-            "scale": validate_scale(self.weights, self.max_boundary_value(g)),
+            "scale": validate_scale(self.weights, self.max_boundary_value(g), g),
         }

@@ -377,6 +377,8 @@ def test_rate_study_slope_and_failures(g401, limit_m3):
         rate_study(g401, M2, [1e-3, 1e-2], limit2)
     with pytest.raises(ValueError):
         rate_study(g401, M2, [1e-2, -1.0], limit2)
+    with pytest.raises(ValueError, match="finite reciprocals"):
+        rate_study(g401, M2, [1e-2, 1e-310], limit2)
 
 
 def test_discrete_energy_values(g401):

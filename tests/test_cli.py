@@ -32,8 +32,11 @@ from seglimit.cli import (
     EXIT_SOLVER,
     main,
     parse_config,
+    write_distance_csv,
     write_fields_csv,
     write_interfaces_csv,
+    write_jump_report,
+    write_rate_csv,
 )
 from seglimit.errors import ConfigError
 from conftest import CONFIG_NAMES, config_path
@@ -343,6 +346,8 @@ BAD_CONFIGS = {
                    "boundary expression '1e308 * 10' is not finite at (0.0,)"),
     "exponent": ("line_m2", [(r"^alpha = .*$", "alpha = [1, 0.5]")],
                  "alpha_2 = 0.5 violates alpha_i >= 1"),
+    "reciprocal": ("disk_m3", [(r"^radius = .*$", "radius = 1e-310")],
+                   "[domain] radius: need a finite radius > 0 with a finite 1/radius, got 1e-310"),
 }
 
 
@@ -465,6 +470,63 @@ def test_interfaces_csv_matches_per_edge_format(tmp_path, configs):
     assert path.read_text() == interfaces_csv_oracle(iset)
 
 
+def fmt(x) -> str:
+    return format(float(x), ".17g")
+
+
+def rate_csv_oracle(table) -> str:
+    """The rung-by-rung, value-by-value text the block writer must reproduce."""
+    lines = ["epsilon,comp,lmp1_dist,sup_dist"]
+    for row in table.rows:
+        if row.failed:
+            lines.append(f"{fmt(row.epsilon)},-,failed,failed")
+            continue
+        for i, (a, b) in enumerate(zip(row.lmp1, row.sup), start=1):
+            lines.append(f"{fmt(row.epsilon)},{i},{fmt(a)},{fmt(b)}")
+    slope = "nan" if table.slope is None else fmt(table.slope)
+    resid = "nan" if table.fit_residual is None else fmt(table.fit_residual)
+    lines.append(f"# slope={slope} fit_residual={resid}")
+    if table.slope is None:
+        lines.append("# slope undefined: fewer than two usable points")
+    if table.dropped_largest:
+        lines.append("# largest epsilon dropped from fit (pre-asymptotic)")
+    return "\n".join(lines) + "\n"
+
+
+def test_small_tables_match_per_value_format(tmp_path):
+    # distance.csv, jump_report.csv and rate.csv (a failed rung included)
+    # go through the block writer; integers below 2^53 print as their
+    # digits, and -0.0, NaN, inf and the subnormals keep their own text
+    specials = [-0.0, 5e-324, 1e300, -1e-300, 0.0, 1.0 / 3.0, np.nan, -np.inf, 2.5e-7]
+    rng = np.random.default_rng(11)
+    values = specials + list(rng.standard_normal(7) * 10.0 ** rng.uniform(-20, 20, 7))
+    path = tmp_path / "t.csv"
+
+    distances = [{"component": k + 1, "lmp1": a, "sup": b}
+                 for k, (a, b) in enumerate(zip(values, values[::-1]))]
+    write_distance_csv(path, distances)
+    assert path.read_text() == "comp,lmp1_dist,sup_dist\n" + "".join(
+        f"{d['component']},{fmt(d['lmp1'])},{fmt(d['sup'])}\n" for d in distances)
+
+    counts = [0, 1, 7, 4096, 2**53 - 1]
+    reports = {(i, j): analysis.JumpPairReport((i, j), counts[i], counts[j - 1],
+                                               values[i + j], values[-i - j])
+               for i in range(1, 5) for j in range(i + 1, 6)}
+    write_jump_report(path, reports)
+    assert path.read_text() == "pair_i,pair_j,edges,skipped,max_balance,max_transfer\n" + "".join(
+        f"{i},{j},{r.edges},{r.skipped},{fmt(r.max_balance)},{fmt(r.max_transfer)}\n"
+        for (i, j), r in sorted(reports.items()))
+
+    m = 4
+    rows = [analysis.RateRow(1e-2, tuple(values[:m]), tuple(values[m:2 * m])),
+            analysis.RateRow(1.0 / 3e3, None, None, True, "Newton not converged"),
+            analysis.RateRow(1e-4, tuple(values[-m:]), tuple(values[2 * m:3 * m]))]
+    for table in (analysis.RateTable(rows, -1.0 / 3.0, 5e-324, True),
+                  analysis.RateTable(rows[1:2], None, None)):
+        write_rate_csv(path, table)
+        assert path.read_text() == rate_csv_oracle(table)
+
+
 def scaled_config(tmp_path, name, factor, n=None):
     """The shipped config ``name`` with every boundary expression multiplied
     by ``factor`` and, unless None, ``n`` nodes per axis."""
@@ -508,21 +570,26 @@ def test_segregation_violation_at_any_scale(tmp_path, capsys, factor):
     assert "relative product prod(u_k / M) = 0.001," in err
 
 
-@pytest.mark.parametrize("weight,rc", [(1e-310, EXIT_CONFIG), (1e-300, EXIT_OK)])
+@pytest.mark.parametrize("weight,rc", [(1e-310, EXIT_CONFIG), (1e-304, EXIT_CONFIG),
+                                       (1e-303, EXIT_OK), (1e-300, EXIT_OK)])
 def test_weight_too_small_for_the_data(tmp_path, capsys, weight, rc):
-    # the limit divides the data by the weights: a weight under which the
-    # largest datum divided by it is not a finite float is refused before
-    # any solve, and one just above it runs
+    # the limit divides the data by the weights and the grid Laplacian
+    # multiplies the quotient by up to 4 sum_k 1/h_k^2 = 1.6e5 at n=201: a
+    # weight under which the largest datum divided by it, times that, is not
+    # a finite float is refused before any solve, and one just above it runs
+    # without an overflow
     text = config_path("line_m2").read_text().replace("A = [1, 1]", f"A = [{weight!r}, {weight!r}]")
     p = tmp_path / "weights.cfg"
     p.write_text(re.sub(r"^n = .*$", "n = 201", text, flags=re.MULTILINE))
-    for sub in ("validate", "limit", "interfaces", "solve", "compare"):
-        assert main([sub, str(p), "--out", str(tmp_path / sub)]) == rc
+    for sub in ("validate", "limit", "interfaces", "solve", "compare", "rate"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([sub, str(p), "--out", str(tmp_path / sub)]) == rc
         err = capsys.readouterr().err
         if rc == EXIT_CONFIG:
             for i in (1, 2):
-                assert (f"config error: A_{i} = 1e-310: M/A_{i} is not a finite float, "
-                        "with M = 1 the largest boundary value") in err
+                assert (f"config error: A_{i} = {weight:g}: (M/A_{i}) 4 sum_k 1/h_k^2 is not a "
+                        "finite float, with M = 1 the largest boundary value and h = 0.005") in err
 
 
 def test_internal_error_exit_4(tmp_path, monkeypatch, capsys):
@@ -842,6 +909,11 @@ def test_config_flag_form(tmp_path, capsys):
     ["rate", "--stop", "nan"],
     ["rate", "--count", "0"],
     ["rate", "--start", "1e-6", "--stop", "1e-2"],
+    # floats whose reciprocal overflows
+    ["solve", "--epsilon", "5e-309"],
+    ["compare", "--epsilon", "1e-310"],
+    ["rate", "--stop", "1e-310"],
+    ["rate", "--start", "2e-310", "--stop", "1e-310"],
 ])
 def test_bad_flag_value_exit_2(tmp_path, capsys, argv):
     # a bad value is neither swapped for the default nor left to fail inside
@@ -853,6 +925,15 @@ def test_bad_flag_value_exit_2(tmp_path, capsys, argv):
     assert f"config error: {flag}:" in err
     assert "internal error" not in err
     assert not out.exists()
+
+
+def test_smallest_epsilon_with_a_finite_reciprocal_runs(tmp_path):
+    # 1/1e-308 is a finite float, so the solve runs, without an overflow
+    p = make_cfg(tmp_path)
+    for sub in ("solve", "compare"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([sub, str(p), "--epsilon", "1e-308", "--out", str(tmp_path / sub)]) == EXIT_OK
 
 
 @pytest.mark.parametrize("sub", ["validate", "solve", "limit", "compare", "rate", "interfaces"])
@@ -885,6 +966,10 @@ def test_out_not_a_directory_exit_2(tmp_path, monkeypatch, capsys, sub):
     ("solver", "max_sweeps = 0"),
     ("system", "A = [inf, inf]"),
     ("system", "alpha = [1, nan]"),
+    # floats whose reciprocal overflows
+    ("system", "epsilon = 5e-309"),
+    ("solver", "tol_fp = 1e-310"),
+    ("solver", "tol_linear = 1e-310"),
 ])
 def test_bad_config_value_exit_2(tmp_path, capsys, section, line):
     key = line.split()[0]

@@ -252,6 +252,8 @@ def test_newton_stall_raises_early(configs):
 def test_invalid_arguments(g101):
     with pytest.raises(ValueError):
         solve_epsilon(g101, M2, 0.0)
+    with pytest.raises(ValueError, match="finite reciprocal"):
+        solve_epsilon(g101, M2, 5e-309)
     with pytest.raises(ValueError):
         solve_epsilon(g101, M2, 1e-4, tol_fp=0.0)
 
