@@ -20,15 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic_core import DEFAULT_TOL, ScalarField, apply_laplacian
+from .elliptic_core import DEFAULT_TOL, LinearSolveStats, ScalarField, apply_laplacian
 from .epsilon_solver import DEFAULT_MAX_SWEEPS, DEFAULT_TOL_FP, SolveResult, solve_epsilon
 from .errors import SolverError
 from .geometry import Grid
 from .limit_solver import LimitResult
 from .problem_data import ProblemData
-
-# pre-asymptotic pollution guard for the rate fit
-RATE_FIT_RESIDUAL_CAP = 0.05
 
 
 def default_zero_threshold(g: Grid, scale: float, tol_linear: float = DEFAULT_TOL) -> float:
@@ -264,11 +261,22 @@ def jump_condition_check(L: LimitResult, I: InterfaceSet) -> dict[tuple[int, int
 
 @dataclass
 class RateRow:
+    """One rung of the ladder: the distances of its solve to the limit and
+    the solve's steps, last measure, stop and linear solves (as in
+    ``SolveResult``), or the message of the ``SolverError`` that failed it."""
+
     epsilon: float
-    lmp1: tuple[float, ...] | None  # per-component L^{m+1} distance; None on failure
-    sup: tuple[float, ...] | None
-    failed: bool = False
-    message: str | None = None  # the SolverError of a failed solve
+    lmp1: tuple[float, ...] | None = None  # per-component L^{m+1} distance
+    sup: tuple[float, ...] | None = None
+    sweeps: int = 0
+    gap: float | None = None
+    stop: str | None = None
+    linear_stats: list[LinearSolveStats] = field(default_factory=list)
+    message: str | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.message is not None
 
 
 @dataclass
@@ -276,15 +284,8 @@ class RateTable:
     rows: list[RateRow]
     slope: float | None
     fit_residual: float | None
-    dropped_largest: bool = False
-
-
-def _fit_loglog(eps: list[float], dist: list[float]):
-    x = np.log10(eps)
-    y = np.log10(dist)
-    coef = np.polyfit(x, y, 1)
-    resid = y - np.polyval(coef, x)
-    return float(coef[0]), float(np.sqrt(np.mean(resid**2)))
+    # the slope between each two consecutive rungs of the fit
+    local_slopes: list[float] = field(default_factory=list)
 
 
 def rate_study(
@@ -296,15 +297,17 @@ def rate_study(
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     tol_linear: float = DEFAULT_TOL,
 ) -> RateTable:
-    """Distance-to-limit table over a decreasing epsilon ladder with a
-    log-log slope fit for the limit's pivot component.
+    """Distance-to-limit table over a decreasing epsilon ladder, with the
+    log-log slope of the limit's pivot component.
 
     Every eps-solve starts from ``limit`` and runs on its harmonic fields,
     so the ladder makes no harmonic solve of its own.  A solve that fails
     gives a failed row that keeps the ``SolverError`` message.
 
-    The largest epsilon is dropped and the fit redone when the fit residual
-    exceeds the pre-asymptotic cap; single-row tables carry no slope.
+    The rungs whose pivot distance is positive are fitted once by least
+    squares, with the root-mean-square residual of the fit, and the slope
+    between each two consecutive ones is reported beside it; with fewer
+    than two such rungs there is no slope.
     """
     eps_list = [float(e) for e in eps_list]
     if not all(e > 0 and 1 / e < math.inf for e in eps_list):
@@ -316,22 +319,21 @@ def rate_study(
         try:
             r = solve_epsilon(g, data, eps, tol_fp, max_sweeps, tol_linear, limit=limit)
         except SolverError as exc:
-            return RateRow(eps, None, None, True, str(exc))
+            return RateRow(eps, message=str(exc))
         dist = solve_vs_limit_distances(r, limit)
-        return RateRow(eps, tuple(d["lmp1"] for d in dist), tuple(d["sup"] for d in dist))
+        return RateRow(eps, tuple(d["lmp1"] for d in dist), tuple(d["sup"] for d in dist),
+                       r.sweeps, r.gap, r.stop, r.linear_stats)
 
     rows = [run(e) for e in eps_list]
 
     k = limit.pivot - 1
     pts = [(r.epsilon, r.lmp1[k]) for r in rows if not r.failed and r.lmp1[k] > 0]
-    slope = resid = None
-    dropped = False
-    if len(pts) >= 2:
-        slope, resid = _fit_loglog([p[0] for p in pts], [p[1] for p in pts])
-        if resid > RATE_FIT_RESIDUAL_CAP and len(pts) >= 3:
-            slope, resid = _fit_loglog([p[0] for p in pts[1:]], [p[1] for p in pts[1:]])
-            dropped = True
-    return RateTable(rows, slope, resid, dropped)
+    if len(pts) < 2:
+        return RateTable(rows, None, None)
+    x, y = np.log10(pts).T
+    coef = np.polyfit(x, y, 1)
+    resid = float(np.sqrt(np.mean((y - np.polyval(coef, x)) ** 2)))
+    return RateTable(rows, float(coef[0]), resid, (np.diff(y) / np.diff(x)).tolist())
 
 
 def solve_vs_limit_distances(r: SolveResult, limit: LimitResult) -> list[dict]:

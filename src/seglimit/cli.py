@@ -336,8 +336,6 @@ def write_rate_csv(path: Path, table: analysis.RateTable) -> None:
         fh.write(f"# slope={slope} fit_residual={resid}\n")
         if table.slope is None:
             fh.write("# slope undefined: fewer than two usable points\n")
-        if table.dropped_largest:
-            fh.write("# largest epsilon dropped from fit (pre-asymptotic)\n")
 
 
 def write_distance_csv(path: Path, distances: list[dict]) -> None:
@@ -420,32 +418,37 @@ def cmd_validate(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> d
     return {"valid": True}
 
 
-def _solve(cfg: SystemConfig, args: argparse.Namespace, w: RunWriter, limit=None):
-    """The eps solve at ``--epsilon`` (default: the config's), recorded as
-    the manifest's ``solve`` stage."""
-    r = epsilon_solver.solve_epsilon(
-        cfg.grid, cfg.data, cfg.epsilon if args.epsilon is None else args.epsilon,
-        cfg.tol_fp, cfg.max_sweeps, cfg.tol_linear, limit=limit,
-    )
-    w.stages["solve"] = {
+def _solve_record(r) -> dict:
+    """The manifest record of an eps solve, a ``SolveResult`` or a solved
+    ``analysis.RateRow``."""
+    return {
         "epsilon": r.epsilon, "sweeps": r.sweeps, "gap": r.gap,
         # the certificate bounds the fields' error; the update rule gives none
         "stop": r.stop, "error_bound": r.gap if r.stop == "certified" else None,
         "linear": _stats_summary(r.linear_stats),
     }
+
+
+def _solve(cfg: SystemConfig, args: argparse.Namespace, w: RunWriter, limit):
+    """The eps solve at ``--epsilon`` (default: the config's) from
+    ``limit``, recorded as the manifest's ``solve`` stage."""
+    r = epsilon_solver.solve_epsilon(
+        cfg.grid, cfg.data, cfg.epsilon if args.epsilon is None else args.epsilon,
+        cfg.tol_fp, cfg.max_sweeps, cfg.tol_linear, limit=limit,
+    )
+    w.stages["solve"] = _solve_record(r)
     return r
 
 
 def cmd_solve(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict:
-    r = _solve(cfg, args, w)
+    r = _solve(cfg, args, w, _build_limit(cfg, w, 1))
     write_fields_csv(w.path("solve_fields.csv"), cfg.grid, r.fields)
     return {}
 
 
-def _build_limit(cfg: SystemConfig, args: argparse.Namespace, w: RunWriter):
-    """The limit on pivot ``--pivot``, recorded as the manifest's ``limit``
-    stage."""
-    L = limit_solver.solve_limit(cfg.grid, cfg.data, args.pivot, cfg.tol_linear)
+def _build_limit(cfg: SystemConfig, w: RunWriter, pivot: int):
+    """The limit on ``pivot``, recorded as the manifest's ``limit`` stage."""
+    L = limit_solver.solve_limit(cfg.grid, cfg.data, pivot, cfg.tol_linear)
     w.stages["limit"] = {"pivot": L.pivot, "linear": _stats_summary(L.linear_stats)}
     return L
 
@@ -460,7 +463,7 @@ def _interfaces(L, w: RunWriter) -> analysis.InterfaceSet:
 
 
 def cmd_limit(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict:
-    L = _build_limit(cfg, args, w)
+    L = _build_limit(cfg, w, args.pivot)
     write_fields_csv(w.path("limit_fields.csv"), cfg.grid, L.fields)
     _interfaces(L, w)
     return {}
@@ -468,8 +471,8 @@ def cmd_limit(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict
 
 def cmd_compare(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict:
     g = cfg.grid
-    L = _build_limit(cfg, args, w)
-    r = _solve(cfg, args, w, limit=L)
+    L = _build_limit(cfg, w, args.pivot)
+    r = _solve(cfg, args, w, L)
     write_fields_csv(w.path("solve_fields.csv"), g, r.fields)
     write_fields_csv(w.path("limit_fields.csv"), g, L.fields)
     write_distance_csv(w.path("distance.csv"), analysis.solve_vs_limit_distances(r, L))
@@ -477,22 +480,22 @@ def cmd_compare(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> di
 
 
 def cmd_rate(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict:
-    L = _build_limit(cfg, args, w)
+    L = _build_limit(cfg, w, args.pivot)
     table = analysis.rate_study(
         cfg.grid, cfg.data, list(np.geomspace(args.start, args.stop, args.count)), L,
         tol_fp=cfg.tol_fp, max_sweeps=cfg.max_sweeps, tol_linear=cfg.tol_linear,
     )
     w.stages["rate"] = {"slope": table.slope, "fit_residual": table.fit_residual,
-                        "dropped_largest": table.dropped_largest,
-                        "failures": [{"epsilon": row.epsilon, "message": row.message}
-                                     for row in table.rows if row.failed]}
+                        "local_slopes": table.local_slopes,
+                        "rungs": [{"epsilon": row.epsilon, "message": row.message} if row.failed
+                                  else _solve_record(row) for row in table.rows]}
     write_rate_csv(w.path("rate.csv"), table)
     return {}
 
 
 def cmd_interfaces(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict:
     g = cfg.grid
-    L = _build_limit(cfg, args, w)
+    L = _build_limit(cfg, w, args.pivot)
     iset = _interfaces(L, w)
     write_jump_report(w.path("jump_report.csv"), analysis.jump_condition_check(L, iset))
     measures = tuple(analysis.laplacian_measure(f) for f in L.fields)

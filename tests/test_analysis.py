@@ -365,9 +365,14 @@ def test_rate_study_slope_and_failures(g401, limit_m3):
     # sup distances shrink along the ladder
     sups = [r.sup[0] for r in t.rows]
     assert sups[-1] < sups[0]
+    # one slope per decade between the pivot's L^3 distances; every rung
+    # keeps its solve's steps, stop and linear solves
+    lmp1 = [r.lmp1[0] for r in t.rows]
+    assert t.local_slopes == pytest.approx(-np.diff(np.log10(lmp1)), rel=1e-12)
+    assert all(r.stop == "certified" and len(r.linear_stats) == r.sweeps > 0 for r in t.rows)
 
     single = rate_study(g401, M2, [1e-2], limit2)
-    assert single.slope is None
+    assert single.slope is None and single.local_slopes == []
 
     capped = rate_study(g401, M2, [1e-4], limit2, max_sweeps=2)
     assert capped.rows[0].failed

@@ -10,8 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from seglimit import (
     DomainSpec,
@@ -367,13 +365,13 @@ def test_config_error_messages(tmp_path, capsys, name, edits, message):
 def test_direct_solve_limit_exit_3(tmp_path, monkeypatch, capsys):
     # a disk at n = 11 has 69 unknowns, whose harmonic batch SuperLU
     # factorizes; above the limit the solve is refused, not iterated, and
-    # refused before any ordering work
+    # refused before the red-black reduction, which orders and factorizes,
+    # is built
     def forbidden(*args, **kwargs):
-        raise AssertionError("factorization or ordering above the direct-solve limit")
+        raise AssertionError("red-black reduction above the direct-solve limit")
 
     monkeypatch.setattr(elliptic_core, "DIRECT_SOLVE_LIMIT", 20)
-    monkeypatch.setattr(spla, "splu", forbidden)
-    monkeypatch.setattr(spla, "spilu", forbidden)
+    monkeypatch.setattr(elliptic_core, "_RedBlack", forbidden)
     p = tmp_path / "disk.cfg"
     p.write_text(re.sub(r"^n = .*$", "n = 11", config_path("disk_m3").read_text(), flags=re.MULTILINE))
     rc = main(["limit", str(p), "--out", str(tmp_path / "o")])
@@ -488,8 +486,6 @@ def rate_csv_oracle(table) -> str:
     lines.append(f"# slope={slope} fit_residual={resid}")
     if table.slope is None:
         lines.append("# slope undefined: fewer than two usable points")
-    if table.dropped_largest:
-        lines.append("# largest epsilon dropped from fit (pre-asymptotic)")
     return "\n".join(lines) + "\n"
 
 
@@ -519,9 +515,9 @@ def test_small_tables_match_per_value_format(tmp_path):
 
     m = 4
     rows = [analysis.RateRow(1e-2, tuple(values[:m]), tuple(values[m:2 * m])),
-            analysis.RateRow(1.0 / 3e3, None, None, True, "Newton not converged"),
+            analysis.RateRow(1.0 / 3e3, message="Newton not converged"),
             analysis.RateRow(1e-4, tuple(values[-m:]), tuple(values[2 * m:3 * m]))]
-    for table in (analysis.RateTable(rows, -1.0 / 3.0, 5e-324, True),
+    for table in (analysis.RateTable(rows, -1.0 / 3.0, 5e-324),
                   analysis.RateTable(rows[1:2], None, None)):
         write_rate_csv(path, table)
         assert path.read_text() == rate_csv_oracle(table)
@@ -640,23 +636,25 @@ def test_every_run_records_its_grid(tmp_path, argv):
 
 
 def test_limit_stage_recorded_by_every_limit_build(tmp_path):
-    # limit, compare and interfaces build the same limit and record the
-    # same stage, with the certified error bound of its harmonic solves
+    # every subcommand that builds the limit records the same stage, with
+    # the certified error bound of its harmonic solves
     stages = []
-    for sub in ("limit", "compare", "interfaces"):
+    for sub in ("limit", "solve", "compare", "rate", "interfaces"):
         out = tmp_path / sub
         assert main([sub, LINE_M2, "--out", str(out)]) == EXIT_OK
         stages.append(manifest_of(out)["stages"]["limit"])
-    assert stages[0] == stages[1] == stages[2]
+    assert all(stage == stages[0] for stage in stages)
     assert stages[0]["pivot"] == 1
     linear = stages[0]["linear"]
     assert linear["solves"] == 1 and linear["kernels"] == {"tridiagonal": 1}
     assert linear["max_residual"] <= 1e-10
     assert 0.0 < linear["max_error_bound"] < 1e-6
-    # compare's Newton solves carry their bound too, one solve per step
-    solve = manifest_of(tmp_path / "compare")["stages"]["solve"]
-    assert solve["linear"]["solves"] == solve["sweeps"]
-    assert 0.0 < solve["linear"]["max_error_bound"] < 1e-6
+    # the Newton solves of solve and compare carry their bound too, one
+    # solve per step: the harmonic batch is the limit's alone
+    for sub in ("solve", "compare"):
+        solve = manifest_of(tmp_path / sub)["stages"]["solve"]
+        assert solve["linear"]["solves"] == solve["sweeps"]
+        assert 0.0 < solve["linear"]["max_error_bound"] < 1e-6
 
 
 def test_compare_unequal_weights_converges_to_limit(tmp_path):
@@ -711,68 +709,72 @@ def test_rate_subcommand(tmp_path):
     assert manifest_of(out)["stages"]["rate"]["slope"] is not None
 
 
-def test_rate_refits_without_the_largest_epsilon(tmp_path):
-    # from eps = 1 the fit over all five rungs is polluted by the largest,
-    # above RATE_FIT_RESIDUAL_CAP, so the slope is refitted on the other four
+def test_rate_fits_every_rung_once(tmp_path):
+    # from eps = 1 the largest rungs are pre-asymptotic: the one fit over
+    # all five keeps them, and the local slopes show where the rate settles
     out = tmp_path / "out"
     assert main(["rate", LINE_M2, "--out", str(out), "--start", "1", "--stop", "1e-4"]) == EXIT_OK
     lines = (out / "rate.csv").read_text().splitlines()
     rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:] if not ln.startswith("#")])
     pivot = rows[rows[:, 1] == 1]
     x, y = np.log10(pivot[:, 0]), np.log10(pivot[:, 2])
-
-    def fit(x, y):
-        coef = np.polyfit(x, y, 1)
-        return coef[0], np.sqrt(np.mean((y - np.polyval(coef, x)) ** 2))
-
-    assert fit(x, y)[1] > analysis.RATE_FIT_RESIDUAL_CAP
-    slope, resid = fit(x[1:], y[1:])
+    coef = np.polyfit(x, y, 1)
     stage = manifest_of(out)["stages"]["rate"]
-    assert stage["dropped_largest"] is True
-    assert stage["slope"] == pytest.approx(slope, rel=1e-12)
-    assert stage["fit_residual"] == pytest.approx(resid, rel=1e-9)
-    assert lines[-2] == f"# slope={stage['slope']:.17g} fit_residual={stage['fit_residual']:.17g}"
-    assert lines[-1] == "# largest epsilon dropped from fit (pre-asymptotic)"
+    assert stage["slope"] == pytest.approx(coef[0], rel=1e-12)
+    assert stage["fit_residual"] == pytest.approx(
+        np.sqrt(np.mean((y - np.polyval(coef, x)) ** 2)), rel=1e-9)
+    assert stage["local_slopes"] == pytest.approx(np.diff(y) / np.diff(x), rel=1e-12)
+    assert round(stage["slope"], 4) == 0.3633 and round(stage["fit_residual"], 4) == 0.0865
+    assert [round(s, 4) for s in stage["local_slopes"]] == [0.1441, 0.3749, 0.4437, 0.4444]
+    assert lines[-1] == f"# slope={stage['slope']:.17g} fit_residual={stage['fit_residual']:.17g}"
+    assert set(stage) == {"slope", "fit_residual", "local_slopes", "rungs"}
 
 
-def counted_factorizations(monkeypatch) -> list:
-    """Patch SuperLU and LAPACK's tridiagonal factorization to record the
-    name of each factorization."""
-    calls = []
-    for module, name in ((spla, "splu"), (lapack, "dpttrf")):
-        def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counting)
-    return calls
+def assert_one_factorization_per_step(limit: dict, solves: list[dict]) -> None:
+    """On an interval the limit's harmonic batch factorizes once and every
+    Newton step of each solve once, all on the tridiagonal kernel."""
+    assert limit["linear"]["factorizations"] == 1
+    assert set(limit["linear"]["kernels"]) == {"tridiagonal"}
+    for solve in solves:
+        linear = solve["linear"]
+        assert linear["factorizations"] == linear["solves"] == solve["sweeps"] > 0
+        assert linear["kernels"] == {"tridiagonal": solve["sweeps"]}
 
 
 @pytest.mark.parametrize("pivot", ["1", "3"])
-def test_compare_factorizes_once_per_newton_step(tmp_path, monkeypatch, pivot):
+def test_compare_factorizes_once_per_newton_step(tmp_path, pivot):
     # the limit's harmonic batch is the only harmonic factorization: Newton
-    # starts from that limit and runs on its fields and pivot; on an
-    # interval every factorization is tridiagonal
-    calls = counted_factorizations(monkeypatch)
+    # starts from that limit and runs on its fields and pivot
     out = tmp_path / "out"
     assert main(["compare", LINE_M3, "--out", str(out), "--pivot", pivot]) == EXIT_OK
-    assert calls == ["dpttrf"] * (1 + manifest_of(out)["stages"]["solve"]["sweeps"])
+    stages = manifest_of(out)["stages"]
+    assert_one_factorization_per_step(stages["limit"], [stages["solve"]])
 
 
-def test_rate_factorizes_once_per_newton_step(tmp_path, monkeypatch):
-    calls = counted_factorizations(monkeypatch)
-    steps = []
-    solve_epsilon = analysis.solve_epsilon
+def test_rate_factorizes_once_per_newton_step(tmp_path):
+    out = tmp_path / "out"
+    assert main(["rate", LINE_M3, "--out", str(out)]) == EXIT_OK
+    stages = manifest_of(out)["stages"]
+    assert len(stages["rate"]["rungs"]) == 5
+    assert_one_factorization_per_step(stages["limit"], stages["rate"]["rungs"])
 
-    def recording(*args, **kwargs):
-        r = solve_epsilon(*args, **kwargs)
-        steps.append(r.sweeps)
-        return r
 
-    monkeypatch.setattr(analysis, "solve_epsilon", recording)
-    assert main(["rate", LINE_M3, "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert len(steps) == 5
-    assert calls == ["dpttrf"] * (1 + sum(steps))
+@pytest.mark.parametrize("name", ["line_m3", "square_m4"])
+def test_rate_rung_records_the_solve_of_compare(tmp_path, name):
+    # a rung is the solve compare makes at its epsilon from the same limit,
+    # and its record is the one compare writes; square_m4, at n = 41,
+    # factorizes with SuperLU and takes chord steps
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(config_path(name).read_text().replace("n = 201", "n = 41"))
+    compare, rate = tmp_path / "compare", tmp_path / "rate"
+    assert main(["compare", str(cfg), "--out", str(compare), "--epsilon", "1e-4"]) == EXIT_OK
+    assert main(["rate", str(cfg), "--out", str(rate), "--start", "1e-4",
+                 "--stop", "1e-5", "--count", "2"]) == EXIT_OK
+    solve = manifest_of(compare)["stages"]["solve"]
+    rungs = manifest_of(rate)["stages"]["rate"]["rungs"]
+    assert len(rungs) == 2 and rungs[0] == solve
+    if name == "square_m4":
+        assert 2 <= solve["linear"]["factorizations"] < solve["linear"]["solves"]
 
 
 def test_manifest_counts_solves_per_kernel(tmp_path):
@@ -823,10 +825,11 @@ def test_rate_keeps_why_a_rung_failed(tmp_path):
     out = tmp_path / "out"
     cfg = make_cfg(tmp_path, solver="max_sweeps = 1")
     assert main(["rate", str(cfg), "--out", str(out), "--count", "3"]) == EXIT_OK
-    failures = manifest_of(out)["stages"]["rate"]["failures"]
-    assert [f["epsilon"] for f in failures] == [1e-2, 1e-4, 1e-6]
-    for f in failures:
-        assert f["message"].startswith("Newton not converged after 1 steps")
+    rungs = manifest_of(out)["stages"]["rate"]["rungs"]
+    assert [r["epsilon"] for r in rungs] == [1e-2, 1e-4, 1e-6]
+    for r in rungs:
+        assert set(r) == {"epsilon", "message"}
+        assert r["message"].startswith("Newton not converged after 1 steps")
     assert (out / "rate.csv").read_text().count("failed,failed") == 3
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -694,6 +695,32 @@ def test_box_grid_orders_in_first_screened_solve(monkeypatch, configs):
     assert [spec for spec, _ in factorizations] == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (steps - 1)
     solve_harmonic(g, cfg.data.boundary_arrays(g))
     assert len(factorizations) == steps
+
+
+@pytest.mark.parametrize("name", ["line_m3", "disk_m3", "square_m4"])
+def test_factorized_marks_every_factorization(monkeypatch, configs, name):
+    # the manifests count factorizations from LinearSolveStats.factorized:
+    # over a limit build and the eps solve from it, the solves marked
+    # factorized are the tridiagonal and SuperLU factorizations made; the
+    # rectangle's harmonic batch takes the sine transform and makes none,
+    # and a chord step reuses the factor of the step before it
+    calls = []
+    for module, fn in ((lapack, "dpttrf"), (spla, "splu")):
+        def counting(*args, _fn=fn, _real=getattr(module, fn), **kwargs):
+            calls.append(_fn)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, fn, counting)
+    cfg = configs[name]
+    g = build_grid(cfg.domain, 31)
+    L = solve_limit(g, cfg.data)
+    harmonic = sum(st.factorized for st in L.linear_stats)
+    assert len(calls) == harmonic == (0 if name == "square_m4" else 1)
+    r = solve_epsilon(g, cfg.data, 1e-4, limit=L)
+    steps = sum(st.factorized for st in r.linear_stats)
+    assert calls == ["dpttrf" if g.ndim == 1 else "splu"] * (harmonic + steps)
+    if g.ndim == 2:
+        assert 2 <= steps < r.sweeps
 
 
 def test_stored_ordering_owns_its_data(configs):
