@@ -12,8 +12,8 @@ a ``SolverError``; the sine and tridiagonal kernels take any size.
 
 The stencil is kept as arrays shaped like the grid (the interior mask and
 one constant coefficient per direction).  Right-hand sides, residuals and
-``apply_laplacian`` are sums of shifted slices of a grid array, and no
-solve builds the sparse Laplacian of the grid.
+``apply_laplacian`` are sums of shifted slices of a grid array; a sparse
+matrix is built only for SuperLU to factorize.
 
 Three kernels solve the systems, chosen by the grid
 (``LinearSolveStats.kernel`` names the one that ran):
@@ -31,30 +31,44 @@ Three kernels solve the systems, chosen by the grid
   of the odd extension) in each direction and a division by the
   eigenvalues (the classical fast Poisson solver; Lynch, Rice & Thomas
   1964; Buzbee, Golub & Nielson 1970).
-- ``superlu``, every other solve: the harmonic batch on a disk, and every
-  screened solve in 2D.  The red unknowns (ix + iy even) are eliminated
-  exactly, since the 5-point stencil couples them only to black ones, and
-  one sparse LU factorization of the Schur complement on the black
-  unknowns serves the call (``_RedBlack``).  It is freed when the call
-  returns, unless the caller holds it in a ``Factor`` for later screened
-  solves of the same matrix.
+- ``superlu``, every other solve: the harmonic batch on a 2D grid that is
+  not a box (every disk), and every screened solve in 2D.
+
+  The harmonic batch is solved one parity sector at a time
+  (``_sector_solve``).  Where a flip of an axis leaves the interior
+  unknowns in place (a disk has both), the Laplacian commutes with the
+  flip R, so it splits exactly into the even and the odd part of every
+  column, ``(b + s R b) / 2`` for s = +-1: two flips make four sectors, each
+  solved on the quadrant's unknowns alone (the classical symmetry
+  reduction; Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).  Each
+  sector's 5-point matrix is factorized by SuperLU, serves every column of
+  the batch, and is freed before the next sector's is made, so one factor
+  of a quarter of the unknowns is alive at a time.  A column whose fold is
+  rounding away from 0 or from another column's takes that part, so ties
+  that the flips make are exact (``_fold_sources``).
+
+  A screened solve eliminates the red unknowns (ix + iy even) exactly,
+  since the 5-point stencil couples them only to black ones, and one
+  sparse LU factorization of the Schur complement on the black unknowns
+  serves it (``_RedBlack``).  It is freed when the call returns, unless the
+  caller holds it in a ``Factor`` for later screened solves of the same
+  matrix.
 
 ``LinearSolveStats.factorized`` says whether a solve made the factor it
-ran on.
+ran on; a harmonic batch marks its first column, however many sectors it
+factorizes.
 
-The Schur complements of the harmonic and screened systems on one 2D grid
+The Schur complements of the screened systems on one 2D grid
 (``-Lap + diag(c)``, ``c >= 0``) are SPD M-matrices with a common sparsity
 pattern, so one fill-reducing ordering serves them all.  The grid takes it
-from its first SuperLU factorization, whichever kind that is (a harmonic
-batch on a disk, or the first screened solve): that factorization runs
-SuperLU's minimum degree on S^T + S in symmetric mode on the black
-unknowns in grid order, so one SuperLU call both orders and factorizes.
-The grid keeps that ordering (a copy: ``SuperLU.perm_c`` is a view that
-keeps the whole factor alive) and builds from it, on the next screened
-solve, the pattern of S permuted by it.  Every later screened
-factorization gathers its values into that pattern and runs SuperLU in
-symmetric mode with diagonal pivots and no ordering of its own; a
-harmonic batch always orders its own factorization.
+from its first screened factorization: that factorization runs SuperLU's
+minimum degree on S^T + S in symmetric mode on the black unknowns in grid
+order, so one SuperLU call both orders and factorizes.  The grid keeps
+that ordering (a copy: ``SuperLU.perm_c`` is a view that keeps the whole
+factor alive) and builds from it, on the next screened solve, the pattern
+of S permuted by it.  Every later screened factorization gathers its
+values into that pattern and runs SuperLU in symmetric mode with diagonal
+pivots and no ordering of its own.
 """
 
 from __future__ import annotations
@@ -123,8 +137,8 @@ class _GridOperator:
     sine-transform eigenvalues on a box grid and the tridiagonal's
     off-diagonal on an interval grid.  Right-hand sides, residuals
     and ``apply_laplacian`` are sums of shifted slices of a grid array.  The
-    red-black reduction of a 2D grid's SuperLU systems is built from the
-    same arrays when SuperLU first needs it."""
+    red-black reduction of a 2D grid's screened systems is built from the
+    same arrays when a screened solve first needs it."""
 
     def __init__(self, g: Grid):
         # holds no reference to g: the cache below is keyed weakly by it
@@ -294,9 +308,189 @@ def _box_solve(denominators: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _dst1(_dst1(t.T).T).ravel()
 
 
+def _splu(A: sp.csc_matrix, permc_spec: str):
+    """SuperLU's factorization of ``A`` in symmetric mode with diagonal
+    pivots, ordered as ``permc_spec`` says."""
+    try:
+        return spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        # SuperLU reports a zero pivot (a NaN in c makes one) this way
+        raise SolverError(f"SuperLU factorization failed: {exc}") from None
+
+
+def _sector_axis(n: int, s: float | None) -> tuple[np.ndarray, ...]:
+    """Along one mask axis of n nodes, for a sector of sign ``s`` (None on
+    an axis whose flip is not used): which nodes it keeps as unknowns, the
+    node and the sign each node's value is read at, and each node's row
+    weight, 1/2 on the axis node 2i = n - 1 (the odd sector is 0 there)."""
+    i = np.arange(n)
+    ones = np.ones(n)
+    if s is None:
+        return ones.astype(bool), i, ones, ones
+    upper = 2 * i >= n - 1
+    on_axis = 2 * i == n - 1
+    keep = upper & ~(on_axis & (s < 0))
+    return keep, np.where(upper, i, n - 1 - i), np.where(upper, 1.0, s), np.where(on_axis, 0.5, 1.0)
+
+
+def _sector_solve(op: _GridOperator, columns: list[np.ndarray]) -> list[np.ndarray]:
+    """Solve ``laplacian x = b`` on a 2D grid for every column b, one parity
+    sector at a time.
+
+    Over the mask axes whose flip R_k leaves the interior unknowns in
+    place, each choice of signs s_k = +-1 is a sector.  The Laplacian
+    commutes with those flips, so it maps the columns folded onto a sector,
+    ``prod_k (I + s_k R_k) / 2`` b, which ``s_k R_k`` leaves unchanged, to
+    solutions that it leaves unchanged too, and the folds of all sectors
+    sum to b.  Such a vector is fixed by its values on the quadrant
+    ``2 i_k >= n_k - 1`` (less the axis node ``2 i_k = n_k - 1`` where
+    s_k = -1, as the vector is 0 there), where ``_sector_matrix`` gives the
+    system.  A column whose fold is rounding away from 0 or from another
+    column's takes that part (``_fold_sources``).  Each sector's matrix is
+    factorized by SuperLU if some column's fold is solved there, serves
+    those columns, and is freed before the next sector's is made.  Each
+    solution is the sum of its parts unfolded.  With no such axis, the one
+    sector is the whole system.
+    """
+    interior = op.interior
+    nx = interior.shape[1]
+    grids = np.zeros((len(columns), interior.size))
+    grids[:, op.interior_flat] = columns
+    grids = grids.reshape((len(columns),) + interior.shape)
+    xs = np.zeros((len(columns), op.n_unknowns))
+    gammas = [op.residual_rounding * float(np.abs(b).max(initial=0.0)) for b in columns]
+    # the signs of each mask axis, None where the flip is not used
+    sy_options, sx_options = ((1.0, -1.0) if np.array_equal(interior, np.flip(interior, k))
+                              else (None,) for k in range(2))
+    for signs in [(sy, sx) for sy in sy_options for sx in sx_options]:
+        (keep_y, from_y, sign_y, weight_y), (keep_x, from_x, sign_x, weight_x) = (
+            _sector_axis(n, s) for n, s in zip(interior.shape, signs)
+        )
+        # the sector's unknowns among the interior ones, in grid order, with
+        # their row weights; at every node, the node its value is read at
+        # and the sign
+        sel = (keep_y[:, None] & keep_x[None, :]).ravel()[op.interior_flat]
+        flat = op.interior_flat[sel]
+        weight = (weight_y[:, None] * weight_x[None, :]).ravel()[flat]
+        mirror = (from_y[:, None] * nx + from_x[None, :]).ravel()
+        sign = (sign_y[:, None] * sign_x[None, :]).ravel()
+        rhs = _fold(grids, signs).reshape(len(columns), -1)[:, flat]
+        source = _fold_sources(rhs, gammas)
+        if all(i != j for j, i in enumerate(source)):
+            continue
+        rhs *= weight
+        # the matrix is built in a call of its own, so that none of the
+        # arrays that build it is alive while SuperLU factorizes it, and
+        # the factor is freed when _add_parts returns, before the next
+        # sector's is made
+        _add_parts(xs, _splu(_sector_matrix(op, sel, flat, weight, mirror, sign), "MMD_AT_PLUS_A"),
+                   rhs, source, flat, mirror[op.interior_flat], sign[op.interior_flat], interior.size)
+    return list(xs)
+
+
+def _add_parts(xs: np.ndarray, lu, rhs: np.ndarray, source: list[int], flat: np.ndarray,
+               at_interior: np.ndarray, sign_interior: np.ndarray, size: int) -> None:
+    """Solve each column that ``source`` gives its own part on the sector
+    factor ``lu``, and add that part to every column of ``xs`` that takes
+    it.  ``flat`` numbers the sector's unknowns among the ``size`` grid
+    nodes; an interior unknown reads its part at the node
+    ``at_interior``, times ``sign_interior``."""
+    y = np.zeros(size)
+    # one column at a time, as ``_columnwise`` says why
+    for j in (j for j, i in enumerate(source) if i == j):
+        y[flat] = lu.solve(rhs[j])
+        part = sign_interior * y[at_interior]
+        for k, i in enumerate(source):
+            if i == j:
+                xs[k] += part
+
+
+def _fold_sources(folded: np.ndarray, gammas: list[float]) -> list[int]:
+    """Which part each column's fold onto one sector takes: -1 (the part
+    0) when the fold is within the column's rounding ``gammas[j]`` of 0,
+    else the first earlier column solved on the sector whose fold it is
+    within the larger of their roundings of, else its own number.
+
+    ``gammas[j]`` is gamma ||b_j||_inf, the rounding that the certified
+    bound charges to the residual.  Such a fold is 0, or the other
+    column's, up to the rounding of data that a flip leaves in place up to
+    sign, or that are another column's mirror image.  Taking that part
+    makes the ties such a symmetry makes exact, whatever the rounding of
+    the data: on ``disk_m3`` the limit's u_1 and u_2 both vanish on the
+    row y = 0, for every pivot.  So a column's field depends on the
+    earlier columns of its batch through such ties only.  The difference
+    stays in the residual that ``_solve_linear`` checks and bounds on the
+    full system."""
+    source: list[int] = []
+    for j, f in enumerate(folded):
+        if np.abs(f).max(initial=0.0) <= gammas[j]:
+            source.append(-1)
+            continue
+        source.append(next((i for i in range(j) if source[i] == i
+                            and np.abs(f - folded[i]).max() <= max(gammas[i], gammas[j])), j))
+    return source
+
+
+def _fold(grids: np.ndarray, signs: tuple) -> np.ndarray:
+    """``prod_k (I + s_k R_k) / 2`` applied to each of the stacked grid
+    arrays, over the axes k whose sign is not None.  Each axis adds a grid
+    to its flip, so data that the flip leaves in place fold to exactly 0
+    where s_k = -1."""
+    for k, s in enumerate(signs):
+        if s is not None:
+            # halved before the sum, which then cannot overflow
+            grids = 0.5 * grids
+            grids = grids + s * np.flip(grids, k + 1)
+    return grids
+
+
+def _sector_matrix(op: _GridOperator, sel: np.ndarray, flat: np.ndarray, weight: np.ndarray,
+                   mirror: np.ndarray, sign: np.ndarray) -> sp.csc_matrix:
+    """The symmetric 5-point matrix of one sector (see ``_sector_solve``)
+    on its unknowns ``flat`` (``sel`` marks them among the interior ones),
+    each row scaled by its ``weight``.  A stencil arm reads its node at
+    ``mirror``, times ``sign``.  For odd n_k the axis node's two arms
+    along k meet at one node, so that row has weight 1/2 (an exact
+    scaling, as is its right-hand side's), which keeps the matrix
+    symmetric; for even n_k the mirror of the node beside the axis is the
+    node itself, and that coupling lands on the diagonal."""
+    nx = op.interior.shape[1]
+    n = flat.size
+    own = np.arange(n, dtype=np.intc)
+    number = np.full(op.interior.size, -1, dtype=np.intc)
+    number[flat] = own
+    diag = weight * op.diag[sel]
+    # each stencil arm's column (-1 for none) and value, in stencil order
+    # -x, +x, -y, +y; an arm across an axis lands on the node itself or on
+    # the column of the opposite arm, and joins it
+    arms = []
+    for (dy, dx), (_, _, coef) in zip(op._steps, op._stencil):
+        q = flat + (dy * nx + dx)
+        col = number[mirror[q]]
+        val = -coef * weight * sign[q]
+        on_diag = col == own
+        diag = diag + np.where(on_diag, val, 0.0)
+        col[on_diag] = -1
+        arms.append((col, val))
+    for (col_lo, val_lo), (col_hi, val_hi) in (arms[:2], arms[2:]):
+        joined = (col_lo == col_hi) & (col_hi >= 0)
+        val_hi += np.where(joined, val_lo, 0.0)
+        col_lo[joined] = -1
+    # a symmetric matrix, whose rows are its columns; in grid order a row's
+    # entries are -y, -x, the node, +x, +y
+    (col_mx, val_mx), (col_px, val_px), (col_my, val_my), (col_py, val_py) = arms
+    cols = np.stack([col_my, col_mx, own, col_px, col_py], axis=1)
+    entry = cols >= 0
+    indptr = np.zeros(n + 1, dtype=np.intc)
+    np.cumsum(entry.sum(axis=1), out=indptr[1:])
+    vals = np.stack([val_my, val_mx, diag, val_px, val_py], axis=1)
+    return sp.csc_matrix((vals[entry], cols[entry], indptr), shape=(n, n))
+
+
 class _RedBlack:
-    """The red-black reduction of the SuperLU systems ``laplacian + diag(c)``
-    on one 2D grid.
+    """The red-black reduction of the screened systems
+    ``laplacian + diag(c)`` on one 2D grid.
 
     The interior unknowns are red where ix + iy is even and black where it
     is odd.  The 5-point stencil couples red unknowns only to black ones,
@@ -316,7 +510,7 @@ class _RedBlack:
     summed from ``1 / d_r`` by shifted slices; a pattern's ``gather`` picks
     them in CSC order.  The first factorization orders S itself, in grid
     order, and sets the grid's ordering; the pattern permuted by it is
-    built when a later screened factorization first needs it.
+    built when a later factorization first needs it.
     """
 
     def __init__(self, op: _GridOperator):
@@ -387,13 +581,13 @@ class _RedBlack:
         gather = key % n_offsets * size + np.repeat(flat, counts)
         return unknowns, flat, (key // n_offsets).astype(np.intc), indptr, gather
 
-    def factor(self, c: np.ndarray | None):
+    def factor(self, c: np.ndarray):
         """The solve of ``(laplacian + diag(c)) y = b`` in the original
-        order of the unknowns (``c`` None means 0), from one SuperLU
-        factorization of S unless S is empty."""
-        d_red = self.red_diag if c is None else self.red_diag + c[self.red_unknowns]
-        d_black = self.black_diag if c is None else self.black_diag + c[self.black_unknowns]
-        ordered = self.order is not None and c is not None
+        order of the unknowns, from one SuperLU factorization of S unless S
+        is empty."""
+        d_red = self.red_diag + c[self.red_unknowns]
+        d_black = self.black_diag + c[self.black_unknowns]
+        ordered = self.order is not None
         if ordered and self._ordered is None:
             self._ordered = self._pattern(self.order)
         unknowns, flat, indices, indptr, gather = self._ordered if ordered else self._natural
@@ -403,9 +597,8 @@ class _RedBlack:
                 (self._coefficients(d_red, d_black).ravel()[gather], indices, indptr),
                 shape=(self.n_black, self.n_black),
             )
-            lu = spla.splu(S, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-            if self.order is None:
+            lu = _splu(S, "NATURAL" if ordered else "MMD_AT_PLUS_A")
+            if not ordered:
                 # perm_c[j] is the new position of unknown j, so the order is
                 # its inverse; argsort makes a new array, where keeping perm_c
                 # itself (a view whose base is the SuperLU object) would keep
@@ -493,11 +686,14 @@ class Factor:
 
     An interval grid takes the tridiagonal LDL^T factorization
     (``_tridiagonal_solver``), the harmonic batch of a box grid the sine
-    transform (``_box_solve``), which factorizes nothing; every other
-    system one SuperLU factorization of its Schur complement on the black
-    unknowns (``_RedBlack``), whose solve also returns the red unknowns.
-    ``solve`` maps a right-hand side to the solution, both in the original
-    order of the unknowns.  A caller may hold one Factor across
+    transform (``_box_solve``), which factorizes nothing, and every other
+    harmonic batch in 2D one SuperLU factorization per parity sector
+    (``_sector_solve``), made one at a time while the batch is solved.  A
+    screened system in 2D takes one SuperLU factorization of its Schur
+    complement on the black unknowns (``_RedBlack``), whose solve also
+    returns the red unknowns.  ``solve`` maps a list of right-hand sides to
+    the list of their solutions, each in the original order of the
+    unknowns.  A caller may hold one Factor across
     ``solve_screened`` calls on a grid: a call with an equal ``c`` solves
     on the held factor, and a call with another ``c`` frees it before the
     new one is made, so the holder keeps at most one factor alive.
@@ -521,17 +717,19 @@ class Factor:
 
     def prepare(self, op: _GridOperator) -> bool:
         """Make the factor unless it is made; True when this call
-        factorized a matrix."""
+        factorized a matrix, or set up a batch that factorizes its sectors
+        as it solves."""
         if self.solve is not None:
             return False
         c = self.c
         if op.off_diagonal is not None:
             self.kernel = "tridiagonal"
-            self.solve = _tridiagonal_solver(op.diag if c is None else op.diag + c, op.off_diagonal)
+            self.solve = _columnwise(
+                _tridiagonal_solver(op.diag if c is None else op.diag + c, op.off_diagonal))
             return True
         if c is None and op.box_denominators is not None:
             self.kernel = "sine"
-            self.solve = functools.partial(_box_solve, op.box_denominators)
+            self.solve = _columnwise(functools.partial(_box_solve, op.box_denominators))
             return False
         n = op.n_unknowns
         if n > DIRECT_SOLVE_LIMIT:
@@ -539,12 +737,19 @@ class Factor:
                 f"{n} unknowns exceed the direct-solve limit of {DIRECT_SOLVE_LIMIT}"
             )
         self.kernel = "superlu"
-        try:
-            self.solve = op.red_black.factor(c)
-        except RuntimeError as exc:
-            # SuperLU reports a zero pivot (a NaN in c makes one) this way
-            raise SolverError(f"SuperLU factorization failed: {exc}") from None
+        if c is None:
+            self.solve = functools.partial(_sector_solve, op)
+        else:
+            self.solve = _columnwise(op.red_black.factor(c))
         return True
+
+
+def _columnwise(solve):
+    """The batch solve that applies the one-column ``solve`` to each
+    column: a multi-column triangular solve runs blocked BLAS kernels whose
+    rounding depends on the block width, so it would not reproduce a
+    single solve bit for bit."""
+    return lambda columns: [solve(b) for b in columns]
 
 
 def _solve_linear(op: _GridOperator, factor: Factor, rhs: list[np.ndarray], tol: float):
@@ -575,19 +780,17 @@ def _solve_linear(op: _GridOperator, factor: Factor, rhs: list[np.ndarray], tol:
         return xs, stats
     a_norm = float((op.row_sums if c is None else op.row_sums + c).max(initial=0.0))
     factorized = factor.prepare(op)
-    for k in live:
-        b, b_max, shift = rhs[k], b_maxes[k], 0
-        if b_max < _TINY_RHS:
-            # near the subnormals the solution and the residual underflow
-            # and lose their relative accuracy; solve b 2^shift instead,
-            # with max |b 2^shift| in [0.5, 1), and scale back.  Scaling by
-            # a power of two is exact, so the residual check is unchanged
-            shift = -math.frexp(b_max)[1]
-            b, b_max = np.ldexp(b, shift), math.ldexp(b_max, shift)
-        # one solve per column: a multi-column triangular solve runs blocked
-        # BLAS kernels whose rounding depends on the block width, so it
-        # would not reproduce a single solve bit for bit
-        y = factor.solve(b)
+    # near the subnormals the solution and the residual underflow and lose
+    # their relative accuracy; a column b with max |b| below _TINY_RHS is
+    # solved as b 2^shift, with max |b 2^shift| in [0.5, 1), and scaled
+    # back.  Scaling by a power of two is exact, so the residual check is
+    # unchanged
+    shifts = [-math.frexp(b_maxes[k])[1] if b_maxes[k] < _TINY_RHS else 0 for k in live]
+    scaled = [np.ldexp(rhs[k], shift) if shift else rhs[k] for k, shift in zip(live, shifts)]
+    # one call for the batch, so that a sector batch factorizes each sector
+    # once for all its columns
+    for k, shift, b, y in zip(live, shifts, scaled, factor.solve(scaled)):
+        b_max = math.ldexp(b_maxes[k], shift)
         r = op.residual(b, y, c)
         y_max = float(np.abs(y).max(initial=0.0))
         r_max = float(np.abs(r).max())
@@ -639,10 +842,13 @@ def solve_harmonic(g: Grid, boundary_values, tol: float = DEFAULT_TOL):
     """Discrete harmonic extensions of a batch of boundary data on one grid.
 
     ``boundary_values`` is a sequence of full-grid arrays or ScalarFields.
-    Returns ``(fields, stats)``, two lists in input order; one factorization
-    of the grid Laplacian serves the whole batch.  Boundary values are
-    matched exactly; the discrete maximum principle bounds each result by
-    its boundary extremes.
+    Returns ``(fields, stats)``, two lists in input order.  A box takes
+    the sine transform and factorizes nothing, an interval makes one
+    tridiagonal factorization, and any other 2D grid (every disk)
+    factorizes each parity sector once for all the columns
+    (``_sector_solve``).  Boundary values are matched exactly; the
+    discrete maximum principle bounds each result by its boundary
+    extremes.
     """
     op = grid_operator(g)
     bflats = [_boundary_flat(g, op, b) for b in boundary_values]

@@ -3,8 +3,9 @@
 Every grid is a uniform lattice on the domain's bounding box whose nodes
 are classified interior, boundary, or exterior.  Intervals and rectangles
 use all lattice nodes, the rim as boundary; disks are masked out of the
-box: interior nodes lie strictly inside the circle and off the lattice
-rim (a rim node that rounds to inside the circle is not interior), and
+box: interior nodes lie strictly inside the circle, measured from the
+lattice centre so that the mask is symmetric, and off the lattice rim (a
+rim node that rounds to inside the circle is not interior), and
 the boundary ring is the first layer of other nodes adjacent to an
 interior node (staircase approximation).  So every interior node has its
 whole stencil on the lattice and in the domain; ``Grid`` refuses a mask
@@ -185,9 +186,14 @@ def build_grid(domain: DomainSpec, n) -> Grid:
     if domain.kind != "disk":
         mask = np.where(rim, NodeClass.BOUNDARY, NodeClass.INTERIOR).astype(np.int8)
         return Grid(domain, dims, spacing, origin, mask)
-    X, Y = np.meshgrid(*axes)
+    # each node's offset to the lattice centre, (2i - (n - 1)) h/2: nodes i
+    # and n - 1 - i get offsets of equal magnitude in floating point, so the
+    # mask is invariant under both axis flips (and under the transpose when
+    # hx = hy), which splits the disk's harmonic batch into four parity
+    # sectors (``elliptic_core``)
+    dx, dy = ((2 * np.arange(c) - (c - 1)) * (h / 2) for h, c in zip(spacing, dims))
     # a rim node can round to inside, but has no neighbour beyond the rim
-    inside = ((X - cx) ** 2 + (Y - cy) ** 2 < r**2) & ~rim
+    inside = (dx[None, :] ** 2 + dy[:, None] ** 2 < r**2) & ~rim
     if not inside.any():
         raise ConfigError("degenerate disk: no interior nodes at this resolution")
     mask = np.full(rim.shape, NodeClass.EXTERIOR, dtype=np.int8)

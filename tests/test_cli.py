@@ -552,6 +552,24 @@ def test_interface_normals_scale_free(tmp_path, name, n):
     assert np.abs(unit[:, 2 + d:] - tiny[:, 2 + d:]).max() <= 1e-12
 
 
+def test_disk_interfaces_pivot_free(tmp_path):
+    # disk_m3's 1-2 interface lies on the row y = 0, a tie of the limit
+    # that the y-flip makes exact: u_1 and u_2 both vanish on that row for
+    # every pivot, however the data round, so every pivot writes the same
+    # edges, on both sides of the row
+    cfg = scaled_config(tmp_path, "disk_m3", 1.0, 81)
+    tables = []
+    for pivot in ("1", "2", "3"):
+        out = tmp_path / f"out-{pivot}"
+        assert main(["limit", str(cfg), "--pivot", pivot, "--out", str(out)]) == EXIT_OK
+        tables.append(np.loadtxt(out / "interfaces.csv", delimiter=",", skiprows=1))
+    for table in tables[1:]:
+        assert np.array_equal(table[:, :4], tables[0][:, :4])
+    y = tables[0][(tables[0][:, 0] == 1) & (tables[0][:, 1] == 2), 3]
+    h = 2.0 / 80
+    assert np.isclose(y, h / 2).sum() == np.isclose(y, -h / 2).sum() > 30
+
+
 @pytest.mark.parametrize("factor", [1.0, 1e-290, 1e-300, 1e-305, 1e-310])
 def test_segregation_violation_at_any_scale(tmp_path, capsys, factor):
     # component 2 is also 1e-3 at the left end; the check scales the data

@@ -239,23 +239,35 @@ def test_harmonic_batch_equals_single_solves(configs):
     # batching must not change a bit of any column, on the sine-transform
     # grid, the SuperLU one (a multi-column triangular solve on the shared
     # factor did, from the fourth column of a block) and the tridiagonal
-    # one; an all-zero column is solved without the kernel
+    # one; an all-zero column is solved without the kernel.  On the disk a
+    # column whose fold onto a sector ties an earlier column's up to
+    # rounding takes that part: disk_m3's phi_2 (phi_1's mirror image in
+    # y) and phi_1 - phi_3 (phi_3 is even in y) each tie phi_1 on two
+    # sectors.  Those two differ from their single solves by rounding, and
+    # no column depends on a later one
     for name in ("square_m4", "disk_m3", "line_m3"):
         g = configs[name].grid
         phi = configs[name].data.boundary_arrays(g)
         data = phi + [phi[0] - p for p in phi[1:]] + [np.zeros(g.mask.shape)]
         batch, batch_stats = solve_harmonic(g, data)
         assert len(batch) == len(batch_stats) == len(data)
-        for arr, f, st in zip(data, batch, batch_stats):
+        for k, (arr, f, st) in enumerate(zip(data, batch, batch_stats)):
             (single,), (single_st,) = solve_harmonic(g, [arr])
-            assert np.array_equal(f.values, single.values)
-            assert st == single_st
+            if name == "disk_m3" and k in (1, 4):
+                assert 0.0 < np.abs(f.values - single.values).max() <= 1e-15
+                fields, stats = solve_harmonic(g, data[: k + 1])
+                assert np.array_equal(f.values, fields[-1].values) and st == stats[-1]
+            else:
+                assert np.array_equal(f.values, single.values)
+                assert st == single_st
         assert np.all(batch[-1].values == 0.0)
         assert batch_stats[-1] == LinearSolveStats(0.0)
 
 
 def test_harmonic_batch_factorizes_once(monkeypatch):
-    # on a grid that is not a box the batch shares one factorization
+    # on a disk the batch factorizes each of its four parity sectors once,
+    # for all its columns, and marks one factorizing solve, its first
+    # column's; an all-zero batch factorizes nothing
     calls = []
     splu = spla.splu
 
@@ -265,13 +277,17 @@ def test_harmonic_batch_factorizes_once(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     g = build_grid(DomainSpec.disk(0.0, 0.0, 1.0), 21)
-    data = [boundary_array(g, lambda p, k=k: k + p.coord[0] ** 2) for k in range(4)]
+    # every parity of x and y has a part of these data, so that no
+    # sector's fold is rounding alone
+    data = [boundary_array(g, lambda p, k=k: k + (1 + p.coord[0]) ** 2 * (1 + p.coord[1]) ** 3)
+            for k in range(4)]
     fields, stats = solve_harmonic(g, data)
-    assert len(calls) == 1
+    assert len(calls) == 4
     assert len(fields) == len(stats) == 4
     assert all(s.kernel == "superlu" and s.residual <= DEFAULT_TOL for s in stats)
+    assert [s.factorized for s in stats] == [True, False, False, False]
     solve_harmonic(g, [np.zeros(g.mask.shape)] * 2)
-    assert len(calls) == 1
+    assert len(calls) == 4
 
 
 def test_harmonic_batch_residual_check(unit_square_21):
@@ -426,6 +442,22 @@ def black_unknowns(g):
     return (ix + iy) % 2 == 1
 
 
+def sector_sizes(g):
+    """The unknowns of each parity sector of a 2D grid's harmonic batch, in
+    the order it solves them: along each mask axis whose flip leaves the
+    interior mask in place, the even sector keeps the nodes with
+    2i >= n - 1 and the odd one those with 2i > n - 1."""
+    interior = g.interior()
+    halves = []
+    for axis, n in enumerate(interior.shape):
+        i = np.arange(n)
+        if np.array_equal(interior, np.flip(interior, axis)):
+            halves.append([2 * i >= n - 1, 2 * i > n - 1])
+        else:
+            halves.append([np.ones(n, dtype=bool)])
+    return [int(interior[np.ix_(ky, kx)].sum()) for ky in halves[0] for kx in halves[1]]
+
+
 def schur_complement(g, c=None):
     """``S = A_bb - A_br A_rr^{-1} A_rb`` of ``A = sparse_laplacian(g, c)``
     on the black unknowns in grid order, by sparse products."""
@@ -539,12 +571,15 @@ def _perturb_kernel_solves(monkeypatch, k):
         made = prepare(self, op)
         exact = self.solve
 
-        def solve(b):
-            y = np.array(exact(b), dtype=float)
-            delta = 1e-6 * np.abs(y).max()
-            y[k] += delta
-            seen.append((b, y, delta))
-            return y
+        def solve(columns):
+            ys = []
+            for b, y in zip(columns, exact(columns)):
+                y = np.array(y, dtype=float)
+                delta = 1e-6 * np.abs(y).max()
+                y[k] += delta
+                seen.append((b, y, delta))
+                ys.append(y)
+            return ys
 
         self.solve = solve
         return made
@@ -653,25 +688,32 @@ def counting_factorizations(monkeypatch) -> list:
 
 
 def test_one_ordering_per_grid(monkeypatch, configs):
-    # on a disk a limit build followed by Newton orders the grid's Schur
-    # complement once, in the harmonic factorization, and every screened
-    # factorization takes that ordering as given; a grid whose first solve
-    # is screened orders in that solve's factorization.  SuperLU only ever
-    # sees S, on the black unknowns
+    # on a disk the limit build's harmonic batch factorizes its four parity
+    # sectors, each ordered in its own factorization, and leaves the grid
+    # unordered; the first Newton step orders the Schur complement S on
+    # the black unknowns, and every later screened factorization takes that
+    # ordering as given.  A later harmonic batch orders its sectors again
+    # and leaves the grid's ordering alone; a grid whose first solve is
+    # screened orders in that solve's factorization
     factorizations = counting_factorizations(monkeypatch)
     cfg = configs["disk_m3"]
     g = build_grid(cfg.domain, 31)
     nb = int(black_unknowns(g).sum())
+    sectors = [("MMD_AT_PLUS_A", n) for n in sector_sizes(g)]
     L = solve_limit(g, cfg.data)
+    assert factorizations == sectors
     r = solve_epsilon(g, cfg.data, 1e-4, limit=L)
-    # the batched harmonic solve plus one screened factorization per
-    # factorizing Newton step (chord steps reuse the last one)
+    # one screened factorization per factorizing Newton step (chord steps
+    # reuse the last one)
     steps = sum(st.factorized for st in r.linear_stats)
-    assert factorizations == [("MMD_AT_PLUS_A", nb)] + [("NATURAL", nb)] * steps
-    # every harmonic batch orders within its one factorization, at no
-    # extra SuperLU call
+    assert factorizations == sectors + [("MMD_AT_PLUS_A", nb)] + [("NATURAL", nb)] * (steps - 1)
+    rb = grid_operator(g).red_black
+    order = rb.order
     solve_harmonic(g, cfg.data.boundary_arrays(g))
-    assert factorizations[-1] == ("MMD_AT_PLUS_A", nb) and len(factorizations) == 2 + steps
+    assert factorizations[-4:] == sectors and len(factorizations) == 8 + steps
+    assert rb.order is order
+    solve_screened(g, np.ones(g.mask.shape), cfg.data.boundary_arrays(g)[0])
+    assert factorizations[-1] == ("NATURAL", nb)
 
     factorizations.clear()
     g = build_grid(cfg.domain, 31)
@@ -701,9 +743,11 @@ def test_box_grid_orders_in_first_screened_solve(monkeypatch, configs):
 def test_factorized_marks_every_factorization(monkeypatch, configs, name):
     # the manifests count factorizations from LinearSolveStats.factorized:
     # over a limit build and the eps solve from it, the solves marked
-    # factorized are the tridiagonal and SuperLU factorizations made; the
-    # rectangle's harmonic batch takes the sine transform and makes none,
-    # and a chord step reuses the factor of the step before it
+    # factorized are the tridiagonal and SuperLU factorizations made, but
+    # for the disk's harmonic batch, which marks one solve for the SuperLU
+    # factorizations of its four sectors; the rectangle's harmonic batch
+    # takes the sine transform and makes none, and a chord step reuses the
+    # factor of the step before it
     calls = []
     for module, fn in ((lapack, "dpttrf"), (spla, "splu")):
         def counting(*args, _fn=fn, _real=getattr(module, fn), **kwargs):
@@ -714,26 +758,31 @@ def test_factorized_marks_every_factorization(monkeypatch, configs, name):
     cfg = configs[name]
     g = build_grid(cfg.domain, 31)
     L = solve_limit(g, cfg.data)
-    harmonic = sum(st.factorized for st in L.linear_stats)
-    assert len(calls) == harmonic == (0 if name == "square_m4" else 1)
+    assert sum(st.factorized for st in L.linear_stats) == (0 if name == "square_m4" else 1)
+    harmonic = {"line_m3": ["dpttrf"], "disk_m3": ["splu"] * 4, "square_m4": []}[name]
+    assert calls == harmonic
     r = solve_epsilon(g, cfg.data, 1e-4, limit=L)
     steps = sum(st.factorized for st in r.linear_stats)
-    assert calls == ["dpttrf" if g.ndim == 1 else "splu"] * (harmonic + steps)
+    assert calls == harmonic + ["dpttrf" if g.ndim == 1 else "splu"] * steps
     if g.ndim == 2:
         assert 2 <= steps < r.sweeps
 
 
 def test_stored_ordering_owns_its_data(configs):
     # SuperLU.perm_c is a view whose base is the factor: keeping it would
-    # keep the whole factor alive with the grid.  The ordering permutes the
-    # black unknowns, and the next screened solve's pattern follows it
+    # keep the whole factor alive with the grid.  A harmonic batch builds
+    # no red-black reduction; the first screened solve orders the grid, the
+    # ordering permutes the black unknowns, and the next screened solve's
+    # pattern follows it
     g = build_grid(configs["disk_m3"].domain, 41)
     b = configs["disk_m3"].data.boundary_arrays(g)
     solve_harmonic(g, b)
+    assert "red_black" not in vars(grid_operator(g))
+    solve_screened(g, np.ones(g.mask.shape), b[0])
     rb = grid_operator(g).red_black
     assert rb.order.base is None
     assert np.array_equal(np.sort(rb.order), np.arange(black_unknowns(g).sum()))
-    solve_screened(g, np.ones(g.mask.shape), b[0])
+    solve_screened(g, np.full(g.mask.shape, 2.0), b[0])
     assert np.array_equal(rb._ordered[0], np.flatnonzero(black_unknowns(g))[rb.order])
 
 
@@ -741,7 +790,9 @@ def test_fill_equals_superlu_symmetric_mmd(monkeypatch, configs):
     # the screened pattern of S is permuted by the inverse of SuperLU's
     # perm_c, so its fill equals that of SuperLU's own symmetric minimum
     # degree on S; applying perm_c itself (the easy mistake) multiplies the
-    # fill more than tenfold
+    # fill more than tenfold.  A harmonic batch before them, by the sine
+    # transform on the square or by parity sectors on the disk, leaves the
+    # ordering to them
     factors = []
     splu = spla.splu
 
@@ -749,18 +800,20 @@ def test_fill_equals_superlu_symmetric_mmd(monkeypatch, configs):
         factors.append(splu(A, *args, **kwargs))
         return factors[-1]
 
-    cfg = configs["square_m4"]
-    g = build_grid(cfg.domain, 101)
-    own = splu(schur_complement(g, np.ones(g.mask.shape)), permc_spec="MMD_AT_PLUS_A",
-               diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    b = cfg.data.boundary_arrays(g)[0]
-    solve_harmonic(g, [b])
     monkeypatch.setattr(spla, "splu", keeping_splu)
-    # the first screened solve orders the box grid, the second takes the
-    # template
-    for _ in range(2):
-        solve_screened(g, np.ones(g.mask.shape), b)
-    assert [lu.L.nnz + lu.U.nnz for lu in factors] == [own.L.nnz + own.U.nnz] * 2
+    for name in ("square_m4", "disk_m3"):
+        cfg = configs[name]
+        g = build_grid(cfg.domain, 101)
+        own = splu(schur_complement(g, np.ones(g.mask.shape)), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        b = cfg.data.boundary_arrays(g)[0]
+        solve_harmonic(g, [b])
+        factors.clear()
+        # the first screened solve orders the grid, the second takes the
+        # template
+        for _ in range(2):
+            solve_screened(g, np.ones(g.mask.shape), b)
+        assert [lu.L.nnz + lu.U.nnz for lu in factors] == [own.L.nnz + own.U.nnz] * 2
 
 
 BOX_GRIDS = [
@@ -891,10 +944,11 @@ RED_BLACK_GRIDS = [
 @pytest.mark.parametrize("make_grid", RED_BLACK_GRIDS,
                          ids=["disk_41", "disk_101", "rectangle", "holed_rectangle"])
 def test_red_black_kernel_matches_plain_splu(make_grid):
-    # a harmonic batch and screened solves with c up to 1e8/h^2, solved on
-    # the Schur complement of the black unknowns, against a plain default
-    # SuperLU factorization of the full -Lap + diag(c); the certified bound
-    # covers the difference
+    # screened solves with c up to 1e8/h^2, solved on the Schur complement
+    # of the black unknowns, and a harmonic batch (by parity sectors, or by
+    # the sine transform on the rectangle), against a plain default SuperLU
+    # factorization of the full -Lap + diag(c); the certified bound covers
+    # the difference
     g = make_grid()
     op = grid_operator(g)
     h = min(g.spacing)
@@ -915,19 +969,139 @@ def test_red_black_kernel_matches_plain_splu(make_grid):
 
 
 def test_superlu_sees_only_black_unknowns(monkeypatch):
-    # every matrix SuperLU factors is a Schur complement, of the order of
-    # its grid's black unknowns
+    # every matrix a screened solve gives SuperLU is a Schur complement, of
+    # the order of its grid's black unknowns; a harmonic batch off a box
+    # grid gives it one matrix per parity sector, of that sector's unknowns
     factorizations = counting_factorizations(monkeypatch)
     expected = []
     for make_grid in RED_BLACK_GRIDS:
         g = make_grid()
-        b = np.where(g.boundary(), 1.0 + g.node_coords()[0] ** 2, 0.0)
+        X, Y = g.node_coords()
+        # every parity of x and y has a part of these data, so every
+        # sector is solved
+        b = np.where(g.boundary(), 1.0 + X**2 + 0.5 * X + 0.25 * Y + 0.125 * X * Y, 0.0)
         solve_harmonic(g, [b])
         solve_screened(g, np.full(g.mask.shape, 7.0), b)
         solve_screened(g, np.full(g.mask.shape, 9.0), b)
-        calls = 2 if grid_operator(g).box_denominators is not None else 3
-        expected += [int(black_unknowns(g).sum())] * calls
+        if grid_operator(g).box_denominators is None:
+            expected += sector_sizes(g)
+        expected += [int(black_unknowns(g).sum())] * 2
     assert [n for _, n in factorizations] == expected
+
+
+def one_flip_disk():
+    """A disk at even n with two interior nodes, mirror images across the
+    x-flip, made Dirichlet nodes: the flip of x leaves it in place, the
+    flip of y does not."""
+    g = build_grid(DomainSpec.disk(0.0, 0.0, 1.0), 40)
+    mask = g.mask.copy()
+    mask[12, 15] = mask[12, 24] = NodeClass.BOUNDARY
+    return Grid(g.domain, g.dims, g.spacing, g.origin, mask)
+
+
+SECTOR_GRIDS = [
+    (lambda: build_grid(DomainSpec.disk(0.0, 0.0, 1.0), 100), 4),
+    (lambda: build_grid(DomainSpec.disk(0.0, 0.0, 1.0), 101), 4),
+    (one_flip_disk, 2),
+    (holed_rectangle, 1),
+]
+
+
+@pytest.mark.parametrize("make_grid,sectors", SECTOR_GRIDS,
+                         ids=["disk_100", "disk_101", "one_flip", "no_flip"])
+def test_sector_batch_matches_plain_splu(monkeypatch, make_grid, sectors):
+    # the harmonic batch by parity sectors (at n = 100 no node lies on an
+    # axis; at n = 101 a row and a column do) against a plain default
+    # SuperLU factorization of the full Laplacian, within 1e-12 relative
+    # and within the certified bound.  Each sector factorizes one
+    # symmetric matrix on its own unknowns, at most a quadrant's where both
+    # flips hold
+    g = make_grid()
+    op = grid_operator(g)
+    interior = g.interior()
+    rng = np.random.default_rng(23)
+    data = [np.where(g.boundary(), rng.uniform(0.0, 2.0, g.mask.shape), 0.0) for _ in range(3)]
+    lu = spla.splu(sparse_laplacian(g))
+    refs = [lu.solve(op.rhs(b.ravel())) for b in data]
+    matrices = []
+    splu = spla.splu
+
+    def keeping_splu(A, *args, **kwargs):
+        matrices.append(A.copy())
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", keeping_splu)
+    fields, stats = solve_harmonic(g, data)
+    assert [A.shape[0] for A in matrices] == sector_sizes(g) and len(matrices) == sectors
+    assert sum(sector_sizes(g)) == op.n_unknowns
+    assert all(abs(A - A.T).max() == 0.0 for A in matrices)
+    if sectors == 4:
+        half = [2 * np.arange(n) >= n - 1 for n in interior.shape]
+        assert max(A.shape[0] for A in matrices) == interior[np.ix_(*half)].sum()
+    for f, st, ref in zip(fields, stats, refs):
+        diff = np.abs(f.values[interior] - ref).max()
+        assert st.kernel == "superlu" and st.residual <= DEFAULT_TOL
+        assert diff <= 1e-12 * np.abs(ref).max()
+        assert diff <= st.error_bound
+
+
+@pytest.mark.parametrize("n", [100, 101])
+def test_symmetric_data_give_symmetric_fields(monkeypatch, n):
+    # data that flips leave in place give harmonic fields they leave in
+    # place, bit for bit: the folds onto the other sectors are exactly 0,
+    # so those sectors are not solved, and mirror nodes read one value of
+    # each sector solved
+    factorizations = counting_factorizations(monkeypatch)
+    g = build_grid(DomainSpec.disk(0.0, 0.0, 1.0), n)
+    rng = np.random.default_rng(29)
+    v = np.where(g.boundary(), rng.uniform(0.0, 2.0, g.mask.shape), 0.0)
+    x_even = v + v[:, ::-1]
+    y_even = v + v[::-1, :]
+    both = x_even + x_even[::-1, :]
+    point = v + v[::-1, ::-1]
+    for data, flips, solved in ((x_even, [(1,)], 2), (y_even, [(0,)], 2),
+                                (both, [(0,), (1,)], 1), (point, [(0, 1)], 2)):
+        factorizations.clear()
+        (f,), (st,) = solve_harmonic(g, [data])
+        assert st.kernel == "superlu" and len(factorizations) == solved
+        for axes in flips:
+            assert np.array_equal(f.values, np.flip(f.values, axes))
+
+
+@pytest.mark.parametrize("n", [100, 101])
+def test_ties_up_to_rounding_are_exact(monkeypatch, n):
+    # disk_m3's arcs: a - b is odd in y, and c - a and c - b are mirror
+    # images in y, each up to the rounding of |sin(3 theta / 2)| at theta
+    # and 2 pi - theta.  A fold that is rounding away from 0 or from an
+    # earlier column's takes that part, so the field of a - b is odd in y
+    # bit for bit (0 on the row y = 0 at odd n), and the fields of c - a
+    # and c - b agree on that row bit for bit, as the limit's exact tie
+    # there needs.  Every sector still has a column to solve, and the
+    # fields keep their accuracy
+    factorizations = counting_factorizations(monkeypatch)
+    g = build_grid(DomainSpec.disk(0.0, 0.0, 1.0), n)
+    x, y = g.node_coords()
+    theta = np.mod(np.arctan2(y, x), 2 * np.pi)
+    arc = np.where(g.boundary(), np.abs(np.sin(1.5 * theta)), 0.0)
+    third = 2 * np.pi / 3
+    a, b, c = (np.where(on, arc, 0.0) for on in
+               (theta < 2 * third, theta >= third, (theta >= 2 * third) | (theta < third)))
+    data = [a - b, c - a, c - b]
+    assert not np.array_equal(data[0], -data[0][::-1, :])
+    assert not np.array_equal(data[1], data[2][::-1, :])
+    (odd, ca, cb), stats = solve_harmonic(g, data)
+    assert len(factorizations) == 4
+    odd_in, ca_in, cb_in = (np.where(g.interior(), f.values, 0.0) for f in (odd, ca, cb))
+    assert np.array_equal(odd_in, -odd_in[::-1, :])
+    if n % 2:
+        assert not odd_in[n // 2].any()
+        assert np.array_equal(ca_in[n // 2], cb_in[n // 2])
+    op = grid_operator(g)
+    lu = spla.splu(sparse_laplacian(g))
+    for f, st, b in zip((odd, ca, cb), stats, data):
+        ref = lu.solve(op.rhs(b.ravel()))
+        diff = np.abs(f.values[g.interior()] - ref).max()
+        assert diff <= 1e-12 * np.abs(ref).max() and diff <= st.error_bound
 
 
 def test_red_black_without_black_unknowns(monkeypatch):

@@ -540,8 +540,10 @@ def test_interval_solves_take_no_chord_step(configs):
 
 def test_at_most_one_superlu_factor_alive(monkeypatch, configs):
     # the held factor is freed before the next one is made and when the
-    # solve returns
-    live, peak = [0], [0]
+    # solve returns; the limit build's harmonic batch frees each parity
+    # sector's factor before the next sector's is made, and each of those
+    # factors has at most a quadrant's unknowns
+    live, peak, sizes = [0], [0], []
     splu = spla.splu
 
     class Tracked:
@@ -557,9 +559,17 @@ def test_at_most_one_superlu_factor_alive(monkeypatch, configs):
         def __del__(self):
             live[0] -= 1
 
-    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: Tracked(splu(*args, **kwargs)))
+    def tracked_splu(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return Tracked(splu(A, *args, **kwargs))
+
+    monkeypatch.setattr(spla, "splu", tracked_splu)
     cfg = configs["disk_m3"]
     g = build_grid(cfg.domain, 41)
     r = solve_epsilon(g, cfg.data, 1e-4)
     assert sum(st.factorized for st in r.linear_stats) < len(r.linear_stats)
     assert peak[0] == 1 and live[0] == 0
+    interior = g.interior()
+    half = [2 * np.arange(n) >= n - 1 for n in interior.shape]
+    quadrant = int(interior[np.ix_(*half)].sum())
+    assert len(sizes) > 4 and max(sizes[:4]) == quadrant and quadrant < interior.sum() / 3

@@ -168,6 +168,29 @@ def test_disk_mask_symmetry():
     assert np.array_equal(m, m.T)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    cx=st.floats(-50, 50, allow_nan=False),
+    cy=st.floats(-50, 50, allow_nan=False),
+    r=st.floats(0.05, 20, allow_nan=False),
+    n=st.one_of(st.integers(5, 120), st.tuples(st.integers(5, 60), st.integers(5, 60))),
+)
+def test_disk_mask_symmetric_by_construction(cx, cy, r, n):
+    # the mask is classified from exact offsets to the lattice centre, so
+    # wherever the disk sits it equals both of its flips, and its transpose
+    # when hx = hy (the harmonic batch solves one parity sector at a time
+    # where a flip leaves the mask in place)
+    try:
+        g = build_grid(DomainSpec.disk(cx, cy, r), n)
+    except ConfigError:
+        return
+    m = np.asarray(g.mask)
+    assert np.array_equal(m, m[::-1, :])
+    assert np.array_equal(m, m[:, ::-1])
+    if g.spacing[0] == g.spacing[1]:
+        assert np.array_equal(m, m.T)
+
+
 def test_format_grid_export():
     g = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 3)
     text = format_grid(g)
@@ -212,8 +235,10 @@ def test_disk_grid_invariants(n, r):
     m = np.asarray(g.mask)
     # boundary nodes lie outside the circle or on the lattice rim, and touch
     # an interior node.  The rim lies on or outside the circle, but a rim
-    # node can round to inside it; it is never interior
-    X, Y = g.node_coords()
+    # node can round to inside it; it is never interior.  Inside is read
+    # off the nodes' offsets to the lattice centre, as build_grid takes them
+    X, Y = np.meshgrid(*((2 * np.arange(c) - (c - 1)) * (h / 2)
+                         for h, c in zip(g.spacing, g.dims)))
     bnd = g.boundary()
     rim = np.ones_like(bnd)
     rim[1:-1, 1:-1] = False
