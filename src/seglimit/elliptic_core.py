@@ -43,9 +43,7 @@ Three kernels solve the systems, chosen by the grid
   reduction; Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).  Each
   sector's 5-point matrix is factorized by SuperLU, serves every column of
   the batch, and is freed before the next sector's is made, so one factor
-  of a quarter of the unknowns is alive at a time.  A column whose fold is
-  rounding away from 0 or from another column's takes that part, so ties
-  that the flips make are exact (``_fold_sources``).
+  of a quarter of the unknowns is alive at a time.
 
   A screened solve eliminates the red unknowns (ix + iy even) exactly,
   since the 5-point stencil couples them only to black ones, and one
@@ -346,12 +344,10 @@ def _sector_solve(op: _GridOperator, columns: list[np.ndarray]) -> list[np.ndarr
     sum to b.  Such a vector is fixed by its values on the quadrant
     ``2 i_k >= n_k - 1`` (less the axis node ``2 i_k = n_k - 1`` where
     s_k = -1, as the vector is 0 there), where ``_sector_matrix`` gives the
-    system.  A column whose fold is rounding away from 0 or from another
-    column's takes that part (``_fold_sources``).  Each sector's matrix is
-    factorized by SuperLU if some column's fold is solved there, serves
-    those columns, and is freed before the next sector's is made.  Each
-    solution is the sum of its parts unfolded.  With no such axis, the one
-    sector is the whole system.
+    system.  Each sector's matrix is factorized by SuperLU unless every
+    column's fold onto it is exactly 0, serves every column, and is freed
+    before the next sector's is made.  Each solution is the sum of its
+    parts unfolded.  With no such axis, the one sector is the whole system.
     """
     interior = op.interior
     nx = interior.shape[1]
@@ -359,7 +355,6 @@ def _sector_solve(op: _GridOperator, columns: list[np.ndarray]) -> list[np.ndarr
     grids[:, op.interior_flat] = columns
     grids = grids.reshape((len(columns),) + interior.shape)
     xs = np.zeros((len(columns), op.n_unknowns))
-    gammas = [op.residual_rounding * float(np.abs(b).max(initial=0.0)) for b in columns]
     # the signs of each mask axis, None where the flip is not used
     sy_options, sx_options = ((1.0, -1.0) if np.array_equal(interior, np.flip(interior, k))
                               else (None,) for k in range(2))
@@ -376,8 +371,7 @@ def _sector_solve(op: _GridOperator, columns: list[np.ndarray]) -> list[np.ndarr
         mirror = (from_y[:, None] * nx + from_x[None, :]).ravel()
         sign = (sign_y[:, None] * sign_x[None, :]).ravel()
         rhs = _fold(grids, signs).reshape(len(columns), -1)[:, flat]
-        source = _fold_sources(rhs, gammas)
-        if all(i != j for j, i in enumerate(source)):
+        if not rhs.any():
             continue
         rhs *= weight
         # the matrix is built in a call of its own, so that none of the
@@ -385,51 +379,21 @@ def _sector_solve(op: _GridOperator, columns: list[np.ndarray]) -> list[np.ndarr
         # the factor is freed when _add_parts returns, before the next
         # sector's is made
         _add_parts(xs, _splu(_sector_matrix(op, sel, flat, weight, mirror, sign), "MMD_AT_PLUS_A"),
-                   rhs, source, flat, mirror[op.interior_flat], sign[op.interior_flat], interior.size)
+                   rhs, flat, mirror[op.interior_flat], sign[op.interior_flat], interior.size)
     return list(xs)
 
 
-def _add_parts(xs: np.ndarray, lu, rhs: np.ndarray, source: list[int], flat: np.ndarray,
+def _add_parts(xs: np.ndarray, lu, rhs: np.ndarray, flat: np.ndarray,
                at_interior: np.ndarray, sign_interior: np.ndarray, size: int) -> None:
-    """Solve each column that ``source`` gives its own part on the sector
-    factor ``lu``, and add that part to every column of ``xs`` that takes
-    it.  ``flat`` numbers the sector's unknowns among the ``size`` grid
-    nodes; an interior unknown reads its part at the node
-    ``at_interior``, times ``sign_interior``."""
+    """Solve each column's fold ``rhs[k]`` on the sector factor ``lu`` and
+    add that part to ``xs[k]``.  ``flat`` numbers the sector's unknowns
+    among the ``size`` grid nodes; an interior unknown reads its part at
+    the node ``at_interior``, times ``sign_interior``."""
     y = np.zeros(size)
     # one column at a time, as ``_columnwise`` says why
-    for j in (j for j, i in enumerate(source) if i == j):
-        y[flat] = lu.solve(rhs[j])
-        part = sign_interior * y[at_interior]
-        for k, i in enumerate(source):
-            if i == j:
-                xs[k] += part
-
-
-def _fold_sources(folded: np.ndarray, gammas: list[float]) -> list[int]:
-    """Which part each column's fold onto one sector takes: -1 (the part
-    0) when the fold is within the column's rounding ``gammas[j]`` of 0,
-    else the first earlier column solved on the sector whose fold it is
-    within the larger of their roundings of, else its own number.
-
-    ``gammas[j]`` is gamma ||b_j||_inf, the rounding that the certified
-    bound charges to the residual.  Such a fold is 0, or the other
-    column's, up to the rounding of data that a flip leaves in place up to
-    sign, or that are another column's mirror image.  Taking that part
-    makes the ties such a symmetry makes exact, whatever the rounding of
-    the data: on ``disk_m3`` the limit's u_1 and u_2 both vanish on the
-    row y = 0, for every pivot.  So a column's field depends on the
-    earlier columns of its batch through such ties only.  The difference
-    stays in the residual that ``_solve_linear`` checks and bounds on the
-    full system."""
-    source: list[int] = []
-    for j, f in enumerate(folded):
-        if np.abs(f).max(initial=0.0) <= gammas[j]:
-            source.append(-1)
-            continue
-        source.append(next((i for i in range(j) if source[i] == i
-                            and np.abs(f - folded[i]).max() <= max(gammas[i], gammas[j])), j))
-    return source
+    for x, b in zip(xs, rhs):
+        y[flat] = lu.solve(b)
+        x += sign_interior * y[at_interior]
 
 
 def _fold(grids: np.ndarray, signs: tuple) -> np.ndarray:
@@ -508,9 +472,10 @@ class _RedBlack:
 
     S's coefficients are grid-shaped arrays, one per offset of its stencil,
     summed from ``1 / d_r`` by shifted slices; a pattern's ``gather`` picks
-    them in CSC order.  The first factorization orders S itself, in grid
-    order, and sets the grid's ordering; the pattern permuted by it is
-    built when a later factorization first needs it.
+    them in CSC order.  The first factorization builds S's pattern in grid
+    order, orders S itself and sets the grid's ordering; the pattern
+    permuted by it is built when a later factorization first needs it, and
+    is the only one the reduction holds.
     """
 
     def __init__(self, op: _GridOperator):
@@ -538,9 +503,8 @@ class _RedBlack:
                 paths.setdefault(offset, []).append((src, dst, coef_a * coef_b))
         self._offsets = list(paths)
         self._paths = list(paths.values())
-        # grid order, and the grid's ordering once its first factorization
-        # has set it (the inverse of that factor's perm_c)
-        self._natural = self._pattern(np.arange(self.n_black))
+        # the grid's ordering once its first factorization has set it (the
+        # inverse of that factor's perm_c), and S's pattern permuted by it
         self.order: np.ndarray | None = None
         self._ordered = None
 
@@ -590,7 +554,8 @@ class _RedBlack:
         ordered = self.order is not None
         if ordered and self._ordered is None:
             self._ordered = self._pattern(self.order)
-        unknowns, flat, indices, indptr, gather = self._ordered if ordered else self._natural
+        unknowns, flat, indices, indptr, gather = (
+            self._ordered if ordered else self._pattern(np.arange(self.n_black)))
         lu = None
         if self.n_black:
             S = sp.csc_matrix(

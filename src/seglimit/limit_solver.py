@@ -71,8 +71,15 @@ def construct_limit(
     """Assemble the limit on pivot ``pivot`` from the fields and statistics
     of ``harmonic_differences``.
 
-    Ties in the max need no tie-breaking; nodes where several differences
-    coincide are exactly the multi-interface points.
+    The exact u_j vanishes where the exact W_j is the largest difference,
+    so its zero set is where that maximum ties W_j.  With b_j the certified
+    bound of w_j (0 for w_p = 0), the computed gap v_lim - w_j is then at
+    most (W_j + max_k b_k) - (W_j - b_j) = b_j + max_k b_k.  So u_j is set
+    to 0 at every interior node where the gap is within that sum: the
+    nodes where the bounds admit an exact zero.  This one rule settles
+    every tie, at every pivot and at any scale of the data, as the bounds
+    scale with them; nodes in several zero sets are exactly the
+    multi-interface points.
     """
     v = np.stack(w).max(axis=0)  # w_p = 0 is among the w
     v[~g.in_domain()] = 0.0
@@ -80,6 +87,9 @@ def construct_limit(
     w_bound.insert(pivot - 1, 0.0)
     A = data.weights.values
     fields = recover(g, v, w, A, data.boundary_arrays(g), 0.0, w_bound)
+    interior = g.interior()
+    for f, wj, bound in zip(fields, w, w_bound):
+        f.values[interior & (v - wj <= bound + max(w_bound))] = 0.0
     return LimitResult(fields, pivot, stats, tuple(w), tuple(w_bound), ScalarField(g, v), A)
 
 

@@ -552,22 +552,27 @@ def test_interface_normals_scale_free(tmp_path, name, n):
     assert np.abs(unit[:, 2 + d:] - tiny[:, 2 + d:]).max() <= 1e-12
 
 
-def test_disk_interfaces_pivot_free(tmp_path):
-    # disk_m3's 1-2 interface lies on the row y = 0, a tie of the limit
-    # that the y-flip makes exact: u_1 and u_2 both vanish on that row for
-    # every pivot, however the data round, so every pivot writes the same
-    # edges, on both sides of the row
-    cfg = scaled_config(tmp_path, "disk_m3", 1.0, 81)
+@pytest.mark.parametrize("name,n,tie,h,sides", [("disk_m3", 81, 0.0, 2.0 / 80, 31),
+                                                ("line_m2", None, 0.5, 1.0 / 2000, 1),
+                                                ("line_m3", None, 0.5, 1.0 / 2000, 1)],
+                         ids=["disk_m3", "line_m2", "line_m3"])
+def test_interfaces_pivot_free(tmp_path, configs, name, n, tie, h, sides):
+    # the 1-2 interface lies on a tie of the limit: disk_m3's row y = 0 and
+    # the lines' node x = 0.5.  The limit makes it exact, so u_1 and u_2
+    # both vanish there for every pivot, however the data round: every
+    # pivot writes the same edges, as many on each side of the tie
+    cfg = scaled_config(tmp_path, name, 1.0, n)
     tables = []
-    for pivot in ("1", "2", "3"):
+    for pivot in range(1, configs[name].data.m + 1):
         out = tmp_path / f"out-{pivot}"
-        assert main(["limit", str(cfg), "--pivot", pivot, "--out", str(out)]) == EXIT_OK
-        tables.append(np.loadtxt(out / "interfaces.csv", delimiter=",", skiprows=1))
+        assert main(["limit", str(cfg), "--pivot", str(pivot), "--out", str(out)]) == EXIT_OK
+        tables.append(np.loadtxt(out / "interfaces.csv", delimiter=",", skiprows=1, ndmin=2))
+    d = (tables[0].shape[1] - 2) // 2
     for table in tables[1:]:
-        assert np.array_equal(table[:, :4], tables[0][:, :4])
-    y = tables[0][(tables[0][:, 0] == 1) & (tables[0][:, 1] == 2), 3]
-    h = 2.0 / 80
-    assert np.isclose(y, h / 2).sum() == np.isclose(y, -h / 2).sum() > 30
+        assert np.array_equal(table[:, : 2 + d], tables[0][:, : 2 + d])
+    pair = (tables[0][:, 0] == 1) & (tables[0][:, 1] == 2)
+    offset = tables[0][pair, 1 + d] - tie
+    assert np.isclose(offset, h / 2).sum() == np.isclose(offset, -h / 2).sum() >= sides
 
 
 @pytest.mark.parametrize("factor", [1.0, 1e-290, 1e-300, 1e-305, 1e-310])

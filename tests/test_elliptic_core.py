@@ -239,27 +239,21 @@ def test_harmonic_batch_equals_single_solves(configs):
     # batching must not change a bit of any column, on the sine-transform
     # grid, the SuperLU one (a multi-column triangular solve on the shared
     # factor did, from the fourth column of a block) and the tridiagonal
-    # one; an all-zero column is solved without the kernel.  On the disk a
-    # column whose fold onto a sector ties an earlier column's up to
-    # rounding takes that part: disk_m3's phi_2 (phi_1's mirror image in
-    # y) and phi_1 - phi_3 (phi_3 is even in y) each tie phi_1 on two
-    # sectors.  Those two differ from their single solves by rounding, and
-    # no column depends on a later one
+    # one; an all-zero column is solved without the kernel.  On the disk
+    # each column's fold onto each sector is solved on its own, so even
+    # disk_m3's phi_2 (phi_1's mirror image in y) and phi_1 - phi_3 (phi_3
+    # is even in y), whose folds tie phi_1's on two sectors up to rounding,
+    # do not depend on the other columns of the batch
     for name in ("square_m4", "disk_m3", "line_m3"):
         g = configs[name].grid
         phi = configs[name].data.boundary_arrays(g)
         data = phi + [phi[0] - p for p in phi[1:]] + [np.zeros(g.mask.shape)]
         batch, batch_stats = solve_harmonic(g, data)
         assert len(batch) == len(batch_stats) == len(data)
-        for k, (arr, f, st) in enumerate(zip(data, batch, batch_stats)):
+        for arr, f, st in zip(data, batch, batch_stats):
             (single,), (single_st,) = solve_harmonic(g, [arr])
-            if name == "disk_m3" and k in (1, 4):
-                assert 0.0 < np.abs(f.values - single.values).max() <= 1e-15
-                fields, stats = solve_harmonic(g, data[: k + 1])
-                assert np.array_equal(f.values, fields[-1].values) and st == stats[-1]
-            else:
-                assert np.array_equal(f.values, single.values)
-                assert st == single_st
+            assert np.array_equal(f.values, single.values)
+            assert st == single_st
         assert np.all(batch[-1].values == 0.0)
         assert batch_stats[-1] == LinearSolveStats(0.0)
 
@@ -277,8 +271,8 @@ def test_harmonic_batch_factorizes_once(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     g = build_grid(DomainSpec.disk(0.0, 0.0, 1.0), 21)
-    # every parity of x and y has a part of these data, so that no
-    # sector's fold is rounding alone
+    # every parity of x and y has a part of these data, so that every
+    # sector has a fold to solve
     data = [boundary_array(g, lambda p, k=k: k + (1 + p.coord[0]) ** 2 * (1 + p.coord[1]) ** 3)
             for k in range(4)]
     fields, stats = solve_harmonic(g, data)
@@ -786,6 +780,22 @@ def test_stored_ordering_owns_its_data(configs):
     assert np.array_equal(rb._ordered[0], np.flatnonzero(black_unknowns(g))[rb.order])
 
 
+def test_red_black_holds_one_pattern(configs):
+    # the grid-order pattern of S is built inside the first screened
+    # factorization, which orders the grid, and freed with it: after two
+    # screened solves the reduction holds the ordered pattern alone
+    g = build_grid(configs["disk_m3"].domain, 41)
+    b = configs["disk_m3"].data.boundary_arrays(g)[0]
+    for c in (1.0, 2.0):
+        solve_screened(g, np.full(g.mask.shape, c), b)
+    rb = grid_operator(g).red_black
+    _, _, indices, _, gather = rb._pattern(np.arange(rb.n_black))
+    held = [a for v in vars(rb).values() for a in (v if isinstance(v, tuple) else (v,))
+            if isinstance(a, np.ndarray)]
+    assert any(a is rb._ordered[4] for a in held)
+    assert not any(np.array_equal(a, p) for a in held for p in (indices, gather))
+
+
 def test_fill_equals_superlu_symmetric_mmd(monkeypatch, configs):
     # the screened pattern of S is permuted by the inverse of SuperLU's
     # perm_c, so its fill equals that of SuperLU's own symmetric minimum
@@ -1066,42 +1076,6 @@ def test_symmetric_data_give_symmetric_fields(monkeypatch, n):
         assert st.kernel == "superlu" and len(factorizations) == solved
         for axes in flips:
             assert np.array_equal(f.values, np.flip(f.values, axes))
-
-
-@pytest.mark.parametrize("n", [100, 101])
-def test_ties_up_to_rounding_are_exact(monkeypatch, n):
-    # disk_m3's arcs: a - b is odd in y, and c - a and c - b are mirror
-    # images in y, each up to the rounding of |sin(3 theta / 2)| at theta
-    # and 2 pi - theta.  A fold that is rounding away from 0 or from an
-    # earlier column's takes that part, so the field of a - b is odd in y
-    # bit for bit (0 on the row y = 0 at odd n), and the fields of c - a
-    # and c - b agree on that row bit for bit, as the limit's exact tie
-    # there needs.  Every sector still has a column to solve, and the
-    # fields keep their accuracy
-    factorizations = counting_factorizations(monkeypatch)
-    g = build_grid(DomainSpec.disk(0.0, 0.0, 1.0), n)
-    x, y = g.node_coords()
-    theta = np.mod(np.arctan2(y, x), 2 * np.pi)
-    arc = np.where(g.boundary(), np.abs(np.sin(1.5 * theta)), 0.0)
-    third = 2 * np.pi / 3
-    a, b, c = (np.where(on, arc, 0.0) for on in
-               (theta < 2 * third, theta >= third, (theta >= 2 * third) | (theta < third)))
-    data = [a - b, c - a, c - b]
-    assert not np.array_equal(data[0], -data[0][::-1, :])
-    assert not np.array_equal(data[1], data[2][::-1, :])
-    (odd, ca, cb), stats = solve_harmonic(g, data)
-    assert len(factorizations) == 4
-    odd_in, ca_in, cb_in = (np.where(g.interior(), f.values, 0.0) for f in (odd, ca, cb))
-    assert np.array_equal(odd_in, -odd_in[::-1, :])
-    if n % 2:
-        assert not odd_in[n // 2].any()
-        assert np.array_equal(ca_in[n // 2], cb_in[n // 2])
-    op = grid_operator(g)
-    lu = spla.splu(sparse_laplacian(g))
-    for f, st, b in zip((odd, ca, cb), stats, data):
-        ref = lu.solve(op.rhs(b.ravel()))
-        diff = np.abs(f.values[g.interior()] - ref).max()
-        assert diff <= 1e-12 * np.abs(ref).max() and diff <= st.error_bound
 
 
 def test_red_black_without_black_unknowns(monkeypatch):

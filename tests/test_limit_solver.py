@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,8 @@ from seglimit import (
     solve_limit,
 )
 from helpers import pivot_equivalence_check
+from seglimit.elliptic_core import grid_operator
+from test_elliptic_core import sparse_laplacian
 from test_epsilon_solver import M2, M3, ZERO2, make_data
 
 
@@ -146,3 +149,53 @@ def test_interval_two_component_family(a, b):
     assert np.abs(r.fields[0].values - np.maximum(line, 0.0)).max() <= tol
     assert np.abs(r.fields[1].values - np.maximum(-line, 0.0)).max() <= tol
     assert pivot_equivalence_check(g, data, 1, 2) <= tol
+
+
+@pytest.mark.parametrize("n", [2000, 2001])
+def test_line_zero_sets_exact(n):
+    # line_m2's and line_m3's discrete harmonic fields are linear, so the
+    # exact limit puts node i in Z_1 where 2i >= n - 1, in Z_2 where
+    # 2i <= n - 1 and in Z_3 where 2i = n - 1.  At n = 2001 the node
+    # x = 0.5 is a tie of every difference, which the solve's rounding
+    # leaves 2.5e-13 away from 0; at n = 2000 no node is one
+    g = build_grid(DomainSpec.interval(0.0, 1.0), n)
+    i = np.arange(n)
+    exact = [2 * i >= n - 1, 2 * i <= n - 1, 2 * i == n - 1]
+    for data in (M2, M3):
+        for pivot in range(1, data.m + 1):
+            r = solve_limit(g, data, pivot=pivot)
+            for f, zero in zip(r.fields, exact):
+                assert np.array_equal(f.values == 0, zero)
+
+
+@pytest.mark.parametrize("n", [100, 101])
+def test_ties_up_to_rounding_are_exact(n):
+    # disk_m3's arcs: phi_2 is phi_1's mirror image in y and phi_3 is even
+    # in y, each up to the rounding of |sin(3 theta / 2)| at theta and
+    # 2 pi - theta.  So the exact u_1 and u_2 are mirror images in y, and
+    # both vanish on their interface, the row y = 0 at x > 0 (odd n).  The
+    # limit zeroes every gap within the certified bounds, so it has these
+    # ties exactly at every pivot and any scale of the data, while the
+    # harmonic fields keep their accuracy
+    g = build_grid(DomainSpec.disk(0.0, 0.0, 1.0), n)
+    x, _ = g.node_coords()
+    interior = g.interior()
+    lu = spla.splu(sparse_laplacian(g))
+    arcs = ("[0, 4*pi/3)", "[2*pi/3, 2*pi)", "[4*pi/3, 2*pi + 2*pi/3)")
+    for factor in (1.0, 1e-40):
+        data = make_data([[f"theta in {arc}: {factor!r} * abs(sin(3*theta/2))"] for arc in arcs])
+        phi = data.boundary_arrays(g)
+        assert not np.array_equal(phi[0], phi[1][::-1, :])
+        for pivot in (1, 2, 3):
+            r = solve_limit(g, data, pivot=pivot)
+            z1, z2 = ((f.values == 0) & interior for f in r.fields[:2])
+            assert np.array_equal(z1, z2[::-1, :])
+            if n % 2:
+                row = interior[n // 2] & (x[n // 2] > 0)
+                assert row.sum() == n // 2 - 1
+                assert not r.fields[0].values[n // 2, row].any()
+                assert not r.fields[1].values[n // 2, row].any()
+            for j, stats in zip((k for k in range(3) if k != pivot - 1), r.linear_stats):
+                ref = lu.solve(grid_operator(g).rhs((phi[pivot - 1] - phi[j]).ravel()))
+                diff = np.abs(r.w[j][interior] - ref).max()
+                assert diff <= 1e-12 * np.abs(ref).max() and diff <= stats.error_bound
