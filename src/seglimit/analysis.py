@@ -6,12 +6,13 @@ u_i < delta.  The explicit limit knows its zero sets exactly: u_j =
 A_j (v - w_j) is set to 0 wherever the certified bounds of the w admit
 that w_j is the largest difference (``limit_solver.construct_limit``),
 and every negative rounding-level value is clamped to 0
-(``limit_solver.recover``).  So the CLI takes delta = 2^-1074, the smallest positive float, under which a
-nonnegative u_i is in the zero set exactly when u_i == 0.  An edge between
-adjacent interior nodes realizes the (i, j) interface when the zero-set
-membership pattern changes across it and the two endpoints cover both zero
-sets.  Nodes sitting exactly on an interface belong to several zero sets;
-edges interior to a shared zero band are excluded.
+(``limit_solver.recover``).  So the CLI takes delta = 2^-1074, the
+smallest positive float, under which a nonnegative u_i is in the zero set
+exactly when u_i == 0.  An edge between adjacent interior nodes realizes
+the (i, j) interface when the zero-set membership pattern changes across
+it and the two endpoints cover both zero sets.  Nodes sitting exactly on
+an interface belong to several zero sets; edges interior to a shared zero
+band are excluded.
 """
 
 from __future__ import annotations

@@ -13,7 +13,9 @@ a ``SolverError``; the sine and tridiagonal kernels take any size.
 The stencil is kept as arrays shaped like the grid (the interior mask and
 one constant coefficient per direction).  Right-hand sides, residuals and
 ``apply_laplacian`` are sums of shifted slices of a grid array; a sparse
-matrix is built only for SuperLU to factorize.
+matrix is built only for SuperLU to factorize, and every such matrix (a
+sector's and the Schur complement's pattern) is assembled by ``_csc`` from
+a table of rows and values per column.
 
 Three kernels solve the systems, chosen by the grid
 (``LinearSolveStats.kernel`` names the one that ran):
@@ -413,43 +415,38 @@ def _sector_matrix(op: _GridOperator, sel: np.ndarray, flat: np.ndarray, weight:
                    mirror: np.ndarray, sign: np.ndarray) -> sp.csc_matrix:
     """The symmetric 5-point matrix of one sector (see ``_sector_solve``)
     on its unknowns ``flat`` (``sel`` marks them among the interior ones),
-    each row scaled by its ``weight``.  A stencil arm reads its node at
-    ``mirror``, times ``sign``.  For odd n_k the axis node's two arms
-    along k meet at one node, so that row has weight 1/2 (an exact
-    scaling, as is its right-hand side's), which keeps the matrix
-    symmetric; for even n_k the mirror of the node beside the axis is the
-    node itself, and that coupling lands on the diagonal."""
+    each row scaled by its ``weight``: the node's diagonal, then its four
+    stencil arms in stencil order, each read at its node's ``mirror`` times
+    ``sign``.  Arms that land on one column are summed (``_csc``).  For odd
+    n_k the axis node's two arms along k land on one node, so that row has
+    weight 1/2 (an exact scaling, as is its right-hand side's), which keeps
+    the matrix symmetric: each node's row is filled in as its column."""
     nx = op.interior.shape[1]
-    n = flat.size
-    own = np.arange(n, dtype=np.intc)
     number = np.full(op.interior.size, -1, dtype=np.intc)
-    number[flat] = own
-    diag = weight * op.diag[sel]
-    # each stencil arm's column (-1 for none) and value, in stencil order
-    # -x, +x, -y, +y; an arm across an axis lands on the node itself or on
-    # the column of the opposite arm, and joins it
-    arms = []
-    for (dy, dx), (_, _, coef) in zip(op._steps, op._stencil):
+    number[flat] = np.arange(flat.size, dtype=np.intc)
+    rows = np.empty((5, flat.size), dtype=np.intc)
+    vals = np.empty((5, flat.size))
+    rows[0] = number[flat]
+    vals[0] = weight * op.diag[sel]
+    for k, ((dy, dx), (_, _, coef)) in enumerate(zip(op._steps, op._stencil), 1):
         q = flat + (dy * nx + dx)
-        col = number[mirror[q]]
-        val = -coef * weight * sign[q]
-        on_diag = col == own
-        diag = diag + np.where(on_diag, val, 0.0)
-        col[on_diag] = -1
-        arms.append((col, val))
-    for (col_lo, val_lo), (col_hi, val_hi) in (arms[:2], arms[2:]):
-        joined = (col_lo == col_hi) & (col_hi >= 0)
-        val_hi += np.where(joined, val_lo, 0.0)
-        col_lo[joined] = -1
-    # a symmetric matrix, whose rows are its columns; in grid order a row's
-    # entries are -y, -x, the node, +x, +y
-    (col_mx, val_mx), (col_px, val_px), (col_my, val_my), (col_py, val_py) = arms
-    cols = np.stack([col_my, col_mx, own, col_px, col_py], axis=1)
-    entry = cols >= 0
+        rows[k] = number[mirror[q]]
+        vals[k] = -coef * weight * sign[q]
+    return _csc(rows, vals)
+
+
+def _csc(rows: np.ndarray, vals: np.ndarray) -> sp.csc_matrix:
+    """The square CSC matrix whose column j holds ``vals[k, j]`` in row
+    ``rows[k, j]`` for every k with ``rows[k, j] >= 0``.  scipy sorts each
+    column's rows and sums the entries that land on one row, in the order
+    of k (its sort of a column this short keeps equal rows in order)."""
+    entry = rows >= 0
+    n = rows.shape[1]
     indptr = np.zeros(n + 1, dtype=np.intc)
-    np.cumsum(entry.sum(axis=1), out=indptr[1:])
-    vals = np.stack([val_my, val_mx, diag, val_px, val_py], axis=1)
-    return sp.csc_matrix((vals[entry], cols[entry], indptr), shape=(n, n))
+    np.cumsum(entry.sum(axis=0), out=indptr[1:])
+    A = sp.csc_matrix((vals.T[entry.T], rows.T[entry.T], indptr), shape=(n, n))
+    A.sum_duplicates()
+    return A
 
 
 class _RedBlack:
@@ -471,11 +468,14 @@ class _RedBlack:
     quotients are left, and SuperLU is not called.
 
     S's coefficients are grid-shaped arrays, one per offset of its stencil,
-    summed from ``1 / d_r`` by shifted slices; a pattern's ``gather`` picks
-    them in CSC order.  The first factorization builds S's pattern in grid
-    order, orders S itself and sets the grid's ordering; the pattern
-    permuted by it is built when a later factorization first needs it, and
-    is the only one the reduction holds.
+    summed from ``1 / d_r`` by shifted slices.  A pattern of S is
+    ``_csc`` of a table that holds, for each column and offset, the row at
+    that offset and the position of its coefficient among the stacked
+    arrays: its ``indices`` and ``indptr`` are S's, and its values are the
+    ``gather`` that picks S's values in CSC order.  The first factorization
+    builds S's pattern in grid order, orders S itself and sets the grid's
+    ordering; the pattern permuted by it is built when a later
+    factorization first needs it, and is the only one the reduction holds.
     """
 
     def __init__(self, op: _GridOperator):
@@ -519,11 +519,11 @@ class _RedBlack:
         number = np.full(size, -1)
         number[flat] = np.arange(self.n_black)
         flat_step = np.array([math.prod(self._shape[k + 1:]) for k in range(len(self._shape))])
-        # rows[j, k]: S's row of the black node at offset k from the one of
+        # rows[k, j]: S's row of the black node at offset k from the one of
         # column j, -1 where S has no entry; column q holds
         # S[q + offset, q] = S[q, q + offset], S being symmetric
         n_offsets = len(self._offsets)
-        rows = np.full((self.n_black, n_offsets), -1)
+        rows = np.full((n_offsets, self.n_black), -1)
         for k, (offset, paths) in enumerate(zip(self._offsets, self._paths)):
             # the black nodes with a red node on a path to the one at the
             # offset, which lies in the grid as a red node's neighbour; every
@@ -532,18 +532,11 @@ class _RedBlack:
             for src, dst, _ in paths:
                 reached[src] |= self._red[dst]
             at = reached.ravel()[flat]
-            rows[at, k] = number[flat[at] + int(np.dot(offset, flat_step))]
-        # each column's entries in row order: the rows of one column are
-        # distinct, so sorting row * n_offsets + k sorts by row and keeps k
-        key = np.where(rows >= 0, rows * n_offsets + np.arange(n_offsets), -1)
-        key.sort(axis=1)
-        entry = key >= 0
-        counts = entry.sum(axis=1)
-        key = key[entry]
-        indptr = np.zeros(self.n_black + 1, dtype=np.intc)
-        np.cumsum(counts, out=indptr[1:])
-        gather = key % n_offsets * size + np.repeat(flat, counts)
-        return unknowns, flat, (key // n_offsets).astype(np.intc), indptr, gather
+            rows[k, at] = number[flat[at] + int(np.dot(offset, flat_step))]
+        # the pattern of a matrix whose entries are the positions of S's
+        # values among the stacked coefficient arrays
+        S = _csc(rows, np.arange(n_offsets)[:, None] * size + flat)
+        return unknowns, flat, S.indices, S.indptr, S.data
 
     def factor(self, c: np.ndarray):
         """The solve of ``(laplacian + diag(c)) y = b`` in the original

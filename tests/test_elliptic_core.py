@@ -1078,6 +1078,111 @@ def test_symmetric_data_give_symmetric_fields(monkeypatch, n):
             assert np.array_equal(f.values, np.flip(f.values, axes))
 
 
+def sector_maps(g):
+    """Each parity sector of a 2D grid's harmonic batch, in the order it
+    solves them (as ``sector_sizes``): which interior unknowns it keeps,
+    their row weights, and the matrix that unfolds a vector on its unknowns
+    to every interior unknown.  Along each mask axis whose flip leaves the
+    interior mask in place, the sector of sign s keeps the nodes with
+    2i >= n - 1 (2i > n - 1 for s = -1), a node i below the axis reads its
+    mirror n - 1 - i times s, and the axis node 2i = n - 1 has weight 1/2;
+    an unfolded vector is 0 where its mirror is not kept."""
+    interior = g.interior()
+    axes = []
+    for axis, n in enumerate(interior.shape):
+        i = np.arange(n)
+        if np.array_equal(interior, np.flip(interior, axis)):
+            axes.append([(keep, np.maximum(i, n - 1 - i), np.where(2 * i < n - 1, s, 1.0),
+                          np.where(2 * i == n - 1, 0.5, 1.0))
+                         for s, keep in ((1.0, 2 * i >= n - 1), (-1.0, 2 * i > n - 1))])
+        else:
+            axes.append([(np.ones(n, dtype=bool), i, np.ones(n), np.ones(n))])
+    flat = np.flatnonzero(interior)
+    iy, ix = np.divmod(flat, interior.shape[1])
+    maps = []
+    for keep_y, from_y, sign_y, weight_y in axes[0]:
+        for keep_x, from_x, sign_x, weight_x in axes[1]:
+            kept = keep_y[iy] & keep_x[ix]
+            number = np.full(interior.size, -1)
+            number[flat[kept]] = np.arange(kept.sum())
+            col = number[from_y[iy] * interior.shape[1] + from_x[ix]]
+            has = col >= 0
+            unfold = sp.csr_matrix(((sign_y[iy] * sign_x[ix])[has], (np.flatnonzero(has), col[has])),
+                                   shape=(flat.size, int(kept.sum())))
+            maps.append((kept, (weight_y[iy] * weight_x[ix])[kept], unfold))
+    return maps
+
+
+def uneven_disk():
+    """A disk on a 40 x 57 lattice: hx != hy, no column of nodes on the
+    y-axis and a row of them on the x-axis."""
+    return build_grid(DomainSpec.disk(0.0, 0.0, 1.0), (40, 57))
+
+
+@pytest.mark.parametrize("make_grid,sectors", SECTOR_GRIDS + [(uneven_disk, 4)],
+                         ids=["disk_100", "disk_101", "one_flip", "no_flip", "uneven_disk"])
+def test_sector_matrices_are_the_folded_laplacian(monkeypatch, make_grid, sectors):
+    # every sector matrix M that SuperLU is given is the full -Lap applied
+    # to the sector's vectors unfolded, on the sector's rows scaled by their
+    # weights: M x = weight (L U x) there for random x, componentwise within
+    # 1e-14 of weight (|L| |U x|).  Arms that land on one entry are summed:
+    # each column's rows are sorted and distinct
+    g = make_grid()
+    matrices = []
+    splu = spla.splu
+
+    def keeping_splu(A, *args, **kwargs):
+        matrices.append(A.copy())
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", keeping_splu)
+    rng = np.random.default_rng(37)
+    data = [np.where(g.boundary(), rng.uniform(0.0, 2.0, g.mask.shape), 0.0) for _ in range(2)]
+    solve_harmonic(g, data)
+    maps = sector_maps(g)
+    assert len(matrices) == len(maps) == sectors
+    L = sparse_laplacian(g)
+    for M, (kept, weight, unfold) in zip(matrices, maps):
+        x = rng.uniform(-1.0, 1.0, M.shape[0])
+        y = unfold @ x
+        ref = weight * (L @ y)[kept]
+        scale = weight * (abs(L) @ np.abs(y))[kept]
+        assert M.has_canonical_format
+        assert np.all(np.abs(M @ x - ref) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("make_grid", RED_BLACK_GRIDS,
+                         ids=["disk_41", "disk_101", "rectangle", "holed_rectangle"])
+def test_schur_complements_are_the_sparse_products(monkeypatch, make_grid):
+    # a grid's first screened factorization gives SuperLU S in grid order,
+    # the second S permuted by the ordering the first set: each has the
+    # pattern of schur_complement, so permuted, and its values within 1e-14
+    # relative
+    g = make_grid()
+    matrices = []
+    splu = spla.splu
+
+    def keeping_splu(A, *args, **kwargs):
+        matrices.append((kwargs.get("permc_spec"), A.copy()))
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", keeping_splu)
+    rng = np.random.default_rng(41)
+    h = min(g.spacing)
+    b = np.where(g.boundary(), 1.0, 0.0)
+    cs = [rng.uniform(0.0, scale / h**2, g.mask.shape) for scale in (1.0, 1e4)]
+    for c in cs:
+        solve_screened(g, c, b)
+    order = grid_operator(g).red_black.order
+    assert [spec for spec, _ in matrices] == ["MMD_AT_PLUS_A", "NATURAL"]
+    for (_, S), c, perm in zip(matrices, cs, (np.arange(order.size), order)):
+        ref = schur_complement(g, c)[perm][:, perm].tocsc()
+        ref.sort_indices()
+        assert S.has_sorted_indices
+        assert np.array_equal(S.indptr, ref.indptr) and np.array_equal(S.indices, ref.indices)
+        assert np.all(np.abs(S.data - ref.data) <= 1e-14 * np.abs(ref.data))
+
+
 def test_red_black_without_black_unknowns(monkeypatch):
     # a 3 x 3 rectangle has one unknown, a red one: the screened solve is
     # its exact quotient, and SuperLU is not called.  On these data the
