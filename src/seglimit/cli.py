@@ -390,7 +390,8 @@ class RunWriter:
         }
         manifest.update(extra)
         p = self.out / "manifest.json"
-        p.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        # strict JSON: a NaN or an infinity raises instead of being written
+        p.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
         return p
 
 
@@ -399,6 +400,7 @@ class RunWriter:
 
 
 def _stats_summary(stats) -> dict:
+    bounds = [s.error_bound for s in stats]
     return {
         "solves": len(stats),
         # solves that made the factor they ran on; the others reused one
@@ -406,7 +408,10 @@ def _stats_summary(stats) -> dict:
         # solves per kernel: sine, tridiagonal, superlu, or none (zero data)
         "kernels": dict(Counter(s.kernel for s in stats)),
         "max_residual": max((s.residual for s in stats), default=0.0),
-        "max_error_bound": float(max((s.error_bound for s in stats), default=0.0)),
+        # null when a solve has no finite bound: an infinite one certifies
+        # nothing, and JSON has no Infinity
+        "max_error_bound": (float(max(bounds, default=0.0))
+                            if all(map(math.isfinite, bounds)) else None),
     }
 
 

@@ -56,7 +56,10 @@ Three kernels solve the systems, chosen by the grid
 
 ``LinearSolveStats.factorized`` says whether a solve made the factor it
 ran on; a harmonic batch marks its first column, however many sectors it
-factorizes.
+factorizes.  Only two functions factorize: ``_splu`` makes every SuperLU
+factorization and ``_tridiagonal_solver`` every tridiagonal one, and no
+other code here calls scipy's or LAPACK's solvers, so wrapping those two
+sees every factorization.
 
 The Schur complements of the screened systems on one 2D grid
 (``-Lap + diag(c)``, ``c >= 0``) are SPD M-matrices with a common sparsity

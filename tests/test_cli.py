@@ -957,12 +957,19 @@ def test_bad_flag_value_exit_2(tmp_path, capsys, argv):
 
 
 def test_smallest_epsilon_with_a_finite_reciprocal_runs(tmp_path):
-    # 1/1e-308 is a finite float, so the solve runs, without an overflow
+    # 1/1e-308 is a finite float, so the solve runs, without an overflow.
+    # Its linear solves' certified bound is infinite, which certifies
+    # nothing: the manifest, strict JSON, records it as null
+    def refuse(name):
+        raise AssertionError(f"{name} in a manifest")
+
     p = make_cfg(tmp_path)
     for sub in ("solve", "compare"):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main([sub, str(p), "--epsilon", "1e-308", "--out", str(tmp_path / sub)]) == EXIT_OK
+        manifest = json.loads((tmp_path / sub / "manifest.json").read_text(), parse_constant=refuse)
+        assert manifest["stages"]["solve"]["linear"]["max_error_bound"] is None
 
 
 @pytest.mark.parametrize("sub", ["validate", "solve", "limit", "compare", "rate", "interfaces"])

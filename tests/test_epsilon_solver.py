@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +19,7 @@ from seglimit import (
     solve_harmonic,
     solve_screened,
 )
-from seglimit import epsilon_solver
+from seglimit import elliptic_core, epsilon_solver
 from seglimit.elliptic_core import DEFAULT_TOL
 from seglimit.epsilon_solver import (
     _reaction,
@@ -544,8 +543,9 @@ def test_at_most_one_superlu_factor_alive(monkeypatch, configs):
     # sector's factor before the next sector's is made, and each of those
     # factors has at most a quadrant's unknowns
     live, peak, sizes = [0], [0], []
-    splu = spla.splu
+    splu = elliptic_core._splu
 
+    # SuperLU objects take no weak references, so a proxy counts them
     class Tracked:
         def __init__(self, lu):
             self.lu = lu
@@ -559,11 +559,11 @@ def test_at_most_one_superlu_factor_alive(monkeypatch, configs):
         def __del__(self):
             live[0] -= 1
 
-    def tracked_splu(A, *args, **kwargs):
+    def tracked_splu(A, permc_spec):
         sizes.append(A.shape[0])
-        return Tracked(splu(A, *args, **kwargs))
+        return Tracked(splu(A, permc_spec))
 
-    monkeypatch.setattr(spla, "splu", tracked_splu)
+    monkeypatch.setattr(elliptic_core, "_splu", tracked_splu)
     cfg = configs["disk_m3"]
     g = build_grid(cfg.domain, 41)
     r = solve_epsilon(g, cfg.data, 1e-4)
