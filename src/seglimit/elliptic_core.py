@@ -724,7 +724,10 @@ def _solve_linear(op: _GridOperator, factor: Factor, rhs: list[np.ndarray], tol:
     A solution y passes when its normwise backward error in the sup norm,
     ``||b - A y||_inf / max(||b||_inf, ||A||_inf ||y||_inf)`` (Rigal &
     Gaches 1967; Higham 2002, ch. 7), is at most ``tol``.  It reads the
-    norms the bound below takes.
+    norms the bound below takes.  Both are computed in units of 2^e, the
+    power of two of the column's norms, so that neither ``A y`` nor
+    ``||A||_inf ||y||_inf`` overflows, and the bound is scaled back (to
+    inf past the largest float).
 
     Each solution y carries the certified error bound
     ``R^2/(2d) (||b - A y||_inf + gamma (||b||_inf + ||A||_inf ||y||_inf))``
@@ -751,22 +754,30 @@ def _solve_linear(op: _GridOperator, factor: Factor, rhs: list[np.ndarray], tol:
     # one call for the batch, so that a sector batch factorizes each sector
     # once for all its columns
     for k, shift, b, y in zip(live, shifts, scaled, factor.solve(scaled)):
-        b_max = math.ldexp(b_maxes[k], shift)
-        r = op.residual(b, y, c)
+        # scaling by 2^-e is exact down to the subnormals, whose rounding
+        # the gamma term dwarfs in these units, so the backward error is
+        # the unscaled one
         y_max = float(np.abs(y).max(initial=0.0))
-        r_max = float(np.abs(r).max())
+        e = max(math.frexp(b_maxes[k])[1] + shift,
+                math.frexp(a_norm)[1] + math.frexp(y_max)[1])
+        b_max = math.ldexp(b_maxes[k], shift - e)
+        y_max = math.ldexp(y_max, -e)
+        r_max = float(np.abs(op.residual(np.ldexp(b, -e), np.ldexp(y, -e), c)).max())
         # the backward error, not ||r|| / ||b||: stable for the stiff
         # screened systems where ||A|| >> ||b|| / ||y||
         res = r_max / max(b_max, a_norm * y_max)
         bound = op.inverse_norm_bound * (
             r_max + op.residual_rounding * (b_max + a_norm * y_max)
         )
-        xs[k] = y
+        try:
+            bound = math.ldexp(bound, e - shift)
+        except OverflowError:
+            bound = math.inf
+        xs[k] = np.ldexp(y, -shift) if shift else y
         if shift:
             # scaling back rounds each of y and the bound by at most half
             # the smallest subnormal
-            xs[k] = np.ldexp(y, -shift)
-            bound = math.ldexp(bound, -shift) + math.ldexp(1.0, -1074)
+            bound += math.ldexp(1.0, -1074)
         # the batch's first column made the factor, the others reuse it
         stats[k] = LinearSolveStats(res, bound, factor.kernel, factorized and k == live[0])
         # not ``res > tol``, which a NaN residual would pass

@@ -28,9 +28,14 @@ nondecreasing: v+ >= v*.  And G(v+) >= (J(a) - J(v)) J(a)^{-1} G(v) >= 0,
 so v+ is again a supersolution below a, and the next chord step may use
 the same factor (Ortega & Rheinboldt, Iterative Solution of Nonlinear
 Equations in Several Variables, 1970, 13.3; Kelley, Iterative Methods for
-Linear and Nonlinear Equations, 1995, 5.4).  So after each factorizing
-step made at a Newton iterate, up to ``CHORD_STEPS`` chord steps run on
-its factor.  Two factors take none:
+Linear and Nonlinear Equations, 1995, 5.4).  A chord step costs one
+triangular solve, so it pays while it shrinks the update at least as
+much as the Newton step that made its factor did.  With rho that step's
+update over the update of the factorizing step before it, a chord step
+follows it only if rho < 1, and another chord step follows only while
+the update stays positive and at most rho times the one before;
+otherwise the next step factorizes at the current iterate.  Two factors
+take no chord step:
 
 - the first, made at the start v_lim (or ``initial``), which lies below
   the iterates, so a chord step on it need not decrease them;
@@ -88,8 +93,6 @@ from .problem_data import ProblemData
 
 DEFAULT_TOL_FP = 1e-8
 DEFAULT_MAX_SWEEPS = 500
-# chord steps on each SuperLU factor made at a Newton iterate
-CHORD_STEPS = 2
 
 
 @dataclass
@@ -226,21 +229,17 @@ def solve_epsilon(
 
     history: list[float] = []
     newton_updates: list[float] = []  # the updates of the factorizing steps
-    best = math.inf  # the least of them from the second on
-    stalled = 0  # consecutive later factorizing steps that set no new least
-    chords = 0  # chord steps left on the held factor
+    rho = 0.0  # the last factorizing step's update over the one before
+    newton = True
     held = Factor()
     F, dF = _reaction(v, w, A, alphas)
     try:
         while len(history) < max_sweeps:
-            newton = chords == 0
             if newton:
                 # a Newton step factorizes at the current iterate; ``held``
                 # frees its factor of the last one first (``Factor.use``)
                 dF_k = dF
                 c = dF / epsilon
-            else:
-                chords -= 1
             # F'(v_k) v - F(v) >= F'(v) v - F(v) >= -F(0) = 0 for v_k >= v >= 0
             # by convexity; the max drops rounding
             source = np.maximum(dF_k * v - F, 0.0) / epsilon
@@ -253,20 +252,23 @@ def solve_epsilon(
             if bound <= tol_abs:
                 return result("certified", bound)
             if not newton:
+                # the chord steps go on while they contract at least by rho
+                newton = not 0.0 < history[-1] <= rho * history[-2]
                 continue
             if history[-1] <= tol_abs:
                 return result("update", history[-1])
             newton_updates.append(history[-1])
             if len(newton_updates) >= 2:
                 # only a SuperLU factor made at a Newton iterate (above the
-                # iterates that follow it) serves chord steps
-                if st.kernel == "superlu":
-                    chords = CHORD_STEPS
+                # iterates that follow it) serves chord steps, and only
+                # after a step that contracted
+                rho = history[-1] / newton_updates[-2]
+                newton = st.kernel != "superlu" or not rho < 1.0
                 # from here on monotone Newton's updates decrease; two in a
-                # row that do not have reached the rounding floor of the solves
-                stalled = 0 if history[-1] < best else stalled + 1
-                best = min(best, history[-1])
-                if stalled == 2:
+                # row that set no new least (the least of those from the
+                # second on) have reached the rounding floor of the solves
+                best = min(newton_updates[1:-2], default=math.inf)
+                if min(newton_updates[-2:]) >= best:
                     raise SolverError(
                         f"Newton stalled at step {len(history)}: updates {newton_updates[-2]:.3e} "
                         f"and {history[-1]:.3e} do not fall below {best:.3e}, target "

@@ -1,6 +1,7 @@
 """Config parsing, subcommand runs, output schemas, and exit codes."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -28,6 +29,7 @@ from seglimit.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_SOLVER,
+    _stats_summary,
     main,
     parse_config,
     write_distance_csv,
@@ -36,6 +38,7 @@ from seglimit.cli import (
     write_jump_report,
     write_rate_csv,
 )
+from seglimit.elliptic_core import LinearSolveStats
 from seglimit.errors import ConfigError
 from conftest import CONFIG_NAMES, config_path
 
@@ -958,8 +961,10 @@ def test_bad_flag_value_exit_2(tmp_path, capsys, argv):
 
 def test_smallest_epsilon_with_a_finite_reciprocal_runs(tmp_path):
     # 1/1e-308 is a finite float, so the solve runs, without an overflow.
-    # Its linear solves' certified bound is infinite, which certifies
-    # nothing: the manifest, strict JSON, records it as null
+    # Its linear solves are checked in units of their norms, so ||A|| ||y||
+    # does not overflow and their certified bounds are finite.  A solve
+    # with no finite bound certifies nothing: the manifest, strict JSON,
+    # records it as null
     def refuse(name):
         raise AssertionError(f"{name} in a manifest")
 
@@ -969,7 +974,9 @@ def test_smallest_epsilon_with_a_finite_reciprocal_runs(tmp_path):
             warnings.simplefilter("error", RuntimeWarning)
             assert main([sub, str(p), "--epsilon", "1e-308", "--out", str(tmp_path / sub)]) == EXIT_OK
         manifest = json.loads((tmp_path / sub / "manifest.json").read_text(), parse_constant=refuse)
-        assert manifest["stages"]["solve"]["linear"]["max_error_bound"] is None
+        assert manifest["stages"]["solve"]["linear"]["max_error_bound"] > 0.0
+    stats = [LinearSolveStats(0.0, 1.0), LinearSolveStats(0.0, math.inf)]
+    assert _stats_summary(stats)["max_error_bound"] is None
 
 
 @pytest.mark.parametrize("sub", ["validate", "solve", "limit", "compare", "rate", "interfaces"])

@@ -305,6 +305,31 @@ def test_nan_screening_coefficient_raises():
             solve_screened(disk, c, boundary_array(disk, lambda p: 1.0))
 
 
+def test_huge_data_checked_in_units_of_its_norms():
+    # at data 1e300, ||A||_inf ||y||_inf overflows a float.  Each column is
+    # checked in units of the power of two of its norms, so the residual
+    # and the bound are those of the same problem at 2^-1000 times the
+    # data, scaled back.  Each solve is on a fresh grid, whose first
+    # screened factorization orders it
+    def solve(scale):
+        g = build_grid(DomainSpec.rectangle(-1.0, 1.0, -1.0, 1.0), 21)
+        c = np.zeros(g.mask.shape)
+        c[10, 10] = 1e10
+        return solve_screened(g, c, np.where(g.boundary(), math.ldexp(1e300, scale), 0.0))
+
+    u, st = solve(0)
+    small, small_st = solve(-1000)
+    assert st.residual == small_st.residual and 0.0 < st.residual <= DEFAULT_TOL
+    assert st.error_bound == math.ldexp(small_st.error_bound, 1000) < math.inf
+    assert np.array_equal(u.values, np.ldexp(small.values, 1000))
+    # a non-finite residual still fails the check
+    line = build_grid(DomainSpec.interval(0.0, 1.0), 41)
+    c = np.ones(41)
+    c[20] = np.nan
+    with pytest.raises(SolverError, match="direct solve residual nan exceeds tol"):
+        solve_screened(line, c, boundary_array(line, lambda p: 1e300))
+
+
 def test_operator_cache_drops_dead_grids():
     gc.collect()
     cached = len(elliptic_core._operator_cache)

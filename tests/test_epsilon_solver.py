@@ -528,6 +528,66 @@ def test_chord_iterates_decrease_to_the_solution(monkeypatch, configs, name, eps
         assert np.all(v >= iterates[-1] - tol)
 
 
+def test_chord_steps_run_while_they_contract(configs):
+    # after a factorizing step j from the second on, with rho its update
+    # over the factorizing step's before it, a chord step follows only if
+    # rho < 1; each chord step but the last of a run is positive and at
+    # most rho times the update before it, and a run that the stop does not
+    # end hands over to a factorizing step at the chord step that is not
+    handovers = 0
+    for name in ("square_m4", "disk_m3"):
+        cfg = configs[name]
+        for n in (41, 61):
+            g = build_grid(cfg.domain, n)
+            L = solve_limit(g, cfg.data)
+            for eps in (1e-2, 1e-4, 1e-6):
+                r = solve_epsilon(g, cfg.data, eps, limit=L)
+                h = r.gap_history
+                made = [st.factorized for st in r.linear_stats]
+                assert all(st.kernel == "superlu" for st in r.linear_stats)
+                # the v_lim factor serves no chord step
+                assert made[:2] == [True, True] and not all(made)
+                newton = [k for k, f in enumerate(made) if f]
+                for before, j, end in zip(newton, newton[1:], newton[2:] + [len(h)]):
+                    rho = h[j] / h[before]
+                    run = range(j + 1, end)
+                    if run:
+                        assert rho < 1, (name, n, eps, j)
+                    elif end < len(h):
+                        assert not rho < 1, (name, n, eps, j)
+                    for k in run[:-1]:
+                        assert 0 < h[k] <= rho * h[k - 1], (name, n, eps, k)
+                    if run and end < len(h):
+                        assert not 0 < h[end - 1] <= rho * h[end - 2], (name, n, eps, end)
+                        handovers += 1
+    assert handovers
+
+
+def test_zero_chord_update_hands_over(monkeypatch, configs):
+    # a chord step whose update is exactly 0 measures no contraction: the
+    # next step factorizes at the current iterate
+    cfg = configs["square_m4"]
+    g = build_grid(cfg.domain, 41)
+    L = solve_limit(g, cfg.data)
+    last, forced = [None], []
+
+    def stalling(*args, **kwargs):
+        field, st = solve_screened(*args, **kwargs)
+        if not st.factorized and not forced:
+            # the first chord step returns the iterate it started from
+            forced.append(True)
+            field = last[0]
+        last[0] = field
+        return field, st
+
+    monkeypatch.setattr(epsilon_solver, "solve_screened", stalling)
+    r = solve_epsilon(g, cfg.data, 1e-4, limit=L)
+    made = [st.factorized for st in r.linear_stats]
+    k = made.index(False)
+    assert r.gap_history[k] == 0.0 and made[k + 1]
+    assert r.stop == "certified"
+
+
 def test_interval_solves_take_no_chord_step(configs):
     # a tridiagonal factor costs no more than a solve: every Newton step on
     # an interval factorizes
