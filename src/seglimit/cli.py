@@ -454,7 +454,11 @@ def cmd_solve(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict
 def _build_limit(cfg: SystemConfig, w: RunWriter, pivot: int):
     """The limit on ``pivot``, recorded as the manifest's ``limit`` stage."""
     L = limit_solver.solve_limit(cfg.grid, cfg.data, pivot, cfg.tol_linear)
-    w.stages["limit"] = {"pivot": L.pivot, "linear": _stats_summary(L.linear_stats)}
+    # per component, the nodes the tie rule zeroed from a nonzero value and
+    # its window, null where a bound is infinite (as max_error_bound)
+    w.stages["limit"] = {"pivot": L.pivot, "linear": _stats_summary(L.linear_stats),
+                         "ties": list(L.ties),
+                         "tie_windows": [x if math.isfinite(x) else None for x in L.tie_windows]}
     return L
 
 

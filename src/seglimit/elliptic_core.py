@@ -61,17 +61,10 @@ factorization and ``_tridiagonal_solver`` every tridiagonal one, and no
 other code here calls scipy's or LAPACK's solvers, so wrapping those two
 sees every factorization.
 
-The Schur complements of the screened systems on one 2D grid
-(``-Lap + diag(c)``, ``c >= 0``) are SPD M-matrices with a common sparsity
-pattern, so one fill-reducing ordering serves them all.  The grid takes it
-from its first screened factorization: that factorization runs SuperLU's
-minimum degree on S^T + S in symmetric mode on the black unknowns in grid
-order, so one SuperLU call both orders and factorizes.  The grid keeps
-that ordering (a copy: ``SuperLU.perm_c`` is a view that keeps the whole
-factor alive) and builds from it, on the next screened solve, the pattern
-of S permuted by it.  Every later screened factorization gathers its
-values into that pattern and runs SuperLU in symmetric mode with diagonal
-pivots and no ordering of its own.
+Every SuperLU factorization orders itself: ``_splu`` runs SuperLU's
+minimum degree on A^T + A in symmetric mode with diagonal pivots, so a
+solve's answer depends on its system alone, not on what its grid solved
+before.
 """
 
 from __future__ import annotations
@@ -311,11 +304,11 @@ def _box_solve(denominators: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _dst1(_dst1(t.T).T).ravel()
 
 
-def _splu(A: sp.csc_matrix, permc_spec: str):
+def _splu(A: sp.csc_matrix):
     """SuperLU's factorization of ``A`` in symmetric mode with diagonal
-    pivots, ordered as ``permc_spec`` says."""
+    pivots, ordered by minimum degree on A^T + A."""
     try:
-        return spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
     except RuntimeError as exc:
         # SuperLU reports a zero pivot (a NaN in c makes one) this way
@@ -383,7 +376,7 @@ def _sector_solve(op: _GridOperator, columns: list[np.ndarray]) -> list[np.ndarr
         # arrays that build it is alive while SuperLU factorizes it, and
         # the factor is freed when _add_parts returns, before the next
         # sector's is made
-        _add_parts(xs, _splu(_sector_matrix(op, sel, flat, weight, mirror, sign), "MMD_AT_PLUS_A"),
+        _add_parts(xs, _splu(_sector_matrix(op, sel, flat, weight, mirror, sign)),
                    rhs, flat, mirror[op.interior_flat], sign[op.interior_flat], interior.size)
     return list(xs)
 
@@ -471,14 +464,12 @@ class _RedBlack:
     quotients are left, and SuperLU is not called.
 
     S's coefficients are grid-shaped arrays, one per offset of its stencil,
-    summed from ``1 / d_r`` by shifted slices.  A pattern of S is
-    ``_csc`` of a table that holds, for each column and offset, the row at
-    that offset and the position of its coefficient among the stacked
-    arrays: its ``indices`` and ``indptr`` are S's, and its values are the
-    ``gather`` that picks S's values in CSC order.  The first factorization
-    builds S's pattern in grid order, orders S itself and sets the grid's
-    ordering; the pattern permuted by it is built when a later
-    factorization first needs it, and is the only one the reduction holds.
+    summed from ``1 / d_r`` by shifted slices.  S's pattern, built once per
+    grid in grid order (``pattern``), is ``_csc`` of a table that holds, for
+    each column and offset, the row at that offset and the position of its
+    coefficient among the stacked arrays: its ``indices`` and ``indptr`` are
+    S's, and its values are the ``gather`` that picks S's values in CSC
+    order.
     """
 
     def __init__(self, op: _GridOperator):
@@ -506,18 +497,13 @@ class _RedBlack:
                 paths.setdefault(offset, []).append((src, dst, coef_a * coef_b))
         self._offsets = list(paths)
         self._paths = list(paths.values())
-        # the grid's ordering once its first factorization has set it (the
-        # inverse of that factor's perm_c), and S's pattern permuted by it
-        self.order: np.ndarray | None = None
-        self._ordered = None
 
-    def _pattern(self, order: np.ndarray) -> tuple:
-        """S's pattern with its unknown i the black unknown ``order[i]``:
-        the black unknowns' positions and flat indices in S's order, and
-        S's CSC ``indices``, ``indptr`` and the ``gather`` of its values
-        from the stacked coefficient arrays."""
-        unknowns = self.black_unknowns[order]
-        flat = self.black_flat[order]
+    @functools.cached_property
+    def pattern(self) -> tuple:
+        """S's CSC ``indices``, ``indptr`` and the ``gather`` of its values
+        from the stacked coefficient arrays, its unknowns the black ones in
+        grid order."""
+        flat = self.black_flat
         size = self._red.size
         number = np.full(size, -1)
         number[flat] = np.arange(self.n_black)
@@ -539,7 +525,7 @@ class _RedBlack:
         # the pattern of a matrix whose entries are the positions of S's
         # values among the stacked coefficient arrays
         S = _csc(rows, np.arange(n_offsets)[:, None] * size + flat)
-        return unknowns, flat, S.indices, S.indptr, S.data
+        return S.indices, S.indptr, S.data
 
     def factor(self, c: np.ndarray):
         """The solve of ``(laplacian + diag(c)) y = b`` in the original
@@ -547,24 +533,14 @@ class _RedBlack:
         is empty."""
         d_red = self.red_diag + c[self.red_unknowns]
         d_black = self.black_diag + c[self.black_unknowns]
-        ordered = self.order is not None
-        if ordered and self._ordered is None:
-            self._ordered = self._pattern(self.order)
-        unknowns, flat, indices, indptr, gather = (
-            self._ordered if ordered else self._pattern(np.arange(self.n_black)))
         lu = None
         if self.n_black:
+            indices, indptr, gather = self.pattern
             S = sp.csc_matrix(
                 (self._coefficients(d_red, d_black).ravel()[gather], indices, indptr),
                 shape=(self.n_black, self.n_black),
             )
-            lu = _splu(S, "NATURAL" if ordered else "MMD_AT_PLUS_A")
-            if not ordered:
-                # perm_c[j] is the new position of unknown j, so the order is
-                # its inverse; argsort makes a new array, where keeping perm_c
-                # itself (a view whose base is the SuperLU object) would keep
-                # the factor
-                self.order = np.argsort(lu.perm_c)
+            lu = _splu(S)
 
         def solve(b: np.ndarray) -> np.ndarray:
             b_red = b[self.red_unknowns]
@@ -572,13 +548,13 @@ class _RedBlack:
             v.ravel()[self.red_flat] = b_red / d_red
             acc = np.zeros(self._shape)
             _add_neighbours(self._stencil, acc, v)
-            rhs = b[unknowns] + acc.ravel()[flat]
+            rhs = b[self.black_unknowns] + acc.ravel()[self.black_flat]
             v.fill(0.0)
-            v.ravel()[flat] = rhs if lu is None else lu.solve(rhs)
+            v.ravel()[self.black_flat] = rhs if lu is None else lu.solve(rhs)
             acc.fill(0.0)
             _add_neighbours(self._stencil, acc, v)
             y = np.empty_like(b)
-            y[unknowns] = v.ravel()[flat]
+            y[self.black_unknowns] = v.ravel()[self.black_flat]
             y[self.red_unknowns] = (b_red + acc.ravel()[self.red_flat]) / d_red
             return y
 

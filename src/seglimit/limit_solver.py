@@ -38,6 +38,11 @@ class LimitResult:
     w_bound: tuple[float, ...]  # the certified error bound of each w_j, 0 at the pivot
     scaled_pivot: ScalarField  # v_lim = max(0, max_k w_k), 0 outside the domain
     weights: np.ndarray  # the A_j the fields were recovered with
+    # w_bound[j] + max(w_bound): u_j is set to 0 where v_lim - w_j is within it
+    tie_windows: tuple[float, ...]
+    # per component, the interior nodes the tie rule set to 0 whose computed
+    # value was not already 0
+    ties: tuple[int, ...]
 
     @property
     def m(self) -> int:
@@ -79,7 +84,8 @@ def construct_limit(
     nodes where the bounds admit an exact zero.  This one rule settles
     every tie, at every pivot and at any scale of the data, as the bounds
     scale with them; nodes in several zero sets are exactly the
-    multi-interface points.
+    multi-interface points.  The result keeps each component's window
+    and the count of nodes the rule set to 0 from a nonzero value.
     """
     v = np.stack(w).max(axis=0)  # w_p = 0 is among the w
     v[~g.in_domain()] = 0.0
@@ -88,9 +94,14 @@ def construct_limit(
     A = data.weights.values
     fields = recover(g, v, w, A, data.boundary_arrays(g), 0.0, w_bound)
     interior = g.interior()
-    for f, wj, bound in zip(fields, w, w_bound):
-        f.values[interior & (v - wj <= bound + max(w_bound))] = 0.0
-    return LimitResult(fields, pivot, stats, tuple(w), tuple(w_bound), ScalarField(g, v), A)
+    windows = tuple(b + max(w_bound) for b in w_bound)
+    ties = []
+    for f, wj, window in zip(fields, w, windows):
+        tie = interior & (v - wj <= window)
+        ties.append(int(np.count_nonzero(f.values[tie])))
+        f.values[tie] = 0.0
+    return LimitResult(fields, pivot, stats, tuple(w), tuple(w_bound), ScalarField(g, v), A,
+                       windows, tuple(ties))
 
 
 def recover(g, v, w, A, phi, v_bound, w_bound) -> tuple[ScalarField, ...]:

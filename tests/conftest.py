@@ -41,13 +41,11 @@ def unit_disk_101():
 class Factorization(NamedTuple):
     """One factorization the library made: its ``kernel``, ``superlu`` or
     ``tridiagonal``; the ``matrix``, a copy of the CSC matrix SuperLU was
-    given, or the diagonal and off-diagonal ``(d, e)``; SuperLU's
-    ``permc_spec`` and the factor's fill (``SuperLU.nnz``), None for the
-    tridiagonal kernel."""
+    given, or the diagonal and off-diagonal ``(d, e)``; and the factor's
+    fill (``SuperLU.nnz``), None for the tridiagonal kernel."""
 
     kernel: str
     matrix: object
-    permc_spec: str | None
     nnz: int | None
 
 
@@ -60,16 +58,16 @@ def factorizations(monkeypatch) -> list[Factorization]:
     records = []
     splu, tridiagonal = elliptic_core._splu, elliptic_core._tridiagonal_solver
 
-    def recording_splu(A, permc_spec):
+    def recording_splu(A):
         # SuperLU sums duplicates in place, so the copy is taken first
         matrix = A.copy()
-        lu = splu(A, permc_spec)
-        records.append(Factorization("superlu", matrix, permc_spec, lu.nnz))
+        lu = splu(A)
+        records.append(Factorization("superlu", matrix, lu.nnz))
         return lu
 
     def recording_tridiagonal(d, e):
         solve = tridiagonal(d, e)
-        records.append(Factorization("tridiagonal", (d.copy(), e.copy()), None, None))
+        records.append(Factorization("tridiagonal", (d.copy(), e.copy()), None))
         return solve
 
     monkeypatch.setattr(elliptic_core, "_splu", recording_splu)

@@ -1,11 +1,14 @@
 """Diagnostics only the tests use: the segregation residual, the discrete
-Dirichlet energy and the pivot-equivalence check of the explicit limit."""
+Dirichlet energy, the pivot-equivalence check of the explicit limit, and
+configs whose discrete limit is exact."""
 
 import numpy as np
 
 from seglimit import Grid, ProblemData, ScalarField, solve_limit
 from seglimit.analysis import _cell_volume
+from seglimit.cli import parse_config
 from seglimit.elliptic_core import DEFAULT_TOL
+from seglimit.problem_data import compile_expression
 
 
 def segregation_residual(
@@ -54,3 +57,42 @@ def pivot_equivalence_check(
         float(np.abs(a.values - b.values).max())
         for a, b in zip(rp.fields, rq.fields)
     )
+
+
+def harmonic_cubic_config(path, cubics: list[str], n: int):
+    """The parsed config, written to ``path``, of the problem on [-1, 1]^2
+    at n x n nodes whose data are ``phi_k = max(0, max_l H_l) - H_k`` with
+    H_1 = 0 and H_2 .. H_m the harmonic ``cubics`` (expressions in x and y).
+
+    Each phi_k is written as ``max(0, max_{l != k} (H_l - H_k))``, each max
+    as ``max(a, b) = (a + b + abs(a - b)) / 2``, which is never negative in
+    floating point when a >= 0.  The stencil is exact on cubics, so every
+    w_j is H_j - H_p on the grid and the discrete limit is the expression
+    of phi_k at every node (``harmonic_cubic_limit``), up to rounding."""
+    H = ["0", *cubics]
+    data = []
+    for k, hk in enumerate(H):
+        phi = "0"
+        for hl in H[:k] + H[k + 1:]:
+            d = f"(({hl}) - ({hk}))"
+            phi = f"({phi} + {d} + abs({phi} - {d})) / 2"
+        data.append(f'[boundary.{k + 1}]\npiece = "all: {phi}"\n')
+    m = len(H)
+    ones = ", ".join(["1"] * m)
+    path.write_text(
+        f"[domain]\nkind = rectangle\nbounds = -1 1 -1 1\nn = {n}\n\n"
+        f"[system]\nm = {m}\nepsilon = 1e-8\nalpha = [{ones}]\nA = [{ones}]\n\n"
+        + "\n".join(data)
+    )
+    return parse_config(path)
+
+
+def harmonic_cubic_limit(g: Grid, cubics: list[str]) -> list[np.ndarray]:
+    """The exact limit of ``harmonic_cubic_config`` at every node of ``g``:
+    u_k = max(0, max_l H_l) - H_k."""
+    X, Y = g.node_coords()
+    H = [np.zeros(g.mask.shape)] + [
+        np.vectorize(lambda x, y, f=compile_expression(h): f(x=x, y=y))(X, Y) for h in cubics
+    ]
+    top = np.maximum.reduce(H)
+    return [top - h for h in H]

@@ -386,6 +386,27 @@ def test_rate_study_slope_and_failures(g401, limit_m3):
         rate_study(g401, M2, [1e-2, 1e-310], limit2)
 
 
+@pytest.mark.parametrize("name", ["disk_m3", "square_m4"])
+def test_rate_rung_matches_standalone_solve(configs, name):
+    # a rung of the ladder solves its system on a grid that solved the
+    # rungs before it, yet gives the distances of the same solve on a
+    # fresh grid bit for bit: every factorization orders itself
+    cfg = configs[name]
+    tols = dict(tol_fp=cfg.tol_fp, max_sweeps=cfg.max_sweeps, tol_linear=cfg.tol_linear)
+
+    def fresh():
+        g = build_grid(cfg.domain, 61)
+        return g, solve_limit(g, cfg.data, tol_linear=cfg.tol_linear)
+
+    g, L = fresh()
+    rung = rate_study(g, cfg.data, [1e-2, 1e-3, 1e-4], L, **tols).rows[-1]
+    g, L = fresh()
+    dist = solve_vs_limit_distances(solve_epsilon(g, cfg.data, 1e-4, limit=L, **tols), L)
+    assert not rung.failed
+    assert rung.lmp1 == tuple(d["lmp1"] for d in dist)
+    assert rung.sup == tuple(d["sup"] for d in dist)
+
+
 def test_discrete_energy_values(g401):
     assert discrete_energy(ScalarField(g401, np.zeros(401))) == 0.0
     x = g401.axis_coords(0)

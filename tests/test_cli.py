@@ -686,6 +686,19 @@ def test_limit_stage_recorded_by_every_limit_build(tmp_path):
         assert 0.0 < solve["linear"]["max_error_bound"] < 1e-6
 
 
+def test_limit_stage_records_its_ties(tmp_path):
+    # per component, the nodes the limit's tie rule zeroed from a nonzero
+    # value, and the window it zeroed them within
+    cfg = parse_config(LINE_M2)
+    for pivot in (1, 2):
+        out = tmp_path / f"pivot{pivot}"
+        assert main(["limit", LINE_M2, "--pivot", str(pivot), "--out", str(out)]) == EXIT_OK
+        stage = manifest_of(out)["stages"]["limit"]
+        L = solve_limit(cfg.grid, cfg.data, pivot, cfg.tol_linear)
+        assert stage["ties"] == [1, 0]
+        assert stage["tie_windows"] == list(L.tie_windows)
+
+
 def test_compare_unequal_weights_converges_to_limit(tmp_path):
     # constant weights rescale onto the equal-weight problem for u_i / A_i,
     # so the emitted limit is A_j (max(0, max_k w_k) - w_j) and the eps

@@ -528,9 +528,9 @@ def test_box_harmonic_and_laplacian_build_no_sparse_matrix(monkeypatch):
 
 @pytest.mark.parametrize("domain,n", KERNEL_GRIDS)
 def test_kernel_matches_plain_splu(domain, n):
-    # the red-black reduction, the cached ordering, the permuted template and
-    # the symmetric-mode factorization reproduce a plain default
-    # factorization of the same system
+    # the red-black reduction, the cached pattern and the symmetric-mode
+    # factorization reproduce a plain default factorization of the same
+    # system
     g = build_grid(domain, n)
     op = grid_operator(g)
     rng = np.random.default_rng(11)
@@ -699,61 +699,21 @@ def test_factorizations_only_at_the_seams():
     assert not any(isinstance(node, ast.Attribute) and node.attr == "linalg" for node in ast.walk(tree))
 
 
-def orderings(factorizations) -> list:
-    """The ordering each SuperLU factorization asked for, and the order of
-    its matrix."""
-    return [(f.permc_spec, f.matrix.shape[0]) for f in factorizations]
-
-
-def test_one_ordering_per_grid(factorizations, configs):
-    # on a disk the limit build's harmonic batch factorizes its four parity
-    # sectors, each ordered in its own factorization, and leaves the grid
-    # unordered; the first Newton step orders the Schur complement S on
-    # the black unknowns, and every later screened factorization takes that
-    # ordering as given.  A later harmonic batch orders its sectors again
-    # and leaves the grid's ordering alone; a grid whose first solve is
-    # screened orders in that solve's factorization
-    cfg = configs["disk_m3"]
-    g = build_grid(cfg.domain, 31)
-    nb = int(black_unknowns(g).sum())
-    sectors = [("MMD_AT_PLUS_A", n) for n in sector_sizes(g)]
-    L = solve_limit(g, cfg.data)
-    assert orderings(factorizations) == sectors
-    r = solve_epsilon(g, cfg.data, 1e-4, limit=L)
-    # one screened factorization per factorizing Newton step (chord steps
-    # reuse the last one)
-    steps = sum(st.factorized for st in r.linear_stats)
-    assert orderings(factorizations) == (sectors + [("MMD_AT_PLUS_A", nb)]
-                                         + [("NATURAL", nb)] * (steps - 1))
-    rb = grid_operator(g).red_black
-    order = rb.order
-    solve_harmonic(g, cfg.data.boundary_arrays(g))
-    assert orderings(factorizations[-4:]) == sectors and len(factorizations) == 8 + steps
-    assert rb.order is order
-    solve_screened(g, np.ones(g.mask.shape), cfg.data.boundary_arrays(g)[0])
-    assert orderings(factorizations[-1:]) == [("NATURAL", nb)]
-
-    factorizations.clear()
-    g = build_grid(cfg.domain, 31)
-    b = cfg.data.boundary_arrays(g)[0]
-    for _ in range(2):
-        solve_screened(g, np.ones(g.mask.shape), b)
-    assert orderings(factorizations) == [("MMD_AT_PLUS_A", nb), ("NATURAL", nb)]
-
-
-def test_box_grid_orders_in_first_screened_solve(factorizations, configs):
-    # on a box grid the harmonic batches take the sine transform, so the
-    # first Newton step's factorization orders the grid
-    cfg = configs["square_m4"]
-    g = build_grid(cfg.domain, 31)
-    L = solve_limit(g, cfg.data)
-    assert factorizations == []
-    r = solve_epsilon(g, cfg.data, 1e-4, limit=L)
-    steps = sum(st.factorized for st in r.linear_stats)
-    assert steps >= 2
-    assert [f.permc_spec for f in factorizations] == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (steps - 1)
-    solve_harmonic(g, cfg.data.boundary_arrays(g))
-    assert len(factorizations) == steps
+def test_screened_solve_does_not_depend_on_grid_history():
+    # every SuperLU factorization orders itself, so a screened solve gives
+    # the same bits on a fresh grid and on one that solved another system
+    # first
+    domain = DomainSpec.disk(0.0, 0.0, 1.0)
+    results = []
+    for first in (None, 7.0):
+        g = build_grid(domain, 101)
+        X, _ = g.node_coords()
+        b = np.where(g.boundary(), 1.0 + X, 0.0)
+        if first is not None:
+            solve_screened(g, np.full(g.mask.shape, first), b)
+        u, _ = solve_screened(g, 1e4 * (1.0 + X**2), b)
+        results.append(u.values)
+    assert np.array_equal(results[0], results[1])
 
 
 @pytest.mark.parametrize("name", ["line_m3", "disk_m3", "square_m4"])
@@ -779,58 +739,45 @@ def test_factorized_marks_every_factorization(factorizations, configs, name):
         assert 2 <= steps < r.sweeps
 
 
-def test_stored_ordering_owns_its_data(configs):
-    # SuperLU.perm_c is a view whose base is the factor: keeping it would
-    # keep the whole factor alive with the grid.  A harmonic batch builds
-    # no red-black reduction; the first screened solve orders the grid, the
-    # ordering permutes the black unknowns, and the next screened solve's
-    # pattern follows it
+def test_red_black_holds_one_pattern(configs):
+    # a harmonic batch builds no red-black reduction; the first screened
+    # solve builds S's pattern, in grid order, and every later one reads
+    # that same pattern.  Nothing the reduction holds has a SuperLU object
+    # as its base, which would keep a factor alive with the grid
     g = build_grid(configs["disk_m3"].domain, 41)
     b = configs["disk_m3"].data.boundary_arrays(g)
     solve_harmonic(g, b)
     assert "red_black" not in vars(grid_operator(g))
     solve_screened(g, np.ones(g.mask.shape), b[0])
     rb = grid_operator(g).red_black
-    assert rb.order.base is None
-    assert np.array_equal(np.sort(rb.order), np.arange(black_unknowns(g).sum()))
+    pattern = rb.pattern
     solve_screened(g, np.full(g.mask.shape, 2.0), b[0])
-    assert np.array_equal(rb._ordered[0], np.flatnonzero(black_unknowns(g))[rb.order])
-
-
-def test_red_black_holds_one_pattern(configs):
-    # the grid-order pattern of S is built inside the first screened
-    # factorization, which orders the grid, and freed with it: after two
-    # screened solves the reduction holds the ordered pattern alone
-    g = build_grid(configs["disk_m3"].domain, 41)
-    b = configs["disk_m3"].data.boundary_arrays(g)[0]
-    for c in (1.0, 2.0):
-        solve_screened(g, np.full(g.mask.shape, c), b)
-    rb = grid_operator(g).red_black
-    _, _, indices, _, gather = rb._pattern(np.arange(rb.n_black))
+    assert rb.pattern is pattern
+    indices, indptr, _ = pattern
+    ref = schur_complement(g, np.ones(g.mask.shape))
+    ref.sort_indices()
+    assert np.array_equal(indices, ref.indices) and np.array_equal(indptr, ref.indptr)
     held = [a for v in vars(rb).values() for a in (v if isinstance(v, tuple) else (v,))
             if isinstance(a, np.ndarray)]
-    assert any(a is rb._ordered[4] for a in held)
-    assert not any(np.array_equal(a, p) for a in held for p in (indices, gather))
+    assert any(a is indices for a in held)
+    assert all(a.base is None or isinstance(a.base, np.ndarray) for a in held)
 
 
 def test_fill_equals_superlu_symmetric_mmd(factorizations, configs):
-    # the screened pattern of S is permuted by the inverse of SuperLU's
-    # perm_c, so its fill equals that of SuperLU's own symmetric minimum
-    # degree on S; applying perm_c itself (the easy mistake) multiplies the
-    # fill more than tenfold.  A harmonic batch before them, by the sine
-    # transform on the square or by parity sectors on the disk, leaves the
-    # ordering to them
+    # every screened factorization is SuperLU's own symmetric minimum degree
+    # on S in grid order: its fill is that of a fresh factorization of S,
+    # whatever the grid solved before, a harmonic batch (by the sine
+    # transform on the square or by parity sectors on the disk) or another
+    # screened system
     for name in ("square_m4", "disk_m3"):
         cfg = configs[name]
         g = build_grid(cfg.domain, 101)
-        own = elliptic_core._splu(schur_complement(g, np.ones(g.mask.shape)), "MMD_AT_PLUS_A")
+        own = elliptic_core._splu(schur_complement(g, np.ones(g.mask.shape)))
         b = cfg.data.boundary_arrays(g)[0]
         solve_harmonic(g, [b])
         factorizations.clear()
-        # the first screened solve orders the grid, the second takes the
-        # template
-        for _ in range(2):
-            solve_screened(g, np.ones(g.mask.shape), b)
+        for c in (1.0, 2.0):
+            solve_screened(g, np.full(g.mask.shape, c), b)
         assert [f.nnz for f in factorizations] == [own.nnz] * 2
 
 
@@ -1145,10 +1092,8 @@ def test_sector_matrices_are_the_folded_laplacian(factorizations, make_grid, sec
 @pytest.mark.parametrize("make_grid", RED_BLACK_GRIDS,
                          ids=["disk_41", "disk_101", "rectangle", "holed_rectangle"])
 def test_schur_complements_are_the_sparse_products(factorizations, make_grid):
-    # a grid's first screened factorization gives SuperLU S in grid order,
-    # the second S permuted by the ordering the first set: each has the
-    # pattern of schur_complement, so permuted, and its values within 1e-14
-    # relative
+    # each screened factorization gives SuperLU S in grid order, with the
+    # pattern of schur_complement and its values within 1e-14 relative
     g = make_grid()
     rng = np.random.default_rng(41)
     h = min(g.spacing)
@@ -1156,10 +1101,9 @@ def test_schur_complements_are_the_sparse_products(factorizations, make_grid):
     cs = [rng.uniform(0.0, scale / h**2, g.mask.shape) for scale in (1.0, 1e4)]
     for c in cs:
         solve_screened(g, c, b)
-    order = grid_operator(g).red_black.order
-    assert [f.permc_spec for f in factorizations] == ["MMD_AT_PLUS_A", "NATURAL"]
-    for S, c, perm in zip((f.matrix for f in factorizations), cs, (np.arange(order.size), order)):
-        ref = schur_complement(g, c)[perm][:, perm].tocsc()
+    assert len(factorizations) == len(cs)
+    for S, c in zip((f.matrix for f in factorizations), cs):
+        ref = schur_complement(g, c)
         ref.sort_indices()
         assert S.has_sorted_indices
         assert np.array_equal(S.indptr, ref.indptr) and np.array_equal(S.indices, ref.indices)
@@ -1193,7 +1137,7 @@ def test_red_black_with_one_black_unknown(factorizations):
     ref = np.linalg.solve(sparse_laplacian(g, c).toarray(), op.rhs(b.ravel()))
     diff = np.abs(u.values[g.interior()] - ref).max()
     assert diff <= 1e-15 * np.abs(ref).max() and diff <= st.error_bound
-    assert st.kernel == "superlu" and orderings(factorizations) == [("MMD_AT_PLUS_A", 1)]
+    assert st.kernel == "superlu" and [f.matrix.shape for f in factorizations] == [(1, 1)]
 
 
 def test_interval_solves_make_no_superlu_call(factorizations, configs):

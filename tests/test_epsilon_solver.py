@@ -609,7 +609,6 @@ def test_at_most_one_superlu_factor_alive(monkeypatch, configs):
     class Tracked:
         def __init__(self, lu):
             self.lu = lu
-            self.perm_c = lu.perm_c
             live[0] += 1
             peak[0] = max(peak[0], live[0])
 
@@ -619,9 +618,9 @@ def test_at_most_one_superlu_factor_alive(monkeypatch, configs):
         def __del__(self):
             live[0] -= 1
 
-    def tracked_splu(A, permc_spec):
+    def tracked_splu(A):
         sizes.append(A.shape[0])
-        return Tracked(splu(A, permc_spec))
+        return Tracked(splu(A))
 
     monkeypatch.setattr(elliptic_core, "_splu", tracked_splu)
     cfg = configs["disk_m3"]

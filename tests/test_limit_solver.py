@@ -15,7 +15,7 @@ from seglimit import (
     solve_harmonic,
     solve_limit,
 )
-from helpers import pivot_equivalence_check
+from helpers import harmonic_cubic_config, harmonic_cubic_limit, pivot_equivalence_check
 from seglimit.elliptic_core import grid_operator
 from test_elliptic_core import sparse_laplacian
 from test_epsilon_solver import M2, M3, ZERO2, make_data
@@ -199,3 +199,44 @@ def test_ties_up_to_rounding_are_exact(n):
                 ref = lu.solve(grid_operator(g).rhs((phi[pivot - 1] - phi[j]).ravel()))
                 diff = np.abs(r.w[j][interior] - ref).max()
                 assert diff <= 1e-12 * np.abs(ref).max() and diff <= stats.error_bound
+
+
+def test_limit_reports_its_ties(configs):
+    # the tie rule's zeroes of computed values that were not already 0, per
+    # component: line_m2's node x = 0.5 for u_1 (a tie of w_2 = 1 - 2x), and
+    # disk_m3's row y = 0 (99 nodes at x > 0) for u_2 at pivots 1 and 2;
+    # at pivot 3 the computed u_2 is already 0 at 24 of them, and u_1 is
+    # not at two of them.  Each window is the component's bound plus
+    # the largest one
+    expected = {"line_m2": [(1, 0)] * 2, "disk_m3": [(0, 99, 0)] * 2 + [(2, 75, 0)]}
+    for name, ties in expected.items():
+        cfg = configs[name]
+        for pivot, counts in enumerate(ties, 1):
+            L = solve_limit(cfg.grid, cfg.data, pivot, cfg.tol_linear)
+            assert L.ties == counts
+            assert L.tie_windows == tuple(b + max(L.w_bound) for b in L.w_bound)
+            assert 0.0 < max(L.tie_windows) < 1e-8
+
+
+# H_2, .., H_m of harmonic_cubic_config: m = 2, and m = 3 with a triple
+# point at the origin
+HARMONIC_CUBICS = {
+    2: ["x^3 - 3*x*y^2 + 0.2*y"],
+    3: ["x + 0.2*(x^3 - 3*x*y^2)", "-0.5*x + 0.866*y + 0.2*(y^3 - 3*x^2*y)"],
+}
+
+
+@pytest.mark.parametrize("n", [51, 101, 201])
+@pytest.mark.parametrize("m", [2, 3])
+def test_limit_exact_on_harmonic_cubics(tmp_path, m, n):
+    # the 5-point stencil is exact on cubics, so the discrete limit is the
+    # closed form at every node, at every pivot, up to rounding
+    cubics = HARMONIC_CUBICS[m]
+    cfg = harmonic_cubic_config(tmp_path / "cubics.cfg", cubics, n)
+    g = cfg.grid
+    exact = harmonic_cubic_limit(g, cubics)
+    M = max(float(arr.max()) for arr in cfg.data.boundary_arrays(g))
+    for pivot in range(1, m + 1):
+        L = solve_limit(g, cfg.data, pivot, cfg.tol_linear)
+        for f, u in zip(L.fields, exact):
+            assert np.abs(f.values - u).max() <= 1e-13 * M
