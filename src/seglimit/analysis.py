@@ -57,21 +57,11 @@ def norm_Lp(u: ScalarField, p: float) -> float:
     return math.ldexp(scaled ** (1.0 / p), e)
 
 
-@dataclass
-class InterfaceEdge:
-    p: int  # flat node numbers of the endpoints, q = p + _strides(grid)[axis]
-    q: int
-    axis: int
-    midpoint: tuple[float, ...]
-    normal: tuple[float, ...]
-
-
 @dataclass(eq=False)
 class PairEdges:
     """The interface edges of one pair as arrays, one row per edge: the
     flat node numbers p and q = p + _strides(grid)[axis] of the endpoints,
-    the grid axis of the edge, the midpoint and the unit normal.  Indexing, and
-    so iteration, gives ``InterfaceEdge`` objects."""
+    the grid axis of the edge, the midpoint and the unit normal."""
 
     p: np.ndarray  # (k,) int
     q: np.ndarray
@@ -81,12 +71,6 @@ class PairEdges:
 
     def __len__(self) -> int:
         return len(self.p)
-
-    def __getitem__(self, k: int) -> InterfaceEdge:
-        return InterfaceEdge(
-            int(self.p[k]), int(self.q[k]), int(self.axis[k]),
-            tuple(self.midpoint[k].tolist()), tuple(self.normal[k].tolist()),
-        )
 
 
 @dataclass
@@ -299,8 +283,9 @@ def rate_study(
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     tol_linear: float = DEFAULT_TOL,
 ) -> RateTable:
-    """Distance-to-limit table over a decreasing epsilon ladder, with the
-    log-log slope of the limit's pivot component.
+    """Distance-to-limit table over an epsilon ladder whose log10 values
+    strictly decrease, with the log-log slope of the limit's pivot
+    component.
 
     Every eps-solve starts from ``limit`` and runs on its harmonic fields,
     so the ladder makes no harmonic solve of its own.  A solve that fails
@@ -314,17 +299,17 @@ def rate_study(
     eps_list = [float(e) for e in eps_list]
     if not all(e > 0 and 1 / e < math.inf for e in eps_list):
         raise ValueError("epsilon values must be positive with finite reciprocals")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("epsilon list must be strictly decreasing")
+    if np.any(np.diff(np.log10(eps_list)) >= 0):
+        # two rungs of one log10 would give the fit a zero step
+        raise ValueError("the log10 of the epsilon list must be strictly decreasing")
 
     def run(eps: float) -> RateRow:
         try:
             r = solve_epsilon(g, data, eps, tol_fp, max_sweeps, tol_linear, limit=limit)
         except SolverError as exc:
             return RateRow(eps, message=str(exc))
-        dist = solve_vs_limit_distances(r, limit)
-        return RateRow(eps, tuple(d["lmp1"] for d in dist), tuple(d["sup"] for d in dist),
-                       r.sweeps, r.gap, r.stop, r.linear_stats)
+        return RateRow(eps, *solve_vs_limit_distances(r, limit), r.sweeps, r.gap, r.stop,
+                       r.linear_stats)
 
     rows = [run(e) for e in eps_list]
 
@@ -338,15 +323,11 @@ def rate_study(
     return RateTable(rows, float(coef[0]), resid, (np.diff(y) / np.diff(x)).tolist())
 
 
-def solve_vs_limit_distances(r: SolveResult, limit: LimitResult) -> list[dict]:
-    """Per-component L^{m+1} and sup distances between an epsilon solve and
-    the explicit limit (shared grid)."""
-    g = r.fields[0].grid
-    p = r.m + 1
-    out = []
-    for i in range(r.m):
-        diff = ScalarField(g, r.fields[i].values - limit.fields[i].values)
-        out.append(
-            {"component": i + 1, "lmp1": norm_Lp(diff, p), "sup": norm_Lp(diff, math.inf)}
-        )
-    return out
+def solve_vs_limit_distances(
+    r: SolveResult, limit: LimitResult
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The per-component L^{m+1} and sup distances between an epsilon
+    solve and the explicit limit (shared grid), in component order."""
+    diffs = [ScalarField(f.grid, f.values - lim.values) for f, lim in zip(r.fields, limit.fields)]
+    return (tuple(norm_Lp(d, r.m + 1) for d in diffs),
+            tuple(norm_Lp(d, math.inf) for d in diffs))

@@ -338,10 +338,11 @@ def write_rate_csv(path: Path, table: analysis.RateTable) -> None:
             fh.write("# slope undefined: fewer than two usable points\n")
 
 
-def write_distance_csv(path: Path, distances: list[dict]) -> None:
+def write_distance_csv(path: Path, lmp1: tuple[float, ...], sup: tuple[float, ...]) -> None:
+    """One row per component: its L^{m+1} and sup distances."""
     with path.open("w") as fh:
         fh.write("comp,lmp1_dist,sup_dist\n")
-        _write_rows(fh, np.array([[d["component"], d["lmp1"], d["sup"]] for d in distances]))
+        _write_rows(fh, np.column_stack([np.arange(1, len(sup) + 1), lmp1, sup]))
 
 
 def write_jump_report(path: Path, reports) -> None:
@@ -484,14 +485,14 @@ def cmd_compare(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> di
     r = _solve(cfg, args, w, L)
     write_fields_csv(w.path("solve_fields.csv"), g, r.fields)
     write_fields_csv(w.path("limit_fields.csv"), g, L.fields)
-    write_distance_csv(w.path("distance.csv"), analysis.solve_vs_limit_distances(r, L))
+    write_distance_csv(w.path("distance.csv"), *analysis.solve_vs_limit_distances(r, L))
     return {}
 
 
 def cmd_rate(cfg: SystemConfig, w: RunWriter, args: argparse.Namespace) -> dict:
     L = _build_limit(cfg, w, args.pivot)
     table = analysis.rate_study(
-        cfg.grid, cfg.data, list(np.geomspace(args.start, args.stop, args.count)), L,
+        cfg.grid, cfg.data, list(_ladder(args)), L,
         tol_fp=cfg.tol_fp, max_sweeps=cfg.max_sweeps, tol_linear=cfg.tol_linear,
     )
     w.stages["rate"] = {"slope": table.slope, "fit_residual": table.fit_residual,
@@ -557,12 +558,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _ladder(args: argparse.Namespace) -> np.ndarray:
+    """The ``rate`` ladder: ``--count`` epsilons from ``--start`` down to
+    ``--stop``, geometrically spaced."""
+    return np.geomspace(args.start, args.stop, args.count)
+
+
 def _parse_flags(args: argparse.Namespace, m: int | None, problems: list[str]) -> None:
     """Replace each value flag of ``args`` by its number; a bad value, a
-    pivot above ``m``, ``--start`` not above ``--stop`` or an ``--out``
-    whose nearest existing path is not a directory is appended to
-    ``problems``.  The check of ``--out`` creates nothing; a dangling
-    symbolic link exists, as no directory can be made in its place."""
+    pivot above ``m``, a ``rate`` ladder that does not fall from
+    ``--start`` above ``--stop`` with strictly decreasing log10 rungs, or
+    an ``--out`` whose nearest existing path is not a directory is
+    appended to ``problems``.  The check of ``--out`` creates nothing; a
+    dangling symbolic link exists, as no directory can be made in its
+    place."""
     out = Path(args.out)
     existing = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
     if not existing.is_dir():
@@ -574,8 +583,11 @@ def _parse_flags(args: argparse.Namespace, m: int | None, problems: list[str]) -
             setattr(args, flag, _parse_number(text, flag, f"--{flag}", problems))
     if "pivot" in flags and args.pivot is not None and m is not None and args.pivot > m:
         problems.append(f"--pivot: need pivot <= m = {m}, got {args.pivot}")
-    if "start" in flags and None not in (args.start, args.stop) and not args.start > args.stop:
-        problems.append(f"--start: need start > stop, got {args.start} and {args.stop}")
+    if "start" in flags and None not in (args.start, args.stop, args.count) and not (
+            args.start > args.stop and np.all(np.diff(np.log10(_ladder(args))) < 0)):
+        # the slope fit needs every rung at its own log10
+        problems.append(f"--start: need start > stop and strictly decreasing log10 rungs, got "
+                        f"--start {args.start}, --stop {args.stop} and --count {args.count}")
 
 
 def main(argv=None) -> int:

@@ -14,9 +14,15 @@ its boundary values are phi_p/A_p.  So v_lim <= v*.  Each Newton step is
 one screened M-matrix solve.  By convexity its result is a supersolution,
 whatever the iterate it started from, and from the first step on the
 iterates decrease monotonically to the solution v* (monotone Newton for
-convex M-functions).  The components are recovered with
-``limit_solver.recover``: as v >= v* >= v_lim >= w_j up to the solves'
-certified error bounds, a negative u_j within them is rounding.
+convex M-functions).  So every iterate is at or above v_lim, and Newton
+keeps that order: it lifts a computed iterate to max(v, v_lim), as a
+value below v_lim within the bounds of its solve and of v_lim is
+rounding, and raises a ``SolverError`` on one further below.  Without the
+lift an iterate that rounds below v_lim has F = F' = 0 there, so the node
+turns harmonic, rises, and the next factorizing step pins it back: a
+2-cycle that stalls Newton at tiny eps.  The components are recovered
+with ``limit_solver.recover``; as v >= v_lim >= w_j, every u_j is
+nonnegative as computed.
 
 Chord steps (Shamanskii's method).  With G(v) = -Lap v + F(v)/eps and
 J(a) = -Lap + diag(F'(a)/eps), a chord step from a supersolution v on the
@@ -202,7 +208,8 @@ def solve_epsilon(
     tol_abs = tol_fp * data.max_boundary_value(g)
     w = limit.w
     v_boundary = phi[p - 1] / A[p - 1]
-    v = limit.scaled_pivot.values if initial is None else initial[p - 1].values / A[p - 1]
+    v_lim = limit.scaled_pivot.values
+    v = v_lim if initial is None else initial[p - 1].values / A[p - 1]
 
     a_max = float(A.max())
     op = grid_operator(g)
@@ -223,7 +230,7 @@ def solve_epsilon(
 
     def result(stop, gap):
         return SolveResult(
-            recover(g, v, w, A, phi, st.error_bound, limit.w_bound), epsilon,
+            recover(g, v, w, A, phi, limit.w_bound), epsilon,
             gap, history, stats, stop,
         )
 
@@ -246,7 +253,13 @@ def solve_epsilon(
             nxt, st = solve_screened(g, c, v_boundary, tol_linear, source=source, factor=held)
             stats.append(st)
             history.append(a_max * float(np.abs(nxt.values - v).max()))
-            v = nxt.values
+            # every iterate is >= v* >= v_lim: lift a rounding dip below
+            # v_lim, and fail on one beyond the bounds of v_lim and the solve
+            v = np.maximum(nxt.values, v_lim)
+            dip, slack = float((v - nxt.values).max()), st.error_bound + max(limit.w_bound)
+            if dip > slack:
+                raise SolverError(f"Newton step {len(history)}: the iterate lies {dip:.3e} below "
+                                  f"v_lim, beyond the certified error bound {slack:.3e}", stats=st)
             F, dF = _reaction(v, w, A, alphas)
             bound = certificate(v, F)
             if bound <= tol_abs:

@@ -92,7 +92,7 @@ def construct_limit(
     w_bound = [st.error_bound for st in stats]
     w_bound.insert(pivot - 1, 0.0)
     A = data.weights.values
-    fields = recover(g, v, w, A, data.boundary_arrays(g), 0.0, w_bound)
+    fields = recover(g, v, w, A, data.boundary_arrays(g), w_bound)
     interior = g.interior()
     windows = tuple(b + max(w_bound) for b in w_bound)
     ties = []
@@ -104,16 +104,16 @@ def construct_limit(
                        windows, tuple(ties))
 
 
-def recover(g, v, w, A, phi, v_bound, w_bound) -> tuple[ScalarField, ...]:
+def recover(g, v, w, A, phi, w_bound) -> tuple[ScalarField, ...]:
     """u_j = A_j (v - w_j), exact on the boundary and 0 outside the domain.
 
-    ``v_bound`` and ``w_bound`` are the certified error bounds of the
-    solves that gave v and each w_j.  The exact u_j are nonnegative, so a
-    negative value within A_j (v_bound + w_bound[j]) is rounding and
-    becomes 0, and one beyond it raises a ``SolverError``
-    (``clamp_within_bound``).  A component
-    with zero boundary data is 0, as 0 <= u_j <= H(phi_j) = 0 by the
-    maximum principle (u_j is subharmonic).
+    ``w_bound`` holds the certified error bound of the solve that gave
+    each w_j.  The exact u_j are nonnegative, so a negative value within
+    A_j w_bound[j] is rounding and becomes 0, and one beyond it raises a
+    ``SolverError`` (``clamp_within_bound``).  Both solvers pass a v at or
+    above max(0, max_k w_k), where every u_j is nonnegative as computed.
+    A component with zero boundary data is 0, as 0 <= u_j <= H(phi_j) = 0
+    by the maximum principle (u_j is subharmonic).
     """
     bnd = g.boundary()
     outside = ~g.in_domain()
@@ -125,7 +125,7 @@ def recover(g, v, w, A, phi, v_bound, w_bound) -> tuple[ScalarField, ...]:
         u = a * (v - wj)
         u[bnd] = ph[bnd]
         u[outside] = 0.0
-        clamp_within_bound(u, a * (v_bound + w_bound[j]), f"u_{j + 1} =")
+        clamp_within_bound(u, a * w_bound[j], f"u_{j + 1} =")
         fields.append(ScalarField(g, u))
     return tuple(fields)
 

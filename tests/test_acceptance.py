@@ -261,12 +261,12 @@ def test_criterion_10_figure_reproduction(configs):
             disk_ok = False
             details.append(f"{pair}: no edges")
             continue
-        radii = [math.hypot(*e.midpoint) for e in edges]
-        outer = edges[int(np.argmax(radii))]
-        inner.append(np.array(edges[int(np.argmin(radii))].midpoint))
+        radii = [math.hypot(*mid) for mid in edges.midpoint.tolist()]
+        outer = edges.midpoint[int(np.argmax(radii))]
+        inner.append(edges.midpoint[int(np.argmin(radii))])
         # the outermost edge must sit within 2 boundary nodes of the
         # expected contact angle
-        ang = math.atan2(outer.midpoint[1], outer.midpoint[0]) % (2 * math.pi)
+        ang = math.atan2(outer[1], outer[0]) % (2 * math.pi)
         k_edge = int(np.argmin(np.minimum(np.abs(thetas - ang),
                                           2 * math.pi - np.abs(thetas - ang))))
         k_target = int(np.argmin(np.minimum(np.abs(thetas - target),

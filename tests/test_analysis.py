@@ -96,8 +96,7 @@ def test_interface_extraction_m2_counts():
         edges = I.pairs[(1, 2)]
         assert 1 <= len(edges) <= 3
         h = g.spacing[0]
-        for e in edges:
-            assert abs(e.midpoint[0] - 0.5) <= 2 * h
+        assert np.all(np.abs(edges.midpoint[:, 0] - 0.5) <= 2 * h)
         assert not I.degenerate
 
 
@@ -107,9 +106,8 @@ def test_interface_extraction_m3_pairs(g401, limit_m3):
     h = g401.spacing[0]
     for pair, edges in I.pairs.items():
         assert edges, pair
-        for e in edges:
-            assert abs(e.midpoint[0] - 0.5) <= 2 * h
-            assert np.isclose(np.linalg.norm(e.normal), 1.0)
+        assert np.all(np.abs(edges.midpoint[:, 0] - 0.5) <= 2 * h)
+        assert np.allclose(np.linalg.norm(edges.normal, axis=1), 1.0)
 
 
 def _reference_gradient(vals, g, idx):
@@ -154,9 +152,10 @@ def _reference_edge_geometry(g, d, a, b):
 def _assert_edges_match_reference(I, fields):
     for (i, j), edges in I.pairs.items():
         d = fields[i - 1].values - fields[j - 1].values
-        for e in edges:
-            a, b = _lattice(I.grid, e.p), _lattice(I.grid, e.q)
-            assert (e.midpoint, e.normal) == _reference_edge_geometry(I.grid, d, a, b)
+        for p, q, mid, normal in zip(edges.p, edges.q, edges.midpoint.tolist(),
+                                     edges.normal.tolist()):
+            a, b = _lattice(I.grid, p), _lattice(I.grid, q)
+            assert (tuple(mid), tuple(normal)) == _reference_edge_geometry(I.grid, d, a, b)
 
 
 def test_interface_geometry_matches_per_edge_reference(configs, g401, limit_m3):
@@ -177,7 +176,7 @@ def test_interface_geometry_matches_per_edge_reference(configs, g401, limit_m3):
     fields = (ScalarField(g, np.full(5, 0.1)), ScalarField(g, np.full(5, 0.2)),
               ScalarField(g, np.array([1.0, 0.0, 1.0, 1.0, 1.0])))
     I = extract_supports_and_interfaces(fields, 0.5)
-    assert [e.normal for e in I.pairs[(1, 2)]] == [(1.0,)]
+    assert I.pairs[(1, 2)].normal.tolist() == [[1.0]]
     _assert_edges_match_reference(I, fields)
 
 
@@ -191,12 +190,12 @@ def test_interface_edges_on_flat_node_numbers(configs, name):
     stride = (1, g.dims[0])
     interior = g.interior().ravel()
     coords = np.column_stack([c.ravel() for c in g.node_coords()])
-    edges = [e for pair in I.pairs.values() for e in pair]
-    assert len(edges) > 50 and {e.axis for e in edges} == {0, 1}
-    for e in edges:
-        assert e.q == e.p + stride[e.axis]
-        assert interior[e.p] and interior[e.q]
-        assert e.midpoint == tuple(0.5 * (coords[e.p] + coords[e.q]))
+    p, q, axis, midpoint = (np.concatenate([getattr(e, col) for e in I.pairs.values()])
+                            for col in ("p", "q", "axis", "midpoint"))
+    assert len(p) > 50 and set(axis.tolist()) == {0, 1}
+    assert np.array_equal(q, p + np.array(stride)[axis])
+    assert interior[p].all() and interior[q].all()
+    assert np.array_equal(midpoint, 0.5 * (coords[p] + coords[q]))
 
 
 def test_interface_degenerate_flag(g401):
@@ -274,8 +273,8 @@ def jump_check_loop(L, I):
         rep = JumpPairReport((i, j), 0, 0, 0.0, 0.0)
         ui = L.fields[i - 1]
         uj = L.fields[j - 1]
-        for e in edges:
-            a, b = _lattice(g, e.p), _lattice(g, e.q)
+        for ep, eq in zip(edges.p, edges.q):
+            a, b = _lattice(g, ep), _lattice(g, eq)
             da = value(ui, a) - value(uj, a)
             db = value(ui, b) - value(uj, b)
             if da > db:
@@ -380,6 +379,9 @@ def test_rate_study_slope_and_failures(g401, limit_m3):
 
     with pytest.raises(ValueError):
         rate_study(g401, M2, [1e-3, 1e-2], limit2)
+    # two rungs of one log10 would give the slope fit a zero step
+    with pytest.raises(ValueError, match="log10 of the epsilon list must be strictly decreasing"):
+        rate_study(g401, M2, [1e-2, 9.999999999999999e-3], limit2)
     with pytest.raises(ValueError):
         rate_study(g401, M2, [1e-2, -1.0], limit2)
     with pytest.raises(ValueError, match="finite reciprocals"):
@@ -401,10 +403,10 @@ def test_rate_rung_matches_standalone_solve(configs, name):
     g, L = fresh()
     rung = rate_study(g, cfg.data, [1e-2, 1e-3, 1e-4], L, **tols).rows[-1]
     g, L = fresh()
-    dist = solve_vs_limit_distances(solve_epsilon(g, cfg.data, 1e-4, limit=L, **tols), L)
+    lmp1, sup = solve_vs_limit_distances(solve_epsilon(g, cfg.data, 1e-4, limit=L, **tols), L)
     assert not rung.failed
-    assert rung.lmp1 == tuple(d["lmp1"] for d in dist)
-    assert rung.sup == tuple(d["sup"] for d in dist)
+    assert rung.lmp1 == lmp1
+    assert rung.sup == sup
 
 
 def test_discrete_energy_values(g401):
@@ -419,8 +421,9 @@ def test_discrete_energy_values(g401):
 def test_solve_vs_limit_distances(g401):
     limit2 = solve_limit(g401, M2)
     r = solve_epsilon(g401, M2, 1e-4, max_sweeps=5000)
-    rows = solve_vs_limit_distances(r, limit2)
-    assert [row["component"] for row in rows] == [1, 2]
-    for row in rows:
-        assert 0.0 < row["lmp1"] <= row["sup"] + 1e-12
-        assert row["sup"] < 0.2
+    lmp1, sup = solve_vs_limit_distances(r, limit2)
+    # one distance of each kind per component, in component order
+    assert len(lmp1) == len(sup) == 2
+    for a, b in zip(lmp1, sup):
+        assert 0.0 < a <= b + 1e-12
+        assert b < 0.2

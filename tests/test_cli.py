@@ -449,8 +449,8 @@ def interfaces_csv_oracle(iset) -> str:
     """The edge-by-edge text the block writer must reproduce."""
     lines = ["pair_i,pair_j,x,nx" if iset.grid.ndim == 1 else "pair_i,pair_j,x,y,nx,ny"]
     for (i, j), edges in sorted(iset.pairs.items()):
-        for e in edges:
-            values = list(e.midpoint) + list(e.normal)
+        for mid, normal in zip(edges.midpoint.tolist(), edges.normal.tolist()):
+            values = mid + normal
             lines.append(f"{i},{j}," + ",".join(format(float(v), ".17g") for v in values))
     if iset.degenerate:
         lines.append("# degenerate: some pair's zero sets cover the whole interior")
@@ -504,11 +504,10 @@ def test_small_tables_match_per_value_format(tmp_path):
     values = specials + list(rng.standard_normal(7) * 10.0 ** rng.uniform(-20, 20, 7))
     path = tmp_path / "t.csv"
 
-    distances = [{"component": k + 1, "lmp1": a, "sup": b}
-                 for k, (a, b) in enumerate(zip(values, values[::-1]))]
-    write_distance_csv(path, distances)
+    lmp1, sup = tuple(values), tuple(values[::-1])
+    write_distance_csv(path, lmp1, sup)
     assert path.read_text() == "comp,lmp1_dist,sup_dist\n" + "".join(
-        f"{d['component']},{fmt(d['lmp1'])},{fmt(d['sup'])}\n" for d in distances)
+        f"{k},{fmt(a)},{fmt(b)}\n" for k, (a, b) in enumerate(zip(lmp1, sup), start=1))
 
     counts = [0, 1, 7, 4096, 2**53 - 1]
     reports = {(i, j): analysis.JumpPairReport((i, j), counts[i], counts[j - 1],
@@ -836,12 +835,12 @@ def test_manifest_counts_solves_per_kernel(tmp_path):
 def test_manifest_records_stop_and_factorizations(tmp_path):
     # every interval solve factorizes; on a rectangle chord steps reuse a
     # factor and the residual certificate stops Newton and bounds the
-    # error; at eps 1e-8 on the overlap square it cannot reach tol_fp, and
-    # the update of a factorizing step stops Newton.  The rectangles'
-    # harmonic batch takes the sine transform, which factorizes nothing
+    # error; at eps 1e-12 on the disk it cannot reach tol_fp, and the
+    # update of a factorizing step stops Newton.  The rectangles' harmonic
+    # batch takes the sine transform, which factorizes nothing
     for name, eps, stop, harmonic in (("line_m2", "1e-8", "certified", 1),
                                       ("square_m4", "1e-4", "certified", 0),
-                                      ("square_m4_overlap", "1e-8", "update", 0)):
+                                      ("disk_m3", "1e-12", "update", 1)):
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(config_path(name).read_text().replace("n = 201", "n = 41"))
         out = tmp_path / name
@@ -968,6 +967,25 @@ def test_bad_flag_value_exit_2(tmp_path, capsys, argv):
     assert main([sub, LINE_M3, "--out", str(out)] + argv[1:]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"config error: {flag}:" in err
+    assert "internal error" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("start,stop,count", [
+    # rungs that round together
+    ("1e-2", "0.0099999999999999", "50"),
+    ("1.0000000000000002e-2", "1e-2", "3"),
+    # two distinct rungs of one log10
+    ("1e-2", "9.999999999999999e-3", "2"),
+])
+def test_rate_refuses_a_ladder_the_fit_cannot_use(tmp_path, capsys, start, stop, count):
+    # the slope fit needs strictly decreasing log10 rungs: any other ladder
+    # is a config error naming its three flags, and nothing is written
+    out = tmp_path / "o"
+    argv = ["rate", LINE_M2, "--out", str(out), "--start", start, "--stop", stop, "--count", count]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: --start:" in err and "--stop" in err and "--count" in err
     assert "internal error" not in err
     assert not out.exists()
 

@@ -396,6 +396,26 @@ def test_limit_start_sandwich(configs, name, n, eps, max_steps):
     assert all(b <= a for a, b in zip(updates, updates[1:]))
 
 
+@pytest.mark.parametrize("n,eps", [
+    (41, 1e-16), (41, 1e-20), (41, 1e-24), (61, 1e-16), (61, 1e-20), (61, 1e-24),
+    (101, 1e-20), (101, 1e-24),
+])
+def test_newton_keeps_above_the_limit_at_tiny_eps(configs, n, eps):
+    # an iterate that rounds 1 ulp below v_lim has F = F' = 0 there, so
+    # unlifted the node turns harmonic, rises, and is pinned back by the
+    # next factorizing step, a 2-cycle that stalls Newton.  Lifted to
+    # v_lim, the iterates keep v >= v_lim and Newton converges, each
+    # component at or above the limit's within the solves' bounds
+    cfg = configs["disk_m3"]
+    g = build_grid(cfg.domain, n)
+    L = solve_limit(g, cfg.data, tol_linear=cfg.tol_linear)
+    r = solve_epsilon(g, cfg.data, eps, cfg.tol_fp, cfg.max_sweeps, cfg.tol_linear, limit=L)
+    assert r.stop in ("certified", "update")
+    tol = max(s.error_bound for s in L.linear_stats + r.linear_stats)
+    for lim, u in zip(L.fields, r.fields):
+        assert np.all(lim.values <= u.values + tol)
+
+
 def test_recover_clamps_within_certified_bound(g101):
     # pivot 1 of M2: w_2 = 1 - 2x and v_lim = max(0, w_2); u_2 = v - w_2
     x = g101.axis_coords(0)
@@ -403,11 +423,11 @@ def test_recover_clamps_within_certified_bound(g101):
     phi = M2.boundary_arrays(g101)
     v = np.maximum(w[1], 0.0)
     v[20] -= 5e-13
-    u = recover(g101, v, w, M2.weights.values, phi, 4e-13, [0.0, 2e-13])
+    u = recover(g101, v, w, M2.weights.values, phi, [0.0, 6e-13])
     assert u[1].values[20] == 0.0 and u[1].values.min() == 0.0
     assert u[0].values[20] == v[20]
     with pytest.raises(SolverError, match="u_2 .* negative beyond its certified error bound"):
-        recover(g101, v, w, M2.weights.values, phi, 2e-13, [0.0, 2e-13])
+        recover(g101, v, w, M2.weights.values, phi, [0.0, 4e-13])
 
 
 def test_newton_matches_sweep_oracle_2d(configs):
@@ -438,8 +458,9 @@ def test_newton_general_exponents_stiff(g101):
 
 def newton_iterates(g, data, eps, L, v, steps):
     """``steps`` plain Newton steps on the reduced equation from ``v``, on
-    the limit's difference fields, each with its own factorization: the
-    iterates and their updates."""
+    the limit's difference fields, each with its own factorization and
+    lifted to the limit's v_lim as ``solve_epsilon`` lifts its iterates:
+    the iterates and their updates."""
     A = data.weights.values
     v_boundary = data.boundary_arrays(g)[L.pivot - 1] / A[L.pivot - 1]
     iterates, updates = [], []
@@ -447,7 +468,7 @@ def newton_iterates(g, data, eps, L, v, steps):
         F, dF = _reaction(v, L.w, A, data.exponents.alphas)
         nxt, _ = solve_screened(g, dF / eps, v_boundary, source=np.maximum(dF * v - F, 0.0) / eps)
         updates.append(A.max() * np.abs(nxt.values - v).max())
-        v = nxt.values
+        v = np.maximum(nxt.values, L.scaled_pivot.values)
         iterates.append(v)
     return iterates, updates
 
@@ -586,6 +607,35 @@ def test_zero_chord_update_hands_over(monkeypatch, configs):
     k = made.index(False)
     assert r.gap_history[k] == 0.0 and made[k + 1]
     assert r.stop == "certified"
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_newton_dip_below_the_limit_within_its_bound(monkeypatch, configs, scale):
+    # an iterate below v_lim by at most the bounds of its solve and of v_lim
+    # is rounding and lifted to v_lim; one further below raises
+    cfg = configs["square_m4"]
+    g = build_grid(cfg.domain, 41)
+    L = solve_limit(g, cfg.data)
+    v_lim = L.scaled_pivot.values
+    node = np.unravel_index(np.argmax(np.where(g.interior(), v_lim, 0.0)), v_lim.shape)
+    slacks = []
+
+    def dipping(*args, **kwargs):
+        field, st = solve_screened(*args, **kwargs)
+        if not slacks:
+            slacks.append(st.error_bound + max(L.w_bound))
+            values = field.values.copy()
+            values[node] = v_lim[node] - scale * slacks[0]
+            field = ScalarField(g, values)
+        return field, st
+
+    monkeypatch.setattr(epsilon_solver, "solve_screened", dipping)
+    if scale < 1:
+        assert solve_epsilon(g, cfg.data, 1e-4, limit=L).stop == "certified"
+    else:
+        with pytest.raises(SolverError, match="Newton step 1: the iterate lies .* below v_lim"):
+            solve_epsilon(g, cfg.data, 1e-4, limit=L)
+    assert slacks[0] > 0.0
 
 
 def test_interval_solves_take_no_chord_step(configs):
