@@ -170,27 +170,20 @@ def laplacian_measure(u: ScalarField) -> ScalarField:
     return ScalarField(u.grid, u.grid.spacing[0] * apply_laplacian(u).values)
 
 
-@dataclass
-class JumpPairReport:
-    pair: tuple[int, int]
-    edges: int
-    skipped: int
-    max_balance: float  # condition (1): opposing normal derivatives
-    max_transfer: float  # condition (2): third-component derivative jump
-    balance_residuals: list[float] = field(default_factory=list)
-    transfer_residuals: list[float] = field(default_factory=list)
-
-
-def jump_condition_check(L: LimitResult, I: InterfaceSet) -> dict[tuple[int, int], JumpPairReport]:
-    """Free-boundary jump conditions from one-sided normal derivatives.
+def jump_condition_check(L: LimitResult, I: InterfaceSet) -> np.ndarray:
+    """Free-boundary jump conditions from one-sided normal derivatives: one
+    row ``[i, j, edges, skipped, max_balance, max_transfer]`` per pair
+    i < j, in sorted order, as ``jump_report.csv`` holds them.
 
     For each interface edge the derivative of each component is estimated
     by a 2-point first-order difference on each side along the edge axis.
     The identities are those of the scaled fields u_k / A_k, with A the
     weights of ``L``: the two meeting components have opposite one-sided
-    normal derivatives, d_n u_i / A_i + d_n u_j / A_j = 0, and any third
-    component's derivative jump equals the meeting component's derivative,
-    [d_n u_k] / A_k = d_n u_i / A_i.
+    normal derivatives, d_n u_i / A_i + d_n u_j / A_j = 0 (the balance), and
+    any third component's derivative jump equals the meeting component's
+    derivative, [d_n u_k] / A_k = d_n u_i / A_i (the transfer).  A row keeps
+    the largest residual of each over the pair's evaluated edges, 0 when
+    there is none.
 
     The identities involve one-sided traces from inside the respective zero
     regions, so an edge is evaluated only when its p-side stencil nodes are
@@ -206,8 +199,8 @@ def jump_condition_check(L: LimitResult, I: InterfaceSet) -> dict[tuple[int, int
     # dividing by a weight of 1 is exact
     scaled = [u / a for u, a in zip(vals, L.weights)]
 
-    reports: dict[tuple[int, int], JumpPairReport] = {}
-    for (i, j), edges in I.pairs.items():
+    rows = []
+    for (i, j), edges in sorted(I.pairs.items()):
         ui, uj = vals[i - 1], vals[j - 1]
         # p: side where u_i lives (the zero region of u_j); the difference
         # u_i - u_j increases toward it.  A tie leaves the edge unoriented.
@@ -237,12 +230,9 @@ def jump_condition_check(L: LimitResult, I: InterfaceSet) -> dict[tuple[int, int
         jumps = np.array([d_p(sk) - d_q(sk) for k, sk in enumerate(scaled) if k + 1 not in (i, j)])
         transfer = np.abs(jumps.T - d_p(si)[:, None])
         edges_ok = int(ok.sum())
-        reports[(i, j)] = JumpPairReport(
-            (i, j), edges_ok, len(edges) - edges_ok,
-            float(balance.max(initial=0.0)), float(transfer.max(initial=0.0)),
-            balance.tolist(), transfer.ravel().tolist(),
-        )
-    return reports
+        rows.append([i, j, edges_ok, len(edges) - edges_ok,
+                     balance.max(initial=0.0), transfer.max(initial=0.0)])
+    return np.array(rows, dtype=float)
 
 
 @dataclass

@@ -345,11 +345,11 @@ def write_distance_csv(path: Path, lmp1: tuple[float, ...], sup: tuple[float, ..
         _write_rows(fh, np.column_stack([np.arange(1, len(sup) + 1), lmp1, sup]))
 
 
-def write_jump_report(path: Path, reports) -> None:
+def write_jump_report(path: Path, rows: np.ndarray) -> None:
+    """The rows of ``analysis.jump_condition_check``, by ``_write_rows``."""
     with path.open("w") as fh:
         fh.write("pair_i,pair_j,edges,skipped,max_balance,max_transfer\n")
-        _write_rows(fh, np.array([[i, j, r.edges, r.skipped, r.max_balance, r.max_transfer]
-                                  for (i, j), r in sorted(reports.items())]))
+        _write_rows(fh, rows)
 
 
 class RunWriter:

@@ -126,10 +126,11 @@ def _next_to(nodes: np.ndarray, beyond: bool) -> np.ndarray:
 class BoundaryPoint:
     """A boundary node together with its boundary parameterization.
 
-    ``param`` is the angle theta in [0, 2*pi) for disks, a ``(side, s)``
-    pair for rectangles (s = arclength along the side, counterclockwise),
-    and ``"left"``/``"right"`` for intervals.  For disks ``coord`` is the
-    radial projection of the node onto the circle.
+    ``param`` is the angle theta in [0, 2*pi) for disks, and the selector
+    text of the node's part elsewhere: ``"side=bottom"``, ``"side=right"``,
+    ``"side=top"`` or ``"side=left"`` on rectangles and ``"end=left"`` or
+    ``"end=right"`` on intervals.  For disks ``coord`` is the radial
+    projection of the node onto the circle.
     """
 
     index: tuple[int, ...]
@@ -217,8 +218,8 @@ def _walk_boundary(g: Grid) -> tuple[BoundaryPoint, ...]:
     if g.domain.kind == "interval":
         a, b = g.domain.params
         return (
-            BoundaryPoint((0,), (a,), "left"),
-            BoundaryPoint((g.dims[0] - 1,), (b,), "right"),
+            BoundaryPoint((0,), (a,), "end=left"),
+            BoundaryPoint((g.dims[0] - 1,), (b,), "end=right"),
         )
 
     if g.domain.kind == "rectangle":
@@ -229,13 +230,13 @@ def _walk_boundary(g: Grid) -> tuple[BoundaryPoint, ...]:
         y = g.axis_coords(1).tolist()
         pts: list[BoundaryPoint] = []
         for ix in range(nx):  # bottom owns both of its corners
-            pts.append(BoundaryPoint((ix, 0), (x[ix], ay), ("bottom", x[ix] - ax)))
+            pts.append(BoundaryPoint((ix, 0), (x[ix], ay), "side=bottom"))
         for iy in range(1, ny):  # right owns the top-right corner
-            pts.append(BoundaryPoint((nx - 1, iy), (bx, y[iy]), ("right", y[iy] - ay)))
+            pts.append(BoundaryPoint((nx - 1, iy), (bx, y[iy]), "side=right"))
         for ix in range(nx - 2, -1, -1):  # top owns the top-left corner
-            pts.append(BoundaryPoint((ix, ny - 1), (x[ix], by), ("top", bx - x[ix])))
+            pts.append(BoundaryPoint((ix, ny - 1), (x[ix], by), "side=top"))
         for iy in range(ny - 2, 0, -1):
-            pts.append(BoundaryPoint((0, iy), (ax, y[iy]), ("left", by - y[iy])))
+            pts.append(BoundaryPoint((0, iy), (ax, y[iy]), "side=left"))
         return tuple(pts)
 
     if g.domain.kind == "disk":

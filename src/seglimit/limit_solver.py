@@ -44,10 +44,6 @@ class LimitResult:
     # value was not already 0
     ties: tuple[int, ...]
 
-    @property
-    def m(self) -> int:
-        return len(self.fields)
-
 
 def harmonic_differences(
     g: Grid, data: ProblemData, pivot: int = 1, tol_linear: float = DEFAULT_TOL

@@ -116,21 +116,18 @@ class ThetaRange:
 
 
 @dataclass(frozen=True)
-class SideSelector:
-    side: str
-    kind = "rectangle"
+class PartSelector:
+    """A rectangle side or an interval end, by its selector text, which is
+    the ``param`` of the part's nodes: ``"side=<side>"`` or ``"end=<end>"``."""
+
+    text: str
+
+    @property
+    def kind(self) -> str:
+        return "rectangle" if self.text.startswith("side=") else "interval"
 
     def matches(self, param) -> bool:
-        return isinstance(param, tuple) and param[0] == self.side
-
-
-@dataclass(frozen=True)
-class EndSelector:
-    end: str
-    kind = "interval"
-
-    def matches(self, param) -> bool:
-        return param == self.end
+        return param == self.text
 
 
 @dataclass(frozen=True)
@@ -149,12 +146,12 @@ def parse_selector(text: str):
         side = text[5:].strip()
         if side not in RECT_SIDES:
             raise ConfigError(f"unknown side {side!r} (expected one of {RECT_SIDES})")
-        return SideSelector(side)
+        return PartSelector("side=" + side)
     if text.startswith("end="):
         end = text[4:].strip()
         if end not in ("left", "right"):
             raise ConfigError(f"unknown endpoint {end!r} (expected left or right)")
-        return EndSelector(end)
+        return PartSelector("end=" + end)
     if text.startswith("theta in"):
         rng = text[len("theta in"):].strip()
         if not (rng.startswith("[") and rng.endswith(")")):

@@ -220,17 +220,17 @@ def test_laplacian_measure_kink_strength(g401):
 def test_jump_conditions_m3(g401, limit_m3):
     delta = default_zero_threshold(g401, 1.0)
     I = extract_supports_and_interfaces(limit_m3.fields, delta)
-    reports = jump_condition_check(limit_m3, I)
-    rep12 = reports[(1, 2)]
-    assert rep12.edges >= 1
-    assert rep12.max_balance <= 1e-8
-    assert rep12.max_transfer <= 1e-8
+    rows = jump_condition_check(limit_m3, I)
+    assert rows[:, :2].tolist() == [[1, 2], [1, 3], [2, 3]]
+    edges, skipped, max_balance, max_transfer = rows[:, 2:].T
+    assert edges[0] >= 1
+    assert max_balance[0] <= 1e-8
+    assert max_transfer[0] <= 1e-8
     # the third component meets the others only at a point; its pairwise
     # interfaces carry no one-sided trace and are skipped, not faked
-    for pair in ((1, 3), (2, 3)):
-        rep = reports[pair]
-        assert rep.edges == 0
-        assert rep.skipped >= 1
+    for k in (1, 2):
+        assert edges[k] == 0
+        assert skipped[k] >= 1
 
 
 def test_jump_conditions_square(configs):
@@ -239,20 +239,19 @@ def test_jump_conditions_square(configs):
     r = solve_limit(g, cfg.data)
     scale = max(np.abs(f.values).max() for f in r.fields)
     I = extract_supports_and_interfaces(r.fields, default_zero_threshold(g, scale))
-    reports = jump_condition_check(r, I)
-    evaluated = sum(rep.edges for rep in reports.values())
+    rows = jump_condition_check(r, I)
+    evaluated = rows[:, 2].sum()
     assert evaluated > 0
-    for rep in reports.values():
-        if rep.edges:
+    for _, _, edges, _, max_balance, _ in rows:
+        if edges:
             # one-sided 2-point traces are first-order accurate
-            assert rep.max_balance <= 20.0 * g.spacing[0] * scale
+            assert max_balance <= 20.0 * g.spacing[0] * scale
 
 
 def jump_check_loop(L, I):
     """The per-edge loop jump_condition_check replaced: the reference its
-    array form must reproduce exactly."""
-    from seglimit.analysis import JumpPairReport
-
+    array form must reproduce exactly.  It keeps each pair's residuals edge
+    by edge and returns the check's rows from their counts and maxima."""
     g = I.grid
     in_domain = g.in_domain()
 
@@ -268,9 +267,9 @@ def jump_check_loop(L, I):
     def in_zero(f, idx):
         return inside(idx) and value(f, idx) == 0
 
-    reports = {}
-    for (i, j), edges in I.pairs.items():
-        rep = JumpPairReport((i, j), 0, 0, 0.0, 0.0)
+    rows = []
+    for (i, j), edges in sorted(I.pairs.items()):
+        n_edges, skipped, balance, transfer = 0, 0, [], []
         ui = L.fields[i - 1]
         uj = L.fields[j - 1]
         for ep, eq in zip(edges.p, edges.q):
@@ -282,7 +281,7 @@ def jump_check_loop(L, I):
             elif db > da:
                 p, q = b, a
             else:
-                rep.skipped += 1
+                skipped += 1
                 continue
             axis = 0 if p[0] != q[0] else 1
             h = g.spacing[axis]
@@ -293,7 +292,7 @@ def jump_check_loop(L, I):
                 in_zero(uj, p) and in_zero(uj, p_back)
                 and in_zero(ui, q) and in_zero(ui, q_fwd)
             ):
-                rep.skipped += 1
+                skipped += 1
                 continue
 
             def d_p(f):
@@ -302,17 +301,15 @@ def jump_check_loop(L, I):
             def d_q(f):
                 return (value(f, q_fwd) - value(f, q)) / (step * h)
 
-            rep.balance_residuals.append(abs(d_p(ui) + d_q(uj)))
-            for k in range(1, L.m + 1):
+            balance.append(abs(d_p(ui) + d_q(uj)))
+            for k in range(1, len(L.fields) + 1):
                 if k in (i, j):
                     continue
                 uk = L.fields[k - 1]
-                rep.transfer_residuals.append(abs((d_p(uk) - d_q(uk)) - d_p(ui)))
-            rep.edges += 1
-        rep.max_balance = max(rep.balance_residuals, default=0.0)
-        rep.max_transfer = max(rep.transfer_residuals, default=0.0)
-        reports[(i, j)] = rep
-    return reports
+                transfer.append(abs((d_p(uk) - d_q(uk)) - d_p(ui)))
+            n_edges += 1
+        rows.append([i, j, n_edges, skipped, max(balance, default=0.0), max(transfer, default=0.0)])
+    return rows
 
 
 @pytest.mark.parametrize("name", ["line_m3", "disk_m3", "square_m4", "square_m4_overlap"])
@@ -323,11 +320,11 @@ def test_jump_check_matches_per_edge_loop(configs, name):
     I = extract_supports_and_interfaces(
         L.fields, default_zero_threshold(g, cfg.data.max_boundary_value(g), cfg.tol_linear)
     )
-    reports = jump_condition_check(L, I)
+    rows = jump_condition_check(L, I)
     reference = jump_check_loop(L, I)
-    assert reports == reference
-    assert sum(rep.edges for rep in reports.values()) > 0
-    assert sum(rep.skipped for rep in reports.values()) > 0
+    assert rows.tolist() == reference
+    assert rows[:, 2].sum() > 0
+    assert rows[:, 3].sum() > 0
 
 
 def test_jump_residuals_refine_on_square_m4(configs):
@@ -338,8 +335,8 @@ def test_jump_residuals_refine_on_square_m4(configs):
     worst = []
     for n in (201, 401):
         L = solve_limit(build_grid(cfg.domain, n), cfg.data)
-        reports = jump_condition_check(L, extract_supports_and_interfaces(L.fields, math.ulp(0.0)))
-        worst.append(max(rep.max_balance for rep in reports.values()))
+        rows = jump_condition_check(L, extract_supports_and_interfaces(L.fields, math.ulp(0.0)))
+        worst.append(rows[:, 4].max())
     assert worst[1] <= 0.6 * worst[0]
 
 
@@ -348,11 +345,12 @@ def test_jump_check_skips_unoriented_edges():
     g = build_grid(DomainSpec.interval(0.0, 1.0), 5)
     fields = (ScalarField(g, np.full(5, 0.1)), ScalarField(g, np.full(5, 0.2)),
               ScalarField(g, np.array([1.0, 0.0, 1.0, 1.0, 1.0])))
-    L = SimpleNamespace(fields=fields, m=3, weights=np.ones(3))
+    L = SimpleNamespace(fields=fields, weights=np.ones(3))
     I = extract_supports_and_interfaces(fields, 0.5)
-    reports = jump_condition_check(L, I)
-    assert reports == jump_check_loop(L, I)
-    assert (reports[(1, 2)].edges, reports[(1, 2)].skipped) == (0, 1)
+    rows = jump_condition_check(L, I)
+    assert rows.tolist() == jump_check_loop(L, I)
+    # the first row is the (1, 2) pair's
+    assert rows[0, :4].tolist() == [1, 2, 0, 1]
 
 
 def test_rate_study_slope_and_failures(g401, limit_m3):

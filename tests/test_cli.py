@@ -510,13 +510,12 @@ def test_small_tables_match_per_value_format(tmp_path):
         f"{k},{fmt(a)},{fmt(b)}\n" for k, (a, b) in enumerate(zip(lmp1, sup), start=1))
 
     counts = [0, 1, 7, 4096, 2**53 - 1]
-    reports = {(i, j): analysis.JumpPairReport((i, j), counts[i], counts[j - 1],
-                                               values[i + j], values[-i - j])
-               for i in range(1, 5) for j in range(i + 1, 6)}
-    write_jump_report(path, reports)
+    jump_rows = [[i, j, counts[i], counts[j - 1], values[i + j], values[-i - j]]
+                 for i in range(1, 5) for j in range(i + 1, 6)]
+    write_jump_report(path, np.array(jump_rows))
     assert path.read_text() == "pair_i,pair_j,edges,skipped,max_balance,max_transfer\n" + "".join(
-        f"{i},{j},{r.edges},{r.skipped},{fmt(r.max_balance)},{fmt(r.max_transfer)}\n"
-        for (i, j), r in sorted(reports.items()))
+        f"{i},{j},{edges},{skipped},{fmt(balance)},{fmt(transfer)}\n"
+        for i, j, edges, skipped, balance, transfer in jump_rows)
 
     m = 4
     rows = [analysis.RateRow(1e-2, tuple(values[:m]), tuple(values[m:2 * m])),

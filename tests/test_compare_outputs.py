@@ -48,3 +48,32 @@ def test_one_ulp_names_file_column_and_size(tmp_path, capsys):
     assert f"line/solve/solve_fields.csv u1 abs {ulp:.3g} rel {ulp / moved:.3g}" in lines
     assert "line/solve/solve_fields.csv u2 abs 0 rel 0" in lines
     assert f"only in {old}: line/rate/rate.csv" in lines
+
+
+def fail_rung(tree: Path, epsilon: str) -> None:
+    """Rewrite the rung ``epsilon`` of the tree's rate.csv as a failed one."""
+    path = tree / "line" / "rate" / "rate.csv"
+    lines = [f"{epsilon},-,failed" if line.startswith(epsilon + ",") else line
+             for line in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_identical_trees_with_a_failed_rung_compare_equal(tmp_path, capsys):
+    old, new = make_tree(tmp_path / "old"), make_tree(tmp_path / "new")
+    for tree in (old, new):
+        fail_rung(tree, "0.01")
+    assert compare_outputs.main([str(old), str(new)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "line/rate/rate.csv epsilon abs 0 rel 0" in lines
+    assert "line/rate/rate.csv comp abs 0 rel 0 text 0 of 1 differ" in lines
+    assert "line/rate/rate.csv sup_dist abs 0 rel 0 text 0 of 1 differ" in lines
+
+
+def test_rung_failed_on_one_side_names_file_and_column(tmp_path, capsys):
+    old, new = make_tree(tmp_path / "old"), make_tree(tmp_path / "new")
+    fail_rung(new, "0.01")
+    assert compare_outputs.main([str(old), str(new)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "line/rate/rate.csv epsilon abs 0 rel 0" in lines
+    assert "line/rate/rate.csv comp abs 0 rel 0 text 1 of 1 differ" in lines
+    assert "line/rate/rate.csv sup_dist abs 0 rel 0 text 1 of 1 differ" in lines

@@ -72,7 +72,7 @@ def test_node_coordinates_must_be_distinct(domain, axis):
 def test_interval_boundary_points():
     g = build_grid(DomainSpec.interval(0.0, 1.0), 11)
     pts = boundary_points(g)
-    assert [p.param for p in pts] == ["left", "right"]
+    assert [p.param for p in pts] == ["end=left", "end=right"]
     assert pts[0].coord == (0.0,)
     assert pts[1].coord == (1.0,)
 
@@ -83,10 +83,10 @@ def test_rectangle_corner_ownership():
     # every boundary node appears exactly once
     assert len(pts) == int(g.boundary().sum())
     assert len({p.index for p in pts}) == len(pts)
-    corners = {p.index: p.param[0] for p in pts if p.index in
+    corners = {p.index: p.param for p in pts if p.index in
                {(0, 0), (4, 0), (4, 4), (0, 4)}}
-    assert corners == {(0, 0): "bottom", (4, 0): "bottom",
-                       (4, 4): "right", (0, 4): "top"}
+    assert corners == {(0, 0): "side=bottom", (4, 0): "side=bottom",
+                       (4, 4): "side=right", (0, 4): "side=top"}
 
 
 def test_disk_boundary_thetas_sorted_unique():
@@ -99,7 +99,8 @@ def test_disk_boundary_thetas_sorted_unique():
 
 
 def test_boundary_param_roundtrip():
-    # the stored coordinate is recoverable from the parameter within h/2
+    # the stored coordinate is recoverable from the parameter within h/2;
+    # a rectangle node's parameter names its side, whose bound it lies on
     for spec, n in [
         (DomainSpec.interval(0.0, 2.0), 9),
         (DomainSpec.rectangle(-1.0, 1.0, 0.0, 3.0), 9),
@@ -112,16 +113,17 @@ def test_boundary_param_roundtrip():
                 cx, cy, r = spec.params
                 c = (cx + r * math.cos(p.param), cy + r * math.sin(p.param))
             elif spec.kind == "interval":
-                c = (spec.params[0],) if p.param == "left" else (spec.params[1],)
+                c = (spec.params[0],) if p.param == "end=left" else (spec.params[1],)
             else:
                 ax, bx, ay, by = spec.params
-                side, s = p.param
-                c = {
-                    "bottom": (ax + s, ay),
-                    "right": (bx, ay + s),
-                    "top": (bx - s, by),
-                    "left": (ax, by - s),
-                }[side]
+                axis, bound = {
+                    "side=bottom": (1, ay),
+                    "side=right": (0, bx),
+                    "side=top": (1, by),
+                    "side=left": (0, ax),
+                }[p.param]
+                assert p.coord[axis] == bound
+                continue
             assert math.dist(c, p.coord) <= h / 2 + 1e-12
 
 

@@ -21,8 +21,7 @@ from seglimit.errors import ConfigError
 from seglimit.geometry import BoundaryPoint, boundary_points
 from seglimit.problem_data import (
     AllSelector,
-    EndSelector,
-    SideSelector,
+    PartSelector,
     ThetaRange,
     boundary_value_array,
     compile_expression,
@@ -61,7 +60,7 @@ def test_disk_example_values():
 
 def test_square_example_value():
     phi2 = BoundaryDatum(2, (Piece.parse("side=right: 2*(1 - y^2)"),))
-    p = BoundaryPoint((4, 2), (1.0, 0.0), ("right", 1.0))
+    p = BoundaryPoint((4, 2), (1.0, 0.0), "side=right")
     assert eval_boundary(phi2, p) == pytest.approx(2.0)
 
 
@@ -77,15 +76,16 @@ def test_theta_range_half_open_and_wrap():
 
 def test_selectors_match_only_their_domain_kind():
     # the boundary parameter of a disk, a rectangle and an interval
-    params = (0.5, ("top", 0.25), "left")
+    params = (0.5, "side=top", "end=left")
+    side, end = PartSelector("side=top"), PartSelector("end=left")
     for sel, expected in (
         (ThetaRange(0.0, math.pi), [True, False, False]),
-        (SideSelector("top"), [False, True, False]),
-        (EndSelector("left"), [False, False, True]),
+        (side, [False, True, False]),
+        (end, [False, False, True]),
         (AllSelector(), [True, True, True]),
     ):
         assert [sel.matches(p) for p in params] == expected, sel
-    assert (ThetaRange.kind, SideSelector.kind, EndSelector.kind, AllSelector.kind) == (
+    assert (ThetaRange.kind, side.kind, end.kind, AllSelector.kind) == (
         "disk", "rectangle", "interval", None)
 
 
@@ -100,7 +100,7 @@ def test_piece_selection_first_match_then_default():
 
 def test_negative_boundary_value_rejected():
     d = BoundaryDatum(1, (Piece.parse("all: x - 10"),))
-    p = BoundaryPoint((0,), (0.0,), "left")
+    p = BoundaryPoint((0,), (0.0,), "end=left")
     with pytest.raises(ConfigError, match="negative"):
         eval_boundary(d, p)
 
