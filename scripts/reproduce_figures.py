@@ -31,12 +31,12 @@ def run(argv: list[str], out: Path) -> int:
     return code
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--configs-dir", default=str(Path(__file__).resolve().parents[1] / "configs"))
     parser.add_argument("--out", default="out")
     parser.add_argument("--only", nargs="*", choices=CONFIGS, default=None)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     t0 = time.perf_counter()
     codes = []

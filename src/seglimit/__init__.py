@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .elliptic_core import (
     ScalarField,
     apply_laplacian,
-    constant_field,
     solve_harmonic,
     solve_screened,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "apply_laplacian",
     "boundary_points",
     "build_grid",
-    "constant_field",
     "solve_epsilon",
     "solve_harmonic",
     "solve_limit",

@@ -30,13 +30,6 @@ from .limit_solver import LimitResult
 from .problem_data import ProblemData
 
 
-def default_zero_threshold(g: Grid, scale: float, tol_linear: float = DEFAULT_TOL) -> float:
-    """A zero threshold at grid accuracy, max(10*tol*M, h*M), for fields
-    whose zeros are not exact, such as an eps solve's."""
-    h = max(g.spacing)
-    return max(10.0 * tol_linear * scale, h * scale)
-
-
 def _cell_volume(g: Grid) -> float:
     return float(np.prod(g.spacing))
 

@@ -275,18 +275,16 @@ def parse_config(path) -> SystemConfig:
 # output writers
 
 
-def _write_rows(fh, table: np.ndarray, prefix: str = "") -> None:
-    """Write ``table`` one line per row, ``prefix`` then every value as
-    ``%.17g`` (an integer below 2^53 as its plain digits), in blocks of
+def _write_rows(fh, table: np.ndarray) -> None:
+    """Write ``table`` one line per row, every value as ``%.17g`` (an
+    integer below 2^53 as its plain digits), in blocks of
     ``CSV_BLOCK_ROWS`` rows, which bounds the memory the text takes.  Each
     column of a block formats each distinct float64 bit pattern once (so
     -0.0 and every NaN payload keep their own text), and the cells of a
     block are joined once."""
     # each cell's format carries the separator that follows it, "," inside
-    # a row and a newline after the last column, and a NUL to split on; the
-    # first column's carries the prefix
+    # a row and a newline after the last column, and a NUL to split on
     fmts = ["%.17g,\0"] * (table.shape[1] - 1) + ["%.17g\n\0"]
-    fmts[0] = prefix.replace("%", "%%") + fmts[0]
     for start in range(0, len(table), CSV_BLOCK_ROWS):
         block = table[start:start + CSV_BLOCK_ROWS]
         block = np.ascontiguousarray(block, dtype=np.float64).view(np.int64)
@@ -317,7 +315,8 @@ def write_interfaces_csv(path: Path, iset: analysis.InterfaceSet) -> None:
     with path.open("w") as fh:
         fh.write(",".join(["pair_i", "pair_j", *axes, *("n" + a for a in axes)]) + "\n")
         for (i, j), edges in sorted(iset.pairs.items()):
-            _write_rows(fh, np.hstack([edges.midpoint, edges.normal]), f"{i},{j},")
+            pair = np.full((len(edges), 2), (i, j))
+            _write_rows(fh, np.hstack([pair, edges.midpoint, edges.normal]))
         if iset.degenerate:
             fh.write("# degenerate: some pair's zero sets cover the whole interior\n")
 
@@ -329,8 +328,9 @@ def write_rate_csv(path: Path, table: analysis.RateTable) -> None:
             if row.failed:
                 fh.write("%.17g,-,failed,failed\n" % row.epsilon)
             else:
-                rows = np.column_stack([np.arange(1, len(row.sup) + 1), row.lmp1, row.sup])
-                _write_rows(fh, rows, "%.17g," % row.epsilon)
+                m = len(row.sup)
+                _write_rows(fh, np.column_stack([np.full(m, row.epsilon), np.arange(1, m + 1),
+                                                 row.lmp1, row.sup]))
         slope = "nan" if table.slope is None else "%.17g" % table.slope
         resid = "nan" if table.fit_residual is None else "%.17g" % table.fit_residual
         fh.write(f"# slope={slope} fit_residual={resid}\n")

@@ -119,12 +119,6 @@ class ScalarField:
             raise ValueError("field shape does not match grid")
 
 
-def constant_field(g: Grid, value: float = 0.0) -> ScalarField:
-    vals = np.full(g.mask.shape, float(value))
-    vals[~g.in_domain()] = 0.0
-    return ScalarField(g, vals)
-
-
 class _GridOperator:
     """Cached data for one grid, kept as arrays shaped like the grid's mask:
     the interior and boundary masks, the interior numbering, the constant

@@ -230,7 +230,7 @@ def solve_epsilon(
 
     def result(stop, gap):
         return SolveResult(
-            recover(g, v, w, A, phi, limit.w_bound), epsilon,
+            recover(g, v, w, A, phi), epsilon,
             gap, history, stats, stop,
         )
 

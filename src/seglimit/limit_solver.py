@@ -22,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic_core import (
-    DEFAULT_TOL, LinearSolveStats, ScalarField, clamp_within_bound, solve_harmonic,
-)
+from .elliptic_core import DEFAULT_TOL, LinearSolveStats, ScalarField, solve_harmonic
 from .geometry import Grid
 from .problem_data import ProblemData
 
@@ -88,7 +86,7 @@ def construct_limit(
     w_bound = [st.error_bound for st in stats]
     w_bound.insert(pivot - 1, 0.0)
     A = data.weights.values
-    fields = recover(g, v, w, A, data.boundary_arrays(g), w_bound)
+    fields = recover(g, v, w, A, data.boundary_arrays(g))
     interior = g.interior()
     windows = tuple(b + max(w_bound) for b in w_bound)
     ties = []
@@ -100,28 +98,25 @@ def construct_limit(
                        windows, tuple(ties))
 
 
-def recover(g, v, w, A, phi, w_bound) -> tuple[ScalarField, ...]:
+def recover(g, v, w, A, phi) -> tuple[ScalarField, ...]:
     """u_j = A_j (v - w_j), exact on the boundary and 0 outside the domain.
 
-    ``w_bound`` holds the certified error bound of the solve that gave
-    each w_j.  The exact u_j are nonnegative, so a negative value within
-    A_j w_bound[j] is rounding and becomes 0, and one beyond it raises a
-    ``SolverError`` (``clamp_within_bound``).  Both solvers pass a v at or
-    above max(0, max_k w_k), where every u_j is nonnegative as computed.
-    A component with zero boundary data is 0, as 0 <= u_j <= H(phi_j) = 0
+    Both solvers pass a v at or above max(0, max_k w_k), so every u_j is
+    nonnegative as computed; adding 0.0 makes each zero +0.0.  A
+    component with zero boundary data is 0, as 0 <= u_j <= H(phi_j) = 0
     by the maximum principle (u_j is subharmonic).
     """
     bnd = g.boundary()
     outside = ~g.in_domain()
     fields = []
-    for j, (wj, a, ph) in enumerate(zip(w, A, phi)):
+    for wj, a, ph in zip(w, A, phi):
         if not ph[bnd].any():
             fields.append(ScalarField(g, np.zeros(g.mask.shape)))
             continue
         u = a * (v - wj)
         u[bnd] = ph[bnd]
         u[outside] = 0.0
-        clamp_within_bound(u, a * w_bound[j], f"u_{j + 1} =")
+        u += 0.0
         fields.append(ScalarField(g, u))
     return tuple(fields)
 

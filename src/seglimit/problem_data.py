@@ -27,6 +27,8 @@ _TWO_PI = 2 * math.pi
 
 _FUNCS = {"sin": math.sin, "cos": math.cos, "abs": abs, "sqrt": math.sqrt}
 _CONSTS = {"pi": math.pi}
+# the globals of every expression: its functions and constants, no builtins
+_SCOPE = {"__builtins__": {}, **_FUNCS, **_CONSTS}
 _VARS = ("x", "y", "theta")
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
@@ -76,11 +78,8 @@ def compile_expression(text: str):
     code = compile(tree, "<boundary-expr>", "eval")
 
     def evaluate(**env) -> float:
-        scope = dict(_FUNCS)
-        scope.update(_CONSTS)
-        scope.update(env)
         try:
-            return float(eval(code, {"__builtins__": {}}, scope))  # noqa: S307 - ast-whitelisted
+            return float(eval(code, _SCOPE, env))  # noqa: S307 - ast-whitelisted
         except Exception as exc:
             # the message is the last argument; an OverflowError puts an
             # errno before it

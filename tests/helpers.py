@@ -1,6 +1,7 @@
-"""Diagnostics only the tests use: the segregation residual, the discrete
-Dirichlet energy, the pivot-equivalence check of the explicit limit, and
-configs whose discrete limit is exact."""
+"""Diagnostics only the tests use: a constant field, a zero threshold at
+grid accuracy, the segregation residual, the discrete Dirichlet energy,
+the pivot-equivalence check of the explicit limit, and configs whose
+discrete limit is exact."""
 
 import numpy as np
 
@@ -9,6 +10,19 @@ from seglimit.analysis import _cell_volume
 from seglimit.cli import parse_config
 from seglimit.elliptic_core import DEFAULT_TOL
 from seglimit.problem_data import compile_expression
+
+
+def constant_field(g: Grid, value: float = 0.0) -> ScalarField:
+    vals = np.full(g.mask.shape, float(value))
+    vals[~g.in_domain()] = 0.0
+    return ScalarField(g, vals)
+
+
+def default_zero_threshold(g: Grid, scale: float, tol_linear: float = DEFAULT_TOL) -> float:
+    """A zero threshold at grid accuracy, max(10*tol*M, h*M), for fields
+    whose zeros are not exact, such as an eps solve's."""
+    h = max(g.spacing)
+    return max(10.0 * tol_linear * scale, h * scale)
 
 
 def segregation_residual(

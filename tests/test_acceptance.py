@@ -22,13 +22,12 @@ from seglimit import (
     solve_limit,
 )
 from seglimit.analysis import (
-    default_zero_threshold,
     extract_supports_and_interfaces,
     jump_condition_check,
     rate_study,
 )
 from seglimit.epsilon_solver import initialize, sweep
-from helpers import pivot_equivalence_check, segregation_residual
+from helpers import default_zero_threshold, pivot_equivalence_check, segregation_residual
 from test_elliptic_core import sinh_error
 from test_epsilon_solver import M2, M3
 

@@ -8,13 +8,14 @@ import pytest
 
 from seglimit import (
     DomainSpec,
+    Exponents,
+    ProblemData,
     ScalarField,
     build_grid,
     solve_epsilon,
     solve_limit,
 )
 from seglimit.analysis import (
-    default_zero_threshold,
     extract_supports_and_interfaces,
     jump_condition_check,
     laplacian_measure,
@@ -22,7 +23,7 @@ from seglimit.analysis import (
     rate_study,
     solve_vs_limit_distances,
 )
-from helpers import discrete_energy, segregation_residual
+from helpers import default_zero_threshold, discrete_energy, segregation_residual
 from test_epsilon_solver import M2, M3, ZERO2
 
 
@@ -384,6 +385,32 @@ def test_rate_study_slope_and_failures(g401, limit_m3):
         rate_study(g401, M2, [1e-2, -1.0], limit2)
     with pytest.raises(ValueError, match="finite reciprocals"):
         rate_study(g401, M2, [1e-2, 1e-310], limit2)
+
+
+@pytest.mark.parametrize("name,alphas,sup,lmp1,tol", [
+    ("line_m2", None, 1 / 3, 4 / 9, 0.01),
+    ("line_m2", (2.0, 1.0), 1 / 4, 1 / 3, 0.01),
+    ("line_m2", (1.5, 1.5), 1 / 4, 1 / 3, 0.01),
+    ("line_m3", None, 1 / 4, 5 / 16, 0.01),
+    ("disk_m3", None, 1 / 4, None, 0.02),
+], ids=["line_m2", "line_m2-alpha-2-1", "line_m2-alpha-1.5-1.5", "line_m3", "disk_m3"])
+def test_local_rate_slopes_match_the_predicted_exponents(configs, name, alphas, sup, lmp1, tol):
+    # where components whose alphas sum to sigma vanish together, on a set
+    # of codimension d, the layer of width eps^(1 / (sigma + 1)) gives the
+    # sup distance the rate 1 / (sigma + 1) and the L^p distance the rate
+    # (1 + d / p) / (sigma + 1), with p = m + 1.  The last three local
+    # slopes of rate's default ladder at the shipped n meet them; the
+    # disk's triple point (d = 2) is checked on the sup slope only
+    cfg = configs[name]
+    data = cfg.data if alphas is None else ProblemData(
+        cfg.data.boundary, cfg.data.weights, Exponents(alphas))
+    L = solve_limit(cfg.grid, data, tol_linear=cfg.tol_linear)
+    eps = np.geomspace(1e-2, 1e-6, 5)
+    t = rate_study(cfg.grid, data, list(eps), L, cfg.tol_fp, cfg.max_sweeps, cfg.tol_linear)
+    sup_slopes = np.diff(np.log10([r.sup[0] for r in t.rows])) / np.diff(np.log10(eps))
+    assert np.abs(sup_slopes[-3:] - sup).max() <= tol
+    if lmp1 is not None:
+        assert np.abs(np.array(t.local_slopes[-3:]) - lmp1).max() <= tol
 
 
 @pytest.mark.parametrize("name", ["disk_m3", "square_m4"])

@@ -41,6 +41,7 @@ from seglimit.cli import (
 from seglimit.elliptic_core import LinearSolveStats
 from seglimit.errors import ConfigError
 from conftest import CONFIG_NAMES, config_path
+from helpers import default_zero_threshold
 
 LINE_M2 = str(config_path("line_m2"))
 LINE_M3 = str(config_path("line_m3"))
@@ -462,7 +463,7 @@ def test_interfaces_csv_matches_per_edge_format(tmp_path, configs):
     for name in ("line_m3", "disk_m3", "square_m4_overlap"):
         g = build_grid(configs[name].domain, 81 if name != "line_m3" else 401)
         L = solve_limit(g, configs[name].data)
-        delta = analysis.default_zero_threshold(g, 1.0)
+        delta = default_zero_threshold(g, 1.0)
         iset = analysis.extract_supports_and_interfaces(L.fields, delta)
         write_interfaces_csv(path, iset)
         assert path.read_text() == interfaces_csv_oracle(iset)

@@ -19,7 +19,6 @@ from seglimit import (
     apply_laplacian,
     boundary_points,
     build_grid,
-    constant_field,
     solve_epsilon,
     solve_harmonic,
     solve_limit,
@@ -29,6 +28,7 @@ from seglimit import elliptic_core
 from seglimit.elliptic_core import DEFAULT_TOL, LinearSolveStats, grid_operator
 from seglimit.geometry import Grid
 from seglimit.errors import SolverError
+from helpers import constant_field
 
 
 def boundary_array(g, fn):

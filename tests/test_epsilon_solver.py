@@ -416,18 +416,19 @@ def test_newton_keeps_above_the_limit_at_tiny_eps(configs, n, eps):
         assert np.all(lim.values <= u.values + tol)
 
 
-def test_recover_clamps_within_certified_bound(g101):
-    # pivot 1 of M2: w_2 = 1 - 2x and v_lim = max(0, w_2); u_2 = v - w_2
+def test_recover_makes_zeros_positive(g101):
+    # pivot 1 of M2: w_2 = 1 - 2x and v_lim = max(0, w_2).  At x = 1/2,
+    # w_2 = 0.0 and v = -0.0, as np.max may leave where it meets +0.0 and
+    # -0.0: both v - w_1 and v - w_2 are -0.0 there, and every returned
+    # zero is +0.0
     x = g101.axis_coords(0)
     w = [np.zeros(101), 1.0 - 2.0 * x]
-    phi = M2.boundary_arrays(g101)
+    assert w[1][50] == 0.0
     v = np.maximum(w[1], 0.0)
-    v[20] -= 5e-13
-    u = recover(g101, v, w, M2.weights.values, phi, [0.0, 6e-13])
-    assert u[1].values[20] == 0.0 and u[1].values.min() == 0.0
-    assert u[0].values[20] == v[20]
-    with pytest.raises(SolverError, match="u_2 .* negative beyond its certified error bound"):
-        recover(g101, v, w, M2.weights.values, phi, [0.0, 4e-13])
+    v[50] = -0.0
+    u = recover(g101, v, w, M2.weights.values, M2.boundary_arrays(g101))
+    assert u[0].values[50] == u[1].values[50] == 0.0
+    assert not any(np.signbit(f.values).any() for f in u)
 
 
 def test_newton_matches_sweep_oracle_2d(configs):
